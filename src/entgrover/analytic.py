@@ -166,7 +166,9 @@ def p_max(p: OscillationParams) -> float:
     return min(1.0, max(0.0, p.p_av + p.delta_p * math.exp(-2.0 * p.phi_i)))
 
 
-def closed_form_rows(state0: EntangledState, good: GoodSet, n: int) -> EntangledState:
+def closed_form_rows(
+    state0: EntangledState, good: GoodSet, n: int, m: MomentSummary | None = None
+) -> EntangledState:
     """Predicted coefficient table after n steps, without simulating them.
 
     Marked rows:    f_g - (1 - cos(2n*theta)) Gbar + cot(theta) sin(2n*theta) Bbar
@@ -174,11 +176,13 @@ def closed_form_rows(state0: EntangledState, good: GoodSet, n: int) -> Entangled
                     odd n:  -f_b - tan(theta) sin(2n*theta) Gbar + (1 + cos(2n*theta)) Bbar
 
     Singular at t in {0, N} (the construction divides by sin(2*theta));
-    use the simulator there instead.
+    use the simulator there instead.  ``m`` is moments(state0, good), for a
+    caller that predicts many n from one state; it is computed when omitted.
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
-    m = moments(state0, good)
+    if m is None:
+        m = moments(state0, good)
     _require_interior(m)
     if n == 0:
         return EntangledState(
@@ -198,8 +202,8 @@ def closed_form_rows(state0: EntangledState, good: GoodSet, n: int) -> Entangled
     return EntangledState(n_qubits=state0.n_qubits, data_dim=state0.data_dim, coeffs=out)
 
 
-def recurrence_vectors(m: MomentSummary, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(X_n, Y_n) of the two-block recurrence Z_k = M Z_{k-1} + C_k.
+def recurrence_sequence(m: MomentSummary, n_max: int):
+    """Yield (k, X_k, Y_k) of the two-block recurrence Z_k = M Z_{k-1} + C_k, k = 1 .. n_max.
 
     M mixes the pair with weights cos(2*theta) -+ 1; the drive is
     C_k = t*Gbar + (-1)^k (N-t)*Bbar, and X_1 = Y_1 = C_1.  The iterated
@@ -207,10 +211,10 @@ def recurrence_vectors(m: MomentSummary, n: int) -> tuple[np.ndarray, np.ndarray
 
         f_g(n) = f_g - (2/N) X_n,    f_b(n) = (-1)^n f_b - (2/N) Y_n.
 
-    Empty sectors contribute a zero average.
+    Empty sectors contribute a zero average.  One pass costs n_max steps.
     """
-    if n < 1:
-        raise ValueError(f"recurrence index must be >= 1, got {n}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     dim = (m.g_avg if m.g_avg is not None else m.b_avg).shape[0]
     zero = np.zeros(dim, dtype=np.complex128)
     g_avg = m.g_avg if m.g_avg is not None else zero
@@ -219,9 +223,19 @@ def recurrence_vectors(m: MomentSummary, n: int) -> tuple[np.ndarray, np.ndarray
     c2t = math.cos(2.0 * m.theta)
     x = t * g_avg - (big_n - t) * b_avg
     y = x.copy()
-    for k in range(2, n + 1):
-        drive = t * g_avg + (-1) ** k * (big_n - t) * b_avg
-        x, y = c2t * x + (c2t + 1.0) * y + drive, (c2t - 1.0) * x + c2t * y + drive
+    for k in range(1, n_max + 1):
+        if k > 1:
+            drive = t * g_avg + (-1) ** k * (big_n - t) * b_avg
+            x, y = c2t * x + (c2t + 1.0) * y + drive, (c2t - 1.0) * x + c2t * y + drive
+        yield k, x, y
+
+
+def recurrence_vectors(m: MomentSummary, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X_n, Y_n) of the two-block recurrence; see recurrence_sequence."""
+    if n < 1:
+        raise ValueError(f"recurrence index must be >= 1, got {n}")
+    for _, x, y in recurrence_sequence(m, n):
+        pass
     return x, y
 
 

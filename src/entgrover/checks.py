@@ -109,8 +109,9 @@ def check_closed_form_fidelity(cfg: VerifyConfig) -> CheckResult:
     tol = cfg.tolerances.amplitude
     worst = 0.0
     for state, good in corpus_states(cfg):
+        m = qstate.moments(state, good)
         for n, sim in grover.grover_trajectory(state, good, cfg.max_steps):
-            pred = analytic.closed_form_rows(state, good, n)
+            pred = analytic.closed_form_rows(state, good, n, m)
             worst = max(worst, _max_row_dev(pred.coeffs, sim.coeffs))
     return CheckResult("closed_form_fidelity", worst < tol, worst, tol)
 
@@ -123,12 +124,11 @@ def check_recurrence_consistency(cfg: VerifyConfig) -> CheckResult:
         m = qstate.moments(state, good)
         gmask = good.mask(state.n_states)
         n_big = state.n_states
-        for n in range(1, cfg.max_steps + 1):
-            x, y = analytic.recurrence_vectors(m, n)
+        for n, x, y in analytic.recurrence_sequence(m, cfg.max_steps):
             rebuilt = np.empty_like(state.coeffs)
             rebuilt[gmask] = state.coeffs[gmask] - (2.0 / n_big) * x
             rebuilt[~gmask] = (-1) ** n * state.coeffs[~gmask] - (2.0 / n_big) * y
-            pred = analytic.closed_form_rows(state, good, n)
+            pred = analytic.closed_form_rows(state, good, n, m)
             worst = max(worst, _max_row_dev(rebuilt, pred.coeffs))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 

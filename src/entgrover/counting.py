@@ -4,7 +4,9 @@ A P-outcome ancilla register (P a power of two) is prepared uniform, each
 branch |m> applies m amplification steps to the entangled search state, and
 a Fourier transform over the ancilla concentrates probability near the two
 spectral lines m = +-f, where f = P*theta/pi encodes the marked count t
-through sin^2(theta) = t/N.  Measuring the ancilla and inverting
+through sin^2(theta) = t/N.  The transform has positive phases and
+unitary scaling, so it is numpy's inverse FFT, ``np.fft.ifft(...,
+norm="ortho")``, along the ancilla axis.  Measuring the ancilla and inverting
 t~ = N*sin^2(pi*f~/P) estimates t within a bound that shrinks as 1/P.
 
 The probability mass captured by the peak window admits exact closed
@@ -32,36 +34,9 @@ from .qstate import EntangledState, GoodSet, MomentSummary, check_memory, moment
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
 
 
-def _bit_reversal(p: int) -> np.ndarray:
-    bits = p.bit_length() - 1
-    idx = np.arange(p)
-    rev = np.zeros(p, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fourier_rows(table: np.ndarray, sign: int) -> np.ndarray:
-    """Radix-2 transform along axis 0: out[c] = (1/sqrt(P)) sum_a e^{sign*2pi*i*ac/P} in[a]."""
-    p = table.shape[0]
-    if p & (p - 1) != 0:
+def _check_power_of_two(p: int) -> None:
+    if p < 1 or p & (p - 1) != 0:
         raise ValueError(f"transform length must be a power of two, got {p}")
-    shape = table.shape
-    work = np.array(table, dtype=np.complex128, copy=True).reshape(p, -1)
-    work = work[_bit_reversal(p)]
-    size = 2
-    while size <= p:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)[None, :, None]
-        work = work.reshape(p // size, size, -1)
-        top = work[:, :half].copy()
-        bot = work[:, half:] * tw
-        work[:, :half] = top + bot
-        work[:, half:] = top - bot
-        work = work.reshape(p, -1)
-        size *= 2
-    return (work / math.sqrt(p)).reshape(shape)
 
 
 def qft(vec: np.ndarray) -> np.ndarray:
@@ -69,18 +44,17 @@ def qft(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=np.complex128)
     if v.ndim != 1:
         raise ValueError("qft expects a 1-D vector")
-    if len(v) == 1:
-        return v.copy()
-    return _fourier_rows(v, +1)
+    _check_power_of_two(len(v))
+    return np.fft.ifft(v, norm="ortho")
 
 
 def qft_inverse(vec: np.ndarray) -> np.ndarray:
+    """Inverse of qft, out[a] = (1/sqrt(P)) sum_c e^{-2pi*i*ac/P} vec[c]."""
     v = np.asarray(vec, dtype=np.complex128)
     if v.ndim != 1:
         raise ValueError("qft_inverse expects a 1-D vector")
-    if len(v) == 1:
-        return v.copy()
-    return _fourier_rows(v, -1)
+    _check_power_of_two(len(v))
+    return np.fft.fft(v, norm="ortho")
 
 
 @dataclass(frozen=True)
@@ -101,8 +75,8 @@ class CountState:
             raise ValueError(
                 f"amplitude tensor must be {self.p_size}x{n}x{self.data_dim}, got {a.shape}"
             )
-        total = math.fsum((np.square(a.real) + np.square(a.imag)).ravel().tolist())
-        if abs(total - 1.0) > 1e-9:
+        total = float(np.sum(np.square(a.real) + np.square(a.imag)))
+        if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
             raise ValueError(f"total squared norm must be 1 within 1e-9, got {total!r}")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
@@ -117,6 +91,7 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
 
     Branch m holds (1/sqrt(P)) times the m-times-amplified state; powers are
     computed incrementally, so the whole circuit costs P amplification steps.
+    The ancilla transform is numpy's FFT along axis 0 (qft on every column).
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
@@ -130,8 +105,7 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
         amps[m] = cur * scale
         if m + 1 < p_size:
             cur = _step_rows(cur, gmask)
-    if p_size > 1:
-        amps = _fourier_rows(amps, +1)
+    amps = np.fft.ifft(amps, axis=0, norm="ortho")
     return CountState(p_size=p_size, n_qubits=state.n_qubits, data_dim=state.data_dim, amps=amps)
 
 
@@ -320,8 +294,12 @@ def run_count(
     p_size: int,
     repetitions: int,
     seed: int,
+    dist: np.ndarray | None = None,
 ) -> CountReport:
     """Simulate the circuit once, sample the ancilla, and decode by majority rule.
+
+    ``dist`` is the circuit's ancilla distribution, for a caller that has
+    already built it; without it the circuit is built here.
 
     The majority outcome is the most frequent sample (ties to the smallest
     outcome).  ``w_empirical`` is the fraction of samples inside the
@@ -334,8 +312,8 @@ def run_count(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     n = state.n_states
     t = good.t
-    cs = build_count_state(state, good, p_size)
-    dist = ancilla_distribution(cs)
+    if dist is None:
+        dist = ancilla_distribution(build_count_state(state, good, p_size))
 
     if 0 < t < n and p_size >= 4:
         pred = window_probability(moments(state, good), p_size)

@@ -7,10 +7,16 @@ kept (not dropped as an unobservable phase) so iterated rows can be
 compared amplitude-by-amplitude, including the (-1)^n alternation of the
 unmarked rows, against closed-form predictions.
 
+Since W|0> is the uniform vector |u>, the diffusion -W S0 W equals
+2|u><u| - I, the inversion about the average: each row x_a becomes
+2*mean(x) - x_a.  A step is therefore the phase flip followed by one
+column mean, O(N*D) work with no N x N matrix and no Hadamard passes.
+The primitives W (log2(N) butterfly passes) and S0 stay available as
+operators of their own; the step does not compose them.
+
 Everything here acts on the search index only; the data register rides
 along untouched.  All functions are pure and numerically exact up to
-double rounding (the Hadamard passes are in-place butterflies, no N x N
-matrix is ever materialized).
+double rounding.
 """
 from __future__ import annotations
 
@@ -46,11 +52,9 @@ def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
 
 
 def _step_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
-    out = _flip_good(table, gmask)
-    out = _hadamard_rows(out)
-    out[0] = -out[0]
-    out = _hadamard_rows(out)
-    return -out
+    """-W S0 W S_H on the rows: the phase flip, then the reflection about the column mean."""
+    x = _flip_good(table, gmask)
+    return 2.0 * x.mean(axis=0) - x
 
 
 def _wrap(state: EntangledState, coeffs: np.ndarray) -> EntangledState:

@@ -362,8 +362,8 @@ def run_count(s: Scenario) -> Report:
     good = build_good(s.good_spec, n_states)
     state = build_state(s.state_spec, s.n_qubits, s.data_dim, good)
     _check_dims(state, s)
-    report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed)
     dist = counting.ancilla_distribution(counting.build_count_state(state, good, s.p_size))
+    report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
 
     checks = []
     if report.w_predicted is not None:

@@ -57,7 +57,11 @@ def check_memory(n_amplitudes: int) -> None:
 
 
 def _norm_sq_total(coeffs: np.ndarray) -> float:
-    """Exactly-rounded sum of squared magnitudes (fsum keeps the 1e-9 gate honest)."""
+    """Exactly-rounded sum of squared magnitudes, for physical_norm and renormalization.
+
+    The construction gate uses numpy's pairwise sum instead, whose error
+    O(log(N*D) * u) sits far inside the 1e-9 tolerance.
+    """
     mag2 = np.square(coeffs.real) + np.square(coeffs.imag)
     return math.fsum(mag2.ravel().tolist())
 
@@ -80,8 +84,8 @@ class EntangledState:
         c = np.array(self.coeffs, dtype=np.complex128, copy=True)
         if c.shape != (n, self.data_dim):
             raise ValueError(f"coefficient table must be {n}x{self.data_dim}, got {c.shape}")
-        total = _norm_sq_total(c)
-        if abs(total - n) > NORM_ATOL:
+        total = float(np.sum(np.square(c.real) + np.square(c.imag)))
+        if not math.isfinite(total) or abs(total - n) > NORM_ATOL:
             raise ValueError(
                 f"total squared norm must equal N={n} within {NORM_ATOL}, got {total!r}"
             )

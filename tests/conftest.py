@@ -1,9 +1,10 @@
 """Shared fixtures and the independent dense-matrix oracles.
 
-The oracles here deliberately avoid the package's butterfly/in-place code
-paths: operators are materialized as explicit (N*D x N*D) matrices built
-from Kronecker products, and transforms as explicit DFT matrices, so every
-fast implementation is checked against a slow, obviously-correct one.
+The oracles here deliberately avoid the package's fast code paths (the
+reflection about the mean, numpy's FFT, the Hadamard butterflies):
+operators are materialized as explicit (N*D x N*D) matrices built from
+Kronecker products, and transforms as explicit DFT matrices, so every fast
+implementation is checked against a slow, obviously-correct one.
 """
 import math
 import os
@@ -61,8 +62,8 @@ def random_marked(n: int, t: int, seed: int) -> GoodSet:
     return GoodSet(tuple(int(i) for i in rng.choice(n, size=t, replace=False)))
 
 
-def brute_force_count_distribution(state: EntangledState, good: GoodSet, p: int) -> np.ndarray:
-    """Ancilla distribution from dense matrices only."""
+def brute_force_count_amplitudes(state: EntangledState, good: GoodSet, p: int) -> np.ndarray:
+    """P x N x D counting-circuit amplitudes from dense matrices only."""
     n = state.n_states
     g = grover_matrix(state.n_qubits, good.indices)
     branches = np.empty((p, n, state.data_dim), dtype=np.complex128)
@@ -71,7 +72,12 @@ def brute_force_count_distribution(state: EntangledState, good: GoodSet, p: int)
         branches[m] = cur / math.sqrt(p)
         cur = g @ cur
     f = dft_matrix(p, +1)
-    mixed = np.einsum("nm,mad->nad", f, branches)
+    return np.einsum("nm,mad->nad", f, branches)
+
+
+def brute_force_count_distribution(state: EntangledState, good: GoodSet, p: int) -> np.ndarray:
+    """Ancilla distribution from dense matrices only."""
+    mixed = brute_force_count_amplitudes(state, good, p)
     return np.sum(np.abs(mixed) ** 2, axis=(1, 2))
 
 

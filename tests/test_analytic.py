@@ -22,6 +22,7 @@ from entgrover import (
     optimal_times,
     oscillation_params,
     p_max,
+    recurrence_sequence,
     recurrence_vectors,
     state_at_optimal,
     success_probability,
@@ -198,6 +199,15 @@ class TestClosedFormRows:
             pred = closed_form_rows(state, good, n)
             np.testing.assert_allclose(pred.coeffs, sim.coeffs, atol=1e-9)
 
+    def test_precomputed_moments_bit_exact(self):
+        state = random_state(4, 2, seed=43)
+        good = random_marked(16, 3, seed=434)
+        m = moments(state, good)
+        for n in range(6):
+            assert np.array_equal(
+                closed_form_rows(state, good, n, m).coeffs, closed_form_rows(state, good, n).coeffs
+            )
+
     def test_degenerate_sectors_rejected(self):
         with pytest.raises(DegenerateCaseError):
             closed_form_rows(new_flat(2, 1), GoodSet(()), 1)
@@ -260,6 +270,17 @@ class TestRecurrenceVectors:
         rebuilt[~gmask] = (-1) ** n * state.coeffs[~gmask] - (2 / big_n) * y
         pred = closed_form_rows(state, good, n)
         np.testing.assert_allclose(rebuilt, pred.coeffs, atol=1e-9)
+
+    def test_sequence_equals_restarted_recurrence(self):
+        state = random_state(4, 2, seed=31)
+        m = moments(state, random_marked(16, 5, seed=311))
+        seen = []
+        for k, x, y in recurrence_sequence(m, 12):
+            seen.append(k)
+            x_k, y_k = recurrence_vectors(m, k)
+            assert np.array_equal(x, x_k) and np.array_equal(y, y_k)
+        assert seen == list(range(1, 13))
+        assert list(recurrence_sequence(m, 0)) == []
 
 
 class TestStateAtOptimal:

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_force_count_amplitudes,
     brute_force_count_distribution,
     dft_matrix,
     random_marked,
     random_state,
 )
 from entgrover import (
+    CountState,
     DegenerateCaseError,
     GoodSet,
     ancilla_distribution,
@@ -60,6 +62,16 @@ class TestQft:
         with pytest.raises(ValueError, match="power of two"):
             qft(np.ones(3, dtype=complex))
 
+    @pytest.mark.parametrize("p", [1, 2, 4, 8, 16, 32, 64])
+    def test_inverse_matches_dft_matrix(self, p):
+        rng = np.random.default_rng(100 + p)
+        v = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        np.testing.assert_allclose(qft_inverse(v), dft_matrix(p, -1) @ v, atol=1e-12)
+
+    def test_inverse_non_power_of_two_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            qft_inverse(np.ones(6, dtype=complex))
+
 
 class TestBuildCountState:
     def test_p1_trivial_ancilla(self):
@@ -84,6 +96,20 @@ class TestBuildCountState:
         dist = ancilla_distribution(build_count_state(state, good, p))
         oracle = brute_force_count_distribution(state, good, p)
         np.testing.assert_allclose(dist, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("nq,d,t,p,seed", [(2, 1, 1, 8, 0), (3, 2, 3, 16, 1), (4, 3, 7, 8, 2)])
+    def test_amplitudes_match_dense_oracle(self, nq, d, t, p, seed):
+        state = random_state(nq, d, seed)
+        good = random_marked(1 << nq, t, seed + 50)
+        amps = build_count_state(state, good, p).amps
+        np.testing.assert_allclose(amps, brute_force_count_amplitudes(state, good, p), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        amps = np.full((2, 2, 1), 0.5, dtype=complex)
+        amps[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="squared norm"):
+            CountState(p_size=2, n_qubits=1, data_dim=1, amps=amps)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -100,7 +100,10 @@ class TestGroverStep:
             math.sin(3 * math.pi / 4) ** 2, abs=1e-12
         )
 
-    @pytest.mark.parametrize("nq,d,t,seed", [(1, 1, 1, 0), (2, 2, 1, 1), (3, 1, 3, 2), (4, 2, 5, 3)])
+    @pytest.mark.parametrize(
+        "nq,d,t,seed",
+        [(1, 1, 1, 0), (2, 2, 1, 1), (3, 1, 3, 2), (4, 2, 5, 3), (6, 3, 0, 4), (6, 3, 64, 5)],
+    )
     def test_matches_dense_matrix(self, nq, d, t, seed):
         state = random_state(nq, d, seed)
         good = random_marked(1 << nq, t, seed + 100)

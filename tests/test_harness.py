@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from entgrover import cli
+from entgrover import cli, counting
 from entgrover.harness import (
     ScenarioError,
     load_scenario,
     parse_scenario,
+    run_count,
     run_find,
     run_sweep,
 )
@@ -85,6 +86,23 @@ class TestRunFind:
         report = run_find(s)
         assert report.passed
         assert report.payload["degenerate_sector"]
+
+
+class TestRunCount:
+    def test_circuit_built_once(self, monkeypatch):
+        calls = []
+        build = counting.build_count_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "build_count_state", counted)
+        s = parse_scenario({"kind": "count", "n_qubits": 4, "good": {"indices": [0, 1, 2, 3]},
+                            "P": 16, "repetitions": 11, "seed": 7})
+        report = run_count(s)
+        assert report.passed
+        assert len(calls) == 1
 
 
 class TestSweep:

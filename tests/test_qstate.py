@@ -46,6 +46,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="squared norm"):
             from_amplitudes(table)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="squared norm"):
+            EntangledState(2, 1, [[bad], [1.0], [1.0], [1.0]])
+
     def test_from_amplitudes_one_to_one(self):
         state = from_amplitudes(np.eye(2))
         assert state.n_states == 2
