@@ -11,8 +11,8 @@ Since W|0> is the uniform vector |u>, the diffusion -W S0 W equals
 2|u><u| - I, the inversion about the average: each row x_a becomes
 2*mean(x) - x_a.  A step is therefore the phase flip followed by one
 column mean, O(N*D) work with no N x N matrix and no Hadamard passes.
-The primitives W (log2(N) butterfly passes) and S0 stay available as
-operators of their own; the step does not compose them.
+W (log2(N) butterfly passes) and S0 are also provided as operators of
+their own; the step does not compose them.
 
 Everything here acts on the search index only; the data register rides
 along untouched.  All functions are pure and numerically exact up to
