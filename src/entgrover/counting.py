@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import DegenerateCaseError
-from .grover import _step_rows
+from .grover import _reflect_rows
 from .qstate import EntangledState, GoodSet, MomentSummary, check_memory, moments
 
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
@@ -90,7 +90,8 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     """Run the counting circuit exactly: controlled powers, then the ancilla transform.
 
     Branch m holds (1/sqrt(P)) times the m-times-amplified state; powers are
-    computed incrementally, so the whole circuit costs P amplification steps.
+    computed incrementally, so the whole circuit costs P amplification steps,
+    each one reflection about the column mean.
     The ancilla transform is numpy's FFT along axis 0 (qft on every column).
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
@@ -104,7 +105,7 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     for m in range(p_size):
         amps[m] = cur * scale
         if m + 1 < p_size:
-            cur = _step_rows(cur, gmask)
+            cur = _reflect_rows(cur, gmask)
     amps = np.fft.ifft(amps, axis=0, norm="ortho")
     return CountState(p_size=p_size, n_qubits=state.n_qubits, data_dim=state.data_dim, amps=amps)
 

@@ -7,16 +7,22 @@ kept (not dropped as an unobservable phase) so iterated rows can be
 compared amplitude-by-amplitude, including the (-1)^n alternation of the
 unmarked rows, against closed-form predictions.
 
-Since W|0> is the uniform vector |u>, the diffusion -W S0 W equals
-2|u><u| - I, the inversion about the average: each row x_a becomes
-2*mean(x) - x_a.  A step is therefore the phase flip followed by one
-column mean, O(N*D) work with no N x N matrix and no Hadamard passes.
-W (log2(N) butterfly passes) and S0 are also provided as operators of
-their own; the step does not compose them.
+A step composes the operators literally: the phase flip, W as log2(N)
+butterfly passes, S0, W again.  Since W|0> is the uniform vector |u>,
+the diffusion -W S0 W also equals 2|u><u| - I, the inversion about the
+average: each row x_a becomes 2*mean(x) - x_a.  ``_reflect_rows`` computes
+that form in O(N*D) for the counting circuit, whose many powers of a small
+state would be dominated by per-pass overhead.  The two agree to last-place
+rounding but round differently: every butterfly pass scales by the rounded
+1/sqrt(2), so the composed step drifts the norm by the same few 1e-14 for
+every state of a given shape, while the mean form leaves a few ulps that
+change from state to state.  ``grover_step``, ``grover_iterate`` and
+``grover_trajectory`` compose the operators, so the unitarity headroom of
+a find report depends on the shape only, not on the random state.
 
 Everything here acts on the search index only; the data register rides
 along untouched.  All functions are pure and numerically exact up to
-double rounding.
+double rounding (no N x N matrix is ever materialized).
 """
 from __future__ import annotations
 
@@ -32,17 +38,18 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def _hadamard_rows(table: np.ndarray) -> np.ndarray:
     """n-qubit Hadamard along axis 0 via log2(N) butterfly passes."""
     n = table.shape[0]
-    out = np.array(table, dtype=np.complex128, copy=True)
+    src = np.array(table, dtype=np.complex128, copy=True)
+    dst = np.empty_like(src)
     h = 1
     while h < n:
-        out = out.reshape(n // (2 * h), 2, h, -1)
-        top = out[:, 0].copy()
-        bot = out[:, 1].copy()
-        out[:, 0] = (top + bot) * _INV_SQRT2
-        out[:, 1] = (top - bot) * _INV_SQRT2
-        out = out.reshape(n, -1)
+        a = src.reshape(n // (2 * h), 2, h, -1)
+        b = dst.reshape(n // (2 * h), 2, h, -1)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+        dst *= _INV_SQRT2
+        src, dst = dst, src
         h *= 2
-    return out.reshape(table.shape)
+    return src.reshape(table.shape)
 
 
 def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
@@ -52,7 +59,15 @@ def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
 
 
 def _step_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
-    """-W S0 W S_H on the rows: the phase flip, then the reflection about the column mean."""
+    """-W S0 W S_H on the rows, composed operator by operator."""
+    out = _hadamard_rows(_flip_good(table, gmask))
+    out[0] = -out[0]
+    out = _hadamard_rows(out)
+    return np.negative(out, out=out)
+
+
+def _reflect_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
+    """The same step as the phase flip, then the reflection about the column mean."""
     x = _flip_good(table, gmask)
     return 2.0 * x.mean(axis=0) - x
 
