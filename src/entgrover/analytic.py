@@ -166,40 +166,51 @@ def p_max(p: OscillationParams) -> float:
     return min(1.0, max(0.0, p.p_av + p.delta_p * math.exp(-2.0 * p.phi_i)))
 
 
-def closed_form_rows(
-    state0: EntangledState, good: GoodSet, n: int, m: MomentSummary | None = None
-) -> EntangledState:
-    """Predicted coefficient table after n steps, without simulating them.
+def closed_form_table(
+    c0: np.ndarray, gmask: np.ndarray, m: MomentSummary, n: int
+) -> np.ndarray:
+    """Predicted coefficient table after n steps, as a bare array.
 
     Marked rows:    f_g - (1 - cos(2n*theta)) Gbar + cot(theta) sin(2n*theta) Bbar
     Unmarked rows:  even n:  f_b - tan(theta) sin(2n*theta) Gbar - (1 - cos(2n*theta)) Bbar
                     odd n:  -f_b - tan(theta) sin(2n*theta) Gbar + (1 + cos(2n*theta)) Bbar
 
-    Singular at t in {0, N} (the construction divides by sin(2*theta));
-    use the simulator there instead.  ``m`` is moments(state0, good), for a
-    caller that predicts many n from one state; it is computed when omitted.
+    ``c0`` is the initial table, ``gmask`` its marked-row mask and ``m`` its
+    moments.  Singular at t in {0, N} (the construction divides by
+    sin(2*theta)).  n = 0 returns ``c0`` itself, not a copy.
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
-    if m is None:
-        m = moments(state0, good)
     _require_interior(m)
     if n == 0:
-        return EntangledState(
-            n_qubits=state0.n_qubits, data_dim=state0.data_dim, coeffs=state0.coeffs
-        )
-    gmask = good.mask(state0.n_states)
+        return c0
     theta = m.theta
     c2n = math.cos(2.0 * n * theta)
     s2n = math.sin(2.0 * n * theta)
     tan_t = math.tan(theta)
-    out = np.empty_like(state0.coeffs)
-    out[gmask] = state0.coeffs[gmask] - (1.0 - c2n) * m.g_avg + (s2n / tan_t) * m.b_avg
+    bmask = ~gmask
+    out = np.empty_like(c0)
+    out[gmask] = c0[gmask] - (1.0 - c2n) * m.g_avg + (s2n / tan_t) * m.b_avg
     if n % 2 == 0:
-        out[~gmask] = state0.coeffs[~gmask] - tan_t * s2n * m.g_avg - (1.0 - c2n) * m.b_avg
+        out[bmask] = c0[bmask] - tan_t * s2n * m.g_avg - (1.0 - c2n) * m.b_avg
     else:
-        out[~gmask] = -state0.coeffs[~gmask] - tan_t * s2n * m.g_avg + (1.0 + c2n) * m.b_avg
-    return EntangledState(n_qubits=state0.n_qubits, data_dim=state0.data_dim, coeffs=out)
+        out[bmask] = -c0[bmask] - tan_t * s2n * m.g_avg + (1.0 + c2n) * m.b_avg
+    return out
+
+
+def closed_form_rows(
+    state0: EntangledState, good: GoodSet, n: int, m: MomentSummary | None = None
+) -> EntangledState:
+    """Predicted state after n steps, without simulating them (see closed_form_table).
+
+    Singular at t in {0, N}; use the simulator there instead.  ``m`` is
+    moments(state0, good), for a caller that predicts many n from one
+    state; it is computed when omitted.
+    """
+    if m is None:
+        m = moments(state0, good)
+    table = closed_form_table(state0.coeffs, good.mask(state0.n_states), m, n)
+    return EntangledState(n_qubits=state0.n_qubits, data_dim=state0.data_dim, coeffs=table)
 
 
 def recurrence_sequence(m: MomentSummary, n_max: int):

@@ -4,12 +4,20 @@ Each check pits an analytic prediction against brute-force state-vector
 simulation (or an independently stated bound) at a pinned tolerance and
 returns a CheckResult.  The same battery backs the ``verify`` CLI command
 and the acceptance test suite, so a criterion is stated exactly once.
+
+``audit_trajectory`` simulates one state once and records, step by step,
+everything the closed forms predict about it: the marked-sector mass, the
+amplitude deviation from the closed-form table, the drift of the sector
+variances and of the norm.  The ``find`` and ``sweep`` runners read their
+checks from it, and the battery audits each corpus state once and hands the
+audits to criteria 1, 3 and 4.  The battery runs sequentially: its work is
+many small arrays under the interpreter lock, where threads only add
+overhead.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,6 +99,7 @@ def corpus_states(cfg: VerifyConfig) -> list[tuple[qstate.EntangledState, qstate
     for i in range(cfg.corpus_count):
         nq, d = combos[i % len(combos)]
         n = 1 << nq
+        qstate.check_memory(n * d)
         rng = np.random.default_rng(cfg.base_seed + i)
         t = int(rng.integers(1, n))
         table = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -104,15 +113,87 @@ def _max_row_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def check_closed_form_fidelity(cfg: VerifyConfig) -> CheckResult:
-    """Predicted rows equal simulated rows, amplitude by amplitude, for n up to max_steps."""
-    tol = cfg.tolerances.amplitude
-    worst = 0.0
+@dataclass(frozen=True)
+class TrajectoryAudit:
+    """Per-step readings of one simulated trajectory, indexed by n = 0 .. n_max.
+
+    ``p_sim`` is the marked-sector mass, ``amp_dev`` the largest amplitude
+    deviation from the closed-form table (empty when t is 0 or N, where the
+    closed form is singular), ``var_drift`` the larger drift of the two
+    sector variances from step 0, and ``norm_dev`` the deviation of the
+    physical norm from 1.
+    """
+
+    moments: qstate.MomentSummary
+    p_sim: tuple[float, ...]
+    amp_dev: tuple[float, ...]
+    var_drift: tuple[float, ...]
+    norm_dev: tuple[float, ...]
+
+
+def audit_trajectory(
+    state: qstate.EntangledState,
+    good: qstate.GoodSet,
+    n_max: int,
+    m: qstate.MomentSummary | None = None,
+) -> TrajectoryAudit:
+    """Simulate n_max steps once and compare every step with the predictions.
+
+    ``m`` is moments(state, good) when the caller already has it.  Steps are
+    streamed from ``grover.grover_trajectory``, so memory stays at a few
+    tables whatever n_max is.  The mass is computed as ``qstate.good_mass``
+    and the variances as ``qstate.moments`` compute them, bit for bit; the
+    norm uses numpy's pairwise sum, not the exactly-rounded sum of
+    ``physical_norm``, and agrees with it to about 1e-16.
+    """
+    if m is None:
+        m = qstate.moments(state, good)
+    n_big, t = state.n_states, good.t
+    gmask = good.mask(n_big)
+    bmask = ~gmask
+    c0 = state.coeffs
+    p_sim: list[float] = []
+    amp_dev: list[float] = []
+    var_drift: list[float] = []
+    norm_dev: list[float] = []
+    for n, sim in grover.grover_trajectory(state, good, n_max):
+        c = sim.coeffs
+        g = c[gmask]
+        p_sim.append(float(np.sum(np.square(g.real) + np.square(g.imag))) / n_big)
+        if 0 < t < n_big:
+            amp_dev.append(_max_row_dev(analytic.closed_form_table(c0, gmask, m, n), c))
+        drift_g = abs(qstate._sector_stats(g)[2] - m.var_g) if t > 0 else 0.0
+        drift_b = abs(qstate._sector_stats(c[bmask])[2] - m.var_b) if t < n_big else 0.0
+        var_drift.append(max(drift_g, drift_b))
+        norm_dev.append(abs(math.sqrt(qstate._norm_sq(c) / n_big) - 1.0))
+    return TrajectoryAudit(m, tuple(p_sim), tuple(amp_dev), tuple(var_drift), tuple(norm_dev))
+
+
+def _law_horizon(m: qstate.MomentSummary) -> int:
+    """Last step of the two periods over which criterion 4 checks the law."""
+    return math.ceil(math.pi / m.theta) + 1
+
+
+def corpus_audits(cfg: VerifyConfig) -> list[TrajectoryAudit]:
+    """One audit per corpus state, long enough for criteria 1, 3 and 4."""
+    audits = []
     for state, good in corpus_states(cfg):
         m = qstate.moments(state, good)
-        for n, sim in grover.grover_trajectory(state, good, cfg.max_steps):
-            pred = analytic.closed_form_rows(state, good, n, m)
-            worst = max(worst, _max_row_dev(pred.coeffs, sim.coeffs))
+        audits.append(audit_trajectory(state, good, max(cfg.max_steps, _law_horizon(m)), m))
+    return audits
+
+
+def check_closed_form_fidelity(
+    cfg: VerifyConfig, audits: list[TrajectoryAudit] | None = None
+) -> CheckResult:
+    """Predicted rows equal simulated rows, amplitude by amplitude, for n up to max_steps.
+
+    ``audits`` is corpus_audits(cfg), when the caller shares it between checks.
+    """
+    tol = cfg.tolerances.amplitude
+    if audits is None:
+        audits = corpus_audits(cfg)
+    worst = max([0.0, *(max(a.amp_dev[: cfg.max_steps + 1]) for a in audits)])
     return CheckResult("closed_form_fidelity", worst < tol, worst, tol)
 
 
@@ -123,42 +204,43 @@ def check_recurrence_consistency(cfg: VerifyConfig) -> CheckResult:
     for state, good in corpus_states(cfg):
         m = qstate.moments(state, good)
         gmask = good.mask(state.n_states)
+        bmask = ~gmask
+        c0 = state.coeffs
+        c0_g, c0_b = c0[gmask], c0[bmask]
         n_big = state.n_states
         for n, x, y in analytic.recurrence_sequence(m, cfg.max_steps):
-            rebuilt = np.empty_like(state.coeffs)
-            rebuilt[gmask] = state.coeffs[gmask] - (2.0 / n_big) * x
-            rebuilt[~gmask] = (-1) ** n * state.coeffs[~gmask] - (2.0 / n_big) * y
-            pred = analytic.closed_form_rows(state, good, n, m)
-            worst = max(worst, _max_row_dev(rebuilt, pred.coeffs))
+            rebuilt = np.empty_like(c0)
+            rebuilt[gmask] = c0_g - (2.0 / n_big) * x
+            rebuilt[bmask] = (-1) ** n * c0_b - (2.0 / n_big) * y
+            pred = analytic.closed_form_table(c0, gmask, m, n)
+            worst = max(worst, _max_row_dev(rebuilt, pred))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
 
-def check_variance_conservation(cfg: VerifyConfig) -> CheckResult:
+def check_variance_conservation(
+    cfg: VerifyConfig, audits: list[TrajectoryAudit] | None = None
+) -> CheckResult:
     """Sector variances of the iterated rows never drift from their initial values."""
     tol = cfg.tolerances.probability
-    worst = 0.0
-    for state, good in corpus_states(cfg):
-        m0 = qstate.moments(state, good)
-        for n, sim in grover.grover_trajectory(state, good, cfg.max_steps):
-            mn = qstate.moments(sim, good)
-            worst = max(worst, abs(mn.var_g - m0.var_g), abs(mn.var_b - m0.var_b))
+    if audits is None:
+        audits = corpus_audits(cfg)
+    worst = max([0.0, *(max(a.var_drift[: cfg.max_steps + 1]) for a in audits)])
     return CheckResult("variance_conservation", worst < tol, worst, tol)
 
 
-def check_probability_law(cfg: VerifyConfig) -> CheckResult:
+def check_probability_law(
+    cfg: VerifyConfig, audits: list[TrajectoryAudit] | None = None
+) -> CheckResult:
     """The damped-cosine law tracks simulation over two periods; the N-scaled
     coefficient variant must demonstrably fail on the uniform N=4 case."""
     tol = cfg.tolerances.probability
+    if audits is None:
+        audits = corpus_audits(cfg)
     worst = 0.0
-    for state, good in corpus_states(cfg):
-        m = qstate.moments(state, good)
-        p = analytic.oscillation_params(m)
-        n_max = math.ceil(math.pi / m.theta) + 1
-        for n, sim in grover.grover_trajectory(state, good, n_max):
-            worst = max(
-                worst,
-                abs(analytic.success_probability(p, n) - qstate.good_mass(sim, good)),
-            )
+    for a in audits:
+        p = analytic.oscillation_params(a.moments)
+        for n in range(_law_horizon(a.moments) + 1):
+            worst = max(worst, abs(analytic.success_probability(p, n) - a.p_sim[n]))
 
     # negative control: coefficients scaled by N/2 and N overshoot immediately
     flat = qstate.new_flat(2, 1)
@@ -464,18 +546,20 @@ CHECKS = (
     check_sufficient_averages,
     check_estimator_bound,
 )
+# The criteria that read the corpus audits run_checks shares between them.
+_AUDITED = (check_closed_form_fidelity, check_variance_conservation, check_probability_law)
 
 
 def run_checks(
     cfg: VerifyConfig, workers: int = 1, include_determinism: bool = True
 ) -> list[CheckResult]:
-    """Run the battery; results come back in declaration order regardless of workers."""
-    fns = list(CHECKS)
-    if workers <= 1:
-        results = [fn(cfg) for fn in fns]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fn: fn(cfg), fns))
+    """Run the battery in declaration order, auditing each corpus state once.
+
+    ``workers`` is accepted for callers that set a worker count; the
+    checks run sequentially whatever it is, so it never changes a result.
+    """
+    audits = corpus_audits(cfg)
+    results = [fn(cfg, audits) if fn in _AUDITED else fn(cfg) for fn in CHECKS]
     if include_determinism:
         results.append(check_determinism(cfg))
     return results

@@ -30,7 +30,10 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"run a '{name}' scenario")
         p.add_argument("--config", required=True, help="path to the scenario JSON")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--workers", type=int, help="override the scenario worker count")
+        p.add_argument(
+            "--workers", type=int,
+            help="override the scenario worker count (accepted; the work runs sequentially)",
+        )
         p.add_argument("--seed", type=int, help="override the scenario sampling seed")
     return parser
 
@@ -51,6 +54,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioError("--workers must be >= 1")
             scenario = replace(scenario, workers=args.workers)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ScenarioError("--seed must be >= 0")
             scenario = replace(scenario, seed=args.seed)
         report = run_scenario(scenario)
     except ScenarioError as exc:
@@ -62,8 +67,12 @@ def main(argv: list[str] | None = None) -> int:
 
     text = report.to_csv() if scenario.output_format == "csv" else report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"entgrover: error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+            return USAGE_EXIT
     else:
         sys.stdout.write(text)
     _print_summary(report)

@@ -22,7 +22,11 @@ a find report depends on the shape only, not on the random state.
 
 Everything here acts on the search index only; the data register rides
 along untouched.  All functions are pure and numerically exact up to
-double rounding (no N x N matrix is ever materialized).
+double rounding (no N x N matrix is ever materialized).  Their inputs were
+validated where they entered the package, and each operator is unitary, so
+results are wrapped through ``EntangledState._trusted`` without a copy or a
+second norm check; the accumulated drift of the norm is what the trajectory
+audit (``checks.audit_trajectory``) measures instead.
 """
 from __future__ import annotations
 
@@ -73,7 +77,7 @@ def _reflect_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
 
 
 def _wrap(state: EntangledState, coeffs: np.ndarray) -> EntangledState:
-    return EntangledState(n_qubits=state.n_qubits, data_dim=state.data_dim, coeffs=coeffs)
+    return EntangledState._trusted(state.n_qubits, state.data_dim, coeffs)
 
 
 def oracle_phase_flip(state: EntangledState, good: GoodSet) -> EntangledState:

@@ -6,6 +6,10 @@ Wall-clock timings are therefore never part of the canonical serialized
 report -- runners record them on the report object and the CLI prints them
 to stderr, and sweep rows only carry a runtime column when
 ``include_timings`` is set.
+
+Every scenario field is checked when the scenario is parsed, so a bad
+value ends in a ScenarioError that names it rather than in a traceback
+half-way through a run.
 """
 from __future__ import annotations
 
@@ -14,14 +18,19 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from . import analytic, counting, grover, qstate
-from .checks import Tolerances, VerifyConfig, results_to_json_obj, run_checks
+from . import analytic, counting, qstate
+from .checks import (
+    Tolerances,
+    VerifyConfig,
+    audit_trajectory,
+    results_to_json_obj,
+    run_checks,
+)
 
 SCHEMA_VERSION = 1
 
@@ -88,11 +97,19 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+def _is_kind(value: Any, kinds: type | tuple) -> bool:
+    """isinstance, except that a bool passes only where bool itself is asked for."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if isinstance(value, bool):
+        return bool in kinds
+    return isinstance(value, kinds)
+
+
 def _require(obj: dict, name: str, kinds: type | tuple, where: str) -> Any:
     if name not in obj:
         raise ScenarioError(f"{where}: missing required field '{name}'")
     value = obj[name]
-    if not isinstance(value, kinds):
+    if not _is_kind(value, kinds):
         raise ScenarioError(f"{where}: field '{name}' has wrong type {type(value).__name__}")
     return value
 
@@ -103,9 +120,131 @@ def _optional(obj: dict, name: str, kinds: type | tuple, where: str, default: An
     return _require(obj, name, kinds, where)
 
 
+def _in_range(value: int | None, path: str, minimum: int, maximum: int | None = None) -> int | None:
+    if value is not None and (value < minimum or (maximum is not None and value > maximum)):
+        upper = "" if maximum is None else f" and <= {maximum}"
+        raise ScenarioError(f"field '{path}' must be >= {minimum}{upper}, got {value}")
+    return value
+
+
+def _number(value: Any, path: str) -> float:
+    """A finite JSON number as a float; a bool or an int beyond the double range is refused."""
+    if _is_kind(value, (int, float)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ScenarioError(f"field '{path}' must be a finite number, got {value!r}")
+
+
+def _int_list(
+    obj: dict,
+    name: str,
+    where: str,
+    default: list,
+    minimum: int,
+    maximum: int | None = None,
+    power_of_two: bool = False,
+) -> list[int]:
+    """A list of integers in [minimum, maximum] (powers of two when asked), default when absent."""
+    path = f"{where}.{name}"
+    values = _optional(obj, name, list, where, default)
+    for v in values:
+        if not _is_kind(v, int) or (power_of_two and v & (v - 1) != 0):
+            want = "powers of two" if power_of_two else "integers"
+            raise ScenarioError(f"field '{path}' must list {want}, got {v!r}")
+        _in_range(v, path, minimum, maximum)
+    return values
+
+
+def _non_finite_path(value: Any, path: str) -> str | None:
+    """Path of the first NaN or infinity in a parsed JSON value, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for sub_path, sub in items:
+        found = _non_finite_path(sub, sub_path)
+        if found is not None:
+            return found
+    return None
+
+
+def _parse_tolerances(obj: dict) -> Tolerances:
+    tol_obj = _optional(obj, "tolerances", dict, "top level", {})
+    values = {}
+    for name, default in Tolerances().to_json_obj().items():
+        path = f"tolerances.{name}"
+        value = _number(tol_obj.get(name, default), path)
+        if value <= 0.0:
+            raise ScenarioError(f"field '{path}' must be a finite positive number, got {value!r}")
+        values[name] = value
+    return Tolerances(**values)
+
+
+def _parse_grid(obj: dict) -> dict:
+    """Grid lists with their defaults filled in, every value range-checked."""
+    grid = _optional(obj, "grid", dict, "top level")
+    if grid is None:
+        raise ScenarioError("top level: kind 'sweep' requires field 'grid'")
+    return {
+        "n_qubits": _int_list(grid, "n_qubits", "grid", [], 1, qstate.MAX_QUBITS),
+        "data_dim": _int_list(grid, "data_dim", "grid", [1], 1),
+        "t": _int_list(grid, "t", "grid", [], 0),
+        "P": _int_list(grid, "P", "grid", [], 1, power_of_two=True),
+        "seeds": _int_list(grid, "seeds", "grid", [0], 0),
+    }
+
+
+_VERIFY_INTS = {
+    "corpus_count": 0,
+    "max_steps": 0,
+    "base_seed": 0,
+    "majority_repetitions": 1,
+    "sigma_samples": 0,
+    "averages_cases": 0,
+}
+# Non-empty list fields -> (smallest entry, largest entry, powers of two only).
+# The estimator-bound grid needs N >= 4 for a marked count t <= N/4 to exist.
+_VERIFY_LISTS = {
+    "n_qubits_list": (1, qstate.MAX_QUBITS, False),
+    "data_dims": (1, None, False),
+    "sweep_n_qubits": (2, qstate.MAX_QUBITS, False),
+    "sweep_p_sizes": (4, None, True),
+}
+
+
+def _parse_verify(obj: dict) -> dict:
+    """Battery overrides as VerifyConfig fields (lists become tuples)."""
+    raw = _optional(obj, "verify", dict, "top level", {})
+    overrides: dict[str, Any] = {}
+    for key in raw:
+        if key in _VERIFY_INTS:
+            overrides[key] = _in_range(_require(raw, key, int, "verify"), f"verify.{key}",
+                                       _VERIFY_INTS[key])
+        elif key in _VERIFY_LISTS:
+            values = _int_list(raw, key, "verify", [], *_VERIFY_LISTS[key])
+            if not values:
+                raise ScenarioError(f"field 'verify.{key}' must not be empty")
+            overrides[key] = tuple(values)
+        else:
+            raise ScenarioError(f"verify: unknown field {key!r}")
+    return overrides
+
+
 def parse_scenario(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("top level: scenario must be a JSON object")
+    # The scenario is echoed into every report, which must stay valid JSON.
+    bad = _non_finite_path(obj, "")
+    if bad is not None:
+        raise ScenarioError(f"field '{bad}' must be a finite number")
     version = _optional(obj, "schema_version", int, "top level", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ScenarioError(
@@ -114,32 +253,32 @@ def parse_scenario(obj: dict) -> Scenario:
     kind = _require(obj, "kind", str, "top level")
     if kind not in ("find", "count", "verify", "sweep"):
         raise ScenarioError(f"top level: field 'kind' must be find|count|verify|sweep, got {kind!r}")
-    tol_obj = _optional(obj, "tolerances", dict, "top level", {})
-    tolerances = Tolerances(
-        amplitude=float(tol_obj.get("amplitude", 1e-9)),
-        probability=float(tol_obj.get("probability", 1e-9)),
-        unitarity=float(tol_obj.get("unitarity", 1e-12)),
-    )
+    def bounded(name: str, minimum: int, default: int | None = None) -> int | None:
+        return _in_range(_optional(obj, name, int, "top level", default), name, minimum)
+
     scenario = Scenario(
         kind=kind,
-        n_qubits=_optional(obj, "n_qubits", int, "top level"),
-        data_dim=_optional(obj, "data_dim", int, "top level", 1),
+        n_qubits=_in_range(_optional(obj, "n_qubits", int, "top level"), "n_qubits", 1,
+                           qstate.MAX_QUBITS),
+        data_dim=bounded("data_dim", 1, 1),
         state_spec=_optional(obj, "state", dict, "top level", {"type": "flat"}),
         good_spec=_optional(obj, "good", dict, "top level"),
-        iterations=_optional(obj, "iterations", int, "top level"),
+        iterations=bounded("iterations", 0),
         p_size=_optional(obj, "P", int, "top level"),
-        repetitions=_optional(obj, "repetitions", int, "top level", 1),
-        seed=_optional(obj, "seed", int, "top level"),
-        grid=_optional(obj, "grid", dict, "top level"),
-        verify_overrides=_optional(obj, "verify", dict, "top level", {}),
+        repetitions=bounded("repetitions", 1, 1),
+        seed=bounded("seed", 0),
+        grid=_parse_grid(obj) if kind == "sweep" else None,
+        verify_overrides=_parse_verify(obj) if kind == "verify" else {},
         output_format=_optional(obj, "output_format", str, "top level", "json"),
-        workers=_optional(obj, "workers", int, "top level", 1),
+        workers=bounded("workers", 1, 1),
         include_timings=bool(_optional(obj, "include_timings", bool, "top level", False)),
-        tolerances=tolerances,
+        tolerances=_parse_tolerances(obj),
         echo=obj,
     )
     if scenario.output_format not in ("json", "csv"):
         raise ScenarioError("top level: field 'output_format' must be json or csv")
+    if scenario.output_format == "csv" and kind != "sweep":
+        raise ScenarioError("top level: field 'output_format' csv is only available for sweep")
     if kind in ("find", "count") and scenario.n_qubits is None:
         raise ScenarioError(f"top level: kind '{kind}' requires field 'n_qubits'")
     if kind in ("find", "count") and scenario.good_spec is None:
@@ -147,12 +286,12 @@ def parse_scenario(obj: dict) -> Scenario:
     if kind == "count":
         if scenario.p_size is None:
             raise ScenarioError("top level: kind 'count' requires field 'P'")
-        if scenario.p_size < 1 or scenario.p_size & (scenario.p_size - 1) != 0:
-            raise ScenarioError(f"top level: field 'P' must be a power of two, got {scenario.p_size}")
+        if scenario.p_size < 2 or scenario.p_size & (scenario.p_size - 1) != 0:
+            raise ScenarioError(
+                f"top level: field 'P' must be a power of two >= 2, got {scenario.p_size}"
+            )
         if scenario.seed is None:
             raise ScenarioError("top level: kind 'count' requires field 'seed' (no ambient randomness)")
-    if kind == "sweep" and scenario.grid is None:
-        raise ScenarioError("top level: kind 'sweep' requires field 'grid'")
     return scenario
 
 
@@ -172,12 +311,14 @@ def _complex_vector(raw: Any, dim: int, where: str) -> np.ndarray:
         vec = np.zeros(dim, dtype=np.complex128)
         vec[0] = 1.0
         return vec
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: vector must be a list, got {type(raw).__name__}")
     out = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, (list, tuple)) and len(item) == 2:
-            out.append(complex(item[0], item[1]))
+    for i, item in enumerate(raw):
+        if isinstance(item, list) and len(item) == 2:
+            out.append(complex(_number(item[0], f"{where}[{i}]"), _number(item[1], f"{where}[{i}]")))
+        elif _is_kind(item, (int, float)):
+            out.append(complex(_number(item, f"{where}[{i}]")))
         else:
             raise ScenarioError(f"{where}: vector entries must be numbers or [re, im] pairs")
     if len(out) != dim:
@@ -209,11 +350,11 @@ def build_state(
             raise ScenarioError("state: random state requires 'n_qubits'")
         if good is None:
             raise ScenarioError("state: random state requires a marked set")
-        seed = _require(spec, "seed", int, where)
-        var_g = float(_optional(spec, "var_g", (int, float), where, 0.0))
-        var_b = float(_optional(spec, "var_b", (int, float), where, 0.0))
-        g_avg = _complex_vector(spec.get("g_avg"), data_dim, where)
-        b_avg = _complex_vector(spec.get("b_avg"), data_dim, where)
+        seed = _in_range(_require(spec, "seed", int, where), "state.seed", 0)
+        var_g = _number(spec.get("var_g", 0.0), "state.var_g")
+        var_b = _number(spec.get("var_b", 0.0), "state.var_b")
+        g_avg = _complex_vector(spec.get("g_avg"), data_dim, "state.g_avg")
+        b_avg = _complex_vector(spec.get("b_avg"), data_dim, "state.b_avg")
         return qstate.random_with_moments(
             n_qubits, data_dim, good, var_g, var_b, g_avg, b_avg, seed=seed
         )
@@ -224,12 +365,14 @@ def build_good(spec: dict, n_states: int) -> qstate.GoodSet:
     where = "good"
     if "indices" in spec:
         indices = _require(spec, "indices", list, where)
-        good = qstate.GoodSet(tuple(int(i) for i in indices))
+        if not all(_is_kind(i, int) for i in indices):
+            raise ScenarioError("good: field 'indices' must list integers")
+        good = qstate.GoodSet(tuple(indices))
         good.mask(n_states)
         return good
     if "t" in spec:
         t = _require(spec, "t", int, where)
-        seed = _require(spec, "seed", int, where)
+        seed = _in_range(_require(spec, "seed", int, where), "good.seed", 0)
         return qstate.random_good_set(n_states, t, seed)
     raise ScenarioError("good: need either 'indices' or {'t', 'seed'}")
 
@@ -239,24 +382,7 @@ def _verify_config(s: Scenario) -> VerifyConfig:
     if s.seed is not None:
         # verdicts must not depend on the corpus seed; --seed exercises that
         cfg = replace(cfg, base_seed=s.seed)
-    allowed = {
-        "corpus_count",
-        "n_qubits_list",
-        "data_dims",
-        "max_steps",
-        "base_seed",
-        "sweep_n_qubits",
-        "sweep_p_sizes",
-        "majority_repetitions",
-        "sigma_samples",
-        "averages_cases",
-    }
-    overrides = {}
-    for key, value in s.verify_overrides.items():
-        if key not in allowed:
-            raise ScenarioError(f"verify: unknown field {key!r}")
-        overrides[key] = tuple(value) if isinstance(value, list) else value
-    return replace(cfg, **overrides)
+    return replace(cfg, **s.verify_overrides)
 
 
 def _check_dims(state: qstate.EntangledState, s: Scenario) -> None:
@@ -267,11 +393,23 @@ def _check_dims(state: qstate.EntangledState, s: Scenario) -> None:
         )
 
 
+def _n_states(s: Scenario) -> int:
+    """2**n_qubits, once the scenario's table is known to fit the memory cap."""
+    n_states = 1 << s.n_qubits
+    try:
+        qstate.check_memory(n_states * s.data_dim)
+    except qstate.MemoryLimitError as exc:
+        raise ScenarioError(
+            f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim}) is too large: {exc}"
+        ) from exc
+    return n_states
+
+
 def run_find(s: Scenario) -> Report:
     start = time.perf_counter()
     if s.kind != "find":
         raise ScenarioError(f"run_find needs kind 'find', got {s.kind!r}")
-    n_states = 1 << s.n_qubits
+    n_states = _n_states(s)
     good = build_good(s.good_spec, n_states)
     state = build_state(s.state_spec, s.n_qubits, s.data_dim, good)
     _check_dims(state, s)
@@ -286,26 +424,20 @@ def run_find(s: Scenario) -> Report:
         params = analytic.oscillation_params(m)
         n_max = s.iterations if s.iterations is not None else math.ceil(2.0 * math.pi / m.theta)
 
+    audit = audit_trajectory(state, good, n_max, m)
     table = []
     max_prob_dev = 0.0
-    max_amp_dev = 0.0
-    max_var_drift = 0.0
-    max_norm_dev = 0.0
-    for n, sim in grover.grover_trajectory(state, good, n_max):
-        p_sim = qstate.good_mass(sim, good)
+    for n, p_sim in enumerate(audit.p_sim):
         if degenerate_sector:
             p_an = good.t / n_states
         else:
             p_an = analytic.success_probability(params, n)
         dev = abs(p_an - p_sim)
         max_prob_dev = max(max_prob_dev, dev)
-        if not degenerate_sector:
-            pred = analytic.closed_form_rows(state, good, n)
-            max_amp_dev = max(max_amp_dev, float(np.max(np.abs(pred.coeffs - sim.coeffs))))
-        mn = qstate.moments(sim, good)
-        max_var_drift = max(max_var_drift, abs(mn.var_g - m.var_g), abs(mn.var_b - m.var_b))
-        max_norm_dev = max(max_norm_dev, abs(sim.physical_norm() - 1.0))
         table.append({"n": n, "p_analytic": p_an, "p_simulated": p_sim, "abs_dev": dev})
+    max_amp_dev = max(audit.amp_dev, default=0.0)
+    max_var_drift = max(audit.var_drift)
+    max_norm_dev = max(audit.norm_dev)
 
     checks = [
         {"name": "probability_agreement", "value": max_prob_dev, "tolerance": tol.probability,
@@ -358,7 +490,7 @@ def run_count(s: Scenario) -> Report:
     start = time.perf_counter()
     if s.kind != "count":
         raise ScenarioError(f"run_count needs kind 'count', got {s.kind!r}")
-    n_states = 1 << s.n_qubits
+    n_states = _n_states(s)
     good = build_good(s.good_spec, n_states)
     state = build_state(s.state_spec, s.n_qubits, s.data_dim, good)
     _check_dims(state, s)
@@ -442,6 +574,7 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
     started = time.perf_counter()
     try:
         n_states = 1 << nq
+        qstate.check_memory(n_states * d)
         good = qstate.random_good_set(n_states, t, seed + 1)
         template = dict(s.state_spec)
         if template.get("type") == "random":
@@ -457,16 +590,13 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
                 row["best_integer_time"] = analytic.best_integer_time(params)
             row["p_max"] = analytic.p_max(params)
             n_max = s.iterations if s.iterations is not None else math.ceil(2 * math.pi / m.theta)
-            max_amp = max_prob = drift = 0.0
-            for n, sim in grover.grover_trajectory(state, good, n_max):
-                pred = analytic.closed_form_rows(state, good, n)
-                max_amp = max(max_amp, float(np.max(np.abs(pred.coeffs - sim.coeffs))))
-                max_prob = max(
-                    max_prob,
-                    abs(analytic.success_probability(params, n) - qstate.good_mass(sim, good)),
-                )
-                mn = qstate.moments(sim, good)
-                drift = max(drift, abs(mn.var_g - m.var_g), abs(mn.var_b - m.var_b))
+            audit = audit_trajectory(state, good, n_max, m)
+            max_amp = max(audit.amp_dev)
+            max_prob = max(
+                abs(analytic.success_probability(params, n) - p_sim)
+                for n, p_sim in enumerate(audit.p_sim)
+            )
+            drift = max(audit.var_drift)
             row["max_amp_dev"] = max_amp
             row["max_prob_dev"] = max_prob
             row["var_drift"] = drift
@@ -497,26 +627,16 @@ def run_sweep(s: Scenario) -> Report:
     if s.kind != "sweep":
         raise ScenarioError(f"run_sweep needs kind 'sweep', got {s.kind!r}")
     grid = s.grid
-    nq_list = [int(v) for v in _optional(grid, "n_qubits", list, "grid", [])]
-    d_list = [int(v) for v in _optional(grid, "data_dim", list, "grid", [1])]
-    t_list = [int(v) for v in _optional(grid, "t", list, "grid", [])]
-    p_list = _optional(grid, "P", list, "grid")
-    p_values = [int(v) for v in p_list] if p_list else [None]
-    seeds = [int(v) for v in _optional(grid, "seeds", list, "grid", [0])]
     cells = [
         (nq, d, t, p, seed)
-        for nq in nq_list
-        for d in d_list
-        for t in t_list
-        for p in p_values
-        for seed in seeds
+        for nq in grid["n_qubits"]
+        for d in grid["data_dim"]
+        for t in grid["t"]
+        for p in grid["P"] or [None]
+        for seed in grid["seeds"]
         if t <= (1 << nq)
     ]
-    if s.workers > 1 and cells:
-        with ThreadPoolExecutor(max_workers=s.workers) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(s, *c), cells))
-    else:
-        rows = [_sweep_cell(s, *c) for c in cells]
+    rows = [_sweep_cell(s, *c) for c in cells]
     rows.sort(key=lambda r: (r["n_qubits"], r["data_dim"], r["t"], r["p_size"] or 0, r["seed"]))
     columns = list(SWEEP_COLUMNS) + (["runtime_s"] if s.include_timings else [])
     skipped = sum(1 for r in rows if r["status"] == "skipped")

@@ -12,7 +12,12 @@ All probabilities downstream therefore carry an explicit 1/N.  Rows need
 not be unit vectors, orthogonal, or distinct: the mapping from search
 index to data vector is arbitrary.
 
-States are immutable; every operation returns a fresh value.
+States are immutable; every operation returns a fresh value.  A table is
+validated once, where it enters the package: the public constructor,
+``from_amplitudes``, ``from_json_obj``, ``new_flat`` and
+``random_with_moments``.  The simulator's own unitary steps wrap their
+output through ``EntangledState._trusted``, which neither copies nor
+re-checks it.
 """
 from __future__ import annotations
 
@@ -24,6 +29,8 @@ from typing import Sequence
 import numpy as np
 
 NORM_ATOL = 1e-9
+# Row indices are int64, so a search register has at most 62 qubits.
+MAX_QUBITS = 62
 
 _MEMORY_CAP_ENV = "ENTGROVER_MEMORY_CAP"
 _DEFAULT_MEMORY_CAP = 1 << 30  # bytes of complex amplitude storage
@@ -59,11 +66,19 @@ def check_memory(n_amplitudes: int) -> None:
 def _norm_sq_total(coeffs: np.ndarray) -> float:
     """Exactly-rounded sum of squared magnitudes, for physical_norm and renormalization.
 
-    The construction gate uses numpy's pairwise sum instead, whose error
-    O(log(N*D) * u) sits far inside the 1e-9 tolerance.
+    The construction gate and the trajectory audit use ``_norm_sq`` instead.
     """
     mag2 = np.square(coeffs.real) + np.square(coeffs.imag)
     return math.fsum(mag2.ravel().tolist())
+
+
+def _norm_sq(coeffs: np.ndarray) -> float:
+    """Sum of squared magnitudes by numpy's pairwise sum.
+
+    Its error, O(log(N*D) * u) relative, sits far inside the 1e-9 norm gate
+    and costs a fraction of the exactly-rounded ``_norm_sq_total``.
+    """
+    return float(np.sum(np.square(coeffs.real) + np.square(coeffs.imag)))
 
 
 @dataclass(frozen=True)
@@ -75,8 +90,8 @@ class EntangledState:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.data_dim < 1:
             raise ValueError(f"data_dim must be >= 1, got {self.data_dim}")
         n = 1 << self.n_qubits
@@ -84,13 +99,28 @@ class EntangledState:
         c = np.array(self.coeffs, dtype=np.complex128, copy=True)
         if c.shape != (n, self.data_dim):
             raise ValueError(f"coefficient table must be {n}x{self.data_dim}, got {c.shape}")
-        total = float(np.sum(np.square(c.real) + np.square(c.imag)))
+        total = _norm_sq(c)
         if not math.isfinite(total) or abs(total - n) > NORM_ATOL:
             raise ValueError(
                 f"total squared norm must equal N={n} within {NORM_ATOL}, got {total!r}"
             )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, data_dim: int, coeffs: np.ndarray) -> "EntangledState":
+        """Wrap a complex128 table that a unitary step made from a valid state.
+
+        Skips the copy and the norm gate of the public constructor: the table
+        is taken as is and made read-only, so the caller must not keep
+        writing to it.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "data_dim", data_dim)
+        coeffs.setflags(write=False)
+        object.__setattr__(state, "coeffs", coeffs)
+        return state
 
     @property
     def n_states(self) -> int:
@@ -108,17 +138,37 @@ class EntangledState:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EntangledState":
         try:
-            n_qubits = int(obj["n_qubits"])
-            data_dim = int(obj["data_dim"])
+            n_qubits = obj["n_qubits"]
+            data_dim = obj["data_dim"]
             rows = obj["rows"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"state object missing required field: {exc}") from exc
-        coeffs = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
-        )
-        if coeffs.ndim != 2:
-            raise ValueError("state rows must form a rectangular table")
+        for name, value in (("n_qubits", n_qubits), ("data_dim", data_dim)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"state field '{name}' must be an integer, got {value!r}")
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == data_dim for row in rows)
+            and all(_is_pair(z) for row in rows for z in row)
+        ):
+            raise ValueError(
+                f"state field 'rows' must be a list of rows, each of data_dim={data_dim} "
+                "[re, im] number pairs"
+            )
+        try:
+            table = [[complex(re, im) for re, im in row] for row in rows]
+        except OverflowError as exc:
+            raise ValueError("state field 'rows' holds a number too large for a double") from exc
+        coeffs = np.array(table, dtype=np.complex128).reshape(len(rows), data_dim)
         return cls(n_qubits=n_qubits, data_dim=data_dim, coeffs=coeffs)
+
+
+def _is_pair(z) -> bool:
+    return (
+        isinstance(z, list)
+        and len(z) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
+    )
 
 
 @dataclass(frozen=True)

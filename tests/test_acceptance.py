@@ -5,6 +5,7 @@ sizes; criterion 11 drives the real CLI three times (worker counts 1 and 4)
 and byte-compares the written artifacts.  Each test prints a one-line
 verdict so `pytest -s` reads as a checklist.
 """
+import functools
 import json
 
 from entgrover import cli
@@ -21,9 +22,16 @@ from entgrover.checks import (
     check_recurrence_consistency,
     check_sufficient_averages,
     check_variance_conservation,
+    corpus_audits,
 )
 
 FULL = VerifyConfig()
+
+
+@functools.cache
+def full_audits():
+    """One audit per corpus state, shared by criteria 1, 3 and 4 as in ``run_checks``."""
+    return corpus_audits(FULL)
 
 
 def report(criterion: str, result: CheckResult) -> None:
@@ -39,7 +47,7 @@ def report(criterion: str, result: CheckResult) -> None:
 
 
 def test_criterion_01_closed_form_fidelity():
-    report("1 closed-form fidelity", check_closed_form_fidelity(FULL))
+    report("1 closed-form fidelity", check_closed_form_fidelity(FULL, full_audits()))
 
 
 def test_criterion_02_recurrence_consistency():
@@ -47,11 +55,11 @@ def test_criterion_02_recurrence_consistency():
 
 
 def test_criterion_03_variance_conservation():
-    report("3 variance conservation", check_variance_conservation(FULL))
+    report("3 variance conservation", check_variance_conservation(FULL, full_audits()))
 
 
 def test_criterion_04_probability_law_with_negative_control():
-    result = check_probability_law(FULL)
+    result = check_probability_law(FULL, full_audits())
     assert "control" in result.detail
     report("4 probability law (+ N-scaled negative control)", result)
 

@@ -1,0 +1,139 @@
+"""The trajectory audit against the per-step loop it replaced, and the trusted steps."""
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from entgrover import (
+    EntangledState,
+    GoodSet,
+    analytic,
+    checks,
+    cli,
+    closed_form_rows,
+    good_mass,
+    grover_step,
+    grover_trajectory,
+    moments,
+    new_flat,
+)
+from entgrover.checks import VerifyConfig, audit_trajectory, corpus_audits, corpus_states
+
+SMALL = replace(
+    VerifyConfig(),
+    corpus_count=12,
+    max_steps=12,
+    sweep_n_qubits=(4,),
+    sweep_p_sizes=(16,),
+    sigma_samples=20,
+    averages_cases=4,
+)
+
+
+def per_step_loop(state, good, n_max):
+    """The loop each runner and check used to write out: one reading per step."""
+    m0 = moments(state, good)
+    interior = 0 < good.t < state.n_states
+    p_sim, amp_dev, var_drift, norm_dev = [], [], [], []
+    for n, sim in grover_trajectory(state, good, n_max):
+        p_sim.append(good_mass(sim, good))
+        if interior:
+            pred = closed_form_rows(state, good, n, m0)
+            amp_dev.append(float(np.max(np.abs(pred.coeffs - sim.coeffs))))
+        mn = moments(sim, good)
+        var_drift.append(max(abs(mn.var_g - m0.var_g), abs(mn.var_b - m0.var_b)))
+        norm_dev.append(abs(sim.physical_norm() - 1.0))
+    return p_sim, amp_dev, var_drift, norm_dev
+
+
+def cases():
+    yield from corpus_states(SMALL)
+    yield new_flat(3, 2), GoodSet(())
+    yield new_flat(3, 2), GoodSet(tuple(range(8)))
+
+
+@pytest.mark.parametrize("case", range(SMALL.corpus_count + 2))
+def test_audit_equals_the_per_step_loop(case):
+    state, good = list(cases())[case]
+    n_max = 2 * SMALL.max_steps
+    audit = audit_trajectory(state, good, n_max)
+    p_sim, amp_dev, var_drift, norm_dev = per_step_loop(state, good, n_max)
+    assert audit.p_sim == tuple(p_sim)
+    assert audit.amp_dev == tuple(amp_dev)
+    assert audit.var_drift == tuple(var_drift)
+    assert len(audit.norm_dev) == n_max + 1
+    assert max(abs(a - b) for a, b in zip(audit.norm_dev, norm_dev)) <= 1e-15
+
+
+def test_checks_alone_equal_checks_given_shared_audits():
+    audits = corpus_audits(SMALL)
+    for check in (
+        checks.check_closed_form_fidelity,
+        checks.check_variance_conservation,
+        checks.check_probability_law,
+    ):
+        assert check(SMALL) == check(SMALL, audits)
+
+
+def test_recurrence_check_is_bit_identical_to_wrapped_closed_forms():
+    worst = 0.0
+    for state, good in corpus_states(SMALL):
+        m = moments(state, good)
+        gmask = good.mask(state.n_states)
+        for n, x, y in analytic.recurrence_sequence(m, SMALL.max_steps):
+            rebuilt = np.empty_like(state.coeffs)
+            rebuilt[gmask] = state.coeffs[gmask] - (2.0 / state.n_states) * x
+            rebuilt[~gmask] = (-1) ** n * state.coeffs[~gmask] - (2.0 / state.n_states) * y
+            pred = closed_form_rows(state, good, n, m).coeffs
+            worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
+    assert checks.check_recurrence_consistency(SMALL).max_deviation == worst
+
+
+def test_run_checks_serializes_identically_for_any_worker_count():
+    blobs = {
+        workers: json.dumps(
+            checks.results_to_json_obj(
+                checks.run_checks(SMALL, workers=workers, include_determinism=False)
+            ),
+            sort_keys=True,
+        )
+        for workers in (1, 2, 4)
+    }
+    assert blobs[1] == blobs[2] == blobs[4]
+
+
+def test_steps_are_not_revalidated(monkeypatch):
+    state = new_flat(4, 2)
+    good = GoodSet((1, 5))
+    calls = []
+    validate = EntangledState.__post_init__
+    monkeypatch.setattr(
+        EntangledState, "__post_init__", lambda self: calls.append(1) or validate(self)
+    )
+    last = None
+    for _, last in grover_trajectory(state, good, 6):
+        pass
+    step = grover_step(state, good)
+    assert calls == []
+    for out in (last, step):
+        assert not out.coeffs.flags.writeable
+        assert (out.n_qubits, out.data_dim, out.n_states) == (4, 2, 16)
+
+
+def test_find_tall_shape_exits_0(tmp_path):
+    """N = 2**16, D = 4: the per-step absolute norm gate used to abort this on rounding."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "kind": "find", "n_qubits": 16, "data_dim": 4, "iterations": 3,
+        "state": {"type": "random", "seed": 1, "var_g": 0.1, "var_b": 0.05,
+                  "g_avg": [1.0, 0.0, 0.0, 0.0], "b_avg": [0.0, 1.0, 0.0, 0.0]},
+        "good": {"t": 4000, "seed": 2},
+    }))
+    out = tmp_path / "r.json"
+    assert cli.main(["find", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [row["n"] for row in report["table"]] == [0, 1, 2, 3]
+    unitarity = next(c for c in report["checks"] if c["name"] == "unitarity")
+    assert unitarity["passed"] and math.isfinite(unitarity["value"])

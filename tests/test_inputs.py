@@ -1,0 +1,227 @@
+"""Malformed scenarios and state files: each ends in a report, exit 1 naming the
+bad field, or exit 2 -- never in a traceback."""
+import contextlib
+import io
+import json
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from entgrover import cli, new_flat
+from entgrover.harness import ScenarioError, parse_scenario
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one cli.main call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+FIND = {"kind": "find", "n_qubits": 2, "good": {"indices": [0]}}
+
+
+class TestRegressions:
+    def test_bool_is_not_an_int(self):
+        with pytest.raises(ScenarioError, match="'n_qubits'"):
+            parse_scenario(dict(FIND, n_qubits=True))
+
+    def test_huge_n_qubits_exit_1_names_field(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", dict(FIND, n_qubits=200, good={"t": 1, "seed": 1}))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and "n_qubits" in err
+
+    def test_n_qubits_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", "4096")
+        cfg = write_json(tmp_path / "c.json", dict(FIND, n_qubits=40, good={"t": 1, "seed": 1}))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and "n_qubits" in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]],
+            [[[1.0]], [[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]],
+            [[["a", "b"]], [[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]],
+            7,
+        ],
+    )
+    def test_ragged_state_file_exit_1_names_rows(self, tmp_path, rows):
+        state = write_json(tmp_path / "s.json", {"n_qubits": 2, "data_dim": 1, "rows": rows})
+        cfg = write_json(tmp_path / "c.json", dict(FIND, state={"type": "file", "path": state}))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and "rows" in err
+
+    @pytest.mark.parametrize("value", [-1e-9, 0.0, float("nan"), float("inf"), "1e-9", True])
+    @pytest.mark.parametrize("field", ["amplitude", "probability", "unitarity"])
+    def test_tolerance_must_be_finite_positive(self, tmp_path, field, value):
+        cfg = write_json(tmp_path / "c.json", dict(FIND, tolerances={field: value}))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and f"tolerances.{field}" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", -1), ("n_qubits", 0), ("n_qubits", 63), ("data_dim", 0), ("P", 3),
+         ("seeds", -1), ("t", 1.5), ("seeds", True)],
+    )
+    def test_bad_grid_value_exit_1_names_field(self, tmp_path, field, value):
+        grid = {"n_qubits": [3], "t": [1], "seeds": [0], field: [value]}
+        with pytest.raises(ScenarioError, match=f"grid.{field}"):
+            parse_scenario({"kind": "sweep", "grid": grid})
+        cfg = write_json(tmp_path / "c.json", {"kind": "sweep", "grid": grid})
+        code, err = run_cli(["sweep", "--config", cfg])
+        assert code == 1 and f"grid.{field}" in err
+
+    def test_csv_output_only_for_sweep(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", dict(FIND, output_format="csv"))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and "output_format" in err
+
+    def test_non_finite_value_anywhere_exit_1(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", dict(FIND, note=[1.0, float("nan")]))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and "note[1]" in err
+
+    def test_unwritable_out_exit_1(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", FIND)
+        code, err = run_cli(["find", "--config", cfg, "--out", str(tmp_path / "no" / "r.json")])
+        assert code == 1 and "cannot write" in err
+
+
+# -- fuzz -----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("states")
+    good = root / "good.json"
+    good.write_text(json.dumps(new_flat(2, 1).to_json_obj()))
+    ragged = root / "ragged.json"
+    ragged.write_text(json.dumps({"n_qubits": 2, "data_dim": 1, "rows": [[[1, 0]], [[1]]]}))
+    return [str(good), str(ragged), str(root / "missing.json"), str(root)]
+
+
+ODD = st.sampled_from([None, True, -1, 0, 63, 200, 2**70, 1.5, float("nan"), float("inf"),
+                       "x", [], [1], {}])
+
+
+def scenarios(paths):
+    """Plausible scenarios; semantically they may still be infeasible."""
+    ints = st.integers
+    number = st.one_of(st.floats(-2, 2), st.lists(st.floats(-2, 2), min_size=2, max_size=2))
+    state = st.one_of(
+        st.just({"type": "flat"}),
+        st.builds(lambda p: {"type": "file", "path": p}, st.sampled_from(paths)),
+        st.fixed_dictionaries(
+            {"type": st.just("random"), "seed": ints(0, 9)},
+            optional={
+                "var_g": st.floats(0, 0.3),
+                "var_b": st.floats(0, 0.3),
+                "g_avg": st.lists(number, min_size=1, max_size=2),
+                "b_avg": st.lists(number, min_size=1, max_size=2),
+            },
+        ),
+    )
+    good = st.one_of(
+        st.fixed_dictionaries({"indices": st.lists(ints(0, 4), max_size=3, unique=True)}),
+        st.fixed_dictionaries({"t": ints(0, 5), "seed": ints(0, 9)}),
+    )
+    grid = st.fixed_dictionaries(
+        {},
+        optional={
+            "n_qubits": st.lists(ints(1, 3), max_size=2),
+            "data_dim": st.lists(ints(1, 2), max_size=2),
+            "t": st.lists(ints(0, 4), max_size=2),
+            "P": st.lists(st.sampled_from([1, 2, 4, 8]), max_size=2),
+            "seeds": st.lists(ints(0, 3), max_size=2),
+        },
+    )
+    verify = st.fixed_dictionaries(
+        {
+            "corpus_count": ints(0, 3),
+            "max_steps": ints(0, 4),
+            "n_qubits_list": st.lists(ints(1, 3), min_size=1, max_size=2),
+            "data_dims": st.lists(ints(1, 2), min_size=1, max_size=2),
+            "sweep_n_qubits": st.lists(ints(2, 3), min_size=1, max_size=1),
+            "sweep_p_sizes": st.lists(st.sampled_from([4, 8]), min_size=1, max_size=1),
+            "majority_repetitions": ints(1, 5),
+            "sigma_samples": ints(0, 3),
+            "averages_cases": ints(0, 2),
+        },
+        optional={"base_seed": ints(0, 9)},
+    )
+    tolerances = st.fixed_dictionaries(
+        {}, optional={k: st.floats(1e-15, 1e-6) for k in ("amplitude", "probability")}
+    )
+    common = {
+        "schema_version": st.just(1),
+        "workers": ints(1, 3),
+        "include_timings": st.booleans(),
+        "tolerances": tolerances,
+    }
+    search = {"n_qubits": ints(1, 3), "good": good}
+    setup = {"data_dim": ints(1, 2), "state": state}
+    by_kind = {
+        "find": (search, {**setup, "iterations": ints(0, 6)}),
+        "count": (
+            {**search, "P": st.sampled_from([2, 4, 8]), "seed": ints(0, 9)},
+            {**setup, "repetitions": ints(1, 9)},
+        ),
+        "verify": ({"verify": verify}, {"seed": ints(0, 9)}),
+        "sweep": (
+            {"grid": grid},
+            {"state": state, "iterations": ints(0, 6), "output_format": st.just("csv")},
+        ),
+    }
+    return st.sampled_from(sorted(by_kind)).flatmap(
+        lambda kind: st.fixed_dictionaries(
+            {"kind": st.just(kind), **by_kind[kind][0]},
+            optional={**common, **by_kind[kind][1]},
+        )
+    )
+
+
+def corrupt(data, obj):
+    """Replace, or delete, one field of obj or of one of its sub-objects."""
+    if not obj:
+        return
+    target = obj
+    key = data.draw(st.sampled_from(sorted(obj)))
+    if isinstance(obj[key], dict) and obj[key] and data.draw(st.booleans()):
+        target = obj[key]
+        key = data.draw(st.sampled_from(sorted(target)))
+    if data.draw(st.booleans()):
+        target[key] = data.draw(ODD)
+    else:
+        del target[key]
+
+
+@settings(
+    deadline=None,
+    max_examples=40,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_any_small_scenario_ends_in_0_1_or_2(state_files, tmp_path_factory, data):
+    scenario = data.draw(scenarios(state_files))
+    for _ in range(data.draw(st.integers(0, 2))):
+        corrupt(data, scenario)
+    kinds = ["find", "count", "verify", "sweep"]
+    command = scenario.get("kind") if scenario.get("kind") in kinds else "find"
+    extra = data.draw(st.sampled_from([[], [], ["--workers", "2"], ["--seed", "3"], ["--seed", "-1"]]))
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "c.json"
+    cfg.write_text(json.dumps(scenario))
+    # a small cap keeps every accepted scenario small
+    with mock.patch.dict(os.environ, {"ENTGROVER_MEMORY_CAP": str(1 << 20)}):
+        code, _ = run_cli([command, "--config", str(cfg), "--out", str(work / "r"), *extra])
+    assert code in (0, 1, 2)
