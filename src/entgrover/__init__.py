@@ -58,50 +58,3 @@ from .qstate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DegenerateCaseError",
-    "OptimalState",
-    "OscillationParams",
-    "best_integer_time",
-    "closed_form_rows",
-    "f_plus_minus",
-    "optimal_times",
-    "oscillation_params",
-    "p_max",
-    "recurrence_sequence",
-    "recurrence_vectors",
-    "state_at_optimal",
-    "success_probability",
-    "CountEstimate",
-    "CountReport",
-    "CountState",
-    "WindowPrediction",
-    "ancilla_distribution",
-    "build_count_state",
-    "error_bound",
-    "estimate_from_outcome",
-    "kernel_s",
-    "qft",
-    "qft_inverse",
-    "run_count",
-    "window_probability",
-    "grover_iterate",
-    "grover_step",
-    "grover_trajectory",
-    "oracle_phase_flip",
-    "reflect_zero",
-    "walsh_hadamard",
-    "EntangledState",
-    "GoodSet",
-    "MemoryLimitError",
-    "MomentSummary",
-    "from_amplitudes",
-    "good_mass",
-    "moments",
-    "new_flat",
-    "random_good_set",
-    "random_with_moments",
-    "search_distribution",
-    "__version__",
-]

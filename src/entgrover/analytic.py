@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -167,34 +168,52 @@ def p_max(p: OscillationParams) -> float:
 
 
 def closed_form_table(
-    c0: np.ndarray, gmask: np.ndarray, m: MomentSummary, n: int
+    c0: np.ndarray, gmask: np.ndarray, ms: Sequence[MomentSummary], n: int
 ) -> np.ndarray:
-    """Predicted coefficient table after n steps, as a bare array.
+    """Predicted coefficient tables after n steps, for a stack of same-shape states.
 
     Marked rows:    f_g - (1 - cos(2n*theta)) Gbar + cot(theta) sin(2n*theta) Bbar
     Unmarked rows:  even n:  f_b - tan(theta) sin(2n*theta) Gbar - (1 - cos(2n*theta)) Bbar
                     odd n:  -f_b - tan(theta) sin(2n*theta) Gbar + (1 + cos(2n*theta)) Bbar
 
-    ``c0`` is the initial table, ``gmask`` its marked-row mask and ``m`` its
-    moments.  Singular at t in {0, N} (the construction divides by
-    sin(2*theta)).  n = 0 returns ``c0`` itself, not a copy.
+    ``c0`` is a (B, N, D) stack of initial tables, ``gmask`` their (B, N)
+    marked-row masks and ``ms`` their B moment summaries.  The per-state
+    trigonometric factors are computed with ``math`` and every entry sees
+    the same operations in the same order as a state predicted alone, so a
+    stack of one gives the bits of any larger stack holding that state.
+    Singular at t in {0, N} (the construction divides by sin(2*theta)).
+    n = 0 returns ``c0`` itself, not a copy.
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
-    _require_interior(m)
+    for m in ms:
+        _require_interior(m)
     if n == 0:
         return c0
-    theta = m.theta
-    c2n = math.cos(2.0 * n * theta)
-    s2n = math.sin(2.0 * n * theta)
-    tan_t = math.tan(theta)
-    bmask = ~gmask
+    factors = []
+    for m in ms:
+        c2n = math.cos(2.0 * n * m.theta)
+        s2n = math.sin(2.0 * n * m.theta)
+        tan_t = math.tan(m.theta)
+        bad_b = 1.0 - c2n if n % 2 == 0 else 1.0 + c2n
+        factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, bad_b))
+    good_g, good_b, bad_g, bad_b = np.array(factors).T[..., None]
+    g_avg = np.array([m.g_avg for m in ms])
+    b_avg = np.array([m.b_avg for m in ms])
+    # Each sector is written through a ufunc mask, so no per-row copy of the
+    # averages is made.  A bad_b term is subtracted for even n and added for odd.
+    good = gmask[..., None]
+    bad = ~good
     out = np.empty_like(c0)
-    out[gmask] = c0[gmask] - (1.0 - c2n) * m.g_avg + (s2n / tan_t) * m.b_avg
+    np.subtract(c0, (good_g * g_avg)[:, None], out=out, where=good)
+    np.add(out, (good_b * b_avg)[:, None], out=out, where=good)
     if n % 2 == 0:
-        out[bmask] = c0[bmask] - tan_t * s2n * m.g_avg - (1.0 - c2n) * m.b_avg
+        np.subtract(c0, (bad_g * g_avg)[:, None], out=out, where=bad)
+        np.subtract(out, (bad_b * b_avg)[:, None], out=out, where=bad)
     else:
-        out[bmask] = -c0[bmask] - tan_t * s2n * m.g_avg + (1.0 + c2n) * m.b_avg
+        np.negative(c0, out=out, where=bad)
+        np.subtract(out, (bad_g * g_avg)[:, None], out=out, where=bad)
+        np.add(out, (bad_b * b_avg)[:, None], out=out, where=bad)
     return out
 
 
@@ -209,8 +228,8 @@ def closed_form_rows(
     """
     if m is None:
         m = moments(state0, good)
-    table = closed_form_table(state0.coeffs, good.mask(state0.n_states), m, n)
-    return EntangledState(n_qubits=state0.n_qubits, data_dim=state0.data_dim, coeffs=table)
+    table = closed_form_table(state0.coeffs[None], good.mask(state0.n_states)[None], (m,), n)
+    return EntangledState(n_qubits=state0.n_qubits, data_dim=state0.data_dim, coeffs=table[0])
 
 
 def recurrence_sequence(m: MomentSummary, n_max: int):

@@ -67,10 +67,27 @@ class CountState:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        self._admit(np.array(self.amps, dtype=np.complex128, copy=True))
+
+    @classmethod
+    def _trusted(cls, p_size: int, n_qubits: int, data_dim: int, amps: np.ndarray) -> "CountState":
+        """Take over a complex128 tensor the counting circuit has just built.
+
+        Skips the public constructor's copy, not its checks: the shape and
+        the norm gate still run.  The tensor is made read-only, so the caller
+        must not keep writing to it.
+        """
+        cs = object.__new__(cls)
+        object.__setattr__(cs, "p_size", p_size)
+        object.__setattr__(cs, "n_qubits", n_qubits)
+        object.__setattr__(cs, "data_dim", data_dim)
+        cs._admit(amps)
+        return cs
+
+    def _admit(self, a: np.ndarray) -> None:
         if self.p_size < 1 or self.p_size & (self.p_size - 1) != 0:
             raise ValueError(f"ancilla size must be a power of two, got {self.p_size}")
         n = 1 << self.n_qubits
-        a = np.array(self.amps, dtype=np.complex128, copy=True)
         if a.shape != (self.p_size, n, self.data_dim):
             raise ValueError(
                 f"amplitude tensor must be {self.p_size}x{n}x{self.data_dim}, got {a.shape}"
@@ -107,7 +124,7 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
         if m + 1 < p_size:
             cur = _reflect_rows(cur, gmask)
     amps = np.fft.ifft(amps, axis=0, norm="ortho")
-    return CountState(p_size=p_size, n_qubits=state.n_qubits, data_dim=state.data_dim, amps=amps)
+    return CountState._trusted(p_size, state.n_qubits, state.data_dim, amps)
 
 
 def ancilla_distribution(cs: CountState) -> np.ndarray:

@@ -20,6 +20,12 @@ change from state to state.  ``grover_step``, ``grover_iterate`` and
 ``grover_trajectory`` compose the operators, so the unitarity headroom of
 a find report depends on the shape only, not on the random state.
 
+The row operators act on the rows axis (-2) of any leading batch shape.
+``trajectory_tables`` steps a stack of same-shape tables (B, N, D), with
+marked-row masks (B, N), in lock step; every operation is elementwise, so
+each table gets the bits it gets alone.  ``grover_trajectory`` wraps the same
+generator for one state, without stacking it.
+
 Everything here acts on the search index only; the data register rides
 along untouched.  All functions are pure and numerically exact up to
 double rounding (no N x N matrix is ever materialized).  Their inputs were
@@ -40,20 +46,25 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _hadamard_rows(table: np.ndarray) -> np.ndarray:
-    """n-qubit Hadamard along axis 0 via log2(N) butterfly passes."""
-    n = table.shape[0]
+    """n-qubit Hadamard along the rows axis (-2) via log2(N) butterfly passes.
+
+    Leading axes are a batch of independent tables; each entry sees the same
+    elementwise operations as it would alone, so the bits do not depend on
+    the batch.
+    """
+    *lead, n, d = table.shape
     src = np.array(table, dtype=np.complex128, copy=True)
     dst = np.empty_like(src)
     h = 1
     while h < n:
-        a = src.reshape(n // (2 * h), 2, h, -1)
-        b = dst.reshape(n // (2 * h), 2, h, -1)
-        np.add(a[:, 0], a[:, 1], out=b[:, 0])
-        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+        a = src.reshape(*lead, n // (2 * h), 2, h * d)
+        b = dst.reshape(*lead, n // (2 * h), 2, h * d)
+        np.add(a[..., 0, :], a[..., 1, :], out=b[..., 0, :])
+        np.subtract(a[..., 0, :], a[..., 1, :], out=b[..., 1, :])
         dst *= _INV_SQRT2
         src, dst = dst, src
         h *= 2
-    return src.reshape(table.shape)
+    return src
 
 
 def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
@@ -63,9 +74,12 @@ def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
 
 
 def _step_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
-    """-W S0 W S_H on the rows, composed operator by operator."""
+    """-W S0 W S_H on the rows, composed operator by operator.
+
+    ``table`` is (..., N, D) and ``gmask`` the matching (..., N) marked-row mask.
+    """
     out = _hadamard_rows(_flip_good(table, gmask))
-    out[0] = -out[0]
+    out[..., 0, :] = -out[..., 0, :]
     out = _hadamard_rows(out)
     return np.negative(out, out=out)
 
@@ -117,13 +131,24 @@ def grover_iterate(state: EntangledState, good: GoodSet, n: int) -> EntangledSta
     return _wrap(state, c)
 
 
-def grover_trajectory(state: EntangledState, good: GoodSet, n_max: int):
-    """Yield (n, state after n steps) for n = 0 .. n_max, reusing each step."""
+def trajectory_tables(table: np.ndarray, gmask: np.ndarray, n_max: int):
+    """Yield (n, table after n steps) for n = 0 .. n_max on bare arrays.
+
+    ``table`` is one (N, D) table or a stack (B, N, D) of same-shape tables
+    stepped in lock step, with ``gmask`` of shape (N,) or (B, N).  Each
+    stacked table gets the bits it would get alone.  n = 0 yields ``table``
+    itself; later tables are fresh arrays.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    gmask = good.mask(state.n_states)
-    yield 0, state
-    c = state.coeffs
+    yield 0, table
+    c = table
     for n in range(1, n_max + 1):
         c = _step_rows(c, gmask)
-        yield n, _wrap(state, c)
+        yield n, c
+
+
+def grover_trajectory(state: EntangledState, good: GoodSet, n_max: int):
+    """Yield (n, state after n steps) for n = 0 .. n_max, reusing each step."""
+    for n, c in trajectory_tables(state.coeffs, good.mask(state.n_states), n_max):
+        yield n, state if n == 0 else _wrap(state, c)

@@ -66,7 +66,8 @@ def check_memory(n_amplitudes: int) -> None:
 def _norm_sq_total(coeffs: np.ndarray) -> float:
     """Exactly-rounded sum of squared magnitudes, for physical_norm and renormalization.
 
-    The construction gate and the trajectory audit use ``_norm_sq`` instead.
+    The construction gate uses ``_norm_sq`` instead, and the trajectory audit
+    sums the same way.
     """
     mag2 = np.square(coeffs.real) + np.square(coeffs.imag)
     return math.fsum(mag2.ravel().tolist())

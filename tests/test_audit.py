@@ -1,6 +1,7 @@
 """The trajectory audit against the per-step loop it replaced, and the trusted steps."""
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +14,14 @@ from entgrover import (
     checks,
     cli,
     closed_form_rows,
+    from_amplitudes,
     good_mass,
+    grover,
     grover_step,
     grover_trajectory,
     moments,
     new_flat,
+    random_good_set,
 )
 from entgrover.checks import VerifyConfig, audit_trajectory, corpus_audits, corpus_states
 
@@ -65,6 +69,63 @@ def test_audit_equals_the_per_step_loop(case):
     assert audit.var_drift == tuple(var_drift)
     assert len(audit.norm_dev) == n_max + 1
     assert max(abs(a - b) for a, b in zip(audit.norm_dev, norm_dev)) <= 1e-15
+
+
+def readings(audit):
+    return audit.p_sim, audit.amp_dev, audit.var_drift, audit.norm_dev
+
+
+# Six table shapes: 7 states give one group of two and five of one, 27 give
+# groups of four and five.  With max_steps = 4 the law horizons set most
+# audit lengths, so they differ inside a group (4 and 7 in the first).
+@pytest.mark.parametrize("count", [7, 27])
+def test_batched_corpus_audits_equal_single_state_audits(count):
+    cfg = replace(
+        SMALL, corpus_count=count, max_steps=4, n_qubits_list=(2, 3, 4), data_dims=(1, 3)
+    )
+    batched = corpus_audits(cfg)
+    alone = []
+    for state, good in corpus_states(cfg):
+        m = moments(state, good)
+        alone.append(audit_trajectory(state, good, max(cfg.max_steps, checks._law_horizon(m)), m))
+    assert (len(batched[0].p_sim), len(batched[6].p_sim)) == (5, 8)
+    assert [readings(a) for a in batched] == [readings(a) for a in alone]
+
+
+def test_batch_with_empty_sectors_equals_single_state_audits():
+    rng = np.random.default_rng(5)
+    states = [
+        from_amplitudes(rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2)), True)
+        for _ in range(4)
+    ]
+    goods = [random_good_set(16, 5, seed=6), GoodSet(()), GoodSet(tuple(range(16))),
+             random_good_set(16, 1, seed=7)]
+    horizons = [9, 4, 12, 7]
+    ms = [moments(s, g) for s, g in zip(states, goods)]
+    stack = np.stack([s.coeffs for s in states])
+    masks = np.stack([g.mask(16) for g in goods])
+    steps = grover.trajectory_tables(stack, masks, max(horizons))
+    batched = checks._audit_stack(stack, masks, ms, horizons, steps)
+    for a, state, good, h in zip(batched, states, goods, horizons):
+        assert readings(a) == readings(audit_trajectory(state, good, h))
+    assert [len(a.amp_dev) for a in batched] == [10, 0, 0, 8]
+
+
+def test_single_state_audit_allocates_no_more_than_before():
+    """Before the corpus was audited in batches this audit peaked at 5.623 tables (numpy 2.4)."""
+    rng = np.random.default_rng(3)
+    n, d = 1 << 10, 16
+    state = from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
+    good = random_good_set(n, 100, seed=4)
+    m = moments(state, good)
+    audit_trajectory(state, good, 2, m)
+    tracemalloc.start()
+    try:
+        audit_trajectory(state, good, 8, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.63 * n * d * 16
 
 
 def test_checks_alone_equal_checks_given_shared_audits():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import grover_matrix, hadamard_matrix, random_marked, random_state
 from entgrover import (
     GoodSet,
+    grover,
     from_amplitudes,
     good_mass,
     grover_iterate,
@@ -140,6 +141,16 @@ class TestGroverIterate:
         good = GoodSet((1,))
         for n, step_state in grover_trajectory(state, good, 6):
             assert np.array_equal(step_state.coeffs, grover_iterate(state, good, n).coeffs)
+
+    def test_stacked_trajectory_equals_each_state_alone(self):
+        states = [random_state(3, 2, seed=s) for s in (14, 15, 16)]
+        goods = [random_marked(8, 3, seed=17), GoodSet(()), GoodSet(tuple(range(8)))]
+        stack = np.stack([s.coeffs for s in states])
+        masks = np.stack([g.mask(8) for g in goods])
+        alone = [list(grover_trajectory(s, g, 9)) for s, g in zip(states, goods)]
+        for n, tables in grover.trajectory_tables(stack, masks, 9):
+            for table, steps in zip(tables, alone):
+                assert np.array_equal(table, steps[n][1].coeffs)
 
 
 class TestInvariants:
