@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -43,13 +43,6 @@ class Tolerances:
     amplitude: float = 1e-9
     probability: float = 1e-9
     unitarity: float = 1e-12
-
-    def to_json_obj(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "probability": self.probability,
-            "unitarity": self.unitarity,
-        }
 
 
 @dataclass(frozen=True)
@@ -68,21 +61,6 @@ class VerifyConfig:
     averages_cases: int = 50
     tolerances: Tolerances = field(default_factory=Tolerances)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "corpus_count": self.corpus_count,
-            "n_qubits_list": list(self.n_qubits_list),
-            "data_dims": list(self.data_dims),
-            "max_steps": self.max_steps,
-            "base_seed": self.base_seed,
-            "sweep_n_qubits": list(self.sweep_n_qubits),
-            "sweep_p_sizes": list(self.sweep_p_sizes),
-            "majority_repetitions": self.majority_repetitions,
-            "sigma_samples": self.sigma_samples,
-            "averages_cases": self.averages_cases,
-            "tolerances": self.tolerances.to_json_obj(),
-        }
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -91,15 +69,6 @@ class CheckResult:
     max_deviation: float
     tolerance: float
     detail: str = ""
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
 
 
 def corpus_states(cfg: VerifyConfig) -> list[tuple[qstate.EntangledState, qstate.GoodSet]]:
@@ -613,10 +582,6 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
     )
 
 
-def results_to_json_obj(results: list[CheckResult]) -> list[dict]:
-    return [r.to_json_obj() for r in results]
-
-
 def check_determinism(cfg: VerifyConfig) -> CheckResult:
     """The reduced battery, run three times, serializes identically each time."""
     small = replace(
@@ -631,7 +596,7 @@ def check_determinism(cfg: VerifyConfig) -> CheckResult:
     blobs = []
     for _ in range(3):
         results = run_checks(small, include_determinism=False)
-        blobs.append(json.dumps(results_to_json_obj(results), sort_keys=True))
+        blobs.append(json.dumps([asdict(r) for r in results], sort_keys=True))
     passed = blobs[0] == blobs[1] == blobs[2]
     return CheckResult(
         "determinism",
@@ -658,14 +623,8 @@ CHECKS = (
 _AUDITED = (check_closed_form_fidelity, check_variance_conservation, check_probability_law)
 
 
-def run_checks(
-    cfg: VerifyConfig, workers: int = 1, include_determinism: bool = True
-) -> list[CheckResult]:
-    """Run the battery in declaration order, auditing each corpus state once.
-
-    ``workers`` is accepted for callers that set a worker count; the
-    checks run sequentially whatever it is, so it never changes a result.
-    """
+def run_checks(cfg: VerifyConfig, include_determinism: bool = True) -> list[CheckResult]:
+    """Run the battery in declaration order, auditing each corpus state once."""
     audits = corpus_audits(cfg)
     results = [fn(cfg, audits) if fn in _AUDITED else fn(cfg) for fn in CHECKS]
     if include_determinism:

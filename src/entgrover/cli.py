@@ -1,13 +1,16 @@
 """Command-line entry point: find | count | verify | sweep, driven by JSON configs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification failure.
-Reports go to --out (or stdout); timing and status lines go to stderr so the
-written artifact stays byte-identical across runs.
+Reports go to --out (or stdout); the run's wall time and status lines go to
+stderr so the written artifact stays byte-identical across runs.  --workers
+(like the scenario key "workers") is checked and otherwise has no effect:
+every run is sequential.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 
 from .harness import Report, ScenarioError, load_scenario, run_scenario
@@ -30,10 +33,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"run a '{name}' scenario")
         p.add_argument("--config", required=True, help="path to the scenario JSON")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument(
-            "--workers", type=int,
-            help="override the scenario worker count (accepted; the work runs sequentially)",
-        )
+        p.add_argument("--workers", type=int, help="worker count, >= 1 (accepted; has no effect)")
         p.add_argument("--seed", type=int, help="override the scenario sampling seed")
     return parser
 
@@ -49,15 +49,15 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError(
                 f"config kind {scenario.kind!r} does not match subcommand {args.command!r}"
             )
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ScenarioError("--workers must be >= 1")
-            scenario = replace(scenario, workers=args.workers)
+        if args.workers is not None and args.workers < 1:
+            raise ScenarioError("--workers must be >= 1")
         if args.seed is not None:
             if args.seed < 0:
                 raise ScenarioError("--seed must be >= 0")
             scenario = replace(scenario, seed=args.seed)
+        start = time.perf_counter()
         report = run_scenario(scenario)
+        seconds = time.perf_counter() - start
     except ScenarioError as exc:
         print(f"entgrover: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             return USAGE_EXIT
     else:
         sys.stdout.write(text)
-    _print_summary(report)
+    _print_summary(report, seconds)
     if scenario.kind == "sweep":
         skipped = report.payload.get("skipped", 0)
         if skipped:
@@ -83,12 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if report.passed else VERIFY_FAIL_EXIT
 
 
-def _print_summary(report: Report) -> None:
+def _print_summary(report: Report, seconds: float) -> None:
     verdict = "pass" if report.passed else "FAIL"
-    print(
-        f"entgrover: {report.kind}: {verdict} in {report.wall_clock_s:.2f}s",
-        file=sys.stderr,
-    )
+    print(f"entgrover: {report.kind}: {verdict} in {seconds:.2f}s", file=sys.stderr)
     for item in report.payload.get("criteria", []):
         state = "PASS" if item["passed"] else "FAIL"
         print(

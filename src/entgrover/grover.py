@@ -45,16 +45,15 @@ from .qstate import EntangledState, GoodSet
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _hadamard_rows(table: np.ndarray) -> np.ndarray:
+def _hadamard_rows(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """n-qubit Hadamard along the rows axis (-2) via log2(N) butterfly passes.
 
-    Leading axes are a batch of independent tables; each entry sees the same
-    elementwise operations as it would alone, so the bits do not depend on
-    the batch.
+    ``src`` and ``dst`` are two C-contiguous complex tables of one shape, and
+    both are overwritten; returns (result, the other buffer).  Leading axes are
+    a batch of independent tables; each entry sees the same elementwise
+    operations as it would alone, so the bits do not depend on the batch.
     """
-    *lead, n, d = table.shape
-    src = np.array(table, dtype=np.complex128, copy=True)
-    dst = np.empty_like(src)
+    *lead, n, d = src.shape
     h = 1
     while h < n:
         a = src.reshape(*lead, n // (2 * h), 2, h * d)
@@ -64,7 +63,7 @@ def _hadamard_rows(table: np.ndarray) -> np.ndarray:
         dst *= _INV_SQRT2
         src, dst = dst, src
         h *= 2
-    return src
+    return src, dst
 
 
 def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
@@ -77,10 +76,13 @@ def _step_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
     """-W S0 W S_H on the rows, composed operator by operator.
 
     ``table`` is (..., N, D) and ``gmask`` the matching (..., N) marked-row mask.
+    Both transforms run in two buffers: the phase flip's fresh table and one
+    scratch table.
     """
-    out = _hadamard_rows(_flip_good(table, gmask))
-    out[..., 0, :] = -out[..., 0, :]
-    out = _hadamard_rows(out)
+    out = _flip_good(table, gmask)
+    out, scratch = _hadamard_rows(out, np.empty_like(out))
+    np.negative(out[..., 0, :], out=out[..., 0, :])
+    out, _ = _hadamard_rows(out, scratch)
     return np.negative(out, out=out)
 
 
@@ -102,7 +104,8 @@ def oracle_phase_flip(state: EntangledState, good: GoodSet) -> EntangledState:
 
 def walsh_hadamard(state: EntangledState) -> EntangledState:
     """Apply H on every search qubit; the data register is untouched."""
-    return _wrap(state, _hadamard_rows(state.coeffs))
+    src = state.coeffs.copy()  # the state's table is read-only
+    return _wrap(state, _hadamard_rows(src, np.empty_like(src))[0])
 
 
 def reflect_zero(state: EntangledState) -> EntangledState:

@@ -3,9 +3,14 @@
 A scenario names everything explicitly (state, marked set, seeds, sizes,
 tolerances); identical scenarios produce byte-identical report artifacts.
 Wall-clock timings are therefore never part of the canonical serialized
-report -- runners record them on the report object and the CLI prints them
-to stderr, and sweep rows only carry a runtime column when
-``include_timings`` is set.
+report -- the CLI times the run and prints it to stderr, and sweep rows
+only carry a runtime column when ``include_timings`` is set.
+
+``find`` and ``count`` build their marked set and state through one setup
+step, and ``find`` and each ``sweep`` cell read the oscillation law against
+one trajectory audit through one shared step.  The scenario key
+``workers`` is accepted and checked but selects nothing: every run is
+sequential.
 
 Every scenario field is checked when the scenario is parsed, so a bad
 value ends in a ScenarioError that names it rather than in a traceback
@@ -18,19 +23,13 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from . import analytic, counting, qstate
-from .checks import (
-    Tolerances,
-    VerifyConfig,
-    audit_trajectory,
-    results_to_json_obj,
-    run_checks,
-)
+from .checks import Tolerances, TrajectoryAudit, VerifyConfig, audit_trajectory, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +52,6 @@ class Scenario:
     grid: dict | None = None
     verify_overrides: dict = field(default_factory=dict)
     output_format: str = "json"
-    workers: int = 1
     include_timings: bool = False
     tolerances: Tolerances = field(default_factory=Tolerances)
     echo: dict = field(default_factory=dict)
@@ -65,7 +63,6 @@ class Report:
     scenario_echo: dict
     payload: dict
     passed: bool
-    wall_clock_s: float = 0.0
 
     def to_json_obj(self) -> dict:
         obj = {"schema_version": SCHEMA_VERSION, "kind": self.kind, "scenario": self.scenario_echo}
@@ -179,7 +176,7 @@ def _non_finite_path(value: Any, path: str) -> str | None:
 def _parse_tolerances(obj: dict) -> Tolerances:
     tol_obj = _optional(obj, "tolerances", dict, "top level", {})
     values = {}
-    for name, default in Tolerances().to_json_obj().items():
+    for name, default in asdict(Tolerances()).items():
         path = f"tolerances.{name}"
         value = _number(tol_obj.get(name, default), path)
         if value <= 0.0:
@@ -256,6 +253,7 @@ def parse_scenario(obj: dict) -> Scenario:
     def bounded(name: str, minimum: int, default: int | None = None) -> int | None:
         return _in_range(_optional(obj, name, int, "top level", default), name, minimum)
 
+    bounded("workers", 1)  # checked only: every run is sequential
     scenario = Scenario(
         kind=kind,
         n_qubits=_in_range(_optional(obj, "n_qubits", int, "top level"), "n_qubits", 1,
@@ -270,7 +268,6 @@ def parse_scenario(obj: dict) -> Scenario:
         grid=_parse_grid(obj) if kind == "sweep" else None,
         verify_overrides=_parse_verify(obj) if kind == "verify" else {},
         output_format=_optional(obj, "output_format", str, "top level", "json"),
-        workers=bounded("workers", 1, 1),
         include_timings=bool(_optional(obj, "include_timings", bool, "top level", False)),
         tolerances=_parse_tolerances(obj),
         echo=obj,
@@ -385,16 +382,8 @@ def _verify_config(s: Scenario) -> VerifyConfig:
     return replace(cfg, **s.verify_overrides)
 
 
-def _check_dims(state: qstate.EntangledState, s: Scenario) -> None:
-    if state.n_qubits != s.n_qubits or state.data_dim != s.data_dim:
-        raise ScenarioError(
-            f"state: dimensions {state.n_qubits} qubits x {state.data_dim} do not match "
-            f"scenario n_qubits={s.n_qubits}, data_dim={s.data_dim}"
-        )
-
-
-def _n_states(s: Scenario) -> int:
-    """2**n_qubits, once the scenario's table is known to fit the memory cap."""
+def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
+    """The scenario's marked set and state, once its table is known to fit the memory cap."""
     n_states = 1 << s.n_qubits
     try:
         qstate.check_memory(n_states * s.data_dim)
@@ -402,36 +391,58 @@ def _n_states(s: Scenario) -> int:
         raise ScenarioError(
             f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim}) is too large: {exc}"
         ) from exc
-    return n_states
+    good = build_good(s.good_spec, n_states)
+    state = build_state(s.state_spec, s.n_qubits, s.data_dim, good)
+    if state.n_qubits != s.n_qubits or state.data_dim != s.data_dim:
+        raise ScenarioError(
+            f"state: dimensions {state.n_qubits} qubits x {state.data_dim} do not match "
+            f"scenario n_qubits={s.n_qubits}, data_dim={s.data_dim}"
+        )
+    return good, state
+
+
+def _read_law(
+    s: Scenario, state: qstate.EntangledState, good: qstate.GoodSet, m: qstate.MomentSummary
+) -> tuple[analytic.OscillationParams | None, TrajectoryAudit, list[float]]:
+    """The oscillation law against one simulated trajectory.
+
+    Returns the law's parameters (None when t is 0 or N, where P = t/N at
+    every step), the audit of ``s.iterations`` steps (by default
+    ceil(2*pi/theta), or 16 when a sector is empty) and P(n) from the law
+    at each audited step.
+    """
+    if 0 < good.t < state.n_states:
+        params = analytic.oscillation_params(m)
+        horizon = math.ceil(2.0 * math.pi / m.theta)
+    else:
+        params, horizon = None, 16
+    audit = audit_trajectory(state, good, horizon if s.iterations is None else s.iterations, m)
+    p_law = [
+        good.t / state.n_states if params is None else analytic.success_probability(params, n)
+        for n in range(len(audit.p_sim))
+    ]
+    return params, audit, p_law
+
+
+def _peak(params: analytic.OscillationParams) -> dict:
+    """n0 and best_integer_time (None when the law is degenerate) and p_max."""
+    return {
+        "n0": None if params.degenerate else analytic.optimal_times(params, 0),
+        "best_integer_time": None if params.degenerate else analytic.best_integer_time(params),
+        "p_max": analytic.p_max(params),
+    }
 
 
 def run_find(s: Scenario) -> Report:
-    start = time.perf_counter()
     if s.kind != "find":
         raise ScenarioError(f"run_find needs kind 'find', got {s.kind!r}")
-    n_states = _n_states(s)
-    good = build_good(s.good_spec, n_states)
-    state = build_state(s.state_spec, s.n_qubits, s.data_dim, good)
-    _check_dims(state, s)
+    good, state = _setup(s)
     tol = s.tolerances
     m = qstate.moments(state, good)
-    degenerate_sector = not 0 < good.t < n_states
-
-    if degenerate_sector:
-        params = None
-        n_max = s.iterations if s.iterations is not None else 16
-    else:
-        params = analytic.oscillation_params(m)
-        n_max = s.iterations if s.iterations is not None else math.ceil(2.0 * math.pi / m.theta)
-
-    audit = audit_trajectory(state, good, n_max, m)
+    params, audit, p_law = _read_law(s, state, good, m)
     table = []
     max_prob_dev = 0.0
-    for n, p_sim in enumerate(audit.p_sim):
-        if degenerate_sector:
-            p_an = good.t / n_states
-        else:
-            p_an = analytic.success_probability(params, n)
+    for n, (p_an, p_sim) in enumerate(zip(p_law, audit.p_sim)):
         dev = abs(p_an - p_sim)
         max_prob_dev = max(max_prob_dev, dev)
         table.append({"n": n, "p_analytic": p_an, "p_simulated": p_sim, "abs_dev": dev})
@@ -447,16 +458,16 @@ def run_find(s: Scenario) -> Report:
         {"name": "unitarity", "value": max_norm_dev, "tolerance": tol.unitarity,
          "passed": max_norm_dev < tol.unitarity},
     ]
-    if not degenerate_sector:
+    if params is not None:
         checks.insert(1, {"name": "closed_form_agreement", "value": max_amp_dev,
                           "tolerance": tol.amplitude, "passed": max_amp_dev < tol.amplitude})
 
     payload: dict = {
-        "n_states": n_states,
+        "n_states": state.n_states,
         "data_dim": s.data_dim,
         "t": good.t,
         "theta": m.theta,
-        "degenerate_sector": degenerate_sector,
+        "degenerate_sector": params is None,
     }
     if params is not None:
         payload["oscillation"] = {
@@ -466,34 +477,17 @@ def run_find(s: Scenario) -> Report:
             "phi_r": None if params.degenerate else params.phi_r,
             "phi_i": None if params.degenerate else params.phi_i,
         }
-        if params.degenerate:
-            payload["n0"] = None
-            payload["best_integer_time"] = None
-        else:
-            payload["n0"] = analytic.optimal_times(params, 0)
-            payload["best_integer_time"] = analytic.best_integer_time(params)
-        payload["p_max"] = analytic.p_max(params)
+        payload.update(_peak(params))
     payload["table"] = table
     payload["max_probability_deviation"] = max_prob_dev
     payload["checks"] = checks
-    passed = all(c["passed"] for c in checks)
-    return Report(
-        kind="find",
-        scenario_echo=s.echo,
-        payload=payload,
-        passed=passed,
-        wall_clock_s=time.perf_counter() - start,
-    )
+    return Report("find", s.echo, payload, all(c["passed"] for c in checks))
 
 
 def run_count(s: Scenario) -> Report:
-    start = time.perf_counter()
     if s.kind != "count":
         raise ScenarioError(f"run_count needs kind 'count', got {s.kind!r}")
-    n_states = _n_states(s)
-    good = build_good(s.good_spec, n_states)
-    state = build_state(s.state_spec, s.n_qubits, s.data_dim, good)
-    _check_dims(state, s)
+    good, state = _setup(s)
     dist = counting.ancilla_distribution(counting.build_count_state(state, good, s.p_size))
     report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
 
@@ -512,37 +506,24 @@ def run_count(s: Scenario) -> Report:
         "ancilla_distribution": [float(p) for p in dist],
         "checks": checks,
     }
-    return Report(
-        kind="count",
-        scenario_echo=s.echo,
-        payload=payload,
-        passed=all(c["passed"] for c in checks),
-        wall_clock_s=time.perf_counter() - start,
-    )
+    return Report("count", s.echo, payload, all(c["passed"] for c in checks))
 
 
 def run_verify(s: Scenario) -> Report:
-    start = time.perf_counter()
     if s.kind != "verify":
         raise ScenarioError(f"run_verify needs kind 'verify', got {s.kind!r}")
     cfg = _verify_config(s)
-    results = run_checks(cfg, workers=s.workers)
+    results = run_checks(cfg)
     payload = {
-        "config": cfg.to_json_obj(),
-        "criteria": results_to_json_obj(results),
+        "config": asdict(cfg),
+        "criteria": [asdict(r) for r in results],
         "counts": {
             "total": len(results),
             "passed": sum(1 for r in results if r.passed),
             "failed": sum(1 for r in results if not r.passed),
         },
     }
-    return Report(
-        kind="verify",
-        scenario_echo=s.echo,
-        payload=payload,
-        passed=all(r.passed for r in results),
-        wall_clock_s=time.perf_counter() - start,
-    )
+    return Report("verify", s.echo, payload, all(r.passed for r in results))
 
 
 SWEEP_COLUMNS = (
@@ -584,18 +565,10 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         row["theta"] = m.theta
         tol = s.tolerances
         if 0 < t < n_states:
-            params = analytic.oscillation_params(m)
-            if not params.degenerate:
-                row["n0"] = analytic.optimal_times(params, 0)
-                row["best_integer_time"] = analytic.best_integer_time(params)
-            row["p_max"] = analytic.p_max(params)
-            n_max = s.iterations if s.iterations is not None else math.ceil(2 * math.pi / m.theta)
-            audit = audit_trajectory(state, good, n_max, m)
+            params, audit, p_law = _read_law(s, state, good, m)
+            row.update((k, v) for k, v in _peak(params).items() if v is not None)
             max_amp = max(audit.amp_dev)
-            max_prob = max(
-                abs(analytic.success_probability(params, n) - p_sim)
-                for n, p_sim in enumerate(audit.p_sim)
-            )
+            max_prob = max(abs(p_an - p_sim) for p_an, p_sim in zip(p_law, audit.p_sim))
             drift = max(audit.var_drift)
             row["max_amp_dev"] = max_amp
             row["max_prob_dev"] = max_prob
@@ -623,7 +596,6 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
 
 
 def run_sweep(s: Scenario) -> Report:
-    start = time.perf_counter()
     if s.kind != "sweep":
         raise ScenarioError(f"run_sweep needs kind 'sweep', got {s.kind!r}")
     grid = s.grid
@@ -646,14 +618,7 @@ def run_sweep(s: Scenario) -> Report:
         "cells": len(rows),
         "skipped": skipped,
     }
-    passed = all(r["passed"] is not False for r in rows)
-    return Report(
-        kind="sweep",
-        scenario_echo=s.echo,
-        payload=payload,
-        passed=passed,
-        wall_clock_s=time.perf_counter() - start,
-    )
+    return Report("sweep", s.echo, payload, all(r["passed"] is not False for r in rows))
 
 
 RUNNERS = {"find": run_find, "count": run_count, "verify": run_verify, "sweep": run_sweep}

@@ -142,6 +142,27 @@ class TestSweep:
         r4 = run_sweep(parse_scenario(dict(base, workers=4)))
         assert json.dumps(r1.payload["rows"]) == json.dumps(r4.payload["rows"])
 
+    def test_json_rows_keep_their_keys(self, tmp_path):
+        edge = ("n_qubits", "data_dim", "t", "p_size", "seed", "status", "error", "theta",
+                "passed")
+        measured = ("p_max", "max_amp_dev", "max_prob_dev", "var_drift", "w_predicted", "w_dev",
+                    "passed")
+        s = parse_scenario({"kind": "sweep",
+                            "grid": {"n_qubits": [3], "t": [0, 2, 8], "P": [8], "seeds": [1]}})
+        keys = {r["t"]: tuple(r) for r in run_sweep(s).payload["rows"]}
+        assert keys[0] == keys[8] == edge
+        assert keys[2] == edge[:-1] + ("n0", "best_integer_time") + measured
+
+        # a degenerate law has no optimal time: n0 and best_integer_time stay absent
+        from entgrover import from_amplitudes
+
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(from_amplitudes(np.eye(4)).to_json_obj()))
+        s = parse_scenario({"kind": "sweep", "state": {"type": "file", "path": str(path)},
+                            "grid": {"n_qubits": [2], "data_dim": [4], "t": [1], "P": [8]}})
+        (row,) = run_sweep(s).payload["rows"]
+        assert tuple(row) == edge[:-1] + measured
+
 
 class TestCli:
     def run(self, argv):

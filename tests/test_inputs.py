@@ -91,6 +91,15 @@ class TestRegressions:
         code, err = run_cli(["find", "--config", cfg])
         assert code == 1 and "note[1]" in err
 
+    @pytest.mark.parametrize(
+        "scenario, flags",
+        [(dict(FIND, workers=0), []), (dict(FIND, workers=True), []), (FIND, ["--workers", "0"])],
+    )
+    def test_bad_worker_count_exit_1_names_workers(self, tmp_path, scenario, flags):
+        cfg = write_json(tmp_path / "c.json", scenario)
+        code, err = run_cli(["find", "--config", cfg, *flags])
+        assert code == 1 and "workers" in err
+
     def test_unwritable_out_exit_1(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", FIND)
         code, err = run_cli(["find", "--config", cfg, "--out", str(tmp_path / "no" / "r.json")])
