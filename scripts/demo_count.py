@@ -7,8 +7,7 @@ samples, and the worst-case error bound.
 """
 from entgrover import (
     GoodSet,
-    ancilla_distribution,
-    build_count_state,
+    circuit_distribution,
     error_bound,
     moments,
     random_with_moments,
@@ -32,9 +31,9 @@ def main():
     print(" P   case      W(pred)    W(circuit)  majority t~   |t~-t|   bound")
     for p_size in (8, 16, 32, 64):
         pred = window_probability(m, p_size)
-        dist = ancilla_distribution(build_count_state(state, good, p_size))
+        dist = circuit_distribution(state, good, p_size)
         circuit = sum(float(dist[mm]) for mm in pred.outcomes)
-        report = run_count(state, good, p_size, repetitions=101, seed=41)
+        report = run_count(state, good, p_size, repetitions=101, seed=41, dist=dist)
         print(
             f"{p_size:3d}  {pred.case:9s} {pred.mass:.6f}  {circuit:.6f}  "
             f"{report.majority_t:11.4f}  {abs(report.majority_t - t):7.4f}  "

@@ -27,11 +27,10 @@ from .counting import (
     WindowPrediction,
     ancilla_distribution,
     build_count_state,
+    circuit_distribution,
     error_bound,
     estimate_from_outcome,
     kernel_s,
-    qft,
-    qft_inverse,
     run_count,
     window_probability,
 )

@@ -448,7 +448,7 @@ def check_counting_window(cfg: VerifyConfig) -> CheckResult:
     flat = qstate.new_flat(4, 1)
     good = qstate.GoodSet((0, 1, 2, 3))
     pred = counting.window_probability(qstate.moments(flat, good), 16)
-    dist = counting.ancilla_distribution(counting.build_count_state(flat, good, 16))
+    dist = counting.circuit_distribution(flat, good, 16)
     circuit_mass = float(sum(dist[m] for m in pred.outcomes))
     worst = abs(pred.mass - circuit_mass)
     ok = (

@@ -9,6 +9,14 @@ unitary scaling, so it is numpy's inverse FFT, ``np.fft.ifft(...,
 norm="ortho")``, along the ancilla axis.  Measuring the ancilla and inverting
 t~ = N*sin^2(pi*f~/P) estimates t within a bound that shrinks as 1/P.
 
+``circuit_distribution`` simulates the circuit without holding its
+P x N x D amplitude tensor.  A row's branches depend only on its initial
+value, its mark and the column means, x_{m+1}(a) = 2*mu_m - s_a*x_m(a), so
+one pass over the table keeps the P x D doubled means and the rows are then
+replayed, transformed and measured a block at a time.  ``build_count_state``
+still builds the whole tensor; it is the referee the tests hold the
+streamed circuit to.
+
 The probability mass captured by the peak window admits exact closed
 forms built from the Dirichlet-style kernel
 
@@ -33,33 +41,86 @@ from .qstate import EntangledState, GoodSet, MomentSummary, check_memory, moment
 
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
 
-
-def _check_power_of_two(p: int) -> None:
-    if p < 1 or p & (p - 1) != 0:
-        raise ValueError(f"transform length must be a power of two, got {p}")
-
-
-def qft(vec: np.ndarray) -> np.ndarray:
-    """Fourier transform with positive phases, out[c] = (1/sqrt(P)) sum_a e^{2pi*i*ac/P} vec[a]."""
-    v = np.asarray(vec, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError("qft expects a 1-D vector")
-    _check_power_of_two(len(v))
-    return np.fft.ifft(v, norm="ortho")
+# Amplitudes in one block of rows: 8 MiB of complex128.  At N = 2^12, D = 1,
+# P = 1024 half this block made the circuit 30-45% slower, in per-step calls,
+# for 6 MiB less peak memory (measurements in CHANGES.md).
+_BLOCK_AMPS = 1 << 19
 
 
-def qft_inverse(vec: np.ndarray) -> np.ndarray:
-    """Inverse of qft, out[a] = (1/sqrt(P)) sum_c e^{-2pi*i*ac/P} vec[c]."""
-    v = np.asarray(vec, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError("qft_inverse expects a 1-D vector")
-    _check_power_of_two(len(v))
-    return np.fft.fft(v, norm="ortho")
+def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
+    """Ancilla distribution of the counting circuit, streamed in blocks of rows.
+
+    A first pass steps the whole table P - 1 times as ``_reflect_rows``
+    does, keeping only the doubled column means 2*mu_m of the phase-flipped
+    tables and writing the first block's rows as it goes.  Each later block
+    is replayed from those means with the same element operations, times
+    s_a (-1 on marked rows), then 2*mu_m - x.  Every block is scaled by
+    1/sqrt(P*N), transformed along the step axis and its |.|^2 added per
+    outcome.  A block's transformed amplitudes are those of
+    ``build_count_state`` bit for bit; only the order of the per-outcome sum
+    differs, and a table that fits in one block gives the tensor's bits.
+
+    The memory cap applies to the working set: the table, the means and
+    one block.  The tensor's norm gate applies to the total.
+    """
+    if p_size < 1 or p_size & (p_size - 1) != 0:
+        raise ValueError(f"ancilla size must be a power of two, got {p_size}")
+    n, d = state.n_states, state.data_dim
+    rows = min(n, max(1, _BLOCK_AMPS // (p_size * d)))
+    check_memory(n * d + p_size * d + p_size * rows * d)
+    scale = 1.0 / math.sqrt(p_size * n)  # physical rows carry 1/sqrt(N) as well
+    # s_a for each float of the table's float64 view, so that times s_a is
+    # one contiguous multiply: the bits of negating the marked rows.
+    sign = np.repeat(np.where(good.mask(n), -1.0, 1.0), 2 * d)
+
+    two_mu = np.empty((p_size - 1, d), dtype=np.complex128)
+    block = np.empty((p_size, rows, d), dtype=np.complex128)
+    cur = np.array(state.coeffs)
+    x = np.empty_like(cur)
+    cur_f, x_f = (a.reshape(-1).view(np.float64) for a in (cur, x))
+    for m in range(p_size):
+        block[m] = cur[:rows]
+        if m + 1 < p_size:
+            np.multiply(cur_f, sign, out=x_f)
+            np.multiply(2.0, x.mean(axis=0), out=two_mu[m])
+            np.subtract(two_mu[m], x, out=cur)
+
+    dist = np.zeros(p_size)
+    for lo in range(0, n, rows):
+        blk = block[:, : min(rows, n - lo)]
+        if lo:  # replay the block's rows from the means
+            blk[0] = state.coeffs[lo : lo + rows]
+            f = blk.reshape(p_size, -1, copy=False).view(np.float64)
+            s = sign[2 * d * lo : 2 * d * (lo + rows)]
+            for m in range(p_size - 1):
+                np.multiply(f[m], s, out=f[m + 1])
+                np.subtract(two_mu[m], blk[m + 1], out=blk[m + 1])
+        sq = _transform(blk, scale).view(np.float64)
+        np.square(sq, out=sq)
+        dist += np.sum(sq[..., 0::2] + sq[..., 1::2], axis=(1, 2))
+
+    total = float(np.sum(dist))
+    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
+        raise ValueError(f"total squared norm must be 1 within 1e-9, got {total!r}")
+    return dist
+
+
+def _transform(block: np.ndarray, scale: float) -> np.ndarray:
+    """A block of rows scaled and put through the ancilla transform, in place."""
+    block *= scale
+    return np.fft.ifft(block, axis=0, norm="ortho", out=block)
 
 
 @dataclass(frozen=True)
 class CountState:
-    """Joint ancilla x search x data amplitude tensor, physically normalized."""
+    """Joint ancilla x search x data amplitude tensor, physically normalized.
+
+    No runner builds it: it is the tensor referee that the tests hold
+    ``circuit_distribution`` to.  It stays in the package, with
+    ``build_count_state`` and ``ancilla_distribution``, only because the
+    benchmark's tracer (``perfbench/tracer.py``) rebinds those names; the
+    three move to ``tests/conftest.py`` once the tracer no longer does.
+    """
 
     p_size: int
     n_qubits: int
@@ -104,12 +165,14 @@ class CountState:
 
 
 def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> CountState:
-    """Run the counting circuit exactly: controlled powers, then the ancilla transform.
+    """The counting circuit's whole P x N x D tensor: the referee, not a runner path.
 
     Branch m holds (1/sqrt(P)) times the m-times-amplified state; powers are
     computed incrementally, so the whole circuit costs P amplification steps,
     each one reflection about the column mean.
-    The ancilla transform is numpy's FFT along axis 0 (qft on every column).
+    The ancilla transform is numpy's FFT along axis 0.  Runners call
+    ``circuit_distribution``, which streams the same amplitudes in blocks of
+    rows; see ``CountState`` for why this stays in the package.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
@@ -128,7 +191,7 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
 
 
 def ancilla_distribution(cs: CountState) -> np.ndarray:
-    """Measurement distribution of the ancilla register; sums to 1."""
+    """Measurement distribution of the ancilla register of a referee tensor; sums to 1."""
     return np.sum(np.square(cs.amps.real) + np.square(cs.amps.imag), axis=(1, 2))
 
 
@@ -174,7 +237,7 @@ def window_probability(m: MomentSummary, p_size: int) -> WindowPrediction:
 
     Each Sigma is the sum of squared s-kernels over the case's offsets and
     lies in (8/pi^2, 1].  Requires P >= 4 so the three windows have distinct
-    outcomes; smaller P is still simulable through build_count_state.
+    outcomes; smaller P is still simulable through circuit_distribution.
     """
     if not 0 < m.t < m.n_states:
         raise DegenerateCaseError(f"need 0 < t < N, got t={m.t}, N={m.n_states}")
@@ -283,6 +346,7 @@ class CountReport:
     w_predicted: float | None
     w_empirical: float
     window: tuple[int, ...]
+    seed: int
     outcomes: tuple[int, ...]
     majority_m: int
     majority_t: float
@@ -298,6 +362,7 @@ class CountReport:
             "W_predicted": self.w_predicted,
             "W_empirical": self.w_empirical,
             "window": list(self.window),
+            "seed": self.seed,
             "outcomes": list(self.outcomes),
             "majority_m": self.majority_m,
             "majority_t": self.majority_t,
@@ -317,7 +382,8 @@ def run_count(
     """Simulate the circuit once, sample the ancilla, and decode by majority rule.
 
     ``dist`` is the circuit's ancilla distribution, for a caller that has
-    already built it; without it the circuit is built here.
+    already simulated it; without it the circuit is simulated here.  The
+    report records ``seed``, the sampling seed.
 
     The majority outcome is the most frequent sample (ties to the smallest
     outcome).  ``w_empirical`` is the fraction of samples inside the
@@ -331,7 +397,7 @@ def run_count(
     n = state.n_states
     t = good.t
     if dist is None:
-        dist = ancilla_distribution(build_count_state(state, good, p_size))
+        dist = circuit_distribution(state, good, p_size)
 
     if 0 < t < n and p_size >= 4:
         pred = window_probability(moments(state, good), p_size)
@@ -360,6 +426,7 @@ def run_count(
         w_predicted=w_predicted,
         w_empirical=in_window / repetitions,
         window=tuple(window),
+        seed=seed,
         outcomes=tuple(int(s) for s in samples),
         majority_m=majority_m,
         majority_t=estimate.t_tilde,

@@ -488,7 +488,13 @@ def run_count(s: Scenario) -> Report:
     if s.kind != "count":
         raise ScenarioError(f"run_count needs kind 'count', got {s.kind!r}")
     good, state = _setup(s)
-    dist = counting.ancilla_distribution(counting.build_count_state(state, good, s.p_size))
+    try:
+        dist = counting.circuit_distribution(state, good, s.p_size)
+    except qstate.MemoryLimitError as exc:
+        raise ScenarioError(
+            f"field 'P' = {s.p_size} is too large for the counting circuit at "
+            f"n_qubits = {s.n_qubits}, data_dim = {s.data_dim}: {exc}"
+        ) from exc
     report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
 
     checks = []
@@ -576,9 +582,7 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
             ok = max_amp < tol.amplitude and max_prob < tol.probability and drift < tol.probability
             if p_size is not None and p_size >= 4:
                 pred_w = counting.window_probability(m, p_size)
-                dist = counting.ancilla_distribution(
-                    counting.build_count_state(state, good, p_size)
-                )
+                dist = counting.circuit_distribution(state, good, p_size)
                 w_dev = abs(pred_w.mass - float(sum(dist[mm] for mm in pred_w.outcomes)))
                 row["w_predicted"] = pred_w.mass
                 row["w_dev"] = w_dev

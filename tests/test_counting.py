@@ -1,5 +1,6 @@
 """Counting circuit, kernels, window formulas, and the t estimator."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +18,16 @@ from entgrover import (
     CountState,
     DegenerateCaseError,
     GoodSet,
+    MemoryLimitError,
     ancilla_distribution,
     build_count_state,
+    circuit_distribution,
+    counting,
     error_bound,
     estimate_from_outcome,
     kernel_s,
     moments,
     new_flat,
-    qft,
-    qft_inverse,
     run_count,
     window_probability,
 )
@@ -34,43 +36,127 @@ SIGMA_LOW = 8.0 / math.pi**2
 
 
 class TestQft:
+    """The ancilla transform is numpy's FFT with unitary scaling: ifft is the
+    positive-phase DFT, fft its inverse."""
+
     def test_basis_vector_to_uniform(self):
-        out = qft(np.array([1, 0, 0, 0], dtype=complex))
+        out = np.fft.ifft(np.array([1, 0, 0, 0], dtype=complex), norm="ortho")
         np.testing.assert_allclose(out, [0.5] * 4, atol=1e-14)
 
     def test_uniform_to_basis(self):
-        out = qft(np.full(4, 0.5, dtype=complex))
+        out = np.fft.ifft(np.full(4, 0.5, dtype=complex), norm="ortho")
         np.testing.assert_allclose(out, [1, 0, 0, 0], atol=1e-14)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(qft_inverse(qft(v)), v, atol=1e-12)
+        back = np.fft.fft(np.fft.ifft(v, norm="ortho"), norm="ortho")
+        np.testing.assert_allclose(back, v, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 8, 32, 64])
     def test_matches_dft_matrix(self, p):
         rng = np.random.default_rng(p)
         v = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        np.testing.assert_allclose(qft(v), dft_matrix(p, +1) @ v, atol=1e-12)
+        np.testing.assert_allclose(
+            np.fft.ifft(v, norm="ortho"), dft_matrix(p, +1) @ v, atol=1e-12
+        )
 
     def test_unitary(self):
         rng = np.random.default_rng(9)
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert np.linalg.norm(qft(v)) == pytest.approx(np.linalg.norm(v), abs=1e-12)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            qft(np.ones(3, dtype=complex))
+        out = np.fft.ifft(v, norm="ortho")
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 8, 16, 32, 64])
     def test_inverse_matches_dft_matrix(self, p):
         rng = np.random.default_rng(100 + p)
         v = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        np.testing.assert_allclose(qft_inverse(v), dft_matrix(p, -1) @ v, atol=1e-12)
+        np.testing.assert_allclose(
+            np.fft.fft(v, norm="ortho"), dft_matrix(p, -1) @ v, atol=1e-12
+        )
 
-    def test_inverse_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            qft_inverse(np.ones(6, dtype=complex))
+
+# (nq, d, t, P, seed): the referee rows, then t = 0, t = N, P = 1 and P = 2.
+CIRCUIT_CASES = [
+    (2, 1, 1, 8, 0),
+    (3, 2, 3, 16, 1),
+    (4, 3, 7, 8, 2),
+    (4, 2, 0, 16, 3),
+    (3, 2, 8, 16, 4),
+    (4, 2, 5, 1, 5),
+    (4, 2, 5, 2, 6),
+]
+
+
+def _count_case(nq, d, t, seed):
+    return random_state(nq, d, seed), random_marked(1 << nq, t, seed + 50)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestCircuitDistribution:
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
+    def test_matches_dense_oracle(self, nq, d, t, p, seed):
+        state, good = _count_case(nq, d, t, seed)
+        dist = circuit_distribution(state, good, p)
+        oracle = brute_force_count_distribution(state, good, p)
+        np.testing.assert_allclose(dist, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
+    def test_one_block_gives_the_tensor_bits(self, nq, d, t, p, seed):
+        state, good = _count_case(nq, d, t, seed)
+        ref = ancilla_distribution(build_count_state(state, good, p))
+        assert np.array_equal(_bits(circuit_distribution(state, good, p)), _bits(ref))
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
+    def test_blocks_equal_the_tensor_bit_for_bit(self, monkeypatch, block_rows, nq, d, t, p, seed):
+        state, good = _count_case(nq, d, t, seed)
+        monkeypatch.setattr(counting, "_BLOCK_AMPS", block_rows * p * d)
+        blocks = []
+        transform = counting._transform
+
+        def recorded(block, scale):
+            out = transform(block, scale)
+            blocks.append(out.copy())
+            return out
+
+        monkeypatch.setattr(counting, "_transform", recorded)
+        dist = circuit_distribution(state, good, p)
+        assert [b.shape[1] for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+        streamed = np.concatenate(blocks, axis=1)
+        assert np.array_equal(_bits(streamed), _bits(build_count_state(state, good, p).amps))
+        # only the order of the per-outcome sum differs from the tensor's
+        np.testing.assert_allclose(
+            dist, ancilla_distribution(build_count_state(state, good, p)), rtol=0, atol=1e-15
+        )
+
+    def test_streams_the_count_workload_in_a_fraction_of_the_tensor(self):
+        state, good = random_state(12, 1, seed=61), random_marked(1 << 12, 100, seed=62)
+        tracemalloc.start()
+        try:
+            dist = circuit_distribution(state, good, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+        # the P x N x D tensor alone is 64 MiB; building it peaked at 128 MiB
+        assert peak <= 32 * 2**20
+
+    def test_non_power_of_two_rejected(self):
+        for p in (3, 6):
+            with pytest.raises(ValueError, match="power of two"):
+                circuit_distribution(new_flat(2, 1), GoodSet((0,)), p)
+
+    def test_memory_cap_covers_the_working_set(self, monkeypatch):
+        # table 16 + means 64 + one block of 64 x 16 amplitudes, not P*N*D alone
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 64 + 64 * 16) - 1))
+        with pytest.raises(MemoryLimitError):
+            circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 64 + 64 * 16)))
+        assert circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64).sum() == pytest.approx(1.0)
 
 
 class TestBuildCountState:

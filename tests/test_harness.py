@@ -1,5 +1,6 @@
 """Scenario parsing, runners, CLI exit codes, and report determinism."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from entgrover.harness import (
     run_find,
     run_sweep,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def write_json(path, obj):
@@ -91,18 +95,31 @@ class TestRunFind:
 class TestRunCount:
     def test_circuit_built_once(self, monkeypatch):
         calls = []
-        build = counting.build_count_state
+        build = counting.circuit_distribution
 
         def counted(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(counting, "build_count_state", counted)
+        monkeypatch.setattr(counting, "circuit_distribution", counted)
         s = parse_scenario({"kind": "count", "n_qubits": 4, "good": {"indices": [0, 1, 2, 3]},
                             "P": 16, "repetitions": 11, "seed": 7})
         report = run_count(s)
         assert report.passed
         assert len(calls) == 1
+
+    def test_cap_below_the_tensor_above_the_working_set_completes(self, monkeypatch):
+        tensor_bytes = 1024 * (1 << 12) * 16
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 24))
+        assert tensor_bytes > 1 << 24
+        s = parse_scenario({"kind": "count", "n_qubits": 12,
+                            "state": {"type": "random", "seed": 5, "var_g": 0.1, "var_b": 0.05},
+                            "good": {"t": 100, "seed": 6}, "P": 1024, "repetitions": 11,
+                            "seed": 7})
+        report = run_count(s)
+        assert report.passed
+        (window,) = [c for c in report.payload["checks"] if c["name"] == "window_mass_agreement"]
+        assert window["value"] < s.tolerances.probability
 
 
 class TestSweep:
@@ -133,6 +150,17 @@ class TestSweep:
         assert status[2] == "ok"
         assert status[6] == "skipped"
         assert report.passed  # skipped cells do not fail the run
+
+    def test_count_cell_skipped_only_over_the_working_set(self, monkeypatch):
+        # P x N x D is 64 MiB; the streamed circuit's working set stays under 16 MiB
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 24))
+        s = parse_scenario({"kind": "sweep",
+                            "grid": {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}})
+        (row,) = run_sweep(s).payload["rows"]
+        assert row["status"] == "ok" and row["passed"] is True
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
+        (row,) = run_sweep(s).payload["rows"]
+        assert row["status"] == "skipped"
 
     def test_workers_do_not_change_output(self):
         base = {"kind": "sweep",
@@ -221,6 +249,16 @@ class TestCli:
         assert json.loads(out_a.read_text())["count"]["outcomes"] != json.loads(
             out_b.read_text()
         )["count"]["outcomes"]
+
+    def test_count_report_records_its_sampling_seed(self, tmp_path):
+        cfg = str(CONFIGS / "count_flat.json")
+        counts = {}
+        for seed in ("7", "8"):
+            out = tmp_path / f"r{seed}.json"
+            assert self.run(["count", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+            counts[seed] = json.loads(out.read_text())["count"]
+        assert (counts["7"]["seed"], counts["8"]["seed"]) == (7, 8)
+        assert counts["7"]["outcomes"] != counts["8"]["outcomes"]
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "c.json",

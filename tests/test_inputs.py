@@ -46,6 +46,14 @@ class TestRegressions:
         code, err = run_cli(["find", "--config", cfg])
         assert code == 1 and "n_qubits" in err
 
+    def test_count_circuit_over_memory_cap_exit_1_names_p(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", "4096")
+        cfg = write_json(tmp_path / "c.json", {"kind": "count", "n_qubits": 4,
+                                               "good": {"indices": [0]},
+                                               "P": 64, "repetitions": 5, "seed": 1})
+        code, err = run_cli(["count", "--config", cfg])
+        assert code == 1 and "'P' = 64" in err
+
     @pytest.mark.parametrize(
         "rows",
         [
