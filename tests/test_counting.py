@@ -75,6 +75,15 @@ class TestQft:
             np.fft.fft(v, norm="ortho"), dft_matrix(p, -1) @ v, atol=1e-12
         )
 
+    def test_non_power_of_two_rejected(self):
+        # the transform has no entry point of its own; the circuit checks P
+        with pytest.raises(ValueError, match="power of two"):
+            circuit_distribution(new_flat(2, 1), GoodSet((0,)), 3)
+
+    def test_inverse_non_power_of_two_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            circuit_distribution(new_flat(2, 1), GoodSet((0,)), 6)
+
 
 # (nq, d, t, P, seed): the referee rows, then t = 0, t = N, P = 1 and P = 2.
 CIRCUIT_CASES = [
@@ -144,11 +153,6 @@ class TestCircuitDistribution:
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         # the P x N x D tensor alone is 64 MiB; building it peaked at 128 MiB
         assert peak <= 32 * 2**20
-
-    def test_non_power_of_two_rejected(self):
-        for p in (3, 6):
-            with pytest.raises(ValueError, match="power of two"):
-                circuit_distribution(new_flat(2, 1), GoodSet((0,)), p)
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
         # table 16 + means 64 + one block of 64 x 16 amplitudes, not P*N*D alone
