@@ -7,8 +7,6 @@ analytic is verified against exact state-vector simulation.
 """
 from .analytic import (
     DegenerateCaseError,
-    OptimalState,
-    OscillationParams,
     best_integer_time,
     closed_form_rows,
     f_plus_minus,
@@ -21,10 +19,7 @@ from .analytic import (
     success_probability,
 )
 from .counting import (
-    CountEstimate,
-    CountReport,
     CountState,
-    WindowPrediction,
     ancilla_distribution,
     build_count_state,
     circuit_distribution,
@@ -46,7 +41,6 @@ from .qstate import (
     EntangledState,
     GoodSet,
     MemoryLimitError,
-    MomentSummary,
     from_amplitudes,
     good_mass,
     moments,

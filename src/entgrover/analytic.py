@@ -232,7 +232,7 @@ def closed_form_rows(
     return EntangledState(n_qubits=state0.n_qubits, data_dim=state0.data_dim, coeffs=table[0])
 
 
-def recurrence_sequence(m: MomentSummary, n_max: int):
+def recurrence_sequence(ms: Sequence[MomentSummary], n_max: int):
     """Yield (k, X_k, Y_k) of the two-block recurrence Z_k = M Z_{k-1} + C_k, k = 1 .. n_max.
 
     M mixes the pair with weights cos(2*theta) -+ 1; the drive is
@@ -241,32 +241,35 @@ def recurrence_sequence(m: MomentSummary, n_max: int):
 
         f_g(n) = f_g - (2/N) X_n,    f_b(n) = (-1)^n f_b - (2/N) Y_n.
 
-    Empty sectors contribute a zero average.  One pass costs n_max steps.
+    X_k, Y_k are (B, D) stacks for the B states of one D summarised in ``ms``:
+    t, N - t and cos(2*theta) are (B, 1) columns and an empty sector's
+    average a zero row, so each row gets the bits of its state's stack of
+    one.  One pass costs n_max steps.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    dim = (m.g_avg if m.g_avg is not None else m.b_avg).shape[0]
-    zero = np.zeros(dim, dtype=np.complex128)
-    g_avg = m.g_avg if m.g_avg is not None else zero
-    b_avg = m.b_avg if m.b_avg is not None else zero
-    t, big_n = m.t, m.n_states
-    c2t = math.cos(2.0 * m.theta)
-    x = t * g_avg - (big_n - t) * b_avg
+    zero = np.zeros_like(ms[0].g_avg if ms[0].g_avg is not None else ms[0].b_avg)
+    g_avg = np.array([zero if m.g_avg is None else m.g_avg for m in ms])
+    b_avg = np.array([zero if m.b_avg is None else m.b_avg for m in ms])
+    t = np.array([[m.t] for m in ms])
+    n_bad = np.array([[m.n_states - m.t] for m in ms])
+    c2t = np.array([[math.cos(2.0 * m.theta)] for m in ms])
+    x = t * g_avg - n_bad * b_avg
     y = x.copy()
     for k in range(1, n_max + 1):
         if k > 1:
-            drive = t * g_avg + (-1) ** k * (big_n - t) * b_avg
+            drive = t * g_avg + (-1) ** k * n_bad * b_avg
             x, y = c2t * x + (c2t + 1.0) * y + drive, (c2t - 1.0) * x + c2t * y + drive
         yield k, x, y
 
 
 def recurrence_vectors(m: MomentSummary, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(X_n, Y_n) of the two-block recurrence; see recurrence_sequence."""
+    """(X_n, Y_n) of the two-block recurrence for one state; see recurrence_sequence."""
     if n < 1:
         raise ValueError(f"recurrence index must be >= 1, got {n}")
-    for _, x, y in recurrence_sequence(m, n):
+    for _, x, y in recurrence_sequence([m], n):
         pass
-    return x, y
+    return x[0], y[0]
 
 
 def state_at_optimal(state0: EntangledState, good: GoodSet, j: int = 0) -> OptimalState:

@@ -9,19 +9,18 @@ and the acceptance test suite, so a criterion is stated exactly once.
 everything the closed forms predict about it: the marked-sector mass, the
 amplitude deviation from the closed-form table, the drift of the sector
 variances and of the norm.  The ``find`` and ``sweep`` runners read their
-checks from it, and the battery audits each corpus state once and hands the
-audits to criteria 1, 3 and 4.
+checks from it.
 
-The corpus holds many small states of a few table shapes, so most of the
-cost of auditing one at a time is per-call overhead.  ``corpus_audits``
-therefore groups the states by shape and audits each group as one stack,
-stepped in lock step; ``audit_trajectory`` is the stack of one.  Criterion 2
-uses the same groups.  Every reading stays bit for bit what the state
-gives alone: elementwise work and the per-state maxima and norms run on the
-whole stack, while sums over a state's marked or unmarked rows, whose count
-differs from state to state, are still formed one state at a time.  The
-battery runs sequentially: its work is small arrays under the interpreter
-lock, where threads only add overhead.
+The battery builds its corpus once (``build_corpus``) for criteria 1-4.
+It holds many small states of a few table shapes, so it is kept as one
+stack per shape: each stack is audited in lock step (``audit_trajectory``
+is the stack of one) and criterion 2 steps the recurrence over the same
+stacks, which saves most of the per-call overhead.  Every reading stays
+bit for bit what the state gives alone: elementwise work and the per-state
+maxima and norms run on the whole stack, while sums over a state's marked
+or unmarked rows, whose count differs from state to state, are still formed
+one state at a time.  The battery runs sequentially: its work is small
+arrays under the interpreter lock, where threads only add overhead.
 """
 from __future__ import annotations
 
@@ -234,59 +233,56 @@ def _law_horizon(m: qstate.MomentSummary) -> int:
     return math.ceil(math.pi / m.theta) + 1
 
 
-def _shape_groups(cfg: VerifyConfig):
-    """Yield (corpus positions, (B, N, D) tables, (B, N) masks, moments) per table shape."""
-    corpus = corpus_states(cfg)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (state, _) in enumerate(corpus):
-        groups.setdefault(state.coeffs.shape, []).append(i)
-    for idx in groups.values():
-        c0 = np.stack([corpus[i][0].coeffs for i in idx])
-        gmask = np.stack([corpus[i][1].mask(c0.shape[1]) for i in idx])
-        yield idx, c0, gmask, [qstate.moments(*corpus[i]) for i in idx]
+@dataclass(frozen=True)
+class Corpus:
+    """The battery's corpus, built once for criteria 1-4.
 
-
-def corpus_audits(cfg: VerifyConfig) -> list[TrajectoryAudit]:
-    """One audit per corpus state, long enough for criteria 1, 3 and 4.
-
-    States of one table shape are stepped together, up to the longest
-    horizon among them; each audit stops at its own state's horizon.
+    ``stacks`` holds (c0, gmask, ms) per table shape: the (B, N, D) initial
+    tables, their (B, N) marked-row masks and their B moment summaries.
+    ``audits`` holds one audit per state, in corpus order, long enough for
+    criteria 1, 3 and 4.
     """
-    audits: list[TrajectoryAudit | None] = [None] * cfg.corpus_count
-    for idx, c0, gmask, ms in _shape_groups(cfg):
+
+    stacks: tuple[tuple[np.ndarray, np.ndarray, tuple[qstate.MomentSummary, ...]], ...]
+    audits: tuple[TrajectoryAudit, ...]
+
+
+def build_corpus(cfg: VerifyConfig) -> Corpus:
+    """Stack the corpus by shape; step each stack to its longest horizon, each audit to its own."""
+    states = corpus_states(cfg)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (state, _) in enumerate(states):
+        groups.setdefault(state.coeffs.shape, []).append(i)
+    stacks = []
+    audits: list[TrajectoryAudit | None] = [None] * len(states)
+    for idx in groups.values():
+        c0 = np.stack([states[i][0].coeffs for i in idx])
+        gmask = np.stack([states[i][1].mask(c0.shape[1]) for i in idx])
+        ms = tuple(qstate.moments(*states[i]) for i in idx)
         horizons = [max(cfg.max_steps, _law_horizon(m)) for m in ms]
         steps = grover.trajectory_tables(c0, gmask, max(horizons))
         for i, audit in zip(idx, _audit_stack(c0, gmask, ms, horizons, steps)):
             audits[i] = audit
-    return audits
+        stacks.append((c0, gmask, ms))
+    return Corpus(tuple(stacks), tuple(audits))
 
 
-def check_closed_form_fidelity(
-    cfg: VerifyConfig, audits: list[TrajectoryAudit] | None = None
-) -> CheckResult:
-    """Predicted rows equal simulated rows, amplitude by amplitude, for n up to max_steps.
-
-    ``audits`` is corpus_audits(cfg), when the caller shares it between checks.
-    """
+def check_closed_form_fidelity(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
+    """Predicted rows equal simulated rows, amplitude by amplitude, for n up to max_steps."""
     tol = cfg.tolerances.amplitude
-    if audits is None:
-        audits = corpus_audits(cfg)
-    worst = max([0.0, *(max(a.amp_dev[: cfg.max_steps + 1]) for a in audits)])
+    worst = max([0.0, *(max(a.amp_dev[: cfg.max_steps + 1]) for a in corpus.audits)])
     return CheckResult("closed_form_fidelity", worst < tol, worst, tol)
 
 
-def check_recurrence_consistency(cfg: VerifyConfig) -> CheckResult:
+def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     """Rows rebuilt from the two-block recurrence equal the closed-form rows."""
     tol = cfg.tolerances.amplitude
     worst = 0.0
-    for _, c0, gmask, ms in _shape_groups(cfg):
+    for c0, gmask, ms in corpus.stacks:
         good = gmask[..., None]
         scale = 2.0 / c0.shape[1]
         rebuilt = np.empty_like(c0)
-        sequences = [analytic.recurrence_sequence(m, cfg.max_steps) for m in ms]
-        for n, terms in enumerate(zip(*sequences), start=1):
-            x = np.array([term[1] for term in terms])
-            y = np.array([term[2] for term in terms])
+        for n, x, y in analytic.recurrence_sequence(ms, cfg.max_steps):
             np.subtract(c0, (scale * x)[:, None], out=rebuilt, where=good)
             np.subtract((-1) ** n * c0, (scale * y)[:, None], out=rebuilt, where=~good)
             pred = analytic.closed_form_table(c0, gmask, ms, n)
@@ -294,27 +290,19 @@ def check_recurrence_consistency(cfg: VerifyConfig) -> CheckResult:
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
 
-def check_variance_conservation(
-    cfg: VerifyConfig, audits: list[TrajectoryAudit] | None = None
-) -> CheckResult:
+def check_variance_conservation(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     """Sector variances of the iterated rows never drift from their initial values."""
     tol = cfg.tolerances.probability
-    if audits is None:
-        audits = corpus_audits(cfg)
-    worst = max([0.0, *(max(a.var_drift[: cfg.max_steps + 1]) for a in audits)])
+    worst = max([0.0, *(max(a.var_drift[: cfg.max_steps + 1]) for a in corpus.audits)])
     return CheckResult("variance_conservation", worst < tol, worst, tol)
 
 
-def check_probability_law(
-    cfg: VerifyConfig, audits: list[TrajectoryAudit] | None = None
-) -> CheckResult:
+def check_probability_law(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     """The damped-cosine law tracks simulation over two periods; the N-scaled
     coefficient variant must demonstrably fail on the uniform N=4 case."""
     tol = cfg.tolerances.probability
-    if audits is None:
-        audits = corpus_audits(cfg)
     worst = 0.0
-    for a in audits:
+    for a in corpus.audits:
         p = analytic.oscillation_params(a.moments)
         for n in range(_law_horizon(a.moments) + 1):
             worst = max(worst, abs(analytic.success_probability(p, n) - a.p_sim[n]))
@@ -619,14 +607,12 @@ CHECKS = (
     check_sufficient_averages,
     check_estimator_bound,
 )
-# The criteria that read the corpus audits run_checks shares between them.
-_AUDITED = (check_closed_form_fidelity, check_variance_conservation, check_probability_law)
 
 
 def run_checks(cfg: VerifyConfig, include_determinism: bool = True) -> list[CheckResult]:
-    """Run the battery in declaration order, auditing each corpus state once."""
-    audits = corpus_audits(cfg)
-    results = [fn(cfg, audits) if fn in _AUDITED else fn(cfg) for fn in CHECKS]
+    """Run the battery in declaration order; criteria 1-4 read one shared corpus."""
+    corpus = build_corpus(cfg)
+    results = [fn(cfg, corpus) for fn in CHECKS[:4]] + [fn(cfg) for fn in CHECKS[4:]]
     if include_determinism:
         results.append(check_determinism(cfg))
     return results

@@ -34,7 +34,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="path to the scenario JSON")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--workers", type=int, help="worker count, >= 1 (accepted; has no effect)")
-        p.add_argument("--seed", type=int, help="override the scenario sampling seed")
+        p.add_argument("--seed", type=int, help="count: the sampling seed; verify: the corpus seed")
     return parser
 
 
@@ -52,6 +52,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ScenarioError("--workers must be >= 1")
         if args.seed is not None:
+            if scenario.kind in ("find", "sweep"):
+                raise ScenarioError(f"--seed is not read by {scenario.kind}")
             if args.seed < 0:
                 raise ScenarioError("--seed must be >= 0")
             scenario = replace(scenario, seed=args.seed)

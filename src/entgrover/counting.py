@@ -47,6 +47,14 @@ SIGMA_LOWER_BOUND = 8.0 / math.pi**2
 _BLOCK_AMPS = 1 << 19
 
 
+def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> int:
+    """Rows per block of the circuit, once the table, the P x D means and one block fit the cap."""
+    rows = min(n_states, max(1, _BLOCK_AMPS // (p_size * data_dim)))
+    amps = (n_states + p_size + p_size * rows) * data_dim
+    check_memory(amps, f"counting circuit working set (P = {p_size})")
+    return rows
+
+
 def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
     """Ancilla distribution of the counting circuit, streamed in blocks of rows.
 
@@ -60,14 +68,13 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
     ``build_count_state`` bit for bit; only the order of the per-outcome sum
     differs, and a table that fits in one block gives the tensor's bits.
 
-    The memory cap applies to the working set: the table, the means and
-    one block.  The tensor's norm gate applies to the total.
+    The memory cap applies to the working set (``check_circuit_memory``).
+    The tensor's norm gate applies to the total.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
     n, d = state.n_states, state.data_dim
-    rows = min(n, max(1, _BLOCK_AMPS // (p_size * d)))
-    check_memory(n * d + p_size * d + p_size * rows * d)
+    rows = check_circuit_memory(n, d, p_size)
     scale = 1.0 / math.sqrt(p_size * n)  # physical rows carry 1/sqrt(N) as well
     # s_a for each float of the table's float64 view, so that times s_a is
     # one contiguous multiply: the bits of negating the marked rows.

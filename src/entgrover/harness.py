@@ -250,6 +250,8 @@ def parse_scenario(obj: dict) -> Scenario:
     kind = _require(obj, "kind", str, "top level")
     if kind not in ("find", "count", "verify", "sweep"):
         raise ScenarioError(f"top level: field 'kind' must be find|count|verify|sweep, got {kind!r}")
+    if kind in ("find", "sweep") and "seed" in obj:
+        raise ScenarioError(f"top level: field 'seed' is not read by kind '{kind}'")
     def bounded(name: str, minimum: int, default: int | None = None) -> int | None:
         return _in_range(_optional(obj, name, int, "top level", default), name, minimum)
 
@@ -562,6 +564,9 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
     try:
         n_states = 1 << nq
         qstate.check_memory(n_states * d)
+        circuit = 0 < t < n_states and p_size is not None and p_size >= 4
+        if circuit:  # before any reading, so a skipped row carries none
+            counting.check_circuit_memory(n_states, d, p_size)
         good = qstate.random_good_set(n_states, t, seed + 1)
         template = dict(s.state_spec)
         if template.get("type") == "random":
@@ -580,7 +585,7 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
             row["max_prob_dev"] = max_prob
             row["var_drift"] = drift
             ok = max_amp < tol.amplitude and max_prob < tol.probability and drift < tol.probability
-            if p_size is not None and p_size >= 4:
+            if circuit:
                 pred_w = counting.window_probability(m, p_size)
                 dist = counting.circuit_distribution(state, good, p_size)
                 w_dev = abs(pred_w.mass - float(sum(dist[mm] for mm in pred_w.outcomes)))

@@ -54,12 +54,12 @@ def memory_cap_bytes() -> int:
     return cap
 
 
-def check_memory(n_amplitudes: int) -> None:
+def check_memory(n_amplitudes: int, what: str = "state") -> None:
     needed = n_amplitudes * 16  # complex128
     cap = memory_cap_bytes()
     if needed > cap:
         raise MemoryLimitError(
-            f"state of {n_amplitudes} amplitudes needs {needed} bytes, cap is {cap}"
+            f"{what} of {n_amplitudes} amplitudes needs {needed} bytes, cap is {cap}"
         )
 
 

@@ -12,6 +12,7 @@ from entgrover import cli
 from entgrover.checks import (
     CheckResult,
     VerifyConfig,
+    build_corpus,
     check_closed_form_fidelity,
     check_counting_window,
     check_degenerate_cases,
@@ -22,16 +23,15 @@ from entgrover.checks import (
     check_recurrence_consistency,
     check_sufficient_averages,
     check_variance_conservation,
-    corpus_audits,
 )
 
 FULL = VerifyConfig()
 
 
 @functools.cache
-def full_audits():
-    """One audit per corpus state, shared by criteria 1, 3 and 4 as in ``run_checks``."""
-    return corpus_audits(FULL)
+def full_corpus():
+    """The corpus built once and shared by criteria 1-4, as in ``run_checks``."""
+    return build_corpus(FULL)
 
 
 def report(criterion: str, result: CheckResult) -> None:
@@ -47,19 +47,19 @@ def report(criterion: str, result: CheckResult) -> None:
 
 
 def test_criterion_01_closed_form_fidelity():
-    report("1 closed-form fidelity", check_closed_form_fidelity(FULL, full_audits()))
+    report("1 closed-form fidelity", check_closed_form_fidelity(FULL, full_corpus()))
 
 
 def test_criterion_02_recurrence_consistency():
-    report("2 recurrence consistency", check_recurrence_consistency(FULL))
+    report("2 recurrence consistency", check_recurrence_consistency(FULL, full_corpus()))
 
 
 def test_criterion_03_variance_conservation():
-    report("3 variance conservation", check_variance_conservation(FULL, full_audits()))
+    report("3 variance conservation", check_variance_conservation(FULL, full_corpus()))
 
 
 def test_criterion_04_probability_law_with_negative_control():
-    result = check_probability_law(FULL, full_audits())
+    result = check_probability_law(FULL, full_corpus())
     assert "control" in result.detail
     report("4 probability law (+ N-scaled negative control)", result)
 

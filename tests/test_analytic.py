@@ -240,6 +240,22 @@ class TestClosedFormRows:
             np.testing.assert_allclose(pred.coeffs, literal, atol=1e-9)
 
 
+def scalar_recurrence(m, n_max):
+    """The recurrence for one state with Python-number coefficients, as it was first written."""
+    zero = np.zeros_like(m.g_avg if m.g_avg is not None else m.b_avg)
+    g_avg = m.g_avg if m.g_avg is not None else zero
+    b_avg = m.b_avg if m.b_avg is not None else zero
+    t, big_n = m.t, m.n_states
+    c2t = math.cos(2.0 * m.theta)
+    x = t * g_avg - (big_n - t) * b_avg
+    y = x.copy()
+    for k in range(1, n_max + 1):
+        if k > 1:
+            drive = t * g_avg + (-1) ** k * (big_n - t) * b_avg
+            x, y = c2t * x + (c2t + 1.0) * y + drive, (c2t - 1.0) * x + c2t * y + drive
+        yield k, x, y
+
+
 class TestRecurrenceVectors:
     def test_first_step_value(self):
         m = moments(new_flat(2, 1), GoodSet((0,)))
@@ -275,12 +291,28 @@ class TestRecurrenceVectors:
         state = random_state(4, 2, seed=31)
         m = moments(state, random_marked(16, 5, seed=311))
         seen = []
-        for k, x, y in recurrence_sequence(m, 12):
+        for k, x, y in recurrence_sequence([m], 12):
             seen.append(k)
             x_k, y_k = recurrence_vectors(m, k)
-            assert np.array_equal(x, x_k) and np.array_equal(y, y_k)
+            assert np.array_equal(x[0], x_k) and np.array_equal(y[0], y_k)
         assert seen == list(range(1, 13))
-        assert list(recurrence_sequence(m, 0)) == []
+        assert list(recurrence_sequence([m], 0)) == []
+
+    def test_stack_equals_each_states_stack_of_one(self):
+        # one D, interior t beside the empty-sector cases t = 0 and t = N
+        ms = [
+            moments(random_state(4, 3, seed=40 + i), GoodSet(tuple(range(t))))
+            for i, t in enumerate((5, 0, 16, 1, 15))
+        ]
+        alone = [list(recurrence_sequence([m], 20)) for m in ms]
+        scalar = [list(scalar_recurrence(m, 20)) for m in ms]
+        for k, x, y in recurrence_sequence(ms, 20):
+            assert (x.shape, y.shape) == ((5, 3), (5, 3))
+            for i in range(len(ms)):
+                for k_i, x_i, y_i in (alone[i][k - 1], scalar[i][k - 1]):
+                    assert k_i == k
+                    assert np.array_equal(x[i].view(np.int64), x_i.reshape(3).view(np.int64))
+                    assert np.array_equal(y[i].view(np.int64), y_i.reshape(3).view(np.int64))
 
 
 class TestStateAtOptimal:

@@ -23,7 +23,7 @@ from entgrover import (
     new_flat,
     random_good_set,
 )
-from entgrover.checks import VerifyConfig, audit_trajectory, corpus_audits, corpus_states
+from entgrover.checks import VerifyConfig, audit_trajectory, build_corpus, corpus_states
 
 SMALL = replace(
     VerifyConfig(),
@@ -83,7 +83,7 @@ def test_batched_corpus_audits_equal_single_state_audits(count):
     cfg = replace(
         SMALL, corpus_count=count, max_steps=4, n_qubits_list=(2, 3, 4), data_dims=(1, 3)
     )
-    batched = corpus_audits(cfg)
+    batched = build_corpus(cfg).audits
     alone = []
     for state, good in corpus_states(cfg):
         m = moments(state, good)
@@ -143,14 +143,13 @@ def test_closed_form_drift_stays_far_below_the_tolerance_as_n_grows(n_qubits):
     assert drift < 1e-9
 
 
-def test_checks_alone_equal_checks_given_shared_audits():
-    audits = corpus_audits(SMALL)
-    for check in (
-        checks.check_closed_form_fidelity,
-        checks.check_variance_conservation,
-        checks.check_probability_law,
-    ):
-        assert check(SMALL) == check(SMALL, audits)
+def test_run_checks_builds_the_corpus_once(monkeypatch):
+    calls = []
+    states = checks.corpus_states
+    monkeypatch.setattr(checks, "corpus_states", lambda cfg: calls.append(1) or states(cfg))
+    results = checks.run_checks(SMALL, include_determinism=False)
+    assert calls == [1]
+    assert len(results) == len(checks.CHECKS)
 
 
 def test_recurrence_check_is_bit_identical_to_wrapped_closed_forms():
@@ -158,13 +157,13 @@ def test_recurrence_check_is_bit_identical_to_wrapped_closed_forms():
     for state, good in corpus_states(SMALL):
         m = moments(state, good)
         gmask = good.mask(state.n_states)
-        for n, x, y in analytic.recurrence_sequence(m, SMALL.max_steps):
+        for n, x, y in analytic.recurrence_sequence([m], SMALL.max_steps):
             rebuilt = np.empty_like(state.coeffs)
-            rebuilt[gmask] = state.coeffs[gmask] - (2.0 / state.n_states) * x
-            rebuilt[~gmask] = (-1) ** n * state.coeffs[~gmask] - (2.0 / state.n_states) * y
+            rebuilt[gmask] = state.coeffs[gmask] - (2.0 / state.n_states) * x[0]
+            rebuilt[~gmask] = (-1) ** n * state.coeffs[~gmask] - (2.0 / state.n_states) * y[0]
             pred = closed_form_rows(state, good, n, m).coeffs
             worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
-    assert checks.check_recurrence_consistency(SMALL).max_deviation == worst
+    assert checks.check_recurrence_consistency(SMALL, build_corpus(SMALL)).max_deviation == worst
 
 
 def test_steps_are_not_revalidated(monkeypatch):

@@ -162,6 +162,17 @@ class TestSweep:
         (row,) = run_sweep(s).payload["rows"]
         assert row["status"] == "skipped"
 
+    def test_circuit_over_the_cap_leaves_no_readings(self, monkeypatch):
+        # the 2^12-row table fits in 1 MiB; the circuit's working set at P = 1024 does not
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
+        grid = {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}
+        (row,) = run_sweep(parse_scenario({"kind": "sweep", "grid": grid})).payload["rows"]
+        big = dict(grid, n_qubits=[17])
+        (table_row,) = run_sweep(parse_scenario({"kind": "sweep", "grid": big})).payload["rows"]
+        assert (row["status"], row["passed"]) == ("skipped", None)
+        assert tuple(row) == tuple(table_row)
+        assert "counting circuit" in row["error"] and "P = 1024" in row["error"]
+
     def test_workers_do_not_change_output(self):
         base = {"kind": "sweep",
                 "grid": {"n_qubits": [3, 4], "data_dim": [1, 2], "t": [1, 3],
@@ -249,6 +260,16 @@ class TestCli:
         assert json.loads(out_a.read_text())["count"]["outcomes"] != json.loads(
             out_b.read_text()
         )["count"]["outcomes"]
+
+    @pytest.mark.parametrize("config", ["find_random.json", "sweep_small.json"])
+    def test_seed_is_refused_where_nothing_reads_it(self, tmp_path, capsys, config):
+        scenario = json.loads((CONFIGS / config).read_text())
+        command = scenario["kind"]
+        assert self.run([command, "--config", str(CONFIGS / config), "--seed", "2"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        cfg = write_json(tmp_path / "c.json", dict(scenario, seed=2))
+        assert self.run([command, "--config", cfg]) == 1
+        assert "'seed'" in capsys.readouterr().err
 
     def test_count_report_records_its_sampling_seed(self, tmp_path):
         cfg = str(CONFIGS / "count_flat.json")
