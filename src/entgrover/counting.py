@@ -10,12 +10,11 @@ norm="ortho")``, along the ancilla axis.  Measuring the ancilla and inverting
 t~ = N*sin^2(pi*f~/P) estimates t within a bound that shrinks as 1/P.
 
 ``circuit_distribution`` simulates the circuit without holding its
-P x N x D amplitude tensor.  A row's branches depend only on its initial
-value, its mark and the column means, x_{m+1}(a) = 2*mu_m - s_a*x_m(a), so
-one pass over the table keeps the P x D doubled means and the rows are then
-replayed, transformed and measured a block at a time.  ``build_count_state``
-still builds the whole tensor; it is the referee the tests hold the
-streamed circuit to.
+P x N x D amplitude tensor.  Each row follows x_{m+1}(a) = 2*mu_m - s_a*x_m(a),
+so every branch is +-x_0(a) plus one offset per sector: one pass over the
+table keeps the P x D doubled means, and the transforms of the two offset
+sequences give the distribution in O(P*D).  ``build_count_state`` still
+builds the whole tensor; it is the referee the tests hold the circuit to.
 
 The probability mass captured by the peak window admits exact closed
 forms built from the Dirichlet-style kernel
@@ -37,74 +36,74 @@ import numpy as np
 
 from .analytic import DegenerateCaseError
 from .grover import _reflect_rows
-from .qstate import EntangledState, GoodSet, MomentSummary, check_memory, moments
+from .qstate import EntangledState, GoodSet, MomentSummary, check_bytes, check_memory, moments
 
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
 
-# Amplitudes in one block of rows: 8 MiB of complex128.  At N = 2^12, D = 1,
-# P = 1024 half this block made the circuit 30-45% slower, in per-step calls,
-# for 6 MiB less peak memory (measurements in CHANGES.md).
-_BLOCK_AMPS = 1 << 19
+# Peak bytes per repetition of a count run, from the int64 draws to the report's
+# outcome tuple, list and JSON text: tracemalloc read 83-103 at P = 2 to 4096 and
+# 123 at P = 2^16, where the outcome tally grows too (CPython 3.11, numpy 2.4.6).
+_SAMPLE_BYTES = 128
 
 
-def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> int:
-    """Rows per block of the circuit, once the table, the P x D means and one block fit the cap."""
-    rows = min(n_states, max(1, _BLOCK_AMPS // (p_size * data_dim)))
-    amps = (n_states + p_size + p_size * rows) * data_dim
+def check_sample_memory(repetitions: int) -> None:
+    """Refuse a sample count whose storage would exceed the memory cap."""
+    check_bytes(repetitions * _SAMPLE_BYTES, f"{repetitions} repetitions")
+
+
+def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> None:
+    """Refuse a circuit whose table, step buffer and five P x D sequences exceed the cap."""
+    amps = (2 * n_states + 5 * p_size) * data_dim
     check_memory(amps, f"counting circuit working set (P = {p_size})")
-    return rows
 
 
 def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
-    """Ancilla distribution of the counting circuit, streamed in blocks of rows.
+    """Ancilla distribution of the counting circuit, from the simulated column means.
 
-    A first pass steps the whole table P - 1 times as ``_reflect_rows``
-    does, keeping only the doubled column means 2*mu_m of the phase-flipped
-    tables and writing the first block's rows as it goes.  Each later block
-    is replayed from those means with the same element operations, times
-    s_a (-1 on marked rows), then 2*mu_m - x.  Every block is scaled by
-    1/sqrt(P*N), transformed along the step axis and its |.|^2 added per
-    outcome.  A block's transformed amplitudes are those of
-    ``build_count_state`` bit for bit; only the order of the per-outcome sum
-    differs, and a table that fits in one block gives the tensor's bits.
+    A first pass steps the table P - 1 times as ``_reflect_rows`` does and
+    keeps the doubled column means 2*mu_m.  Branch m then holds x_0(a) + G_m
+    on marked rows and (-1)^m*x_0(a) + B_m on unmarked rows, with offsets
+    G_{m+1} = G_m + 2*mu_m and B_{m+1} = 2*mu_m - B_m from zero.  With g and b
+    their transforms, outcome k has (t*|g_k|^2 + (N - t)*|b_k|^2) / (P*N),
+    save that x_0 adds sqrt(P)*x_0(a) to the marked rows' g_0 and to the
+    unmarked rows' b_{P/2}: the tensor's distribution to last-place rounding.
 
-    The memory cap applies to the working set (``check_circuit_memory``).
-    The tensor's norm gate applies to the total.
+    The memory cap applies to the working set (``check_circuit_memory``),
+    the tensor's norm gate to the total.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
     n, d = state.n_states, state.data_dim
-    rows = check_circuit_memory(n, d, p_size)
-    scale = 1.0 / math.sqrt(p_size * n)  # physical rows carry 1/sqrt(N) as well
+    check_circuit_memory(n, d, p_size)
+    gmask = good.mask(n)
     # s_a for each float of the table's float64 view, so that times s_a is
     # one contiguous multiply: the bits of negating the marked rows.
-    sign = np.repeat(np.where(good.mask(n), -1.0, 1.0), 2 * d)
+    sign = np.repeat(np.where(gmask, -1.0, 1.0), 2 * d)
 
     two_mu = np.empty((p_size - 1, d), dtype=np.complex128)
-    block = np.empty((p_size, rows, d), dtype=np.complex128)
     cur = np.array(state.coeffs)
     x = np.empty_like(cur)
     cur_f, x_f = (a.reshape(-1).view(np.float64) for a in (cur, x))
-    for m in range(p_size):
-        block[m] = cur[:rows]
-        if m + 1 < p_size:
-            np.multiply(cur_f, sign, out=x_f)
-            np.multiply(2.0, x.mean(axis=0), out=two_mu[m])
-            np.subtract(two_mu[m], x, out=cur)
+    for m in range(p_size - 1):
+        np.multiply(cur_f, sign, out=x_f)
+        np.multiply(2.0, np.add.reduce(x, 0) / n, out=two_mu[m])
+        np.subtract(two_mu[m], x, out=cur)
 
-    dist = np.zeros(p_size)
-    for lo in range(0, n, rows):
-        blk = block[:, : min(rows, n - lo)]
-        if lo:  # replay the block's rows from the means
-            blk[0] = state.coeffs[lo : lo + rows]
-            f = blk.reshape(p_size, -1, copy=False).view(np.float64)
-            s = sign[2 * d * lo : 2 * d * (lo + rows)]
-            for m in range(p_size - 1):
-                np.multiply(f[m], s, out=f[m + 1])
-                np.subtract(two_mu[m], blk[m + 1], out=blk[m + 1])
-        sq = _transform(blk, scale).view(np.float64)
-        np.square(sq, out=sq)
-        dist += np.sum(sq[..., 0::2] + sq[..., 1::2], axis=(1, 2))
+    # B_m = (-1)^(m-1) * sum_{j<m} (-1)^j * 2*mu_j has the recurrence's bits:
+    # negation commutes with rounding.
+    alt = np.where(np.arange(p_size - 1) % 2, -1.0, 1.0)[:, None]
+    offsets = np.zeros((2, p_size, d), dtype=np.complex128)
+    np.cumsum(two_mu, axis=0, out=offsets[0, 1:])
+    np.cumsum(alt * two_mu, axis=0, out=offsets[1, 1:])
+    offsets[1, 1:] *= alt
+    g, b = np.fft.ifft(offsets, axis=1, norm="ortho")
+
+    x0 = np.multiply(math.sqrt(p_size), state.coeffs, out=cur)  # the pass is done with cur
+    marked = good.t * _norm2(g, axis=1)
+    unmarked = (n - good.t) * _norm2(b, axis=1)
+    marked[0] = _norm2(x0[gmask] + g[0])
+    unmarked[p_size // 2] = _norm2(x0[~gmask] + b[p_size // 2])
+    dist = (marked + unmarked) / (p_size * n)
 
     total = float(np.sum(dist))
     if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
@@ -112,10 +111,8 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
     return dist
 
 
-def _transform(block: np.ndarray, scale: float) -> np.ndarray:
-    """A block of rows scaled and put through the ancilla transform, in place."""
-    block *= scale
-    return np.fft.ifft(block, axis=0, norm="ortho", out=block)
+def _norm2(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    return np.sum(np.square(a.real) + np.square(a.imag), axis=axis)
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,8 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     computed incrementally, so the whole circuit costs P amplification steps,
     each one reflection about the column mean.
     The ancilla transform is numpy's FFT along axis 0.  Runners call
-    ``circuit_distribution``, which streams the same amplitudes in blocks of
-    rows; see ``CountState`` for why this stays in the package.
+    ``circuit_distribution``, which reads the same distribution off the
+    column means; see ``CountState`` for why this stays in the package.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
@@ -397,10 +394,12 @@ def run_count(
     predicted window; ``bound_satisfied`` checks the majority estimate
     against the true-t error bound.  Degenerate marked sets (t = 0 or
     t = N) have no oscillation line: the window collapses to {0} or {P/2}
-    and no closed-form mass is predicted.
+    and no closed-form mass is predicted.  The samples are charged against
+    the memory cap before they are drawn (``check_sample_memory``).
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    check_sample_memory(repetitions)
     n = state.n_states
     t = good.t
     if dist is None:

@@ -11,8 +11,10 @@ A step composes the operators literally: the phase flip, W as log2(N)
 butterfly passes, S0, W again.  Since W|0> is the uniform vector |u>,
 the diffusion -W S0 W also equals 2|u><u| - I, the inversion about the
 average: each row x_a becomes 2*mean(x) - x_a.  ``_reflect_rows`` computes
-that form in O(N*D) for the counting circuit, whose many powers of a small
-state would be dominated by per-pass overhead.  The two agree to last-place
+that form in O(N*D) for the counting circuit's referee tensor
+(``counting.build_count_state``), whose many powers of a small state would
+be dominated by per-pass overhead; ``counting.circuit_distribution`` steps
+its table with the same arithmetic in place.  The two forms agree to last-place
 rounding but round differently: every butterfly pass scales by the rounded
 1/sqrt(2), so the composed step drifts the norm by the same few 1e-14 for
 every state of a given shape, while the mean form leaves a few ulps that

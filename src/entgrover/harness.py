@@ -497,7 +497,10 @@ def run_count(s: Scenario) -> Report:
             f"field 'P' = {s.p_size} is too large for the counting circuit at "
             f"n_qubits = {s.n_qubits}, data_dim = {s.data_dim}: {exc}"
         ) from exc
-    report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
+    try:
+        report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
+    except qstate.MemoryLimitError as exc:
+        raise ScenarioError(f"field 'repetitions' = {s.repetitions} is too large: {exc}") from exc
 
     checks = []
     if report.w_predicted is not None:
@@ -521,6 +524,12 @@ def run_verify(s: Scenario) -> Report:
     if s.kind != "verify":
         raise ScenarioError(f"run_verify needs kind 'verify', got {s.kind!r}")
     cfg = _verify_config(s)
+    try:  # criterion 10 draws this many samples per cell
+        counting.check_sample_memory(cfg.majority_repetitions)
+    except qstate.MemoryLimitError as exc:
+        raise ScenarioError(
+            f"field 'verify.majority_repetitions' = {cfg.majority_repetitions} is too large: {exc}"
+        ) from exc
     results = run_checks(cfg)
     payload = {
         "config": asdict(cfg),

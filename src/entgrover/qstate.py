@@ -33,15 +33,15 @@ NORM_ATOL = 1e-9
 MAX_QUBITS = 62
 
 _MEMORY_CAP_ENV = "ENTGROVER_MEMORY_CAP"
-_DEFAULT_MEMORY_CAP = 1 << 30  # bytes of complex amplitude storage
+_DEFAULT_MEMORY_CAP = 1 << 30  # bytes of amplitude and sample storage
 
 
 class MemoryLimitError(RuntimeError):
-    """Requested amplitude table exceeds the configured memory cap."""
+    """Requested amplitude table or sample storage exceeds the configured memory cap."""
 
 
 def memory_cap_bytes() -> int:
-    """Current amplitude-storage cap in bytes (env ENTGROVER_MEMORY_CAP overrides)."""
+    """Current storage cap in bytes (env ENTGROVER_MEMORY_CAP overrides)."""
     raw = os.environ.get(_MEMORY_CAP_ENV)
     if raw is None:
         return _DEFAULT_MEMORY_CAP
@@ -55,12 +55,14 @@ def memory_cap_bytes() -> int:
 
 
 def check_memory(n_amplitudes: int, what: str = "state") -> None:
-    needed = n_amplitudes * 16  # complex128
+    check_bytes(n_amplitudes * 16, f"{what} of {n_amplitudes} amplitudes")  # complex128
+
+
+def check_bytes(needed: int, what: str) -> None:
+    """Raise MemoryLimitError if ``what`` needs more bytes than the cap allows."""
     cap = memory_cap_bytes()
     if needed > cap:
-        raise MemoryLimitError(
-            f"{what} of {n_amplitudes} amplitudes needs {needed} bytes, cap is {cap}"
-        )
+        raise MemoryLimitError(f"{what} needs {needed} bytes, cap is {cap}")
 
 
 def _norm_sq_total(coeffs: np.ndarray) -> float:

@@ -22,7 +22,6 @@ from entgrover import (
     ancilla_distribution,
     build_count_state,
     circuit_distribution,
-    counting,
     error_bound,
     estimate_from_outcome,
     kernel_s,
@@ -95,14 +94,12 @@ CIRCUIT_CASES = [
     (4, 2, 5, 1, 5),
     (4, 2, 5, 2, 6),
 ]
+# Long ancillas, where the offsets sum thousands of means.
+LONG_ANCILLA_CASES = [(6, 3, 60, 4096, 7), (8, 2, 7, 2048, 8)]
 
 
 def _count_case(nq, d, t, seed):
     return random_state(nq, d, seed), random_marked(1 << nq, t, seed + 50)
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).view(np.int64)
 
 
 class TestCircuitDistribution:
@@ -113,34 +110,12 @@ class TestCircuitDistribution:
         oracle = brute_force_count_distribution(state, good, p)
         np.testing.assert_allclose(dist, oracle, atol=1e-12)
 
-    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
-    def test_one_block_gives_the_tensor_bits(self, nq, d, t, p, seed):
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES + LONG_ANCILLA_CASES)
+    def test_sector_form_matches_the_tensor(self, nq, d, t, p, seed):
+        # the offsets and their transforms round differently from the replayed rows
         state, good = _count_case(nq, d, t, seed)
         ref = ancilla_distribution(build_count_state(state, good, p))
-        assert np.array_equal(_bits(circuit_distribution(state, good, p)), _bits(ref))
-
-    @pytest.mark.parametrize("block_rows", [1, 3])
-    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
-    def test_blocks_equal_the_tensor_bit_for_bit(self, monkeypatch, block_rows, nq, d, t, p, seed):
-        state, good = _count_case(nq, d, t, seed)
-        monkeypatch.setattr(counting, "_BLOCK_AMPS", block_rows * p * d)
-        blocks = []
-        transform = counting._transform
-
-        def recorded(block, scale):
-            out = transform(block, scale)
-            blocks.append(out.copy())
-            return out
-
-        monkeypatch.setattr(counting, "_transform", recorded)
-        dist = circuit_distribution(state, good, p)
-        assert [b.shape[1] for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
-        streamed = np.concatenate(blocks, axis=1)
-        assert np.array_equal(_bits(streamed), _bits(build_count_state(state, good, p).amps))
-        # only the order of the per-outcome sum differs from the tensor's
-        np.testing.assert_allclose(
-            dist, ancilla_distribution(build_count_state(state, good, p)), rtol=0, atol=1e-15
-        )
+        np.testing.assert_allclose(circuit_distribution(state, good, p), ref, rtol=0, atol=1e-15)
 
     def test_streams_the_count_workload_in_a_fraction_of_the_tensor(self):
         state, good = random_state(12, 1, seed=61), random_marked(1 << 12, 100, seed=62)
@@ -152,14 +127,14 @@ class TestCircuitDistribution:
             tracemalloc.stop()
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         # the P x N x D tensor alone is 64 MiB; building it peaked at 128 MiB
-        assert peak <= 32 * 2**20
+        assert peak <= 2**20
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
-        # table 16 + means 64 + one block of 64 x 16 amplitudes, not P*N*D alone
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 64 + 64 * 16) - 1))
+        # table and step buffer 2 x 16 + five sequences of 64 amplitudes, not P*N*D
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64) - 1))
         with pytest.raises(MemoryLimitError):
             circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 64 + 64 * 16)))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64)))
         assert circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64).sum() == pytest.approx(1.0)
 
 

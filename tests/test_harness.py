@@ -122,6 +122,11 @@ class TestRunCount:
         assert window["value"] < s.tolerances.probability
 
 
+# The counting circuit's working set at N = 2^12, D = 1, P = 1024: the table,
+# a step buffer and five P x D sequences of complex128.
+CIRCUIT_BYTES = 16 * (2 * 4096 + 5 * 1024)
+
+
 class TestSweep:
     def test_four_cell_grid(self):
         s = parse_scenario({"kind": "sweep",
@@ -152,19 +157,19 @@ class TestSweep:
         assert report.passed  # skipped cells do not fail the run
 
     def test_count_cell_skipped_only_over_the_working_set(self, monkeypatch):
-        # P x N x D is 64 MiB; the streamed circuit's working set stays under 16 MiB
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 24))
+        # P x N x D is 64 MiB; the circuit's working set is CIRCUIT_BYTES
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES))
         s = parse_scenario({"kind": "sweep",
                             "grid": {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}})
         (row,) = run_sweep(s).payload["rows"]
         assert row["status"] == "ok" and row["passed"] is True
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES - 1))
         (row,) = run_sweep(s).payload["rows"]
         assert row["status"] == "skipped"
 
     def test_circuit_over_the_cap_leaves_no_readings(self, monkeypatch):
-        # the 2^12-row table fits in 1 MiB; the circuit's working set at P = 1024 does not
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
+        # the 2^12-row table fits one byte under the circuit's working set at P = 1024
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES - 1))
         grid = {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}
         (row,) = run_sweep(parse_scenario({"kind": "sweep", "grid": grid})).payload["rows"]
         big = dict(grid, n_qubits=[17])

@@ -54,6 +54,22 @@ class TestRegressions:
         code, err = run_cli(["count", "--config", cfg])
         assert code == 1 and "'P' = 64" in err
 
+    def test_repetitions_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
+        # 10^4 samples are charged over 1 MiB; a billion got the process killed
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
+        cfg = write_json(tmp_path / "c.json", {"kind": "count", "n_qubits": 4,
+                                               "good": {"indices": [0]},
+                                               "P": 16, "repetitions": 10_000, "seed": 1})
+        code, err = run_cli(["count", "--config", cfg])
+        assert code == 1 and "'repetitions' = 10000" in err
+
+    def test_majority_repetitions_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
+        cfg = write_json(tmp_path / "c.json",
+                         {"kind": "verify", "verify": {"majority_repetitions": 10_000}})
+        code, err = run_cli(["verify", "--config", cfg])
+        assert code == 1 and "'verify.majority_repetitions' = 10000" in err
+
     @pytest.mark.parametrize(
         "rows",
         [
