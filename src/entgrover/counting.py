@@ -76,18 +76,7 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
     n, d = state.n_states, state.data_dim
     check_circuit_memory(n, d, p_size)
     gmask = good.mask(n)
-    # s_a for each float of the table's float64 view, so that times s_a is
-    # one contiguous multiply: the bits of negating the marked rows.
-    sign = np.repeat(np.where(gmask, -1.0, 1.0), 2 * d)
-
-    two_mu = np.empty((p_size - 1, d), dtype=np.complex128)
-    cur = np.array(state.coeffs)
-    x = np.empty_like(cur)
-    cur_f, x_f = (a.reshape(-1).view(np.float64) for a in (cur, x))
-    for m in range(p_size - 1):
-        np.multiply(cur_f, sign, out=x_f)
-        np.multiply(2.0, np.add.reduce(x, 0) / n, out=two_mu[m])
-        np.subtract(two_mu[m], x, out=cur)
+    two_mu = _doubled_means(state.coeffs, gmask, p_size - 1)
 
     # B_m = (-1)^(m-1) * sum_{j<m} (-1)^j * 2*mu_j has the recurrence's bits:
     # negation commutes with rounding.
@@ -98,7 +87,7 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
     offsets[1, 1:] *= alt
     g, b = np.fft.ifft(offsets, axis=1, norm="ortho")
 
-    x0 = np.multiply(math.sqrt(p_size), state.coeffs, out=cur)  # the pass is done with cur
+    x0 = math.sqrt(p_size) * state.coeffs
     marked = good.t * _norm2(g, axis=1)
     unmarked = (n - good.t) * _norm2(b, axis=1)
     marked[0] = _norm2(x0[gmask] + g[0])
@@ -109,6 +98,23 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
     if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
         raise ValueError(f"total squared norm must be 1 within 1e-9, got {total!r}")
     return dist
+
+
+def _doubled_means(table: np.ndarray, gmask: np.ndarray, steps: int) -> np.ndarray:
+    """2*mu_m over ``steps`` of ``_reflect_rows``'s steps from a copy of a table, with its bits."""
+    n, d = table.shape
+    # s_a for each float of the table's float64 view, so that times s_a is
+    # one contiguous multiply: the bits of negating the marked rows.
+    sign = np.repeat(np.where(gmask, -1.0, 1.0), 2 * d)
+    two_mu = np.empty((steps, d), dtype=np.complex128)
+    cur = np.array(table)
+    x = np.empty_like(cur)
+    cur_f, x_f = (a.reshape(-1).view(np.float64) for a in (cur, x))
+    for m in range(steps):
+        np.multiply(cur_f, sign, out=x_f)
+        np.multiply(2.0, np.add.reduce(x, 0) / n, out=two_mu[m])
+        np.subtract(two_mu[m], x, out=cur)
+    return two_mu
 
 
 def _norm2(a: np.ndarray, axis: int | None = None) -> np.ndarray:

@@ -14,6 +14,7 @@ from conftest import (
     random_marked,
     random_state,
 )
+from entgrover import counting, grover
 from entgrover import (
     CountState,
     DegenerateCaseError,
@@ -102,6 +103,20 @@ def _count_case(nq, d, t, seed):
     return random_state(nq, d, seed), random_marked(1 << nq, t, seed + 50)
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _tensor_branches(state, good, p):
+    """The referee tensor's branches before scaling and transform, and their 2*mu_m."""
+    gmask = good.mask(state.n_states)
+    branches, two_mu = [state.coeffs], []
+    for _ in range(p - 1):
+        two_mu.append(2.0 * grover._flip_good(branches[-1], gmask).mean(axis=0))
+        branches.append(grover._reflect_rows(branches[-1], gmask))
+    return branches, np.array(two_mu, dtype=np.complex128).reshape(p - 1, state.data_dim)
+
+
 class TestCircuitDistribution:
     @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
     def test_matches_dense_oracle(self, nq, d, t, p, seed):
@@ -109,6 +124,27 @@ class TestCircuitDistribution:
         dist = circuit_distribution(state, good, p)
         oracle = brute_force_count_distribution(state, good, p)
         np.testing.assert_allclose(dist, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
+    def test_one_block_gives_the_tensor_bits(self, nq, d, t, p, seed):
+        # one pass over the whole table keeps the tensor's doubled means, bit for bit
+        state, good = _count_case(nq, d, t, seed)
+        _, want = _tensor_branches(state, good, p)
+        got = counting._doubled_means(state.coeffs, good.mask(1 << nq), p - 1)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("block_steps", [1, 3])
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
+    def test_blocks_equal_the_tensor_bit_for_bit(self, block_steps, nq, d, t, p, seed):
+        # the pass split after a first block of steps, resumed from the tensor's
+        # branch there, continues the whole pass's means bit for bit
+        state, good = _count_case(nq, d, t, seed)
+        gmask = good.mask(1 << nq)
+        branches, want = _tensor_branches(state, good, p)
+        k = min(block_steps, p - 1)
+        head = counting._doubled_means(state.coeffs, gmask, k)
+        tail = counting._doubled_means(branches[k], gmask, p - 1 - k)
+        assert np.array_equal(_bits(np.concatenate([head, tail])), _bits(want))
 
     @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES + LONG_ANCILLA_CASES)
     def test_sector_form_matches_the_tensor(self, nq, d, t, p, seed):
