@@ -30,6 +30,12 @@ When <F+|F-> = 0 the oscillation amplitude vanishes identically and
 P(n) = P_av for every n; this is a physical regime (e.g. any one-to-one
 row mapping), reported through the ``degenerate`` flag rather than an
 exception.
+
+The iterated rows are predicted one sector at a time: after n steps every
+marked row is its initial value plus the same combination of Gbar and Bbar,
+and so is every unmarked row, up to the sign (-1)^n.  ``closed_form_sectors``
+applies that to a sector's gathered rows, which is how the trajectory audit
+reads it; ``closed_form_table`` scatters both sectors back into a table.
 """
 from __future__ import annotations
 
@@ -172,24 +178,40 @@ def closed_form_table(
 ) -> np.ndarray:
     """Predicted coefficient tables after n steps, for a stack of same-shape states.
 
+    ``c0`` is a (B, N, D) stack of initial tables, ``gmask`` their (B, N)
+    marked-row masks and ``ms`` their B moment summaries.  The rows are
+    predicted sector by sector (``closed_form_sectors``) and scattered back,
+    so a stack of one gives the bits of any larger stack holding that state.
+    Singular at t in {0, N} (the construction divides by sin(2*theta)).
+    n = 0 returns ``c0`` itself, not a copy.
+    """
+    _check_closed_form(ms, n)
+    if n == 0:
+        return c0
+    out = np.empty_like(c0)
+    out[gmask], out[~gmask] = closed_form_sectors(c0[gmask], c0[~gmask], ms, n)
+    return out
+
+
+def closed_form_sectors(
+    good: np.ndarray, bad: np.ndarray, ms: Sequence[MomentSummary], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite gathered initial rows with their predictions after n steps.
+
     Marked rows:    f_g - (1 - cos(2n*theta)) Gbar + cot(theta) sin(2n*theta) Bbar
     Unmarked rows:  even n:  f_b - tan(theta) sin(2n*theta) Gbar - (1 - cos(2n*theta)) Bbar
                     odd n:  -f_b - tan(theta) sin(2n*theta) Gbar + (1 + cos(2n*theta)) Bbar
 
-    ``c0`` is a (B, N, D) stack of initial tables, ``gmask`` their (B, N)
-    marked-row masks and ``ms`` their B moment summaries.  The per-state
-    trigonometric factors are computed with ``math`` and every entry sees
-    the same operations in the same order as a state predicted alone, so a
-    stack of one gives the bits of any larger stack holding that state.
-    Singular at t in {0, N} (the construction divides by sin(2*theta)).
-    n = 0 returns ``c0`` itself, not a copy.
+    ``good`` holds the marked rows of B same-shape states, one state after
+    another as the gather ``c0[gmask]`` of their (B, N, D) stack lays them
+    out, and ``bad`` their unmarked rows likewise; ``ms`` are their moment
+    summaries.  Both arrays are overwritten and returned.  The per-state
+    trigonometric factors are computed with ``math``, and every entry sees
+    the same operations in the same order as a state predicted alone.
     """
-    if n < 0:
-        raise ValueError(f"iteration count must be >= 0, got {n}")
-    for m in ms:
-        _require_interior(m)
+    _check_closed_form(ms, n)
     if n == 0:
-        return c0
+        return good, bad
     factors = []
     for m in ms:
         c2n = math.cos(2.0 * n * m.theta)
@@ -200,21 +222,34 @@ def closed_form_table(
     good_g, good_b, bad_g, bad_b = np.array(factors).T[..., None]
     g_avg = np.array([m.g_avg for m in ms])
     b_avg = np.array([m.b_avg for m in ms])
-    # Each sector is written through a ufunc mask, so no per-row copy of the
-    # averages is made.  A bad_b term is subtracted for even n and added for odd.
-    good = gmask[..., None]
-    bad = ~good
-    out = np.empty_like(c0)
-    np.subtract(c0, (good_g * g_avg)[:, None], out=out, where=good)
-    np.add(out, (good_b * b_avg)[:, None], out=out, where=good)
+    n_good = [m.t for m in ms]
+    n_bad = [m.n_states - m.t for m in ms]
+    good -= sector_rows(good_g * g_avg, n_good)
+    good += sector_rows(good_b * b_avg, n_good)
     if n % 2 == 0:
-        np.subtract(c0, (bad_g * g_avg)[:, None], out=out, where=bad)
-        np.subtract(out, (bad_b * b_avg)[:, None], out=out, where=bad)
+        bad -= sector_rows(bad_g * g_avg, n_bad)
+        bad -= sector_rows(bad_b * b_avg, n_bad)
     else:
-        np.negative(c0, out=out, where=bad)
-        np.subtract(out, (bad_g * g_avg)[:, None], out=out, where=bad)
-        np.add(out, (bad_b * b_avg)[:, None], out=out, where=bad)
-    return out
+        np.negative(bad, out=bad)
+        bad -= sector_rows(bad_g * g_avg, n_bad)
+        bad += sector_rows(bad_b * b_avg, n_bad)
+    return good, bad
+
+
+def sector_rows(vectors: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Each state's row vector once per row of its gathered sector.
+
+    ``vectors`` is (B, D) and ``counts`` the B sector sizes.  One state's
+    vector is returned as is and broadcasts, so no per-row copy is made.
+    """
+    return vectors if len(counts) == 1 else np.repeat(vectors, counts, axis=0)
+
+
+def _check_closed_form(ms: Sequence[MomentSummary], n: int) -> None:
+    if n < 0:
+        raise ValueError(f"iteration count must be >= 0, got {n}")
+    for m in ms:
+        _require_interior(m)
 
 
 def closed_form_rows(

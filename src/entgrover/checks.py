@@ -7,20 +7,22 @@ and the acceptance test suite, so a criterion is stated exactly once.
 
 ``audit_trajectory`` simulates one state once and records, step by step,
 everything the closed forms predict about it: the marked-sector mass, the
-amplitude deviation from the closed-form table, the drift of the sector
+amplitude deviation from the closed-form rows, the drift of the sector
 variances and of the norm.  The ``find`` and ``sweep`` runners read their
-checks from it.
+checks from it.  Each step's marked and unmarked rows are gathered once, and
+every reading but the norm is taken on those gathered rows.
 
 The battery builds its corpus once (``build_corpus``) for criteria 1-4.
 It holds many small states of a few table shapes, so it is kept as one
 stack per shape: each stack is audited in lock step (``audit_trajectory``
 is the stack of one) and criterion 2 steps the recurrence over the same
 stacks, which saves most of the per-call overhead.  Every reading stays
-bit for bit what the state gives alone: elementwise work and the per-state
-maxima and norms run on the whole stack, while sums over a state's marked
-or unmarked rows, whose count differs from state to state, are still formed
-one state at a time.  The battery runs sequentially: its work is small
-arrays under the interpreter lock, where threads only add overhead.
+bit for bit what the state gives alone: elementwise work, the norms and the
+per-state maxima run on the whole stack or on its gathered sectors, while
+sums over a state's marked or unmarked rows, whose count differs from state
+to state, are still formed one state at a time.  The battery runs
+sequentially: its work is small arrays under the interpreter lock, where
+threads only add overhead.
 """
 from __future__ import annotations
 
@@ -127,6 +129,13 @@ def _span_means(flat: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
             out[i] = np.add.reduce(flat[span], 0) / (span.stop - span.start)
 
 
+def _span_maxima(pred: np.ndarray, sim: np.ndarray, spans: list[slice]) -> np.ndarray:
+    """Largest |pred - sim| over each non-empty span of rows of two like gathers; overwrites pred."""
+    pred -= sim
+    d = pred.shape[1]
+    return np.maximum.reduceat(np.abs(pred).reshape(-1), [span.start * d for span in spans])
+
+
 def _audit_stack(
     c0: np.ndarray,
     gmask: np.ndarray,
@@ -139,25 +148,29 @@ def _audit_stack(
     ``c0`` is the (B, N, D) stack of initial tables, ``gmask`` their (B, N)
     marked-row masks, ``ms`` their moments and ``horizons`` the last step
     audited for each; ``steps`` yields (n, stacked table) for n = 0 ..
-    max(horizons).  The closed-form deviation and the norm are read for the
-    whole stack at once.  The marked mass and the sector variances are sums
-    over a different number of rows for each state, so they are reduced
-    state by state, with the calls ``qstate.good_mass`` and
-    ``qstate.moments`` make, which keeps every reading bit for bit what the
-    state would give alone.
+    max(horizons).  Each step's two sectors are gathered once, ``c[gmask]``
+    and ``c[~gmask]``, which lays each state's rows out one state after
+    another.  The marked mass, the closed-form deviation
+    (``analytic.closed_form_sectors`` on the initial rows gathered the same
+    way) and the sector variances are read on those rows; only the norm is
+    summed over the whole table.  Sums over a state's rows are reduced state
+    by state, with the calls ``qstate.good_mass`` and ``qstate.moments``
+    make, so every reading stays bit for bit what the state gives alone.
     """
     n_big = c0.shape[1]
     ts = [m.t for m in ms]
+    n_bad = [n_big - t for t in ts]
     # Each state's rows in the stack-wide gathers c[gmask] and c[~gmask].
     g_spans = _spans(ts)
-    b_spans = _spans([n_big - t for t in ts])
+    b_spans = _spans(n_bad)
     # The closed form is singular at t in {0, N}: predict the others only.
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
-    pick = slice(None) if len(interior) == len(ms) else interior
+    every = len(interior) == len(ms)
+    pick = slice(None) if every else interior
     c0_in, gmask_in = c0[pick], gmask[pick]
     ms_in = [ms[i] for i in interior]
-    good = gmask[..., None]
-    bad = ~good
+    g_spans_in = _spans([m.t for m in ms_in])
+    b_spans_in = _spans([n_big - m.t for m in ms_in])
     avg = np.zeros((2,) + c0.shape[::2], dtype=np.complex128)
 
     def read(n: int, c: np.ndarray):
@@ -166,27 +179,29 @@ def _audit_stack(
         # that a single-state audit peaks below the step it audits.
         sq = _abs2(c)
         norms = np.add.reduce(sq, axis=(1, 2)).tolist()
-        masses = _span_sums(sq[gmask], g_spans)
         del sq
+        good, bad = c[gmask], c[~gmask]
+        masses = _span_sums(_abs2(good), g_spans)
         amp_dev = [None] * len(ms)
         if interior:
-            pred = analytic.closed_form_table(c0_in, gmask_in, ms_in, n)
-            devs = np.max(np.abs(pred - c[pick]), axis=(1, 2)).tolist()
-            for i, dev in zip(interior, devs):
+            sim = (good, bad) if every else (c[pick][gmask_in], c[pick][~gmask_in])
+            pred = analytic.closed_form_sectors(c0_in[gmask_in], c0_in[~gmask_in], ms_in, n)
+            devs = np.maximum(
+                _span_maxima(pred[0], sim[0], g_spans_in), _span_maxima(pred[1], sim[1], b_spans_in)
+            )
+            del pred, sim
+            for i, dev in zip(interior, devs.tolist()):
                 amp_dev[i] = dev
-        _span_means(c[gmask], g_spans, avg[0])
-        _span_means(c[~gmask], b_spans, avg[1])
-        diff = np.empty_like(c)
-        np.subtract(c, avg[0][:, None], out=diff, where=good)
-        np.subtract(c, avg[1][:, None], out=diff, where=bad)
-        spread = _abs2(diff)
-        del diff
-        var_g = _span_sums(spread[gmask], g_spans)
-        var_b = _span_sums(spread[~gmask], b_spans)
+        _span_means(good, g_spans, avg[0])
+        _span_means(bad, b_spans, avg[1])
+        good -= analytic.sector_rows(avg[0], ts)
+        bad -= analytic.sector_rows(avg[1], n_bad)
+        var_g = _span_sums(_abs2(good), g_spans)
+        var_b = _span_sums(_abs2(bad), b_spans)
         out = []
         for i, m in enumerate(ms):
             drift_g = abs(var_g[i] / ts[i] - m.var_g) if ts[i] else 0.0
-            drift_b = abs(var_b[i] / (n_big - ts[i]) - m.var_b) if ts[i] < n_big else 0.0
+            drift_b = abs(var_b[i] / n_bad[i] - m.var_b) if n_bad[i] else 0.0
             out.append((
                 masses[i] / n_big,
                 amp_dev[i],
@@ -279,14 +294,20 @@ def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResu
     tol = cfg.tolerances.amplitude
     worst = 0.0
     for c0, gmask, ms in corpus.stacks:
-        good = gmask[..., None]
+        # Both sides in the gathered layout of the closed form; the largest
+        # deviation does not depend on the order of the rows.
+        good, bad = c0[gmask], c0[~gmask]
+        n_good = [m.t for m in ms]
+        n_bad = [c0.shape[1] - m.t for m in ms]
         scale = 2.0 / c0.shape[1]
-        rebuilt = np.empty_like(c0)
         for n, x, y in analytic.recurrence_sequence(ms, cfg.max_steps):
-            np.subtract(c0, (scale * x)[:, None], out=rebuilt, where=good)
-            np.subtract((-1) ** n * c0, (scale * y)[:, None], out=rebuilt, where=~good)
-            pred = analytic.closed_form_table(c0, gmask, ms, n)
-            worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
+            pred = analytic.closed_form_sectors(good.copy(), bad.copy(), ms, n)
+            rebuilt = (
+                good - analytic.sector_rows(scale * x, n_good),
+                (-1) ** n * bad - analytic.sector_rows(scale * y, n_bad),
+            )
+            for sector, want in zip(rebuilt, pred):
+                worst = max(worst, float(np.max(np.abs(sector - want))))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
 

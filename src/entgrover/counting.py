@@ -52,9 +52,16 @@ def check_sample_memory(repetitions: int) -> None:
 
 
 def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> None:
-    """Refuse a circuit whose table, step buffer and five P x D sequences exceed the cap."""
-    amps = (2 * n_states + 5 * p_size) * data_dim
-    check_memory(amps, f"counting circuit working set (P = {p_size})")
+    """Refuse a circuit whose working set exceeds the cap.
+
+    The charge is three tables, five P x D sequences and the marked-row
+    mask.  The first pass holds the table, its step buffer and the sign of
+    each float (three tables) beside the P x D means; the transforms hold at
+    most five P x D sequences; the line terms hold one sector's rows and
+    their squares (at most 2.5 tables) beside the two transforms.
+    """
+    needed = 16 * (3 * n_states + 5 * p_size) * data_dim + n_states
+    check_bytes(needed, f"counting circuit working set (P = {p_size})")
 
 
 def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
@@ -76,22 +83,11 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
     n, d = state.n_states, state.data_dim
     check_circuit_memory(n, d, p_size)
     gmask = good.mask(n)
-    two_mu = _doubled_means(state.coeffs, gmask, p_size - 1)
-
-    # B_m = (-1)^(m-1) * sum_{j<m} (-1)^j * 2*mu_j has the recurrence's bits:
-    # negation commutes with rounding.
-    alt = np.where(np.arange(p_size - 1) % 2, -1.0, 1.0)[:, None]
-    offsets = np.zeros((2, p_size, d), dtype=np.complex128)
-    np.cumsum(two_mu, axis=0, out=offsets[0, 1:])
-    np.cumsum(alt * two_mu, axis=0, out=offsets[1, 1:])
-    offsets[1, 1:] *= alt
-    g, b = np.fft.ifft(offsets, axis=1, norm="ortho")
-
-    x0 = math.sqrt(p_size) * state.coeffs
+    g, b = _offset_transforms(_doubled_means(state.coeffs, gmask, p_size - 1))
     marked = good.t * _norm2(g, axis=1)
     unmarked = (n - good.t) * _norm2(b, axis=1)
-    marked[0] = _norm2(x0[gmask] + g[0])
-    unmarked[p_size // 2] = _norm2(x0[~gmask] + b[p_size // 2])
+    marked[0] = _line_norm2(state.coeffs[gmask], p_size, g[0])
+    unmarked[p_size // 2] = _line_norm2(state.coeffs[~gmask], p_size, b[p_size // 2])
     dist = (marked + unmarked) / (p_size * n)
 
     total = float(np.sum(dist))
@@ -115,6 +111,26 @@ def _doubled_means(table: np.ndarray, gmask: np.ndarray, steps: int) -> np.ndarr
         np.multiply(2.0, np.add.reduce(x, 0) / n, out=two_mu[m])
         np.subtract(two_mu[m], x, out=cur)
     return two_mu
+
+
+def _line_norm2(rows: np.ndarray, p_size: int, line: np.ndarray) -> float:
+    """||sqrt(P)*x_0(a) + line||^2 summed over a sector's gathered rows, in their one copy."""
+    rows *= math.sqrt(p_size)
+    rows += line
+    return _norm2(rows)
+
+
+def _offset_transforms(two_mu: np.ndarray) -> np.ndarray:
+    """Transforms of the offsets G_m and B_m over the P branches, from the P - 1 doubled means."""
+    steps, d = two_mu.shape
+    # B_m = (-1)^(m-1) * sum_{j<m} (-1)^j * 2*mu_j has the recurrence's bits:
+    # negation commutes with rounding.
+    alt = np.where(np.arange(steps) % 2, -1.0, 1.0)[:, None]
+    offsets = np.zeros((2, steps + 1, d), dtype=np.complex128)
+    np.cumsum(two_mu, axis=0, out=offsets[0, 1:])
+    np.cumsum(alt * two_mu, axis=0, out=offsets[1, 1:])
+    offsets[1, 1:] *= alt
+    return np.fft.ifft(offsets, axis=1, norm="ortho")
 
 
 def _norm2(a: np.ndarray, axis: int | None = None) -> np.ndarray:

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the package's fast code paths (the
 reflection about the mean, numpy's FFT, the Hadamard butterflies):
 operators are materialized as explicit (N*D x N*D) matrices built from
 Kronecker products, and transforms as explicit DFT matrices, so every fast
-implementation is checked against a slow, obviously-correct one.
+implementation is checked against a slow, obviously-correct one.  Where a
+fast path must keep the bits of a simpler one (the cache-blocked butterflies,
+the closed form on gathered sectors), the simpler one is kept here as well.
 """
 import math
 import os
@@ -24,6 +26,62 @@ def hadamard_matrix(n_qubits: int) -> np.ndarray:
     for _ in range(n_qubits):
         h = np.kron(h, h1)
     return h
+
+
+def butterfly_hadamard(table: np.ndarray) -> np.ndarray:
+    """Hadamard along the rows axis (-2) by unblocked butterfly passes.
+
+    The pass loop ``grover._hadamard_rows`` ran before it was cache-blocked:
+    pass h = 1, 2, 4, ... turns each row pair (a, b), h rows apart, into
+    ((a + b) / sqrt(2), (a - b) / sqrt(2)), over the whole table and in
+    complex arithmetic.  The blocked kernel must give its bits.
+    """
+    src = np.array(table, dtype=np.complex128)
+    dst = np.empty_like(src)
+    *lead, n, d = src.shape
+    h = 1
+    while h < n:
+        a = src.reshape(*lead, n // (2 * h), 2, h * d)
+        b = dst.reshape(*lead, n // (2 * h), 2, h * d)
+        np.add(a[..., 0, :], a[..., 1, :], out=b[..., 0, :])
+        np.subtract(a[..., 0, :], a[..., 1, :], out=b[..., 1, :])
+        dst *= 1.0 / math.sqrt(2.0)
+        src, dst = dst, src
+        h *= 2
+    return src
+
+
+def masked_closed_form_table(c0: np.ndarray, gmask: np.ndarray, ms, n: int) -> np.ndarray:
+    """The closed-form tables as they were computed before the sector gathers.
+
+    Each sector is written through a ufunc ``where=`` mask over the whole
+    (B, N, D) stack.  ``analytic.closed_form_table`` must give its bits.
+    """
+    if n == 0:
+        return c0
+    factors = []
+    for m in ms:
+        c2n = math.cos(2.0 * n * m.theta)
+        s2n = math.sin(2.0 * n * m.theta)
+        tan_t = math.tan(m.theta)
+        bad_b = 1.0 - c2n if n % 2 == 0 else 1.0 + c2n
+        factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, bad_b))
+    good_g, good_b, bad_g, bad_b = np.array(factors).T[..., None]
+    g_avg = np.array([m.g_avg for m in ms])
+    b_avg = np.array([m.b_avg for m in ms])
+    good = gmask[..., None]
+    bad = ~good
+    out = np.empty_like(c0)
+    np.subtract(c0, (good_g * g_avg)[:, None], out=out, where=good)
+    np.add(out, (good_b * b_avg)[:, None], out=out, where=good)
+    if n % 2 == 0:
+        np.subtract(c0, (bad_g * g_avg)[:, None], out=out, where=bad)
+        np.subtract(out, (bad_b * b_avg)[:, None], out=out, where=bad)
+    else:
+        np.negative(c0, out=out, where=bad)
+        np.subtract(out, (bad_g * g_avg)[:, None], out=out, where=bad)
+        np.add(out, (bad_b * b_avg)[:, None], out=out, where=bad)
+    return out
 
 
 def grover_matrix(n_qubits: int, good_indices) -> np.ndarray:

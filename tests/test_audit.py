@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import masked_closed_form_table
 from entgrover import (
     EntangledState,
     GoodSet,
@@ -109,6 +110,112 @@ def test_batch_with_empty_sectors_equals_single_state_audits():
     for a, state, good, h in zip(batched, states, goods, horizons):
         assert readings(a) == readings(audit_trajectory(state, good, h))
     assert [len(a.amp_dev) for a in batched] == [10, 0, 0, 8]
+
+
+def masked_audit_stack(c0, gmask, ms, horizons, steps):
+    """The stack audit as it read each step before the sector gathers.
+
+    The closed form and the variance deviations are formed over the whole
+    (B, N, D) stack through ``where=`` masks, and the marked mass from the
+    whole-table squares; the audit on gathered sectors must give its bits.
+    """
+    n_big = c0.shape[1]
+    ts = [m.t for m in ms]
+    g_spans = checks._spans(ts)
+    b_spans = checks._spans([n_big - t for t in ts])
+    interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
+    pick = slice(None) if len(interior) == len(ms) else interior
+    ms_in = [ms[i] for i in interior]
+    good = gmask[..., None]
+    avg = np.zeros((2,) + c0.shape[::2], dtype=np.complex128)
+    readings = [([], [], [], []) for _ in ms]
+    for n, c in steps:
+        sq = checks._abs2(c)
+        norms = np.add.reduce(sq, axis=(1, 2)).tolist()
+        masses = checks._span_sums(sq[gmask], g_spans)
+        amp_dev = [None] * len(ms)
+        if interior:
+            pred = masked_closed_form_table(c0[pick], gmask[pick], ms_in, n)
+            devs = np.max(np.abs(pred - c[pick]), axis=(1, 2)).tolist()
+            for i, dev in zip(interior, devs):
+                amp_dev[i] = dev
+        checks._span_means(c[gmask], g_spans, avg[0])
+        checks._span_means(c[~gmask], b_spans, avg[1])
+        diff = np.empty_like(c)
+        np.subtract(c, avg[0][:, None], out=diff, where=good)
+        np.subtract(c, avg[1][:, None], out=diff, where=~good)
+        spread = checks._abs2(diff)
+        var_g = checks._span_sums(spread[gmask], g_spans)
+        var_b = checks._span_sums(spread[~gmask], b_spans)
+        for i, m in enumerate(ms):
+            if n > horizons[i]:
+                continue
+            drift_g = abs(var_g[i] / ts[i] - m.var_g) if ts[i] else 0.0
+            drift_b = abs(var_b[i] / (n_big - ts[i]) - m.var_b) if ts[i] < n_big else 0.0
+            reading = (masses[i] / n_big, amp_dev[i], max(drift_g, drift_b),
+                       abs(math.sqrt(norms[i] / n_big) - 1.0))
+            for series, value in zip(readings[i], reading):
+                if value is not None:
+                    series.append(value)
+    return [checks.TrajectoryAudit(m, *map(tuple, r)) for m, r in zip(ms, readings)]
+
+
+def _stack_audits(states, goods, horizons, audit):
+    ms = [moments(s, g) for s, g in zip(states, goods)]
+    stack = np.stack([s.coeffs for s in states])
+    masks = np.stack([g.mask(stack.shape[1]) for g in goods])
+    steps = grover.trajectory_tables(stack, masks, max(horizons))
+    return audit(stack, masks, ms, horizons, steps)
+
+
+@pytest.mark.parametrize(
+    "n,d,ts,horizons",
+    [
+        (1024, 64, [300], [5]),  # one table above the 512 KiB block
+        (16, 2, [5, 0, 16, 1], [9, 4, 12, 7]),
+        (64, 3, [16, 64, 0, 63, 1, 40], [6, 3, 8, 2, 7, 5]),
+    ],
+)
+def test_gathered_read_equals_the_masked_read(n, d, ts, horizons):
+    rng = np.random.default_rng(n + d)
+    states = [from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
+              for _ in ts]
+    goods = [random_good_set(n, t, seed=i) for i, t in enumerate(ts)]
+    new = _stack_audits(states, goods, horizons, checks._audit_stack)
+    old = _stack_audits(states, goods, horizons, masked_audit_stack)
+    assert [len(a.p_sim) for a in new] == [h + 1 for h in horizons]
+    assert [readings(a) for a in new] == [readings(a) for a in old]
+
+
+def test_closed_form_table_keeps_the_masked_bits():
+    rng = np.random.default_rng(8)
+    states = [from_amplitudes(rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)), True)
+              for _ in range(3)]
+    goods = [random_good_set(32, t, seed=t) for t in (1, 9, 31)]
+    c0 = np.stack([s.coeffs for s in states])
+    gmask = np.stack([g.mask(32) for g in goods])
+    ms = [moments(s, g) for s, g in zip(states, goods)]
+    for n in range(7):
+        got = analytic.closed_form_table(c0, gmask, ms, n)
+        want = masked_closed_form_table(c0, gmask, ms, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_find_sized_audit_allocates_no_more_than_before():
+    """Reading each step over the whole table, this audit peaked at 4.005 tables (numpy 2.4.6)."""
+    rng = np.random.default_rng(3)
+    n, d = 1 << 12, 64
+    state = from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
+    good = random_good_set(n, 300, seed=4)
+    m = moments(state, good)
+    audit_trajectory(state, good, 2, m)
+    tracemalloc.start()
+    try:
+        audit_trajectory(state, good, 6, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.005 * n * d * 16
 
 
 def test_single_state_audit_allocates_no_more_than_before():

@@ -166,12 +166,26 @@ class TestCircuitDistribution:
         assert peak <= 2**20
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
-        # table and step buffer 2 x 16 + five sequences of 64 amplitudes, not P*N*D
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64) - 1))
+        # three tables of 16 amplitudes, five sequences of 64 and a 16-byte mask, not P*N*D
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (3 * 16 + 5 * 64) + 16 - 1))
         with pytest.raises(MemoryLimitError):
             circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64)))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (3 * 16 + 5 * 64) + 16))
         assert circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64).sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("nq,d,t,p", [(12, 1, 100, 1024), (12, 4, 100, 1024), (10, 4, 1, 4096)])
+    def test_memory_charge_covers_the_traced_peak(self, monkeypatch, nq, d, t, p):
+        state, good = random_state(nq, d, seed=63), random_marked(1 << nq, t, seed=64)
+        charged = []
+        monkeypatch.setattr(counting, "check_bytes", lambda needed, what: charged.append(needed))
+        circuit_distribution(state, good, p)
+        tracemalloc.start()
+        try:
+            circuit_distribution(state, good, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[-1]
 
 
 class TestBuildCountState:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grover_matrix, hadamard_matrix, random_marked, random_state
+from conftest import (
+    butterfly_hadamard,
+    grover_matrix,
+    hadamard_matrix,
+    random_marked,
+    random_state,
+)
 from entgrover import (
     GoodSet,
     grover,
@@ -69,6 +75,62 @@ class TestWalshHadamard:
         assert walsh_hadamard(state).physical_norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _kernel(table):
+    src = np.array(table, dtype=np.complex128)
+    return grover._hadamard_rows(src, np.empty_like(src))[0]
+
+
+def _table(shape, seed):
+    """Random complex entries, save a first column of real part +0 and a last of imaginary part -0.
+
+    Those zeros stay zero through every pass, and the complex scaling keeps
+    their sign, which a scaling of the float64 view would not.
+    """
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    table.real[..., 0] = 0.0
+    table.imag[..., -1] = -0.0
+    return table
+
+
+class TestHadamardKernel:
+    # The block is 512 KiB: 512 rows of D = 64 amplitudes (9 low passes), 1024
+    # rows of D = 32 (10), 2^15 rows of D = 1 (15) and 2^14 of D = 2 (14).  The
+    # tables sit below, at and above it, with 0 to 3 high passes.  The stacks
+    # hold tables above a block, whole tables eight to a block, and tables
+    # that share one block.
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (256, 64), (512, 64), (1024, 64), (2048, 64), (4096, 64),
+            (2048, 32), (4096, 32),
+            (1 << 15, 1), (1 << 16, 1), (1 << 17, 1), (1 << 16, 2),
+            (3, 1024, 64), (40, 64, 64), (7, 16, 3),
+            (0, 4), (0, 16, 2), (1, 5),
+        ],
+    )
+    def test_equals_the_unblocked_passes_bit_for_bit(self, shape):
+        table = _table(shape, seed=sum(shape))
+        assert np.array_equal(_bits(_kernel(table)), _bits(butterfly_hadamard(table)))
+
+    @pytest.mark.parametrize("block_bytes", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("shape", [(64, 1), (32, 2), (16, 3), (4, 8, 2), (5, 16, 1)])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, block_bytes, shape):
+        monkeypatch.setattr(grover, "_BLOCK_BYTES", block_bytes)
+        table = _table(shape, seed=block_bytes)
+        assert np.array_equal(_bits(_kernel(table)), _bits(butterfly_hadamard(table)))
+
+    @pytest.mark.parametrize("nq,d", [(1, 1), (6, 64), (9, 4), (10, 1)])
+    def test_matches_the_dense_kronecker_product(self, monkeypatch, nq, d):
+        monkeypatch.setattr(grover, "_BLOCK_BYTES", 1024)  # blocks of 64, 16 and 1 rows
+        table = _table((1 << nq, d), seed=nq)
+        np.testing.assert_allclose(_kernel(table), hadamard_matrix(nq) @ table, atol=1e-12)
+
+
 class TestReflectZero:
     def test_flat_n2(self):
         out = reflect_zero(new_flat(1, 1))
@@ -118,6 +180,18 @@ class TestGroverStep:
         good = random_marked(1 << nq, t, seed + 100)
         composed = walsh_hadamard(reflect_zero(walsh_hadamard(oracle_phase_flip(state, good))))
         assert np.array_equal(grover_step(state, good).coeffs, -composed.coeffs)
+
+    @pytest.mark.parametrize("nq,d,t,seed", [(1, 1, 1, 0), (4, 3, 5, 1), (6, 2, 64, 2), (11, 64, 300, 3)])
+    def test_equals_the_unblocked_composition_bit_for_bit(self, nq, d, t, seed):
+        state = random_state(nq, d, seed)
+        good = random_marked(1 << nq, t, seed + 100)
+        x = state.coeffs.copy()
+        gmask = good.mask(1 << nq)
+        x[gmask] = -x[gmask]
+        x = butterfly_hadamard(x)
+        x[0] = -x[0]
+        x = -butterfly_hadamard(x)
+        assert np.array_equal(_bits(grover_step(state, good).coeffs), _bits(x))
 
     def test_works_in_two_owned_buffers(self):
         """The phase flip's copy and one scratch table, plus numpy's fixed 384 KiB

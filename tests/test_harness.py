@@ -122,9 +122,9 @@ class TestRunCount:
         assert window["value"] < s.tolerances.probability
 
 
-# The counting circuit's working set at N = 2^12, D = 1, P = 1024: the table,
-# a step buffer and five P x D sequences of complex128.
-CIRCUIT_BYTES = 16 * (2 * 4096 + 5 * 1024)
+# The counting circuit's working set at N = 2^12, D = 1, P = 1024: three tables,
+# five P x D sequences of complex128 and the marked-row mask.
+CIRCUIT_BYTES = 16 * (3 * 4096 + 5 * 1024) + 4096
 
 
 class TestSweep:
