@@ -9,8 +9,13 @@ and the acceptance test suite, so a criterion is stated exactly once.
 everything the closed forms predict about it: the marked-sector mass, the
 amplitude deviation from the closed-form rows, the drift of the sector
 variances and of the norm.  The ``find`` and ``sweep`` runners read their
-checks from it.  Each step's marked and unmarked rows are gathered once, and
-every reading but the norm is taken on those gathered rows.
+checks from it.  The audit steps the trajectory itself, through
+``grover._step_rows``, in three tables it allocates once per call and
+rotates: each step's table is written into two of them, and each read
+gathers the step's marked and unmarked rows into a free one with
+``np.take``.  Every reading but the norm is taken on those gathered rows,
+and every temporary is carved from the free tables, so nothing the size of
+a table is allocated from step to step.
 
 The battery builds its corpus once (``build_corpus``) for criteria 1-4.
 It holds many small states of a few table shapes, so it is kept as one
@@ -107,8 +112,24 @@ class TrajectoryAudit:
     norm_dev: tuple[float, ...]
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return np.square(z.real) + np.square(z.imag)
+def _abs2(z: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array, formed in a free complex buffer.
+
+    ``buf`` is C-contiguous with at least ``z.size`` amplitudes: the squares
+    of the real and the imaginary parts fill the two halves of its float
+    view, and their sum is returned in the first half, as a contiguous array
+    of ``z``'s shape.
+    """
+    sq, im = _float_rows(buf, z.shape), _float_rows(buf, z.shape, z.size)
+    np.square(z.real, out=sq)
+    np.square(z.imag, out=im)
+    return np.add(sq, im, out=sq)
+
+
+def _float_rows(buf: np.ndarray, shape: tuple[int, ...], skip: int = 0) -> np.ndarray:
+    """A contiguous float64 array of ``shape`` carved from a free complex buffer,
+    starting ``skip`` floats in."""
+    return buf.reshape(-1).view(np.float64)[skip : skip + math.prod(shape)].reshape(shape)
 
 
 def _spans(sizes: list[int]) -> list[slice]:
@@ -129,11 +150,10 @@ def _span_means(flat: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
             out[i] = np.add.reduce(flat[span], 0) / (span.stop - span.start)
 
 
-def _span_maxima(pred: np.ndarray, sim: np.ndarray, spans: list[slice]) -> np.ndarray:
-    """Largest |pred - sim| over each non-empty span of rows of two like gathers; overwrites pred."""
-    pred -= sim
-    d = pred.shape[1]
-    return np.maximum.reduceat(np.abs(pred).reshape(-1), [span.start * d for span in spans])
+def _sector_rows(gmask: np.ndarray, keep: np.ndarray | bool = True) -> np.ndarray:
+    """Flat row indices, in a (B*N, D) view, of the gathers ``c[gmask]`` then
+    ``c[~gmask]`` restricted to the tables that ``keep`` (B, 1) selects."""
+    return np.concatenate([np.flatnonzero(gmask & keep), np.flatnonzero(~gmask & keep)])
 
 
 def _audit_stack(
@@ -141,63 +161,85 @@ def _audit_stack(
     gmask: np.ndarray,
     ms: list[qstate.MomentSummary],
     horizons: list[int],
-    steps,
 ) -> list[TrajectoryAudit]:
-    """Audit B same-shape trajectories that are stepped in lock step.
+    """Step B same-shape trajectories in lock step and audit every step.
 
     ``c0`` is the (B, N, D) stack of initial tables, ``gmask`` their (B, N)
     marked-row masks, ``ms`` their moments and ``horizons`` the last step
-    audited for each; ``steps`` yields (n, stacked table) for n = 0 ..
-    max(horizons).  Each step's two sectors are gathered once, ``c[gmask]``
-    and ``c[~gmask]``, which lays each state's rows out one state after
-    another.  The marked mass, the closed-form deviation
-    (``analytic.closed_form_sectors`` on the initial rows gathered the same
-    way) and the sector variances are read on those rows; only the norm is
-    summed over the whole table.  Sums over a state's rows are reduced state
-    by state, with the calls ``qstate.good_mass`` and ``qstate.moments``
-    make, so every reading stays bit for bit what the state gives alone.
+    audited for each; the stack is stepped to max(horizons).
+
+    The call owns its memory: three tables of the stack's shape, allocated
+    once and rotated.  One holds the current step and is only read until
+    ``grover._step_rows`` writes the next step into the other two (from
+    step 1 on it flips the current table in place, dead once read).  Each
+    read gathers the two sectors, ``c[gmask]`` then ``c[~gmask]``, which lay
+    each state's rows out one state after another, into one free table with
+    ``np.take``; the predictions (``analytic.closed_form_sectors`` on the
+    initial rows gathered the same way) and every |z|^2 go to the other.
+    The closed-form deviation's absolute values overwrite the gathered rows,
+    which are then gathered again.  The marked mass, the closed-form
+    deviation and the sector variances are read on the gathered rows; only
+    the norm is summed over the whole table.  Sums over a state's rows are
+    reduced state by state, with the calls ``qstate.good_mass`` and
+    ``qstate.moments`` make, so every reading stays bit for bit what the
+    state gives alone.
     """
-    n_big = c0.shape[1]
+    n_big, d = c0.shape[1:]
     ts = [m.t for m in ms]
     n_bad = [n_big - t for t in ts]
+    n_good_rows = sum(ts)
     # Each state's rows in the stack-wide gathers c[gmask] and c[~gmask].
     g_spans = _spans(ts)
     b_spans = _spans(n_bad)
-    # The closed form is singular at t in {0, N}: predict the others only.
+    rows = _sector_rows(gmask)
+    # The closed form is singular at t in {0, N}: predict the others only,
+    # on the same gathers restricted to their rows.
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
-    every = len(interior) == len(ms)
-    pick = slice(None) if every else interior
-    c0_in, gmask_in = c0[pick], gmask[pick]
     ms_in = [ms[i] for i in interior]
-    g_spans_in = _spans([m.t for m in ms_in])
-    b_spans_in = _spans([n_big - m.t for m in ms_in])
+    if len(interior) == len(ms):
+        rows_in = rows
+    else:
+        inside = np.zeros((len(ms), 1), dtype=bool)
+        inside[interior] = True
+        rows_in = _sector_rows(gmask, inside)
+    g_in = sum(m.t for m in ms_in)
+    k_in = len(rows_in)
+    # Where each predicted state's marked, then unmarked, rows start in the
+    # flattened deviation.
+    starts = [s.start * d for s in _spans([m.t for m in ms_in])]
+    starts += [(g_in + s.start) * d for s in _spans([n_big - m.t for m in ms_in])]
+    c0_rows = c0.reshape(-1, d)
+    arena = [np.empty_like(c0) for _ in range(3)]
     avg = np.zeros((2,) + c0.shape[::2], dtype=np.complex128)
 
-    def read(n: int, c: np.ndarray):
+    def read(n: int, c: np.ndarray, sectors: np.ndarray, work: np.ndarray):
         """(p_sim, amp_dev or None, var_drift, norm_dev) of each stacked table at step n."""
-        # Full-size temporaries are dropped as soon as they are read, so
-        # that a single-state audit peaks below the step it audits.
-        sq = _abs2(c)
-        norms = np.add.reduce(sq, axis=(1, 2)).tolist()
-        del sq
-        good, bad = c[gmask], c[~gmask]
-        masses = _span_sums(_abs2(good), g_spans)
+        norms = np.add.reduce(_abs2(c, work), axis=(1, 2)).tolist()
+        c_rows, flat = c.reshape(-1, d), sectors.reshape(-1, d)
         amp_dev = [None] * len(ms)
         if interior:
-            sim = (good, bad) if every else (c[pick][gmask_in], c[pick][~gmask_in])
-            pred = analytic.closed_form_sectors(c0_in[gmask_in], c0_in[~gmask_in], ms_in, n)
-            devs = np.maximum(
-                _span_maxima(pred[0], sim[0], g_spans_in), _span_maxima(pred[1], sim[1], b_spans_in)
-            )
-            del pred, sim
+            # The predicted states' rows, simulated and predicted, gathered
+            # alike; the deviation's absolute values then overwrite the
+            # simulated rows, which are gathered again below.
+            sim, pred = flat[:k_in], work.reshape(-1, d)[:k_in]
+            np.take(c_rows, rows_in, axis=0, out=sim, mode="clip")
+            np.take(c0_rows, rows_in, axis=0, out=pred, mode="clip")
+            analytic.closed_form_sectors(pred[:g_in], pred[g_in:], ms_in, n)
+            pred -= sim
+            abs_dev = np.abs(pred, out=_float_rows(sectors, pred.shape))
+            maxima = np.maximum.reduceat(abs_dev.reshape(-1), starts)
+            devs = np.maximum(maxima[: len(interior)], maxima[len(interior) :])
             for i, dev in zip(interior, devs.tolist()):
                 amp_dev[i] = dev
+        np.take(c_rows, rows, axis=0, out=flat, mode="clip")
+        good, bad = flat[:n_good_rows], flat[n_good_rows:]
+        masses = _span_sums(_abs2(good, work), g_spans)
         _span_means(good, g_spans, avg[0])
         _span_means(bad, b_spans, avg[1])
         good -= analytic.sector_rows(avg[0], ts)
         bad -= analytic.sector_rows(avg[1], n_bad)
-        var_g = _span_sums(_abs2(good), g_spans)
-        var_b = _span_sums(_abs2(bad), b_spans)
+        var_g = _span_sums(_abs2(good, work), g_spans)
+        var_b = _span_sums(_abs2(bad, work), b_spans)
         out = []
         for i, m in enumerate(ms):
             drift_g = abs(var_g[i] / ts[i] - m.var_g) if ts[i] else 0.0
@@ -211,12 +253,18 @@ def _audit_stack(
         return out
 
     readings = [([], [], [], []) for _ in ms]
-    for n, c in steps:
-        for i, reading in enumerate(read(n, c)):
+    last = max(horizons)
+    c = c0
+    for n in range(last + 1):
+        free = [table for table in arena if table is not c]
+        for i, reading in enumerate(read(n, c, free[0], free[1])):
             if n <= horizons[i]:
                 for series, value in zip(readings[i], reading):
                     if value is not None:
                         series.append(value)
+        if n < last:
+            out, scratch = (free[0], free[1]) if c is c0 else (c, free[0])
+            c = grover._step_rows(c, gmask, out, scratch)[0]
     return [TrajectoryAudit(m, *map(tuple, r)) for m, r in zip(ms, readings)]
 
 
@@ -229,18 +277,17 @@ def audit_trajectory(
     """Simulate n_max steps once and compare every step with the predictions.
 
     ``m`` is moments(state, good) when the caller already has it.  This is
-    the batch of one of the corpus audit: steps are streamed from
-    ``grover.grover_trajectory``, so memory stays at a few tables whatever
-    n_max is.  The mass is computed as ``qstate.good_mass`` and the
-    variances as ``qstate.moments`` compute them, bit for bit; the norm uses
-    numpy's pairwise sum, not the exactly-rounded sum of ``physical_norm``,
-    and agrees with it to about 1e-16.
+    the batch of one of the corpus audit, so memory stays at the audit's
+    fixed tables whatever n_max is.  The mass is computed as
+    ``qstate.good_mass`` and the variances as ``qstate.moments`` compute
+    them, bit for bit; the norm uses numpy's pairwise sum, not the
+    exactly-rounded sum of ``physical_norm``, and agrees with it to about
+    1e-16.
     """
     if m is None:
         m = qstate.moments(state, good)
-    steps = ((n, sim.coeffs[None]) for n, sim in grover.grover_trajectory(state, good, n_max))
     gmask = good.mask(state.n_states)[None]
-    return _audit_stack(state.coeffs[None], gmask, [m], [n_max], steps)[0]
+    return _audit_stack(state.coeffs[None], gmask, [m], [n_max])[0]
 
 
 def _law_horizon(m: qstate.MomentSummary) -> int:
@@ -275,8 +322,7 @@ def build_corpus(cfg: VerifyConfig) -> Corpus:
         gmask = np.stack([states[i][1].mask(c0.shape[1]) for i in idx])
         ms = tuple(qstate.moments(*states[i]) for i in idx)
         horizons = [max(cfg.max_steps, _law_horizon(m)) for m in ms]
-        steps = grover.trajectory_tables(c0, gmask, max(horizons))
-        for i, audit in zip(idx, _audit_stack(c0, gmask, ms, horizons, steps)):
+        for i, audit in zip(idx, _audit_stack(c0, gmask, ms, horizons)):
             audits[i] = audit
         stacks.append((c0, gmask, ms))
     return Corpus(tuple(stacks), tuple(audits))

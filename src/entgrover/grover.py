@@ -32,11 +32,20 @@ The row operators act on the rows axis (-2) of any leading batch shape.
 ``trajectory_tables`` steps a stack of same-shape tables (B, N, D), with
 marked-row masks (B, N), in lock step; every operation is elementwise, so
 each table gets the bits it gets alone.  ``grover_trajectory`` wraps the same
-generator for one state, without stacking it.
+generator for one state, without stacking it, and ``grover_iterate`` keeps
+its last table.
+
+There is one step code path, ``_step_rows``, which writes the step into two
+buffers its caller passes and allocates no table.  The public functions pass
+a fresh output table for every step and carry the buffer a step leaves over
+to the next step as scratch, so each table they return is new and never
+written again.  The
+trajectory audit (``checks._audit_stack``) steps through ``_step_rows``
+directly, in three tables it allocates once per call and rotates.
 
 Everything here acts on the search index only; the data register rides
-along untouched.  All functions are pure and numerically exact up to
-double rounding (no N x N matrix is ever materialized).  Their inputs were
+along untouched.  The public functions are pure and numerically exact up
+to double rounding (no N x N matrix is ever materialized).  Their inputs were
 validated where they entered the package, and each operator is unitary, so
 results are wrapped through ``EntangledState._trusted`` without a copy or a
 second norm check; the accumulated drift of the norm is what the trajectory
@@ -116,18 +125,25 @@ def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
-    """-W S0 W S_H on the rows, composed operator by operator.
+def _step_rows(
+    src: np.ndarray, gmask: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """-W S0 W S_H on the rows, composed operator by operator, in caller buffers.
 
-    ``table`` is (..., N, D) and ``gmask`` the matching (..., N) marked-row mask.
-    Both transforms run in two buffers: the phase flip's fresh table and one
-    scratch table.
+    ``src`` is (..., N, D) and ``gmask`` the matching (..., N) marked-row mask.
+    The phase flip writes into ``out`` (``src`` itself flips in place) and both
+    transforms run in ``out`` and ``scratch``, two C-contiguous tables of
+    ``src``'s shape; returns (result, the other buffer).  Nothing the size of
+    a table is allocated.
     """
-    out = _flip_good(table, gmask)
-    out, scratch = _hadamard_rows(out, np.empty_like(out))
+    if out is not src:
+        np.copyto(out, src)
+    np.negative(out, out=out, where=gmask[..., None])
+    out, scratch = _hadamard_rows(out, scratch)
     np.negative(out[..., 0, :], out=out[..., 0, :])
-    out, _ = _hadamard_rows(out, scratch)
-    return np.negative(out, out=out)
+    out, scratch = _hadamard_rows(out, scratch)
+    np.negative(out, out=out)
+    return out, scratch
 
 
 def _reflect_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
@@ -162,7 +178,8 @@ def reflect_zero(state: EntangledState) -> EntangledState:
 def grover_step(state: EntangledState, good: GoodSet) -> EntangledState:
     """One amplification step: -W S0 W S_H, global sign included."""
     gmask = good.mask(state.n_states)
-    return _wrap(state, _step_rows(state.coeffs, gmask))
+    c = state.coeffs
+    return _wrap(state, _step_rows(c, gmask, np.empty_like(c), np.empty_like(c))[0])
 
 
 def grover_iterate(state: EntangledState, good: GoodSet, n: int) -> EntangledState:
@@ -171,10 +188,8 @@ def grover_iterate(state: EntangledState, good: GoodSet, n: int) -> EntangledSta
         raise ValueError(f"iteration count must be >= 0, got {n}")
     if n == 0:
         return state
-    gmask = good.mask(state.n_states)
-    c = state.coeffs
-    for _ in range(n):
-        c = _step_rows(c, gmask)
+    for _, c in trajectory_tables(state.coeffs, good.mask(state.n_states), n):
+        pass
     return _wrap(state, c)
 
 
@@ -184,14 +199,16 @@ def trajectory_tables(table: np.ndarray, gmask: np.ndarray, n_max: int):
     ``table`` is one (N, D) table or a stack (B, N, D) of same-shape tables
     stepped in lock step, with ``gmask`` of shape (N,) or (B, N).  Each
     stacked table gets the bits it would get alone.  n = 0 yields ``table``
-    itself; later tables are fresh arrays.
+    itself; each later step gets a fresh output table, so a yielded table is
+    never written again, and the buffer a step leaves over is the next step's
+    scratch.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     yield 0, table
-    c = table
+    c, spare = table, np.empty_like(table)
     for n in range(1, n_max + 1):
-        c = _step_rows(c, gmask)
+        c, spare = _step_rows(c, gmask, np.empty_like(c), spare)
         yield n, c
 
 

@@ -1,4 +1,5 @@
 """Operator correctness against dense-matrix application."""
+import itertools
 import math
 import tracemalloc
 
@@ -240,6 +241,32 @@ class TestGroverIterate:
         good = GoodSet((1,))
         for n, step_state in grover_trajectory(state, good, 6):
             assert np.array_equal(step_state.coeffs, grover_iterate(state, good, n).coeffs)
+
+    # Even and odd log2 N, below and above the cache block: an odd pass count
+    # leaves a step's result in its scratch buffer.
+    @pytest.mark.parametrize("nq,d", [(4, 3), (5, 2), (10, 64), (11, 64)])
+    def test_trajectory_yields_independent_read_only_tables(self, nq, d):
+        """Buffers a step reuses must never surface in a yielded state."""
+        state = random_state(nq, d, seed=nq)
+        good = random_marked(1 << nq, 3, seed=nq + 1)
+        trajectory = list(grover_trajectory(state, good, 9))
+        assert [n for n, _ in trajectory] == list(range(10))
+        assert trajectory[0][1] is state
+        for n, step_state in trajectory:
+            assert not step_state.coeffs.flags.writeable
+            want = grover_iterate(state, good, n).coeffs
+            assert np.array_equal(_bits(step_state.coeffs), _bits(want))
+        for (_, a), (_, b) in itertools.combinations(trajectory, 2):
+            assert not np.may_share_memory(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("nq,d", [(4, 3), (5, 2), (10, 64), (11, 64)])
+    def test_iterate_equals_composed_steps_bit_for_bit(self, nq, d):
+        state = random_state(nq, d, seed=nq + 2)
+        good = random_marked(1 << nq, 5, seed=nq + 3)
+        stepped = state
+        for n in range(1, 6):
+            stepped = grover_step(stepped, good)
+            assert np.array_equal(_bits(grover_iterate(state, good, n).coeffs), _bits(stepped.coeffs))
 
     def test_stacked_trajectory_equals_each_state_alone(self):
         states = [random_state(3, 2, seed=s) for s in (14, 15, 16)]
