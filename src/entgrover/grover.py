@@ -37,11 +37,11 @@ its last table.
 
 There is one step code path, ``_step_rows``, which writes the step into two
 buffers its caller passes and allocates no table.  The public functions pass
-a fresh output table for every step and carry the buffer a step leaves over
-to the next step as scratch, so each table they return is new and never
-written again.  The
-trajectory audit (``checks._audit_stack``) steps through ``_step_rows``
-directly, in three tables it allocates once per call and rotates.
+a fresh C-ordered output table for every step, whatever the input's layout,
+and carry the buffer a step leaves over to the next step as scratch, so
+each table they return is new and never written again.  The trajectory
+audit (``checks._audit_stack``) steps through ``_step_rows`` directly, in
+three tables it allocates once per call and rotates.
 
 Everything here acts on the search index only; the data register rides
 along untouched.  The public functions are pure and numerically exact up
@@ -179,7 +179,8 @@ def grover_step(state: EntangledState, good: GoodSet) -> EntangledState:
     """One amplification step: -W S0 W S_H, global sign included."""
     gmask = good.mask(state.n_states)
     c = state.coeffs
-    return _wrap(state, _step_rows(c, gmask, np.empty_like(c), np.empty_like(c))[0])
+    out, scratch = np.empty_like(c, order="C"), np.empty_like(c, order="C")
+    return _wrap(state, _step_rows(c, gmask, out, scratch)[0])
 
 
 def grover_iterate(state: EntangledState, good: GoodSet, n: int) -> EntangledState:
@@ -206,9 +207,9 @@ def trajectory_tables(table: np.ndarray, gmask: np.ndarray, n_max: int):
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     yield 0, table
-    c, spare = table, np.empty_like(table)
+    c, spare = table, np.empty_like(table, order="C")
     for n in range(1, n_max + 1):
-        c, spare = _step_rows(c, gmask, np.empty_like(c), spare)
+        c, spare = _step_rows(c, gmask, np.empty_like(c, order="C"), spare)
         yield n, c
 
 

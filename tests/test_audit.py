@@ -111,6 +111,16 @@ def test_batch_with_empty_sectors_equals_single_state_audits():
     assert [len(a.amp_dev) for a in batched] == [10, 0, 0, 8]
 
 
+@pytest.mark.parametrize("nq,d", [(4, 3), (11, 64)])
+def test_fortran_ordered_state_audits_like_the_c_ordered_one(nq, d):
+    rng = np.random.default_rng(nq)
+    state = from_amplitudes(rng.standard_normal((1 << nq, d)) + 1j * rng.standard_normal((1 << nq, d)), True)
+    fortran = from_amplitudes(np.asfortranarray(state.coeffs))
+    assert fortran.coeffs.flags.f_contiguous and not fortran.coeffs.flags.c_contiguous
+    good = random_good_set(1 << nq, 5, seed=nq)
+    assert readings(audit_trajectory(fortran, good, 6)) == readings(audit_trajectory(state, good, 6))
+
+
 def abs2(z):
     return np.square(z.real) + np.square(z.imag)
 

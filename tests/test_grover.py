@@ -268,6 +268,21 @@ class TestGroverIterate:
             stepped = grover_step(stepped, good)
             assert np.array_equal(_bits(grover_iterate(state, good, n).coeffs), _bits(stepped.coeffs))
 
+    # A Fortran-ordered table's last axis is strided; the butterflies view it
+    # as floats, so the step buffers must be C-ordered whatever the input.
+    @pytest.mark.parametrize("nq,d", [(4, 3), (11, 64)])
+    def test_fortran_ordered_table_steps_like_the_c_ordered_one(self, nq, d):
+        state = random_state(nq, d, seed=nq + 4)
+        fortran = from_amplitudes(np.asfortranarray(state.coeffs))
+        assert fortran.coeffs.flags.f_contiguous and not fortran.coeffs.flags.c_contiguous
+        good = random_marked(1 << nq, 5, seed=nq + 5)
+        pairs = [(grover_step(fortran, good), grover_step(state, good)),
+                 (grover_iterate(fortran, good, 4), grover_iterate(state, good, 4))]
+        pairs += [(a, b) for (_, a), (_, b) in
+                  zip(grover_trajectory(fortran, good, 4), grover_trajectory(state, good, 4))]
+        for got, want in pairs:
+            assert np.array_equal(_bits(got.coeffs), _bits(want.coeffs))
+
     def test_stacked_trajectory_equals_each_state_alone(self):
         states = [random_state(3, 2, seed=s) for s in (14, 15, 16)]
         goods = [random_marked(8, 3, seed=17), GoodSet(()), GoodSet(tuple(range(8)))]
