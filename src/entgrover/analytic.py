@@ -31,11 +31,12 @@ P(n) = P_av for every n; this is a physical regime (e.g. any one-to-one
 row mapping), reported through the ``degenerate`` flag rather than an
 exception.
 
-The iterated rows are predicted one sector at a time: after n steps every
-marked row is its initial value plus the same combination of Gbar and Bbar,
-and so is every unmarked row, up to the sign (-1)^n.  ``closed_form_sectors``
-applies that to a sector's gathered rows, which is how the trajectory audit
-reads it; ``closed_form_table`` scatters both sectors back into a table.
+After n steps every marked row is its initial value plus the same
+combination of Gbar and Bbar, and so is every unmarked row, up to the sign
+(-1)^n.  ``closed_form_table`` is the one evaluator: it predicts a stack of
+tables in their own row order, every row by the unmarked-row formula first
+and then the marked rows, gathered, by theirs.  The trajectory audit writes
+the same predictions into a buffer it owns.
 """
 from __future__ import annotations
 
@@ -178,62 +179,61 @@ def closed_form_table(
 ) -> np.ndarray:
     """Predicted coefficient tables after n steps, for a stack of same-shape states.
 
+    Marked rows:    f_g - (1 - cos(2n*theta)) Gbar + cot(theta) sin(2n*theta) Bbar
+    Unmarked rows:  (-1)^n f_b - tan(theta) sin(2n*theta) Gbar + (cos(2n*theta) - (-1)^n) Bbar
+
     ``c0`` is a (B, N, D) stack of initial tables, ``gmask`` their (B, N)
-    marked-row masks and ``ms`` their B moment summaries.  The rows are
-    predicted sector by sector (``closed_form_sectors``) and scattered back,
-    so a stack of one gives the bits of any larger stack holding that state.
+    marked-row masks and ``ms`` their B moment summaries.  Every entry sees
+    the same operations in the same order as its state predicted alone, so a
+    stack of one gives the bits of any larger stack holding that state.
     Singular at t in {0, N} (the construction divides by sin(2*theta)).
     n = 0 returns ``c0`` itself, not a copy.
     """
     _check_closed_form(ms, n)
     if n == 0:
         return c0
-    out = np.empty_like(c0)
-    out[gmask], out[~gmask] = closed_form_sectors(c0[gmask], c0[~gmask], ms, n)
-    return out
+    scratch = np.empty((np.count_nonzero(gmask), c0.shape[-1]), dtype=np.complex128)
+    return _closed_form_into(c0, gmask, ms, n, np.empty_like(c0, order="C"), scratch)
 
 
-def closed_form_sectors(
-    good: np.ndarray, bad: np.ndarray, ms: Sequence[MomentSummary], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite gathered initial rows with their predictions after n steps.
+def _closed_form_into(
+    c0: np.ndarray,
+    gmask: np.ndarray,
+    ms: Sequence[MomentSummary],
+    n: int,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """``closed_form_table`` for interior states, written into ``out``, a C-ordered
+    table of ``c0``'s shape (n = 0 gives ``c0`` up to the sign of a zero).
 
-    Marked rows:    f_g - (1 - cos(2n*theta)) Gbar + cot(theta) sin(2n*theta) Bbar
-    Unmarked rows:  even n:  f_b - tan(theta) sin(2n*theta) Gbar - (1 - cos(2n*theta)) Bbar
-                    odd n:  -f_b - tan(theta) sin(2n*theta) Gbar + (1 + cos(2n*theta)) Bbar
-
-    ``good`` holds the marked rows of B same-shape states, one state after
-    another as the gather ``c0[gmask]`` of their (B, N, D) stack lays them
-    out, and ``bad`` their unmarked rows likewise; ``ms`` are their moment
-    summaries.  Both arrays are overwritten and returned.  The per-state
-    trigonometric factors are computed with ``math``, and every entry sees
-    the same operations in the same order as a state predicted alone.
+    Every row first gets the unmarked-row formula, with each state's (B, 1, D)
+    vectors.  The marked rows are then gathered from ``c0`` into the first rows
+    of ``scratch``, a C-ordered (rows, D) buffer with a row for each, predicted
+    there and scattered back.  The per-state factors are computed with ``math``.
     """
-    _check_closed_form(ms, n)
-    if n == 0:
-        return good, bad
     factors = []
     for m in ms:
         c2n = math.cos(2.0 * n * m.theta)
         s2n = math.sin(2.0 * n * m.theta)
         tan_t = math.tan(m.theta)
-        bad_b = 1.0 - c2n if n % 2 == 0 else 1.0 + c2n
-        factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, bad_b))
+        factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, c2n - (-1.0) ** n))
     good_g, good_b, bad_g, bad_b = np.array(factors).T[..., None]
     g_avg = np.array([m.g_avg for m in ms])
     b_avg = np.array([m.b_avg for m in ms])
+    drift = (bad_g * g_avg)[:, None]
+    if n % 2:  # -f_b - v rounds as (-v) - f_b: the same sum, without negating the table
+        np.subtract(-drift, c0, out=out)
+    else:
+        np.subtract(c0, drift, out=out)
+    out += (bad_b * b_avg)[:, None]
     n_good = [m.t for m in ms]
-    n_bad = [m.n_states - m.t for m in ms]
+    good = scratch[: sum(n_good)]
+    np.take(c0.reshape(-1, c0.shape[-1]), np.flatnonzero(gmask), axis=0, out=good, mode="clip")
     good -= sector_rows(good_g * g_avg, n_good)
     good += sector_rows(good_b * b_avg, n_good)
-    if n % 2 == 0:
-        bad -= sector_rows(bad_g * g_avg, n_bad)
-        bad -= sector_rows(bad_b * b_avg, n_bad)
-    else:
-        np.negative(bad, out=bad)
-        bad -= sector_rows(bad_g * g_avg, n_bad)
-        bad += sector_rows(bad_b * b_avg, n_bad)
-    return good, bad
+    out[gmask] = good
+    return out
 
 
 def sector_rows(vectors: np.ndarray, counts: Sequence[int]) -> np.ndarray:

@@ -9,13 +9,15 @@ and the acceptance test suite, so a criterion is stated exactly once.
 everything the closed forms predict about it: the marked-sector mass, the
 amplitude deviation from the closed-form rows, the drift of the sector
 variances and of the norm.  The ``find`` and ``sweep`` runners read their
-checks from it.  The audit steps the trajectory itself, through
-``grover._step_rows``, in three tables it allocates once per call and
-rotates: each step's table is written into two of them, and each read
-gathers the step's marked and unmarked rows into a free one with
-``np.take``.  Every reading but the norm is taken on those gathered rows,
-and every temporary is carved from the free tables, so nothing the size of
-a table is allocated from step to step.
+checks from it, and so do the criteria that simulate a trajectory.  The
+audit steps the trajectory itself, through ``grover._step_rows``, in three
+tables it allocates once per call and rotates (``check_audit_memory``
+charges them against the memory cap): each step's table is written into
+two of them, and each read writes the closed-form predictions into a free
+one in the table's own row order and then gathers the step's marked and
+unmarked rows into it with one ``np.take``.  The mass and the variances
+are read on the gathered rows, and every temporary is carved from the free
+tables, so nothing the size of a table is allocated from step to step.
 
 The battery builds its corpus once (``build_corpus``) for criteria 1-4.
 It holds many small states of a few table shapes, so it is kept as one
@@ -150,10 +152,19 @@ def _span_means(flat: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
             out[i] = np.add.reduce(flat[span], 0) / (span.stop - span.start)
 
 
-def _sector_rows(gmask: np.ndarray, keep: np.ndarray | bool = True) -> np.ndarray:
-    """Flat row indices, in a (B*N, D) view, of the gathers ``c[gmask]`` then
-    ``c[~gmask]`` restricted to the tables that ``keep`` (B, 1) selects."""
-    return np.concatenate([np.flatnonzero(gmask & keep), np.flatnonzero(~gmask & keep)])
+def _sector_rows(gmask: np.ndarray) -> np.ndarray:
+    """Flat row indices, in a (B*N, D) view, of the gathers ``c[gmask]`` then ``c[~gmask]``."""
+    return np.concatenate([np.flatnonzero(gmask), np.flatnonzero(~gmask)])
+
+
+def check_audit_memory(n_states: int, data_dim: int) -> None:
+    """Refuse an audit whose working set exceeds the cap.
+
+    The charge is the audit's three tables, the sector row index (8 bytes a
+    row) and the marked-row mask (1 byte a row).
+    """
+    needed = 3 * 16 * n_states * data_dim + 9 * n_states
+    qstate.check_bytes(needed, f"trajectory audit working set ({n_states} x {data_dim})")
 
 
 def _audit_stack(
@@ -171,18 +182,17 @@ def _audit_stack(
     The call owns its memory: three C-ordered tables of the stack's shape,
     allocated once and rotated.  One holds the current step and is only
     read until ``grover._step_rows`` writes the next step into the other two
-    (from step 1 on it flips the current table in place, dead once read).  Each
-    read gathers the two sectors, ``c[gmask]`` then ``c[~gmask]``, which lay
-    each state's rows out one state after another, into one free table with
-    ``np.take``; the predictions (``analytic.closed_form_sectors`` on the
-    initial rows gathered the same way) and every |z|^2 go to the other.
-    The closed-form deviation's absolute values overwrite the gathered rows,
-    which are then gathered again.  The marked mass, the closed-form
-    deviation and the sector variances are read on the gathered rows; only
-    the norm is summed over the whole table.  Sums over a state's rows are
-    reduced state by state, with the calls ``qstate.good_mass`` and
-    ``qstate.moments`` make, so every reading stays bit for bit what the
-    state gives alone.
+    (from step 1 on it flips the current table in place, dead once read).
+    Each read writes the predictions into one free table in the tables' own
+    row order (the marked rows go through the other), subtracts the current
+    table and takes each state's largest absolute value.  It then gathers
+    the two sectors, ``c[gmask]`` then ``c[~gmask]``, which lay each state's
+    rows out one state after another, into a free table with ``np.take``;
+    the marked mass and the sector variances are read on those rows, every
+    |z|^2 formed in the other free table, and only the norm is summed over
+    the whole table.  Sums over a state's rows are reduced state by state,
+    with the calls ``qstate.good_mass`` and ``qstate.moments`` make, so every
+    reading stays bit for bit what the state gives alone.
     """
     n_big, d = c0.shape[1:]
     ts = [m.t for m in ms]
@@ -192,45 +202,29 @@ def _audit_stack(
     g_spans = _spans(ts)
     b_spans = _spans(n_bad)
     rows = _sector_rows(gmask)
-    # The closed form is singular at t in {0, N}: predict the others only,
-    # on the same gathers restricted to their rows.
+    # The closed form is singular at t in {0, N}: predict the others only.
+    # Only a stack mixing both copies its interior tables; a runner's stack is
+    # one state, or a corpus stack with every t in [1, N).
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
-    ms_in = [ms[i] for i in interior]
-    inside = np.zeros((len(ms), 1), dtype=bool)
-    inside[interior] = True
-    # With every state predicted the two indices are equal; sharing one saves
-    # 8 bytes a row for the find-sized audit.
-    rows_in = rows if inside.all() else _sector_rows(gmask, inside)
-    g_in = sum(m.t for m in ms_in)
-    k_in = len(rows_in)
-    # Where each predicted state's marked, then unmarked, rows start in the
-    # flattened deviation.
-    starts = [s.start * d for s in _spans([m.t for m in ms_in])]
-    starts += [(g_in + s.start) * d for s in _spans([n_big - m.t for m in ms_in])]
-    c0_rows = c0.reshape(-1, d)
+    pick = slice(None) if len(interior) == len(ms) else interior
+    c0_in, gmask_in, ms_in = c0[pick], gmask[pick], [ms[i] for i in interior]
     arena = [np.empty_like(c0, order="C") for _ in range(3)]
     avg = np.zeros((2,) + c0.shape[::2], dtype=np.complex128)
 
     def read(n: int, c: np.ndarray, sectors: np.ndarray, work: np.ndarray):
         """(p_sim, amp_dev or None, var_drift, norm_dev) of each stacked table at step n."""
         norms = np.add.reduce(_abs2(c, work), axis=(1, 2)).tolist()
-        c_rows, flat = c.reshape(-1, d), sectors.reshape(-1, d)
         amp_dev = [None] * len(ms)
         if interior:
-            # The predicted states' rows, simulated and predicted, gathered
-            # alike; the deviation's absolute values then overwrite the
-            # simulated rows, which are gathered again below.
-            sim, pred = flat[:k_in], work.reshape(-1, d)[:k_in]
-            np.take(c_rows, rows_in, axis=0, out=sim, mode="clip")
-            np.take(c0_rows, rows_in, axis=0, out=pred, mode="clip")
-            analytic.closed_form_sectors(pred[:g_in], pred[g_in:], ms_in, n)
-            pred -= sim
-            abs_dev = np.abs(pred, out=_float_rows(sectors, pred.shape))
-            maxima = np.maximum.reduceat(abs_dev.reshape(-1), starts)
-            devs = np.maximum(maxima[: len(interior)], maxima[len(interior) :])
-            for i, dev in zip(interior, devs.tolist()):
+            pred = analytic._closed_form_into(
+                c0_in, gmask_in, ms_in, n, sectors[: len(interior)], work.reshape(-1, d)
+            )
+            pred -= c[pick]
+            abs_dev = np.abs(pred, out=_float_rows(work, pred.shape))
+            for i, dev in zip(interior, np.max(abs_dev, axis=(1, 2)).tolist()):
                 amp_dev[i] = dev
-        np.take(c_rows, rows, axis=0, out=flat, mode="clip")
+        flat = sectors.reshape(-1, d)
+        np.take(c.reshape(-1, d), rows, axis=0, out=flat, mode="clip")
         good, bad = flat[:n_good_rows], flat[n_good_rows:]
         masses = _span_sums(_abs2(good, work), g_spans)
         _span_means(good, g_spans, avg[0])
@@ -339,20 +333,14 @@ def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResu
     tol = cfg.tolerances.amplitude
     worst = 0.0
     for c0, gmask, ms in corpus.stacks:
-        # Both sides in the gathered layout of the closed form; the largest
-        # deviation does not depend on the order of the rows.
-        good, bad = c0[gmask], c0[~gmask]
-        n_good = [m.t for m in ms]
-        n_bad = [c0.shape[1] - m.t for m in ms]
+        good = gmask[..., None]
         scale = 2.0 / c0.shape[1]
         for n, x, y in analytic.recurrence_sequence(ms, cfg.max_steps):
-            pred = analytic.closed_form_sectors(good.copy(), bad.copy(), ms, n)
-            rebuilt = (
-                good - analytic.sector_rows(scale * x, n_good),
-                (-1) ** n * bad - analytic.sector_rows(scale * y, n_bad),
+            rebuilt = np.where(
+                good, c0 - (scale * x)[:, None], (-1) ** n * c0 - (scale * y)[:, None]
             )
-            for sector, want in zip(rebuilt, pred):
-                worst = max(worst, float(np.max(np.abs(sector - want))))
+            pred = analytic.closed_form_table(c0, gmask, ms, n)
+            worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
 
@@ -383,9 +371,9 @@ def check_probability_law(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     dp_scaled = (n_big / 2.0) * cos2 * (m.b_norm2 + tan2 * m.g_norm2)
     pav_scaled = 1.0 - dp_scaled - n_big * m.var_b * cos2
     control_dev = 0.0
-    for n, sim in grover.grover_trajectory(flat, good, 6):
+    for n, p_sim in enumerate(audit_trajectory(flat, good, 6, m).p_sim):
         scaled = pav_scaled - dp_scaled * math.cos(2.0 * (2.0 * n * m.theta + m.theta))
-        control_dev = max(control_dev, abs(scaled - qstate.good_mass(sim, good)))
+        control_dev = max(control_dev, abs(scaled - p_sim))
     passed = worst < tol and control_dev > 0.5
     return CheckResult(
         "probability_law",
@@ -406,12 +394,12 @@ def check_grover_reduction(cfg: VerifyConfig) -> CheckResult:
         m = qstate.moments(flat, good)
         p = analytic.oscillation_params(m)
         n_max = math.ceil(math.pi / m.theta) + 1
-        for n, sim in grover.grover_trajectory(flat, good, n_max):
+        for n, p_sim in enumerate(audit_trajectory(flat, good, n_max, m).p_sim):
             expected = math.sin((2 * n + 1) * m.theta) ** 2
             worst = max(
                 worst,
                 abs(analytic.success_probability(p, n) - expected),
-                abs(qstate.good_mass(sim, good) - expected),
+                abs(p_sim - expected),
             )
     flat = qstate.new_flat(2, 1)
     good = qstate.GoodSet((0,))
@@ -430,13 +418,14 @@ def check_degenerate_cases(cfg: VerifyConfig) -> CheckResult:
         n_big = 1 << nq
         state = qstate.from_amplitudes(np.eye(n_big, dtype=np.complex128))
         good = qstate.GoodSet(tuple(range(t)))
-        p = analytic.oscillation_params(qstate.moments(state, good))
+        m = qstate.moments(state, good)
+        p = analytic.oscillation_params(m)
         if not p.degenerate:
             return CheckResult(
                 "degenerate_cases", False, math.inf, tol, detail="one-to-one not flagged"
             )
-        for n, sim in grover.grover_trajectory(state, good, 30):
-            worst = max(worst, abs(qstate.good_mass(sim, good) - t / n_big))
+        for n, p_sim in enumerate(audit_trajectory(state, good, 30, m).p_sim):
+            worst = max(worst, abs(p_sim - t / n_big))
             worst = max(worst, abs(analytic.success_probability(p, n) - t / n_big))
 
     # marked rows all zero, unmarked rows zero-mean: the iteration never
@@ -444,10 +433,10 @@ def check_degenerate_cases(cfg: VerifyConfig) -> CheckResult:
     table = np.array([[0.0], [0.0], [math.sqrt(2.0)], [-math.sqrt(2.0)]], dtype=np.complex128)
     state = qstate.from_amplitudes(table)
     good = qstate.GoodSet((0, 1))
-    p = analytic.oscillation_params(qstate.moments(state, good))
+    m = qstate.moments(state, good)
+    p = analytic.oscillation_params(m)
     worst = max(worst, abs(analytic.success_probability(p, 0) - 0.0))
-    for n, sim in grover.grover_trajectory(state, good, 30):
-        worst = max(worst, abs(qstate.good_mass(sim, good)))
+    worst = max(worst, *audit_trajectory(state, good, 30, m).p_sim)
     return CheckResult("degenerate_cases", worst < tol, worst, tol)
 
 
@@ -477,14 +466,12 @@ def check_p_max_claim(cfg: VerifyConfig) -> CheckResult:
     sim_dev = 0.0
     for i, eps in enumerate((0.01, 0.05, 0.1)):
         state, good = _state_with_bad_variance(eps, seed=cfg.base_seed + 777 + i)
-        p = analytic.oscillation_params(qstate.moments(state, good))
+        m = qstate.moments(state, good)
+        p = analytic.oscillation_params(m)
         worst = max(worst, abs(analytic.p_max(p) - (1.0 - eps)))
         n_star = analytic.best_integer_time(p)
-        sim = grover.grover_iterate(state, good, n_star)
-        sim_dev = max(
-            sim_dev,
-            abs(qstate.good_mass(sim, good) - analytic.success_probability(p, n_star)),
-        )
+        p_sim = audit_trajectory(state, good, n_star, m).p_sim[n_star]
+        sim_dev = max(sim_dev, abs(p_sim - analytic.success_probability(p, n_star)))
     passed = worst < tol and sim_dev < cfg.tolerances.probability
     return CheckResult(
         "p_max_claim",

@@ -29,7 +29,8 @@ from typing import Any
 import numpy as np
 
 from . import analytic, counting, qstate
-from .checks import Tolerances, TrajectoryAudit, VerifyConfig, audit_trajectory, run_checks
+from .checks import Tolerances, TrajectoryAudit, VerifyConfig, audit_trajectory
+from .checks import check_audit_memory, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -385,10 +386,13 @@ def _verify_config(s: Scenario) -> VerifyConfig:
 
 
 def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
-    """The scenario's marked set and state, once its table is known to fit the memory cap."""
+    """The scenario's marked set and state, once its table (and for ``find`` the
+    trajectory audit) is known to fit the memory cap."""
     n_states = 1 << s.n_qubits
     try:
         qstate.check_memory(n_states * s.data_dim)
+        if s.kind == "find":
+            check_audit_memory(n_states, s.data_dim)
     except qstate.MemoryLimitError as exc:
         raise ScenarioError(
             f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim}) is too large: {exc}"
@@ -573,8 +577,12 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
     try:
         n_states = 1 << nq
         qstate.check_memory(n_states * d)
-        circuit = 0 < t < n_states and p_size is not None and p_size >= 4
-        if circuit:  # before any reading, so a skipped row carries none
+        interior = 0 < t < n_states
+        circuit = interior and p_size is not None and p_size >= 4
+        # before any reading, so a skipped row carries none
+        if interior:
+            check_audit_memory(n_states, d)
+        if circuit:
             counting.check_circuit_memory(n_states, d, p_size)
         good = qstate.random_good_set(n_states, t, seed + 1)
         template = dict(s.state_spec)
@@ -584,7 +592,7 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         m = qstate.moments(state, good)
         row["theta"] = m.theta
         tol = s.tolerances
-        if 0 < t < n_states:
+        if interior:
             params, audit, p_law = _read_law(s, state, good, m)
             row.update((k, v) for k, v in _peak(params).items() if v is not None)
             max_amp = max(audit.amp_dev)

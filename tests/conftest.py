@@ -6,11 +6,14 @@ operators are materialized as explicit (N*D x N*D) matrices built from
 Kronecker products, and transforms as explicit DFT matrices, so every fast
 implementation is checked against a slow, obviously-correct one.  Where a
 fast path must keep the bits of a simpler one (the cache-blocked butterflies,
-the closed form on gathered sectors), the simpler one is kept here as well.
+the closed form's masked evaluation), the simpler one is kept here as well.
+The exact referee computes the trajectory and the closed form in rational
+arithmetic, so a float path's own error can be measured.
 """
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +85,62 @@ def masked_closed_form_table(c0: np.ndarray, gmask: np.ndarray, ms, n: int) -> n
         np.subtract(out, (bad_g * g_avg)[:, None], out=out, where=bad)
         np.add(out, (bad_b * b_avg)[:, None], out=out, where=bad)
     return out
+
+
+def exact_table(table: np.ndarray) -> np.ndarray:
+    """A complex table as an object array (2, N, D) of its real and imaginary
+    parts in ``fractions.Fraction``; every double is a dyadic rational."""
+    exact = np.vectorize(Fraction, otypes=[object])
+    return np.array([exact(table.real), exact(table.imag)])
+
+
+def exact_trajectory(table: np.ndarray, gmask: np.ndarray, n_max: int) -> list[np.ndarray]:
+    """Exact tables after n = 0 .. n_max steps, from the float (N, D) ``table``.
+
+    A step is the phase flip on the marked rows ``gmask``, then the
+    reflection about the column mean, 2*mean - x; the operator is real, so
+    both parts step alike.  For N a power of two every value stays a dyadic
+    rational, so no operation rounds.
+    """
+    x = exact_table(table)
+    out = [x]
+    for _ in range(n_max):
+        x = x.copy()
+        x[:, gmask] = -x[:, gmask]
+        x = 2 * (x.sum(axis=1, keepdims=True) / x.shape[1]) - x
+        out.append(x)
+    return out
+
+
+def exact_closed_form(table: np.ndarray, gmask: np.ndarray, n: int) -> np.ndarray:
+    """The paper's closed-form table after n steps, exactly, from the float (N, D) ``table``.
+
+    With c = cos(2*theta) = 1 - 2t/N, cos(2n*theta) = T_n(c),
+    cot(theta) sin(2n*theta) = (1 + c) U_{n-1}(c) and
+    tan(theta) sin(2n*theta) = (1 - c) U_{n-1}(c), Chebyshev polynomials of
+    the first and second kind, so every coefficient is rational:
+
+        marked:   f_g - (1 - T_n) Gbar + (1 + c) U_{n-1} Bbar
+        unmarked: (-1)^n f_b - (1 - c) U_{n-1} Gbar + (T_n - (-1)^n) Bbar
+    """
+    x = exact_table(table)
+    n_big, t = len(gmask), int(np.count_nonzero(gmask))
+    c = 1 - Fraction(2 * t, n_big)
+    t_n, t_prev, u_prev, u_prev2 = Fraction(1), c, Fraction(0), Fraction(-1)
+    for _ in range(n):  # T_{-1} = c and U_{-2} = -1 run the recurrences back one step
+        t_n, t_prev = 2 * c * t_n - t_prev, t_n
+        u_prev, u_prev2 = 2 * c * u_prev - u_prev2, u_prev
+    g_avg = x[:, gmask].sum(axis=1) / t
+    b_avg = x[:, ~gmask].sum(axis=1) / (n_big - t)
+    sign = (-1) ** n
+    out = sign * x - (1 - c) * u_prev * g_avg[:, None] + (t_n - sign) * b_avg[:, None]
+    out[:, gmask] = (x[:, gmask] - (1 - t_n) * g_avg[:, None] + (1 + c) * u_prev * b_avg[:, None])
+    return out
+
+
+def exact_error(table: np.ndarray, exact: np.ndarray) -> float:
+    """Largest |table - exact| over both parts, rounded to a float once."""
+    return float(np.max(np.abs(exact_table(table) - exact)))
 
 
 def grover_matrix(n_qubits: int, good_indices) -> np.ndarray:

@@ -1,17 +1,21 @@
-"""The shipped configs run through the CLI and the demo scripts run to completion.
+"""The shipped configs run through the CLI, the demo scripts run to completion,
+and the benchmark's tracer still finds every name it rebinds.
 
 ``verify_default.json`` is left out: acceptance criterion 11 already runs
 the full battery through the CLI three times.
 """
+import importlib.util
 import json
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
-from entgrover import cli
+from entgrover import cli, grover
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize("name", ["find_flat", "find_random", "count_flat", "sweep_small"])
@@ -25,3 +29,28 @@ def test_shipped_config_exits_0(name, tmp_path):
 def test_demo_script_runs(script, capsys):
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def _namespaces():
+    """Every global of the package's modules, by identity."""
+    return {
+        (name, key): id(value)
+        for name, module in sys.modules.items()
+        if name == "entgrover" or name.startswith("entgrover.")
+        for key, value in vars(module).items()
+    }
+
+
+def test_benchmark_tracer_rebinds_and_restores_the_package():
+    """A traced benchmark run enters ``perfbench/tracer.py``'s ``Tracer``, which
+    looks up each layer's functions by name: a renamed or deleted one fails
+    here, where only the benchmark's own tests would otherwise notice."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    trajectory, before = grover.grover_trajectory, _namespaces()
+    with tracer.Tracer("tier1"):
+        assert grover.grover_trajectory is not trajectory
+    assert grover.grover_trajectory is trajectory
+    assert _namespaces() == before

@@ -167,6 +167,20 @@ class TestSweep:
         (row,) = run_sweep(s).payload["rows"]
         assert row["status"] == "skipped"
 
+    def test_cell_skipped_only_over_the_audit_working_set(self, monkeypatch):
+        # N = 2^8, D = 4: three tables, the row index and the mask
+        audit = 3 * 16 * 256 * 4 + 9 * 256
+        s = parse_scenario({"kind": "sweep", "grid": {"n_qubits": [8], "data_dim": [4],
+                                                      "t": [0, 3], "seeds": [3]}})
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit))
+        rows = run_sweep(s).payload["rows"]
+        assert [(r["status"], r["passed"]) for r in rows] == [("ok", True)] * 2
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit - 1))
+        unaudited, audited = run_sweep(s).payload["rows"]
+        assert (unaudited["status"], unaudited["passed"]) == ("ok", True)
+        assert (audited["status"], audited["passed"]) == ("skipped", None)
+        assert "trajectory audit" in audited["error"] and "max_amp_dev" not in audited
+
     def test_circuit_over_the_cap_leaves_no_readings(self, monkeypatch):
         # the 2^12-row table fits one byte under the circuit's working set at P = 1024
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES - 1))

@@ -46,6 +46,18 @@ class TestRegressions:
         code, err = run_cli(["find", "--config", cfg])
         assert code == 1 and "n_qubits" in err
 
+    def test_audit_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
+        # N = 2^8, D = 4: the 16 KiB table fits, the audit's three tables, row
+        # index and mask (51,456 bytes) are charged separately
+        audit = 3 * 16 * 256 * 4 + 9 * 256
+        cfg = write_json(tmp_path / "c.json",
+                         dict(FIND, n_qubits=8, data_dim=4, good={"t": 3, "seed": 1}))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit - 1))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and "'n_qubits' = 8" in err and "trajectory audit" in err
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit))
+        assert run_cli(["find", "--config", cfg])[0] == 0
+
     def test_count_circuit_over_memory_cap_exit_1_names_p(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", "4096")
         cfg = write_json(tmp_path / "c.json", {"kind": "count", "n_qubits": 4,
