@@ -35,8 +35,9 @@ After n steps every marked row is its initial value plus the same
 combination of Gbar and Bbar, and so is every unmarked row, up to the sign
 (-1)^n.  ``closed_form_table`` is the one evaluator: it predicts a stack of
 tables in their own row order, every row by the unmarked-row formula first
-and then the marked rows, gathered, by theirs.  The trajectory audit writes
-the same predictions into a buffer it owns.
+and then the marked rows, gathered, by theirs.  It is the one-step case of
+``_closed_form_into``, which the trajectory audit and criterion 2 call for a
+chunk of consecutive steps at once, into buffers they own.
 """
 from __future__ import annotations
 
@@ -192,57 +193,63 @@ def closed_form_table(
     _check_closed_form(ms, n)
     if n == 0:
         return c0
+    out = np.empty((1,) + c0.shape, dtype=np.complex128)
     scratch = np.empty((np.count_nonzero(gmask), c0.shape[-1]), dtype=np.complex128)
-    return _closed_form_into(c0, gmask, ms, n, np.empty_like(c0, order="C"), scratch)
+    return _closed_form_into(c0, gmask, ms, n, out, scratch)[0]
 
 
 def _closed_form_into(
     c0: np.ndarray,
     gmask: np.ndarray,
     ms: Sequence[MomentSummary],
-    n: int,
+    n0: int,
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """``closed_form_table`` for interior states, written into ``out``, a C-ordered
-    table of ``c0``'s shape (n = 0 gives ``c0`` up to the sign of a zero).
+    """``closed_form_table`` for interior states at the k consecutive steps
+    n0 .. n0 + k - 1, written into ``out``, a C-ordered (k, B, N, D) buffer
+    (n = 0 gives ``c0`` up to the sign of a zero).
 
-    Every row first gets the unmarked-row formula, with each state's (B, 1, D)
-    vectors.  The marked rows are then gathered from ``c0`` into the first rows
-    of ``scratch``, a C-ordered (rows, D) buffer with a row for each, predicted
-    there and scattered back.  The per-state factors are computed with ``math``.
+    The per-state factors of every step are computed with ``math`` into a
+    (k, B) array, so each step's table gets the bits it gets alone.  The
+    marked rows of ``c0`` are gathered once into the front of ``out``, and
+    their k predictions are formed in ``scratch``, a C-ordered buffer with
+    room for k x (marked rows) x D amplitudes.  Then every row of
+    ``out`` gets the unmarked-row formula: c0 - v on even steps and (-v) - c0
+    on odd ones, which rounds as -c0 - v without negating the table, each on
+    one strided slice of the steps.  Finally the marked predictions are
+    scattered back.
     """
+    k, d = len(out), c0.shape[-1]
+    tans = [math.tan(m.theta) for m in ms]
     factors = []
-    for m in ms:
-        c2n = math.cos(2.0 * n * m.theta)
-        s2n = math.sin(2.0 * n * m.theta)
-        tan_t = math.tan(m.theta)
-        factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, c2n - (-1.0) ** n))
-    good_g, good_b, bad_g, bad_b = np.array(factors).T[..., None]
+    for n in range(n0, n0 + k):
+        sign = (-1.0) ** n
+        for m, tan_t in zip(ms, tans):
+            c2n = math.cos(2.0 * n * m.theta)
+            s2n = math.sin(2.0 * n * m.theta)
+            factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, c2n - sign))
+    factors = np.array(factors).reshape(k, len(ms), 4)
+    good_g, good_b, bad_g, bad_b = np.moveaxis(factors, -1, 0)[..., None]
     g_avg = np.array([m.g_avg for m in ms])
     b_avg = np.array([m.b_avg for m in ms])
-    drift = (bad_g * g_avg)[:, None]
-    if n % 2:  # -f_b - v rounds as (-v) - f_b: the same sum, without negating the table
-        np.subtract(-drift, c0, out=out)
-    else:
-        np.subtract(c0, drift, out=out)
-    out += (bad_b * b_avg)[:, None]
-    n_good = [m.t for m in ms]
-    good = scratch[: sum(n_good)]
-    np.take(c0.reshape(-1, c0.shape[-1]), np.flatnonzero(gmask), axis=0, out=good, mode="clip")
-    good -= sector_rows(good_g * g_avg, n_good)
-    good += sector_rows(good_b * b_avg, n_good)
-    out[gmask] = good
+    marked = np.flatnonzero(gmask)
+    c0_good = out.reshape(-1, d)[: len(marked)]
+    np.take(c0.reshape(-1, d), marked, axis=0, out=c0_good, mode="clip")
+    good = scratch.reshape(-1)[: k * len(marked) * d].reshape(k, len(marked), d)
+    stop = 0
+    for i, m in enumerate(ms):  # each state's marked rows, one after another
+        rows = slice(stop, stop + m.t)
+        stop += m.t
+        np.subtract(c0_good[rows], (good_g[:, i] * g_avg[i])[:, None], out=good[:, rows])
+        good[:, rows] += (good_b[:, i] * b_avg[i])[:, None]
+    drift = (bad_g * g_avg)[:, :, None]
+    even, odd = slice(n0 % 2, None, 2), slice(1 - n0 % 2, None, 2)
+    np.subtract(c0, drift[even], out=out[even])
+    np.subtract(-drift[odd], c0, out=out[odd])
+    out += (bad_b * b_avg)[:, :, None]
+    out[:, gmask] = good
     return out
-
-
-def sector_rows(vectors: np.ndarray, counts: Sequence[int]) -> np.ndarray:
-    """Each state's row vector once per row of its gathered sector.
-
-    ``vectors`` is (B, D) and ``counts`` the B sector sizes.  One state's
-    vector is returned as is and broadcasts, so no per-row copy is made.
-    """
-    return vectors if len(counts) == 1 else np.repeat(vectors, counts, axis=0)
 
 
 def _check_closed_form(ms: Sequence[MomentSummary], n: int) -> None:

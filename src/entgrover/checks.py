@@ -10,26 +10,28 @@ everything the closed forms predict about it: the marked-sector mass, the
 amplitude deviation from the closed-form rows, the drift of the sector
 variances and of the norm.  The ``find`` and ``sweep`` runners read their
 checks from it, and so do the criteria that simulate a trajectory.  The
-audit steps the trajectory itself, through ``grover._step_rows``, in three
-tables it allocates once per call and rotates (``check_audit_memory``
-charges them against the memory cap): each step's table is written into
-two of them, and each read writes the closed-form predictions into a free
-one in the table's own row order and then gathers the step's marked and
-unmarked rows into it with one ``np.take``.  The mass and the variances
-are read on the gathered rows, and every temporary is carved from the free
-tables, so nothing the size of a table is allocated from step to step.
+audit steps the trajectory itself, through ``grover._step_rows``, a chunk
+of k consecutive steps at a time, and reads the k steps together: one numpy
+call per reading per chunk instead of one per step.  A chunk holds at most
+``_CHUNK_BYTES`` of tables, so the battery's small stacks are read in one
+to a few chunks, while a table of that size or more is read one step at a
+time.  The audit allocates three chunks once per call: the steps, and two
+free chunks that take the closed-form predictions, the sector gathers and
+every |z|^2, so nothing the size of a table is allocated from step to step.
+``check_audit_memory`` charges the state's table together with the audit;
+the chunk grows past one table only where the memory cap leaves room.
 
 The battery builds its corpus once (``build_corpus``) for criteria 1-4.
 It holds many small states of a few table shapes, so it is kept as one
 stack per shape: each stack is audited in lock step (``audit_trajectory``
 is the stack of one) and criterion 2 steps the recurrence over the same
-stacks, which saves most of the per-call overhead.  Every reading stays
-bit for bit what the state gives alone: elementwise work, the norms and the
-per-state maxima run on the whole stack or on its gathered sectors, while
-sums over a state's marked or unmarked rows, whose count differs from state
-to state, are still formed one state at a time.  The battery runs
-sequentially: its work is small arrays under the interpreter lock, where
-threads only add overhead.
+stacks and predicts them a chunk of steps at a time.  Every reading stays
+bit for bit what the state gives alone, whatever the chunk: elementwise
+work, the norms and the per-state maxima run on whole chunks or on their
+gathered sectors, while sums over a state's marked or unmarked rows, whose
+count differs from state to state, are formed one state at a time over all
+k steps.  The battery runs sequentially: its work is small arrays under the
+interpreter lock, where threads only add overhead.
 """
 from __future__ import annotations
 
@@ -44,6 +46,11 @@ from . import analytic, counting, grover, qstate
 
 SIGMA_LOW = counting.SIGMA_LOWER_BOUND
 AVG_THRESHOLD = math.pi**2 / (8.0 * math.sqrt(2.0))
+
+# Bytes of the k consecutive step tables the audit and criterion 2 hold at
+# once.  Small stacks are then read a chunk of steps a call; a table this
+# size or larger is read one step at a time.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -122,16 +129,18 @@ def _abs2(z: np.ndarray, buf: np.ndarray) -> np.ndarray:
     view, and their sum is returned in the first half, as a contiguous array
     of ``z``'s shape.
     """
-    sq, im = _float_rows(buf, z.shape), _float_rows(buf, z.shape, z.size)
+    sq, im = _carve(buf, z.shape, np.float64), _carve(buf, z.shape, np.float64, z.size)
     np.square(z.real, out=sq)
     np.square(z.imag, out=im)
     return np.add(sq, im, out=sq)
 
 
-def _float_rows(buf: np.ndarray, shape: tuple[int, ...], skip: int = 0) -> np.ndarray:
-    """A contiguous float64 array of ``shape`` carved from a free complex buffer,
-    starting ``skip`` floats in."""
-    return buf.reshape(-1).view(np.float64)[skip : skip + math.prod(shape)].reshape(shape)
+def _carve(
+    buf: np.ndarray, shape: tuple[int, ...], dtype=np.complex128, skip: int = 0
+) -> np.ndarray:
+    """A contiguous array of ``shape`` and ``dtype`` carved from a free C-contiguous
+    buffer, starting ``skip`` items in."""
+    return buf.reshape(-1).view(dtype)[skip : skip + math.prod(shape)].reshape(shape)
 
 
 def _spans(sizes: list[int]) -> list[slice]:
@@ -140,16 +149,18 @@ def _spans(sizes: list[int]) -> list[slice]:
     return [slice(end - size, end) for end, size in zip(ends, sizes)]
 
 
-def _span_sums(flat: np.ndarray, spans: list[slice]) -> list[float]:
-    """Pairwise sum of each state's rows of a stack-wide gather, as ``np.sum`` forms it."""
-    return [float(np.add.reduce(flat[span], None)) for span in spans]
+def _span_sums(rows: np.ndarray, spans: list[slice]) -> np.ndarray:
+    """Pairwise sum of each state's rows (axis -2) of a stack-wide gather, as
+    ``np.sum`` forms it: (B,) for a (rows, D) gather, (B, k) for k of them."""
+    return np.array([np.add.reduce(rows[..., span, :], axis=(-2, -1)) for span in spans])
 
 
-def _span_means(flat: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
-    """Row mean of each non-empty span into ``out``, as ``np.mean(rows, axis=0)`` forms it."""
+def _span_means(rows: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
+    """Row mean (axis -2) of each non-empty span into ``out[..., i, :]``, as
+    ``np.mean(rows, axis=0)`` forms it."""
     for i, span in enumerate(spans):
         if span.start < span.stop:
-            out[i] = np.add.reduce(flat[span], 0) / (span.stop - span.start)
+            out[..., i, :] = np.add.reduce(rows[..., span, :], -2) / (span.stop - span.start)
 
 
 def _sector_rows(gmask: np.ndarray) -> np.ndarray:
@@ -157,13 +168,29 @@ def _sector_rows(gmask: np.ndarray) -> np.ndarray:
     return np.concatenate([np.flatnonzero(gmask), np.flatnonzero(~gmask)])
 
 
-def check_audit_memory(n_states: int, data_dim: int) -> None:
-    """Refuse an audit whose working set exceeds the cap.
+def _audit_bytes(table_bytes: int, n_rows: int, k: int) -> int:
+    """Bytes a state and its audit hold at k steps a chunk: the state's table,
+    three chunks of k tables, the sector row index (8 bytes a row) and the
+    marked-row mask (1 byte a row)."""
+    return table_bytes * (1 + 3 * k) + 9 * n_rows
 
-    The charge is the audit's three tables, the sector row index (8 bytes a
-    row) and the marked-row mask (1 byte a row).
+
+def _chunk_steps(table_bytes: int, n_rows: int, steps: int) -> int:
+    """Steps the audit holds at once: as many tables as ``_CHUNK_BYTES`` holds and
+    the memory cap leaves room for, at most ``steps`` and at least one."""
+    room = qstate.memory_cap_bytes() - _audit_bytes(table_bytes, n_rows, 0)
+    k = min(_CHUNK_BYTES, room // 3) // table_bytes
+    return max(1, min(steps, k))
+
+
+def check_audit_memory(n_states: int, data_dim: int) -> None:
+    """Refuse a run whose state and trajectory audit together exceed the cap.
+
+    The charge is ``_audit_bytes`` at one step a chunk.  Longer chunks are
+    taken only where ``_CHUNK_BYTES`` and the cap leave room for them
+    (``_chunk_steps``), so the cap bounds the state and the audit together.
     """
-    needed = 3 * 16 * n_states * data_dim + 9 * n_states
+    needed = _audit_bytes(16 * n_states * data_dim, n_states, 1)
     qstate.check_bytes(needed, f"trajectory audit working set ({n_states} x {data_dim})")
 
 
@@ -179,20 +206,23 @@ def _audit_stack(
     marked-row masks, ``ms`` their moments and ``horizons`` the last step
     audited for each; the stack is stepped to max(horizons).
 
-    The call owns its memory: three C-ordered tables of the stack's shape,
-    allocated once and rotated.  One holds the current step and is only
-    read until ``grover._step_rows`` writes the next step into the other two
-    (from step 1 on it flips the current table in place, dead once read).
-    Each read writes the predictions into one free table in the tables' own
-    row order (the marked rows go through the other), subtracts the current
-    table and takes each state's largest absolute value.  It then gathers
-    the two sectors, ``c[gmask]`` then ``c[~gmask]``, which lay each state's
-    rows out one state after another, into a free table with ``np.take``;
-    the marked mass and the sector variances are read on those rows, every
-    |z|^2 formed in the other free table, and only the norm is summed over
-    the whole table.  Sums over a state's rows are reduced state by state,
-    with the calls ``qstate.good_mass`` and ``qstate.moments`` make, so every
-    reading stays bit for bit what the state gives alone.
+    The call owns its memory: three C-ordered chunks of k tables of the
+    stack's shape (``_chunk_steps``), allocated once.  The steps of a chunk
+    are written one after another into the first, through
+    ``grover._step_rows`` (a step's two transforms leave it in the output
+    table), with a table of a free chunk as scratch; then all k are read at
+    once, and the last is stepped into the first table for the next chunk.  A read writes
+    the k predictions into the second chunk in the tables' own row order
+    (``analytic._closed_form_into``; the marked rows go through the third),
+    subtracts the steps and takes each state's largest absolute value.  It
+    then gathers the two sectors, ``c[gmask]`` then ``c[~gmask]``, which lay
+    each state's rows out one state after another, into the second chunk
+    with one ``np.take``; the marked mass and the sector variances are read
+    on those rows, every |z|^2 formed in the third chunk, and only the norm
+    is summed over the whole tables.  Sums over a state's rows are reduced
+    state by state over (k, rows, D) slices, with the reductions
+    ``qstate.good_mass`` and ``qstate.moments`` make, so every reading stays
+    bit for bit what the state gives alone, whatever k is.
     """
     n_big, d = c0.shape[1:]
     ts = [m.t for m in ms]
@@ -208,56 +238,56 @@ def _audit_stack(
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
     pick = slice(None) if len(interior) == len(ms) else interior
     c0_in, gmask_in, ms_in = c0[pick], gmask[pick], [ms[i] for i in interior]
-    arena = [np.empty_like(c0, order="C") for _ in range(3)]
-    avg = np.zeros((2,) + c0.shape[::2], dtype=np.complex128)
+    last = max(horizons)
+    k = _chunk_steps(c0.nbytes, gmask.size, last + 1)
+    steps, sectors, work = (np.empty((k,) + c0.shape, dtype=np.complex128) for _ in range(3))
+    avg = np.empty((k,) + c0.shape[::2], dtype=np.complex128)
+    # Empty sectors sum to 0 over one row, so their drift reads 0.
+    t_rows = np.maximum(ts, 1)[:, None]
+    b_rows = np.maximum(n_bad, 1)[:, None]
+    var0 = np.array([[m.var_g, m.var_b] for m in ms]).T[..., None]
 
-    def read(n: int, c: np.ndarray, sectors: np.ndarray, work: np.ndarray):
-        """(p_sim, amp_dev or None, var_drift, norm_dev) of each stacked table at step n."""
-        norms = np.add.reduce(_abs2(c, work), axis=(1, 2)).tolist()
+    def read(n0: int, c: np.ndarray, sectors: np.ndarray, work: np.ndarray):
+        """(p_sim, amp_dev or None, var_drift, norm_dev) of each stacked table at
+        the k steps from n0 held in ``c``, each a length-k array."""
+        size = len(c)
+        norms = np.add.reduce(_abs2(c, work), axis=(2, 3)).T
         amp_dev = [None] * len(ms)
         if interior:
             pred = analytic._closed_form_into(
-                c0_in, gmask_in, ms_in, n, sectors[: len(interior)], work.reshape(-1, d)
+                c0_in, gmask_in, ms_in, n0, _carve(sectors, (size,) + c0_in.shape), work
             )
-            pred -= c[pick]
-            abs_dev = np.abs(pred, out=_float_rows(work, pred.shape))
-            for i, dev in zip(interior, np.max(abs_dev, axis=(1, 2)).tolist()):
+            pred -= c[:, pick]
+            abs_dev = np.abs(pred, out=_carve(work, pred.shape, np.float64))
+            for i, dev in zip(interior, np.max(abs_dev, axis=(2, 3)).T):
                 amp_dev[i] = dev
-        flat = sectors.reshape(-1, d)
-        np.take(c.reshape(-1, d), rows, axis=0, out=flat, mode="clip")
-        good, bad = flat[:n_good_rows], flat[n_good_rows:]
+        flat = sectors.reshape(size, -1, d)
+        np.take(c.reshape(size, -1, d), rows, axis=1, out=flat, mode="clip")
+        good, bad = flat[:, :n_good_rows], flat[:, n_good_rows:]
         masses = _span_sums(_abs2(good, work), g_spans)
-        _span_means(good, g_spans, avg[0])
-        _span_means(bad, b_spans, avg[1])
-        good -= analytic.sector_rows(avg[0], ts)
-        bad -= analytic.sector_rows(avg[1], n_bad)
+        for sector, spans in ((good, g_spans), (bad, b_spans)):
+            _span_means(sector, spans, avg[:size])
+            for i, span in enumerate(spans):
+                sector[:, span] -= avg[:size, i, None]
         var_g = _span_sums(_abs2(good, work), g_spans)
         var_b = _span_sums(_abs2(bad, work), b_spans)
-        out = []
-        for i, m in enumerate(ms):
-            drift_g = abs(var_g[i] / ts[i] - m.var_g) if ts[i] else 0.0
-            drift_b = abs(var_b[i] / n_bad[i] - m.var_b) if n_bad[i] else 0.0
-            out.append((
-                masses[i] / n_big,
-                amp_dev[i],
-                max(drift_g, drift_b),
-                abs(math.sqrt(norms[i] / n_big) - 1.0),
-            ))
-        return out
+        drift = np.maximum(np.abs(var_g / t_rows - var0[0]), np.abs(var_b / b_rows - var0[1]))
+        return zip(masses / n_big, amp_dev, drift, np.abs(np.sqrt(norms / n_big) - 1.0))
 
     readings = [([], [], [], []) for _ in ms]
-    last = max(horizons)
-    c = c0
-    for n in range(last + 1):
-        free = [table for table in arena if table is not c]
-        for i, reading in enumerate(read(n, c, free[0], free[1])):
-            if n <= horizons[i]:
-                for series, value in zip(readings[i], reading):
-                    if value is not None:
-                        series.append(value)
-        if n < last:
-            out, scratch = (free[0], free[1]) if c is c0 else (c, free[0])
-            c = grover._step_rows(c, gmask, out, scratch)[0]
+    tables = list(steps)  # one view each, so a chunk of one steps in place
+    np.copyto(tables[0], c0)
+    for n0 in range(0, last + 1, k):
+        size = min(k, last + 1 - n0)
+        for j in range(1, size):
+            grover._step_rows(tables[j - 1], gmask, tables[j], sectors[0])
+        for i, reading in enumerate(read(n0, steps[:size], sectors[:size], work[:size])):
+            count = max(0, min(size, horizons[i] + 1 - n0))
+            for series, values in zip(readings[i], reading):
+                if values is not None:
+                    series.extend(values[:count].tolist())
+        if n0 + size <= last:
+            grover._step_rows(tables[size - 1], gmask, tables[0], work[0])
     return [TrajectoryAudit(m, *map(tuple, r)) for m, r in zip(ms, readings)]
 
 
@@ -329,18 +359,30 @@ def check_closed_form_fidelity(cfg: VerifyConfig, corpus: Corpus) -> CheckResult
 
 
 def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
-    """Rows rebuilt from the two-block recurrence equal the closed-form rows."""
+    """Rows rebuilt from the two-block recurrence equal the closed-form rows.
+
+    Each stack is predicted a chunk of consecutive steps at a time, as the
+    audit reads them (``_chunk_steps``); every entry keeps the bits of its
+    step and state predicted alone.
+    """
     tol = cfg.tolerances.amplitude
     worst = 0.0
     for c0, gmask, ms in corpus.stacks:
         good = gmask[..., None]
         scale = 2.0 / c0.shape[1]
-        for n, x, y in analytic.recurrence_sequence(ms, cfg.max_steps):
-            rebuilt = np.where(
-                good, c0 - (scale * x)[:, None], (-1) ** n * c0 - (scale * y)[:, None]
-            )
-            pred = analytic.closed_form_table(c0, gmask, ms, n)
-            worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
+        k = _chunk_steps(c0.nbytes, gmask.size, cfg.max_steps)
+        pred, rows = (np.empty((k,) + c0.shape, dtype=np.complex128) for _ in range(2))
+        scratch = np.empty((k * np.count_nonzero(gmask), c0.shape[-1]), dtype=np.complex128)
+        steps = analytic.recurrence_sequence(ms, cfg.max_steps)
+        for n0 in range(1, cfg.max_steps + 1, k):
+            ns, x, y = map(np.array, zip(*itertools.islice(steps, k)))
+            rebuilt = rows[: len(ns)]
+            np.multiply(((-1) ** ns)[:, None, None, None], c0, out=rebuilt)
+            rebuilt -= (scale * y)[:, :, None]
+            np.subtract(c0, (scale * x)[:, :, None], out=rebuilt, where=good)
+            rebuilt -= analytic._closed_form_into(c0, gmask, ms, n0, pred[: len(ns)], scratch)
+            abs_dev = np.abs(rebuilt, out=_carve(pred, rebuilt.shape, np.float64))
+            worst = max(worst, float(np.max(abs_dev)))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
 

@@ -40,8 +40,8 @@ buffers its caller passes and allocates no table.  The public functions pass
 a fresh C-ordered output table for every step, whatever the input's layout,
 and carry the buffer a step leaves over to the next step as scratch, so
 each table they return is new and never written again.  The trajectory
-audit (``checks._audit_stack``) steps through ``_step_rows`` directly, in
-three tables it allocates once per call and rotates.
+audit (``checks._audit_stack``) steps through ``_step_rows`` directly, into
+chunks of tables it allocates once per call.
 
 Everything here acts on the search index only; the data register rides
 along untouched.  The public functions are pure and numerically exact up

@@ -387,7 +387,7 @@ def _verify_config(s: Scenario) -> VerifyConfig:
 
 def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
     """The scenario's marked set and state, once its table (and for ``find`` the
-    trajectory audit) is known to fit the memory cap."""
+    table together with its trajectory audit) is known to fit the memory cap."""
     n_states = 1 << s.n_qubits
     try:
         qstate.check_memory(n_states * s.data_dim)
@@ -580,10 +580,10 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         interior = 0 < t < n_states
         circuit = interior and p_size is not None and p_size >= 4
         # before any reading, so a skipped row carries none
-        if interior:
-            check_audit_memory(n_states, d)
         if circuit:
             counting.check_circuit_memory(n_states, d, p_size)
+        if interior:
+            check_audit_memory(n_states, d)
         good = qstate.random_good_set(n_states, t, seed + 1)
         template = dict(s.state_spec)
         if template.get("type") == "random":

@@ -138,6 +138,32 @@ def exact_closed_form(table: np.ndarray, gmask: np.ndarray, n: int) -> np.ndarra
     return out
 
 
+def exact_recurrence(table: np.ndarray, gmask: np.ndarray, n_max: int) -> list[tuple]:
+    """Exact (X_n, Y_n) of the two-block recurrence for n = 1 .. n_max, each a
+    (2, D) object array of real and imaginary parts, from the float (N, D) ``table``.
+
+    X_1 = Y_1 = t Gbar - (N - t) Bbar, then with c = cos(2 theta) = 1 - 2t/N
+    and C_k = t Gbar + (-1)^k (N - t) Bbar,
+
+        X_k = c X_{k-1} + (c + 1) Y_{k-1} + C_k,   Y_k = (c - 1) X_{k-1} + c Y_{k-1} + C_k,
+
+    so that f_g(n) = f_g - (2/N) X_n and f_b(n) = (-1)^n f_b - (2/N) Y_n.
+    """
+    x = exact_table(table)
+    n_big, t = len(gmask), int(np.count_nonzero(gmask))
+    c = 1 - Fraction(2 * t, n_big)
+    g_sum = x[:, gmask].sum(axis=1)
+    b_sum = x[:, ~gmask].sum(axis=1)
+    big_x = big_y = g_sum - b_sum
+    out = [(big_x, big_y)]
+    for k in range(2, n_max + 1):
+        drive = g_sum + (-1) ** k * b_sum
+        big_x, big_y = (c * big_x + (c + 1) * big_y + drive,
+                        (c - 1) * big_x + c * big_y + drive)
+        out.append((big_x, big_y))
+    return out
+
+
 def exact_error(table: np.ndarray, exact: np.ndarray) -> float:
     """Largest |table - exact| over both parts, rounded to a float once."""
     return float(np.max(np.abs(exact_table(table) - exact)))

@@ -25,6 +25,7 @@ from entgrover import (
     random_good_set,
 )
 from entgrover.checks import VerifyConfig, audit_trajectory, build_corpus, corpus_states
+from entgrover.harness import parse_scenario, run_find
 
 SMALL = replace(
     VerifyConfig(),
@@ -203,6 +204,57 @@ def test_gathered_read_equals_the_masked_read(n, d, ts, horizons):
     assert [readings(a) for a in new] == [readings(a) for a in old]
 
 
+def _chunk_stacks(case):
+    """(c0, gmask, ms, horizons) stacks of one chunk-invariance case."""
+    if case == "corpus":
+        cfg = SMALL
+        for c0, gmask, ms in build_corpus(cfg).stacks:
+            yield c0, gmask, ms, [max(cfg.max_steps, checks._law_horizon(m)) for m in ms]
+        return
+    n, d, ts, horizons = {
+        "mixed": (16, 2, [5, 0, 16, 1, 15], [9, 4, 12, 7, 10]),
+        "d1": (64, 1, [1, 30, 63], [11, 8, 13]),
+        "wide": (1 << 11, 64, [300], [6]),
+    }[case]
+    rng = np.random.default_rng(n + d)
+    states = [from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
+              for _ in ts]
+    goods = [random_good_set(n, t, seed=i) for i, t in enumerate(ts)]
+    c0 = np.stack([s.coeffs for s in states])
+    yield (c0, np.stack([g.mask(n) for g in goods]), [moments(s, g) for s, g in zip(states, goods)],
+           horizons)
+
+
+@pytest.mark.parametrize("case", ["corpus", "mixed", "d1", "wide"])
+def test_every_chunk_size_keeps_the_per_step_bits(case, monkeypatch):
+    """Chunks of 1, 2 and 3 steps and of the whole horizon give the per-step
+    referee's bits; with 2 and 3 steps a chunk, some chunks start on odd n."""
+    for c0, gmask, ms, horizons in _chunk_stacks(case):
+        want = [readings(a) for a in masked_audit_stack(c0, gmask, ms, horizons)]
+        for steps in (1, 2, 3, max(horizons) + 1):
+            monkeypatch.setattr(checks, "_CHUNK_BYTES", steps * c0.nbytes)
+            assert checks._chunk_steps(c0.nbytes, gmask.size, max(horizons) + 1) == steps
+            got = checks._audit_stack(c0, gmask, ms, horizons)
+            assert [readings(a) for a in got] == want
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 3 * 16 * 4, 1 << 12, 1 << 18, 1 << 30])
+def test_recurrence_check_keeps_its_bits_at_every_chunk_size(chunk_bytes, monkeypatch):
+    """Criterion 2 predicts each stack a chunk of steps a call; from one step a
+    chunk to every step in one, its deviation keeps the per-state bits."""
+    corpus = build_corpus(SMALL)
+    worst = 0.0
+    for c0, gmask, ms in corpus.stacks:
+        for b, m in enumerate(ms):
+            for n, x, y in analytic.recurrence_sequence([m], SMALL.max_steps):
+                rebuilt = np.where(gmask[b][:, None], c0[b] - (2.0 / c0.shape[1]) * x[0],
+                                   (-1) ** n * c0[b] - (2.0 / c0.shape[1]) * y[0])
+                pred = analytic.closed_form_table(c0[b : b + 1], gmask[b : b + 1], [m], n)[0]
+                worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
+    monkeypatch.setattr(checks, "_CHUNK_BYTES", chunk_bytes)
+    assert checks.check_recurrence_consistency(SMALL, corpus).max_deviation == worst
+
+
 def test_closed_form_table_keeps_the_masked_bits():
     rng = np.random.default_rng(8)
     states = [from_amplitudes(rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)), True)
@@ -258,6 +310,51 @@ def test_single_state_audit_allocates_no_more_than_before():
     finally:
         tracemalloc.stop()
     assert peak <= 5.63 * n * d * 16
+
+
+# What the memory cap does not charge, whatever the table's size: numpy's
+# ufunc buffers (at most three operands of np.getbufsize() complex items) and
+# 128 KiB of interpreter objects (the readings, the report, the closed form's
+# factors).  Beside the charge, the audits below read 150-475 KB.
+UNCHARGED = 3 * np.getbufsize() * 16 + (128 << 10)
+
+
+@pytest.mark.parametrize("nq,d,t,iterations", [(12, 64, 300, 4), (6, 4, 3, None)])
+def test_audit_charge_covers_a_finds_traced_peak(nq, d, t, iterations):
+    """A find holds its state and its audit at once, and the audit's charge
+    counts both, with the chunk of steps it reads at a time.  At 4096 x 64
+    the chunk is one table; at a verify-sized 64 x 4 it holds every step."""
+    s = parse_scenario({"kind": "find", "n_qubits": nq, "data_dim": d, "iterations": iterations,
+                        "state": {"type": "random", "seed": 1, "var_b": 0.05},
+                        "good": {"t": t, "seed": 2}})
+    run_find(s)
+    tracemalloc.start()
+    try:
+        steps = len(run_find(s).payload["table"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, table = 1 << nq, 16 * d << nq
+    k = checks._chunk_steps(table, n, steps)
+    assert k == (1 if nq == 12 else steps)
+    assert peak <= checks._audit_bytes(table, n, k) + UNCHARGED
+
+
+def test_audit_charge_covers_a_verify_stacks_traced_peak():
+    """The battery's largest stack (64 x 4) audited over its horizons."""
+    corpus = build_corpus(VerifyConfig())
+    c0, gmask, ms = max(corpus.stacks, key=lambda stack: stack[0].nbytes)
+    horizons = [max(VerifyConfig().max_steps, checks._law_horizon(m)) for m in ms]
+    checks._audit_stack(c0, gmask, ms, horizons)
+    tracemalloc.start()
+    try:
+        checks._audit_stack(c0, gmask, ms, horizons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = checks._chunk_steps(c0.nbytes, gmask.size, max(horizons) + 1)
+    assert c0.shape[1:] == (64, 4) and k > 1
+    assert peak <= checks._audit_bytes(c0.nbytes, gmask.size, k) + UNCHARGED
 
 
 @pytest.mark.slow

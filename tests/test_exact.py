@@ -1,5 +1,6 @@
-"""The float paths against the exact referee: the trajectory and the closed form
-in rational arithmetic (``exact_trajectory`` and ``exact_closed_form``).
+"""The float paths against the exact referee: the trajectory, the closed form
+and the two-block recurrence in rational arithmetic (``exact_trajectory``,
+``exact_closed_form`` and ``exact_recurrence``).
 
 Each bound below was set from a measurement over ten seeds of these four
 shapes, before the test was written, and catches a planted perturbation of
@@ -14,6 +15,8 @@ from conftest import (
     apply_search_operator,
     exact_closed_form,
     exact_error,
+    exact_recurrence,
+    exact_table,
     exact_trajectory,
     grover_matrix,
     random_table,
@@ -82,3 +85,33 @@ def test_composed_step_error_is_within_the_bias_model(case):
         if n:
             model = n * rate * float(np.max(np.abs(exact[n])))
             assert exact_error(table, exact[n]) <= 1.5 * model
+
+
+def test_exact_recurrence_rebuilds_the_exact_trajectory(case):
+    """f_g(n) = f_g - (2/N) X_n and f_b(n) = (-1)^n f_b - (2/N) Y_n, exactly."""
+    state, good, gmask, exact = case
+    x0, half_n = exact_table(state.coeffs), state.n_states // 2
+    for n, (big_x, big_y) in enumerate(exact_recurrence(state.coeffs, gmask, N_MAX), start=1):
+        assert np.array_equal(exact[n][:, gmask], x0[:, gmask] - big_x[:, None] / half_n)
+        bad = (-1) ** n * x0[:, ~gmask] - big_y[:, None] / half_n
+        assert np.array_equal(exact[n][:, ~gmask], bad)
+
+
+def test_recurrence_error_is_within_the_phase_model(case):
+    """err_n <= 2.5 * eps * max_{k<=n} |Z_k| * (1 + 4 n theta / sin(2 theta)).
+
+    Z_k is the exact pair (X_k, Y_k).  An error made at step k is carried by
+    the later steps, so the scale is the largest pair so far; the phase term
+    is the closed form's.  Measured 0.06-2.01 of the model (160 states, ten
+    times the seeds of these four shapes); a recurrence that scales each step
+    by (1 +- 1e-14) reads 4.0-21.7.
+    """
+    state, good, gmask, _ = case
+    m = moments(state, good)
+    phase = 4.0 * m.theta / math.sin(2.0 * m.theta)
+    scale = 0.0
+    exact = exact_recurrence(state.coeffs, gmask, N_MAX)
+    for (n, x, y), (big_x, big_y) in zip(analytic.recurrence_sequence([m], N_MAX), exact):
+        scale = max(scale, float(np.max(np.abs(big_x))), float(np.max(np.abs(big_y))))
+        err = max(exact_error(x[0], big_x), exact_error(y[0], big_y))
+        assert err <= 2.5 * EPS * scale * (1.0 + n * phase)

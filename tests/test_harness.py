@@ -125,6 +125,9 @@ class TestRunCount:
 # The counting circuit's working set at N = 2^12, D = 1, P = 1024: three tables,
 # five P x D sequences of complex128 and the marked-row mask.
 CIRCUIT_BYTES = 16 * (3 * 4096 + 5 * 1024) + 4096
+# The trajectory audit's charge at N = 2^12, D = 1: the state's table, the
+# audit's three tables, the row index and the mask.
+AUDIT_BYTES = 4 * 16 * 4096 + 9 * 4096
 
 
 class TestSweep:
@@ -157,19 +160,22 @@ class TestSweep:
         assert report.passed  # skipped cells do not fail the run
 
     def test_count_cell_skipped_only_over_the_working_set(self, monkeypatch):
-        # P x N x D is 64 MiB; the circuit's working set is CIRCUIT_BYTES
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES))
+        # P x N x D is 64 MiB; the cell's working set is the larger of the
+        # circuit's and the audit's, here the audit's (AUDIT_BYTES)
+        assert AUDIT_BYTES > CIRCUIT_BYTES
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(AUDIT_BYTES))
         s = parse_scenario({"kind": "sweep",
                             "grid": {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}})
         (row,) = run_sweep(s).payload["rows"]
         assert row["status"] == "ok" and row["passed"] is True
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES - 1))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(AUDIT_BYTES - 1))
         (row,) = run_sweep(s).payload["rows"]
         assert row["status"] == "skipped"
 
     def test_cell_skipped_only_over_the_audit_working_set(self, monkeypatch):
-        # N = 2^8, D = 4: three tables, the row index and the mask
-        audit = 3 * 16 * 256 * 4 + 9 * 256
+        # N = 2^8, D = 4: the state's table and the audit's three, the row
+        # index and the mask
+        audit = 4 * 16 * 256 * 4 + 9 * 256
         s = parse_scenario({"kind": "sweep", "grid": {"n_qubits": [8], "data_dim": [4],
                                                       "t": [0, 3], "seeds": [3]}})
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit))

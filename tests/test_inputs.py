@@ -47,9 +47,9 @@ class TestRegressions:
         assert code == 1 and "n_qubits" in err
 
     def test_audit_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
-        # N = 2^8, D = 4: the 16 KiB table fits, the audit's three tables, row
-        # index and mask (51,456 bytes) are charged separately
-        audit = 3 * 16 * 256 * 4 + 9 * 256
+        # N = 2^8, D = 4: the 16 KiB table fits alone; the table, the audit's
+        # three tables, row index and mask (67,840 bytes) are charged together
+        audit = 4 * 16 * 256 * 4 + 9 * 256
         cfg = write_json(tmp_path / "c.json",
                          dict(FIND, n_qubits=8, data_dim=4, good={"t": 3, "seed": 1}))
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit - 1))
