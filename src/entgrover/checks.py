@@ -15,9 +15,10 @@ of k consecutive steps at a time, and reads the k steps together: one numpy
 call per reading per chunk instead of one per step.  A chunk holds at most
 ``_CHUNK_BYTES`` of tables, so the battery's small stacks are read in one
 to a few chunks, while a table of that size or more is read one step at a
-time.  The audit allocates three chunks once per call: the steps, and two
-free chunks that take the closed-form predictions, the sector gathers and
-every |z|^2, so nothing the size of a table is allocated from step to step.
+time.  The audit allocates three chunks once per call, each on a cache
+line (``_arena``): the steps, and two free chunks that take the closed-form
+predictions, the sector gathers and every |z|^2, so nothing the size of a
+table is allocated from step to step.
 ``check_audit_memory`` charges the state's table together with the audit;
 the chunk grows past one table only where the memory cap leaves room.
 
@@ -51,6 +52,12 @@ AVG_THRESHOLD = math.pi**2 / (8.0 * math.sqrt(2.0))
 # once.  Small stacks are then read a chunk of steps a call; a table this
 # size or larger is read one step at a time.
 _CHUNK_BYTES = 1 << 18
+
+# The audit's chunks start on a cache line.  malloc aligns a table to 16
+# bytes only, so where in its cache line each of the three tables started
+# changed from process to process, and a 4096 x 64 step between two tables
+# off a cache-line boundary ran 8-10% slower (2 cores, numpy 2.4.6).
+_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,19 @@ def _carve(
     return buf.reshape(-1).view(dtype)[skip : skip + math.prod(shape)].reshape(shape)
 
 
+def _arena(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
+    """``count`` C-ordered complex arrays of ``shape``, each starting on a cache
+    line (``_ALIGN``) and carved from an allocation of its own, at most
+    ``_ALIGN`` bytes longer; the memory charge leaves that padding out."""
+    size = 16 * math.prod(shape)
+    arrays = []
+    for _ in range(count):
+        raw = np.empty(size + _ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % _ALIGN
+        arrays.append(raw[start : start + size].view(np.complex128).reshape(shape))
+    return arrays
+
+
 def _spans(sizes: list[int]) -> list[slice]:
     """Consecutive slices of the given sizes."""
     ends = itertools.accumulate(sizes)
@@ -207,22 +227,24 @@ def _audit_stack(
     audited for each; the stack is stepped to max(horizons).
 
     The call owns its memory: three C-ordered chunks of k tables of the
-    stack's shape (``_chunk_steps``), allocated once.  The steps of a chunk
-    are written one after another into the first, through
-    ``grover._step_rows`` (a step's two transforms leave it in the output
-    table), with a table of a free chunk as scratch; then all k are read at
-    once, and the last is stepped into the first table for the next chunk.  A read writes
-    the k predictions into the second chunk in the tables' own row order
-    (``analytic._closed_form_into``; the marked rows go through the third),
-    subtracts the steps and takes each state's largest absolute value.  It
-    then gathers the two sectors, ``c[gmask]`` then ``c[~gmask]``, which lay
-    each state's rows out one state after another, into the second chunk
-    with one ``np.take``; the marked mass and the sector variances are read
-    on those rows, every |z|^2 formed in the third chunk, and only the norm
-    is summed over the whole tables.  Sums over a state's rows are reduced
-    state by state over (k, rows, D) slices, with the reductions
-    ``qstate.good_mass`` and ``qstate.moments`` make, so every reading stays
-    bit for bit what the state gives alone, whatever k is.
+    stack's shape (``_chunk_steps``), allocated once, each starting on a
+    cache line (``_arena``) so that the step runs alike in every process.
+    The steps of a chunk are written one after another into the first,
+    through ``grover._step_rows`` (a step's two transforms leave it in the
+    output table), with a table of a free chunk as scratch; then all k are
+    read at once, and the last is stepped into the first table for the next
+    chunk.  A read writes the k predictions into the second chunk in the
+    tables' own row order (``analytic._closed_form_into``; the marked rows
+    go through the third), subtracts the steps and takes each state's
+    largest absolute value.  It then gathers the two sectors, ``c[gmask]``
+    then ``c[~gmask]``, which lay each state's rows out one state after
+    another, into the second chunk with one ``np.take``; the marked mass and
+    the sector variances are read on those rows, every |z|^2 formed in the
+    third chunk, and only the norm is summed over the whole tables.  Sums
+    over a state's rows are reduced state by state over (k, rows, D) slices,
+    with the reductions ``qstate.good_mass`` and ``qstate.moments`` make, so
+    every reading stays bit for bit what the state gives alone, whatever k
+    is.
     """
     n_big, d = c0.shape[1:]
     ts = [m.t for m in ms]
@@ -240,7 +262,7 @@ def _audit_stack(
     c0_in, gmask_in, ms_in = c0[pick], gmask[pick], [ms[i] for i in interior]
     last = max(horizons)
     k = _chunk_steps(c0.nbytes, gmask.size, last + 1)
-    steps, sectors, work = (np.empty((k,) + c0.shape, dtype=np.complex128) for _ in range(3))
+    steps, sectors, work = _arena((k,) + c0.shape, 3)
     avg = np.empty((k,) + c0.shape[::2], dtype=np.complex128)
     # Empty sectors sum to 0 over one row, so their drift reads 0.
     t_rows = np.maximum(ts, 1)[:, None]

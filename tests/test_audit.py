@@ -295,6 +295,16 @@ def test_find_sized_audit_allocates_no_more_than_before():
     assert max(peaks) <= 3 * table + 256 * 1024
 
 
+@pytest.mark.parametrize("shape", [(1, 1 << 12, 64), (16, 2, 4, 3)])
+def test_audit_chunks_start_on_a_cache_line(shape):
+    """Wherever malloc puts them, the step's chunks start on a cache line, so
+    the step runs alike in every process."""
+    chunks = checks._arena(shape, 3)
+    assert all(c.shape == shape and c.flags.c_contiguous for c in chunks)
+    assert [c.ctypes.data % checks._ALIGN for c in chunks] == [0, 0, 0]
+    assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
+
+
 def test_single_state_audit_allocates_no_more_than_before():
     """Before the corpus was audited in batches this audit peaked at 5.623 tables (numpy 2.4)."""
     rng = np.random.default_rng(3)
