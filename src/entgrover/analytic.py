@@ -47,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .grover import small_buffer
 from .qstate import EntangledState, GoodSet, MomentSummary, moments
 
 DEGENERATE_RTOL = 1e-12
@@ -237,17 +238,18 @@ def _closed_form_into(
     c0_good = out.reshape(-1, d)[: len(marked)]
     np.take(c0.reshape(-1, d), marked, axis=0, out=c0_good, mode="clip")
     good = scratch.reshape(-1)[: k * len(marked) * d].reshape(k, len(marked), d)
-    stop = 0
-    for i, m in enumerate(ms):  # each state's marked rows, one after another
-        rows = slice(stop, stop + m.t)
-        stop += m.t
-        np.subtract(c0_good[rows], (good_g[:, i] * g_avg[i])[:, None], out=good[:, rows])
-        good[:, rows] += (good_b[:, i] * b_avg[i])[:, None]
     drift = (bad_g * g_avg)[:, :, None]
     even, odd = slice(n0 % 2, None, 2), slice(1 - n0 % 2, None, 2)
-    np.subtract(c0, drift[even], out=out[even])
-    np.subtract(-drift[odd], c0, out=out[odd])
-    out += (bad_b * b_avg)[:, :, None]
+    with small_buffer():  # the broadcast operands go through numpy's ufunc buffer
+        stop = 0
+        for i, m in enumerate(ms):  # each state's marked rows, one after another
+            rows = slice(stop, stop + m.t)
+            stop += m.t
+            np.subtract(c0_good[rows], (good_g[:, i] * g_avg[i])[:, None], out=good[:, rows])
+            good[:, rows] += (good_b[:, i] * b_avg[i])[:, None]
+        np.subtract(c0, drift[even], out=out[even])
+        np.subtract(-drift[odd], c0, out=out[odd])
+        out += (bad_b * b_avg)[:, :, None]
     out[:, gmask] = good
     return out
 

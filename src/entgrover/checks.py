@@ -289,8 +289,9 @@ def _audit_stack(
         masses = _span_sums(_abs2(good, work), g_spans)
         for sector, spans in ((good, g_spans), (bad, b_spans)):
             _span_means(sector, spans, avg[:size])
-            for i, span in enumerate(spans):
-                sector[:, span] -= avg[:size, i, None]
+            with grover.small_buffer():
+                for i, span in enumerate(spans):
+                    sector[:, span] -= avg[:size, i, None]
         var_g = _span_sums(_abs2(good, work), g_spans)
         var_b = _span_sums(_abs2(bad, work), b_spans)
         drift = np.maximum(np.abs(var_g / t_rows - var0[0]), np.abs(var_b / b_rows - var0[1]))

@@ -28,6 +28,20 @@ that.  Only the order in which elements are visited changes: every element
 gets (a +- b) * (1/sqrt(2)) in the same pass order, so the bits are those
 of unblocked passes, which the tests keep as a reference.
 
+A low pass h pairs runs of only 2hD floats (128 at h = 1, D = 64), and numpy
+copies such strided operands through its ufunc buffer.  At the default 8192
+elements that is 3 x 64 KiB per call, more than a 48 KiB L1 data cache, and
+memory the cap does not charge.  So the block loop runs with the buffer at
+``_PASS_BUFFER`` = 256 elements (``small_buffer``, which gives the caller's
+size back on the way out), and so do the trajectory audit's broadcast
+elementwise ops.  The step's signs (the phase flip, S0 and the global sign)
+negate the table's float64 view: numpy's complex negative is an
+unvectorized loop, 0.87 ms per 4 MiB table against 0.18 ms.  Both are
+elementwise, so every amplitude gets the same operations in the same order
+and no bit changes.  One step, best of 7, went from 20.6 to 13.8 ms at
+4096 x 64, 34.6 to 26.4 ms at 2^16 x 4, 154 to 121 ms at 2^18 x 4 and
+207 to 176 ms at 2^20 x 1 (2 cores, Python 3.11.7, numpy 2.4.6).
+
 The row operators act on the rows axis (-2) of any leading batch shape.
 ``trajectory_tables`` steps a stack of same-shape tables (B, N, D), with
 marked-row masks (B, N), in lock step; every operation is elementwise, so
@@ -53,6 +67,7 @@ audit (``checks.audit_trajectory``) measures instead.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -65,8 +80,31 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # block and its partner buffer (1 MiB) stay in a 2 MiB L2 cache.  Over 4096 x 64,
 # 2^16 x 4, 2^18 x 4 and 2^20 x 1, 256 KiB and 512 KiB blocks were fastest;
 # 1 MiB and 2 MiB were up to 40% slower at 2^18 x 4 and 2^20 x 1 (2 cores,
-# 2 MiB L2 each, numpy 2.4.6).
+# 2 MiB L2 each, numpy 2.4.6).  Inside a block the passes pair runs of 2hD
+# floats, which numpy copies through its ufunc buffer; the default 8192
+# elements (3 x 64 KiB) overflow a 48 KiB L1, so the block loop runs in a
+# buffer of _PASS_BUFFER elements.
 _BLOCK_BYTES = 1 << 19
+
+# Elements of numpy's ufunc buffer in ``small_buffer``.  Of 16, 64, 256, 1024
+# and 8192, 256 was the fastest or within noise of it for one step at each of
+# 4096 x 64, 2^16 x 4, 2^18 x 1, 2^18 x 4 and 2^20 x 1; 16 slowed 2^20 x 1 by
+# 8-25% against 8192, and 1024 lost up to half the gain at 4096 x 64 (best of
+# 7, two processes each, same machine).
+_PASS_BUFFER = 256
+
+
+@contextlib.contextmanager
+def small_buffer():
+    """Run the block with numpy's ufunc buffer at ``_PASS_BUFFER`` elements, then
+    restore the caller's size, also when the block raises.  Only elementwise
+    ufuncs belong in it: their bits do not depend on the buffer, while a
+    buffered reduction groups its pairwise sums by it."""
+    caller = np.setbufsize(_PASS_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(caller)
 
 
 def _hadamard_rows(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +127,9 @@ def _hadamard_rows(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nda
     low = min(block, n)
     src_blocks, dst_blocks = src.reshape(-1, low, d), dst.reshape(-1, low, d)
     per = block // low
-    for i in range(0, len(src_blocks), per):
-        _passes(src_blocks[i : i + per], dst_blocks[i : i + per], 1, low)
+    with small_buffer():
+        for i in range(0, len(src_blocks), per):
+            _passes(src_blocks[i : i + per], dst_blocks[i : i + per], 1, low)
     if (low.bit_length() - 1) % 2:
         src, dst = dst, src
     return _passes(src, dst, low, n)
@@ -138,11 +177,16 @@ def _step_rows(
     """
     if out is not src:
         np.copyto(out, src)
-    np.negative(out, out=out, where=gmask[..., None])
+    # The signs go on the float64 view, which negates both parts as the
+    # complex negative does, bit for bit, but in a vectorized loop.
+    parts = out.view(np.float64)
+    np.negative(parts, out=parts, where=gmask[..., None])
     out, scratch = _hadamard_rows(out, scratch)
-    np.negative(out[..., 0, :], out=out[..., 0, :])
+    row0 = out.view(np.float64)[..., 0, :]
+    np.negative(row0, out=row0)
     out, scratch = _hadamard_rows(out, scratch)
-    np.negative(out, out=out)
+    parts = out.view(np.float64)
+    np.negative(parts, out=parts)
     return out, scratch
 
 

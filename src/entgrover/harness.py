@@ -351,14 +351,28 @@ def build_state(
         if good is None:
             raise ScenarioError("state: random state requires a marked set")
         seed = _in_range(_require(spec, "seed", int, where), "state.seed", 0)
-        var_g = _number(spec.get("var_g", 0.0), "state.var_g")
-        var_b = _number(spec.get("var_b", 0.0), "state.var_b")
+        var_g = _variance(spec, "var_g", good.t)
+        var_b = _variance(spec, "var_b", (1 << n_qubits) - good.t)
         g_avg = _complex_vector(spec.get("g_avg"), data_dim, "state.g_avg")
         b_avg = _complex_vector(spec.get("b_avg"), data_dim, "state.b_avg")
-        return qstate.random_with_moments(
-            n_qubits, data_dim, good, var_g, var_b, g_avg, b_avg, seed=seed
-        )
+        try:
+            return qstate.random_with_moments(
+                n_qubits, data_dim, good, var_g, var_b, g_avg, b_avg, seed=seed
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"state: {exc}") from exc
     raise ScenarioError(f"state: unknown type {kind!r} (expected flat|random|file)")
+
+
+def _variance(spec: dict, name: str, rows: int) -> float:
+    """The random state's variance target ``name`` for a sector of ``rows`` rows."""
+    path = f"state.{name}"
+    var = _number(spec.get(name, 0.0), path)
+    if var < 0:
+        raise ScenarioError(f"field '{path}' must be >= 0, got {var}")
+    if rows == 1 and var > 0:
+        raise ScenarioError(f"field '{path}' = {var} is unsatisfiable: a sector of one row has variance 0")
+    return var
 
 
 def build_good(spec: dict, n_states: int) -> qstate.GoodSet:
@@ -367,11 +381,14 @@ def build_good(spec: dict, n_states: int) -> qstate.GoodSet:
         indices = _require(spec, "indices", list, where)
         if not all(_is_kind(i, int) for i in indices):
             raise ScenarioError("good: field 'indices' must list integers")
-        good = qstate.GoodSet(tuple(indices))
-        good.mask(n_states)
+        try:
+            good = qstate.GoodSet(tuple(indices))
+            good.mask(n_states)
+        except ValueError as exc:
+            raise ScenarioError(f"field 'good.indices': {exc}") from exc
         return good
     if "t" in spec:
-        t = _require(spec, "t", int, where)
+        t = _in_range(_require(spec, "t", int, where), "good.t", 0, n_states)
         seed = _in_range(_require(spec, "seed", int, where), "good.seed", 0)
         return qstate.random_good_set(n_states, t, seed)
     raise ScenarioError("good: need either 'indices' or {'t', 'seed'}")

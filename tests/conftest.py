@@ -112,6 +112,18 @@ def exact_trajectory(table: np.ndarray, gmask: np.ndarray, n_max: int) -> list[n
     return out
 
 
+def exact_doubled_means(table: np.ndarray, gmask: np.ndarray, steps: int) -> np.ndarray:
+    """Exact 2*mu_m for m = 0 .. steps - 1, a (steps, 2, D) object array: twice
+    the row mean of ``exact_trajectory``'s m-th table with its marked rows
+    negated, the doubled means of the counting circuit's first pass."""
+    out = []
+    for x in exact_trajectory(table, gmask, steps - 1):
+        flipped = x.copy()
+        flipped[:, gmask] = -flipped[:, gmask]
+        out.append(2 * flipped.sum(axis=1) / x.shape[1])
+    return np.array(out)
+
+
 def exact_closed_form(table: np.ndarray, gmask: np.ndarray, n: int) -> np.ndarray:
     """The paper's closed-form table after n steps, exactly, from the float (N, D) ``table``.
 

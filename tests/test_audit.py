@@ -350,6 +350,29 @@ def test_audit_charge_covers_a_finds_traced_peak(nq, d, t, iterations):
     assert peak <= checks._audit_bytes(table, n, k) + UNCHARGED
 
 
+def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(monkeypatch):
+    """The find above at a cap of exactly its audit charge (16,814,080 bytes)
+    peaks over it by interpreter objects only: its broadcast and strided
+    elementwise ops run in a 256-element ufunc buffer (``grover.small_buffer``).
+    It peaked 223 KB over when they ran in numpy's 8192-element buffer."""
+    n, table = 1 << 12, 16 * 64 << 12
+    charge, caller = checks._audit_bytes(table, n, 1), np.getbufsize()
+    monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
+    s = parse_scenario({"kind": "find", "n_qubits": 12, "data_dim": 64, "iterations": 4,
+                        "state": {"type": "random", "seed": 1, "var_b": 0.05},
+                        "good": {"t": 300, "seed": 2}})
+    run_find(s)
+    tracemalloc.start()
+    try:
+        run_find(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks._chunk_steps(table, n, 5) == 1
+    assert peak <= charge + (128 << 10)
+    assert np.getbufsize() == caller
+
+
 def test_audit_charge_covers_a_verify_stacks_traced_peak():
     """The battery's largest stack (64 x 4) audited over its horizons."""
     corpus = build_corpus(VerifyConfig())

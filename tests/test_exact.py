@@ -1,6 +1,7 @@
-"""The float paths against the exact referee: the trajectory, the closed form
-and the two-block recurrence in rational arithmetic (``exact_trajectory``,
-``exact_closed_form`` and ``exact_recurrence``).
+"""The float paths against the exact referee: the trajectory, the closed form,
+the two-block recurrence and the counting circuit's doubled means in rational
+arithmetic (``exact_trajectory``, ``exact_closed_form``, ``exact_recurrence``
+and ``exact_doubled_means``).
 
 Each bound below was set from a measurement over ten seeds of these four
 shapes, before the test was written, and catches a planted perturbation of
@@ -14,6 +15,7 @@ import pytest
 from conftest import (
     apply_search_operator,
     exact_closed_form,
+    exact_doubled_means,
     exact_error,
     exact_recurrence,
     exact_table,
@@ -21,7 +23,7 @@ from conftest import (
     grover_matrix,
     random_table,
 )
-from entgrover import analytic, from_amplitudes, grover, moments, random_good_set
+from entgrover import analytic, counting, from_amplitudes, grover, moments, random_good_set
 
 # (N, t, D): t in {1, N/2 - 1, N/2 + 1, N - 1}, D in {1, 3}
 SHAPES = [(64, 1, 1), (64, 31, 3), (32, 17, 3), (16, 15, 1)]
@@ -115,3 +117,39 @@ def test_recurrence_error_is_within_the_phase_model(case):
         scale = max(scale, float(np.max(np.abs(big_x))), float(np.max(np.abs(big_y))))
         err = max(exact_error(x[0], big_x), exact_error(y[0], big_y))
         assert err <= 2.5 * EPS * scale * (1.0 + n * phase)
+
+
+@pytest.fixture(scope="module")
+def means_case(case):
+    state, _, gmask, exact = case
+    return state, gmask, exact, exact_doubled_means(state.coeffs, gmask, N_MAX)
+
+
+def _doubled_means_error(means_case, scale=1.0):
+    """Largest error of ``counting._doubled_means`` over eps * max_{k<=m} max|x_k| * (m + 1),
+    its means scaled by scale^m as a circuit scaling each step by ``scale`` would be."""
+    state, gmask, exact, exact_means = means_case
+    two_mu = counting._doubled_means(state.coeffs, gmask, N_MAX)
+    two_mu *= scale ** np.arange(N_MAX)[:, None]
+    worst = size = 0.0
+    for m in range(N_MAX):
+        size = max(size, float(np.max(np.abs(exact[m]))))
+        worst = max(worst, exact_error(two_mu[m], exact_means[m]) / (EPS * size * (m + 1)))
+    return worst
+
+
+def test_doubled_means_error_is_within_the_step_model(means_case):
+    """err_m <= 0.5 * eps * max_{k<=m} max|x_k| * (m + 1).
+
+    Each mean-form step rounds every amplitude about once, and the reflection
+    about the mean does not amplify what earlier steps left, so the error of
+    2*mu_m grows with the steps taken.  Measured 0.06-0.33 of the model (40
+    states, ten seeds of these four shapes); a first pass that scales each
+    step by (1 +- 1e-14) reads 2.33-21.2, and one by (1 + 1e-15) 0.28-2.32.
+    """
+    assert _doubled_means_error(means_case) <= 0.5
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-14, 1.0 - 1e-14])
+def test_doubled_means_bound_catches_a_scaled_step(means_case, scale):
+    assert _doubled_means_error(means_case, scale) > 0.5

@@ -132,6 +132,76 @@ class TestHadamardKernel:
         np.testing.assert_allclose(_kernel(table), hadamard_matrix(nq) @ table, atol=1e-12)
 
 
+def _zeros_table(shape, seed):
+    """``_table`` with exact zeros of both signs in both parts: column 1 is
+    -0 - 0j, every third row +0 - 0j, and column 2 of the next rows -0 + 0j."""
+    table = _table(shape, seed)
+    table[..., 1] = complex(-0.0, -0.0)
+    table.real[..., ::3, :] = 0.0
+    table.imag[..., ::3, :] = -0.0
+    table[..., 1::3, 2] = complex(-0.0, 0.0)
+    return table
+
+
+def _reference_step(table, gmask):
+    """-W S0 W S_H operator by operator, each sign by complex np.negative."""
+    x = np.array(table, dtype=np.complex128)
+    np.negative(x, out=x, where=gmask[..., None])
+    x = butterfly_hadamard(x)
+    np.negative(x[..., 0, :], out=x[..., 0, :])
+    return np.negative(butterfly_hadamard(x))
+
+
+class TestStepSignsAndBuffer:
+    """The step negates on the float64 view and runs the low passes of tables
+    over a block in a ``_PASS_BUFFER``-element ufunc buffer; neither changes
+    a bit, down to the sign of a zero, and the caller's buffer size is back
+    after every call."""
+
+    @pytest.mark.parametrize("shape", [(8, 3), (4, 16, 3), (4096, 64)])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_equals_complex_negation_bit_for_bit(self, shape, in_place):
+        table = _zeros_table(shape, seed=shape[-2])
+        gmask = np.random.default_rng(shape[-1]).random(shape[:-1]) < 0.3
+        gmask[..., :2] = True  # rows of zeros among the marked rows
+        src = table.copy()
+        out = src if in_place else np.empty_like(src)
+        result = grover._step_rows(src, gmask, out, np.empty_like(src))[0]
+        assert np.array_equal(_bits(result), _bits(_reference_step(table, gmask)))
+        assert (result.view(np.float64) == 0).any()  # whose sign the bits compare
+
+    @pytest.fixture
+    def caller_buffer(self):
+        caller = np.setbufsize(1024)
+        yield 1024
+        np.setbufsize(caller)
+
+    def test_low_passes_run_in_the_small_buffer(self, monkeypatch, caller_buffer):
+        seen = []
+        passes = grover._passes
+
+        def spy(src, dst, h, stop):
+            seen.append((h, np.getbufsize()))
+            return passes(src, dst, h, stop)
+
+        monkeypatch.setattr(grover, "_passes", spy)
+        _kernel(_table((4096, 64), seed=1))
+        _kernel(_table((64, 4), seed=2))
+        *low, high, small = seen  # eight blocks of 512 rows, then the high passes
+        assert [h for h, _ in low] == [1] * 8 and high[0] == 512
+        assert all(size == grover._PASS_BUFFER for _, size in low)
+        assert high[1] == small[1] == caller_buffer
+        assert np.getbufsize() == caller_buffer
+
+    def test_caller_buffer_restored_when_a_pass_raises(self, caller_buffer):
+        src = _table((4096, 64), seed=3)
+        dst = np.empty_like(src)
+        dst.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            grover._hadamard_rows(src, dst)
+        assert np.getbufsize() == caller_buffer
+
+
 class TestReflectZero:
     def test_flat_n2(self):
         out = reflect_zero(new_flat(1, 1))

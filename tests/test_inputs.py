@@ -58,6 +58,26 @@ class TestRegressions:
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit))
         assert run_cli(["find", "--config", cfg])[0] == 0
 
+    @pytest.mark.parametrize(
+        "good, state, field",
+        [
+            ({"indices": [0, 0]}, {"type": "flat"}, "good.indices"),
+            ({"indices": [9]}, {"type": "flat"}, "good.indices"),
+            ({"indices": [-1]}, {"type": "flat"}, "good.indices"),
+            ({"t": 9, "seed": 1}, {"type": "flat"}, "good.t"),
+            ({"t": -1, "seed": 1}, {"type": "flat"}, "good.t"),
+            ({"t": 1, "seed": 1}, {"type": "random", "seed": 1, "var_g": 5}, "state.var_g"),
+            ({"t": 7, "seed": 1}, {"type": "random", "seed": 1, "var_b": 5}, "state.var_b"),
+            ({"t": 2, "seed": 1}, {"type": "random", "seed": 1, "var_b": -0.5}, "state.var_b"),
+        ],
+    )
+    def test_bad_marked_set_or_variance_exit_1_names_field(self, tmp_path, good, state, field):
+        # at N = 8; the marked set and the state's checks used to surface
+        # without the field they came from
+        cfg = write_json(tmp_path / "c.json", dict(FIND, n_qubits=3, good=good, state=state))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and f"'{field}'" in err
+
     def test_count_circuit_over_memory_cap_exit_1_names_p(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", "4096")
         cfg = write_json(tmp_path / "c.json", {"kind": "count", "n_qubits": 4,
