@@ -29,14 +29,7 @@ from .counting import (
     run_count,
     window_probability,
 )
-from .grover import (
-    grover_iterate,
-    grover_step,
-    grover_trajectory,
-    oracle_phase_flip,
-    reflect_zero,
-    walsh_hadamard,
-)
+from .grover import grover_iterate, grover_trajectory
 from .qstate import (
     EntangledState,
     GoodSet,

@@ -9,12 +9,14 @@ unitary scaling, so it is numpy's inverse FFT, ``np.fft.ifft(...,
 norm="ortho")``, along the ancilla axis.  Measuring the ancilla and inverting
 t~ = N*sin^2(pi*f~/P) estimates t within a bound that shrinks as 1/P.
 
-``circuit_distribution`` simulates the circuit without holding its
-P x N x D amplitude tensor.  Each row follows x_{m+1}(a) = 2*mu_m - s_a*x_m(a),
-so every branch is +-x_0(a) plus one offset per sector: one pass over the
-table keeps the P x D doubled means, and the transforms of the two offset
-sequences give the distribution in O(P*D).  ``build_count_state`` still
-builds the whole tensor; it is the referee the tests hold the circuit to.
+The step here is the inversion about the average, x_{m+1}(a) =
+2*mu_m - s_a*x_m(a) with s_a = -1 on marked rows, taken in place by one
+kernel, ``_mean_step``.  ``circuit_distribution`` simulates the circuit
+without holding its P x N x D amplitude tensor: every branch is +-x_0(a)
+plus one offset per sector, so one pass over the table keeps the P x D
+doubled means, and the transforms of the two offset sequences give the
+distribution in O(P*D).  ``build_count_state`` still builds the whole
+tensor; it is the referee the tests hold the circuit to.
 
 The probability mass captured by the peak window admits exact closed
 forms built from the Dirichlet-style kernel
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import DegenerateCaseError
-from .grover import _reflect_rows
 from .qstate import EntangledState, GoodSet, MomentSummary, check_bytes, check_memory, moments
 
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
@@ -55,10 +56,10 @@ def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> None:
     """Refuse a circuit whose working set exceeds the cap.
 
     The charge is three tables, five P x D sequences and the marked-row
-    mask.  The first pass holds the table, its step buffer and the sign of
-    each float (three tables) beside the P x D means; the transforms hold at
-    most five P x D sequences; the line terms hold one sector's rows and
-    their squares (at most 2.5 tables) beside the two transforms.
+    mask.  The first pass holds the table and the sign of each float (two
+    tables) beside the P x D means; the transforms hold at most five P x D
+    sequences; the line terms hold one sector's rows and their squares (at
+    most 2.5 tables) beside the two transforms.
     """
     needed = 16 * (3 * n_states + 5 * p_size) * data_dim + n_states
     check_bytes(needed, f"counting circuit working set (P = {p_size})")
@@ -67,11 +68,12 @@ def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> None:
 def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
     """Ancilla distribution of the counting circuit, from the simulated column means.
 
-    A first pass steps the table P - 1 times as ``_reflect_rows`` does and
-    keeps the doubled column means 2*mu_m.  Branch m then holds x_0(a) + G_m
-    on marked rows and (-1)^m*x_0(a) + B_m on unmarked rows, with offsets
-    G_{m+1} = G_m + 2*mu_m and B_{m+1} = 2*mu_m - B_m from zero.  With g and b
-    their transforms, outcome k has (t*|g_k|^2 + (N - t)*|b_k|^2) / (P*N),
+    A first pass steps a copy of the table P - 1 times in place
+    (``_mean_step``) and keeps the doubled column means 2*mu_m.  Branch m
+    then holds x_0(a) + G_m on marked rows and (-1)^m*x_0(a) + B_m on
+    unmarked rows, with offsets G_{m+1} = G_m + 2*mu_m and
+    B_{m+1} = 2*mu_m - B_m from zero.  With g and b their transforms,
+    outcome k has (t*|g_k|^2 + (N - t)*|b_k|^2) / (P*N),
     save that x_0 adds sqrt(P)*x_0(a) to the marked rows' g_0 and to the
     unmarked rows' b_{P/2}: the tensor's distribution to last-place rounding.
 
@@ -97,20 +99,30 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
 
 
 def _doubled_means(table: np.ndarray, gmask: np.ndarray, steps: int) -> np.ndarray:
-    """2*mu_m over ``steps`` of ``_reflect_rows``'s steps from a copy of a table, with its bits."""
-    n, d = table.shape
-    # s_a for each float of the table's float64 view, so that times s_a is
-    # one contiguous multiply: the bits of negating the marked rows.
-    sign = np.repeat(np.where(gmask, -1.0, 1.0), 2 * d)
-    two_mu = np.empty((steps, d), dtype=np.complex128)
-    cur = np.array(table)
-    x = np.empty_like(cur)
-    cur_f, x_f = (a.reshape(-1).view(np.float64) for a in (cur, x))
-    for m in range(steps):
-        np.multiply(cur_f, sign, out=x_f)
-        np.multiply(2.0, np.add.reduce(x, 0) / n, out=two_mu[m])
-        np.subtract(two_mu[m], x, out=cur)
+    """2*mu_m for m < ``steps``, stepping a C-ordered copy of an (N, D) table in place."""
+    cur = np.array(table, order="C")
+    sign = _float_signs(gmask, table.shape[1])
+    two_mu = np.empty((steps, table.shape[1]), dtype=np.complex128)
+    for out in two_mu:
+        _mean_step(cur, sign, out)
     return two_mu
+
+
+def _float_signs(gmask: np.ndarray, d: int) -> np.ndarray:
+    """s_a for each float of an (N, D) table's (N, 2D) float64 view: -1 on marked rows."""
+    return np.repeat(np.where(gmask, -1.0, 1.0)[:, None], 2 * d, axis=1)
+
+
+def _mean_step(cur: np.ndarray, sign: np.ndarray, two_mu: np.ndarray) -> None:
+    """x(a) <- 2*mu - s_a*x(a) in the C-ordered (N, D) table ``cur``; 2*mu goes to ``two_mu``.
+
+    Times s_a is one contiguous multiply of the float64 view, the bits of
+    negating the marked rows; nothing the size of a table is allocated.
+    """
+    parts = cur.view(np.float64)
+    np.multiply(parts, sign, out=parts)
+    np.multiply(2.0, np.add.reduce(cur, 0) / len(cur), out=two_mu)
+    np.subtract(two_mu, cur, out=cur)
 
 
 def _line_norm2(rows: np.ndarray, p_size: int, line: np.ndarray) -> float:
@@ -154,30 +166,13 @@ class CountState:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        self._admit(np.array(self.amps, dtype=np.complex128, copy=True))
-
-    @classmethod
-    def _trusted(cls, p_size: int, n_qubits: int, data_dim: int, amps: np.ndarray) -> "CountState":
-        """Take over a complex128 tensor the counting circuit has just built.
-
-        Skips the public constructor's copy, not its checks: the shape and
-        the norm gate still run.  The tensor is made read-only, so the caller
-        must not keep writing to it.
-        """
-        cs = object.__new__(cls)
-        object.__setattr__(cs, "p_size", p_size)
-        object.__setattr__(cs, "n_qubits", n_qubits)
-        object.__setattr__(cs, "data_dim", data_dim)
-        cs._admit(amps)
-        return cs
-
-    def _admit(self, a: np.ndarray) -> None:
         if self.p_size < 1 or self.p_size & (self.p_size - 1) != 0:
             raise ValueError(f"ancilla size must be a power of two, got {self.p_size}")
-        n = 1 << self.n_qubits
-        if a.shape != (self.p_size, n, self.data_dim):
+        a = np.array(self.amps, dtype=np.complex128, copy=True)
+        if a.shape != (self.p_size, self.n_states, self.data_dim):
             raise ValueError(
-                f"amplitude tensor must be {self.p_size}x{n}x{self.data_dim}, got {a.shape}"
+                f"amplitude tensor must be {self.p_size}x{self.n_states}x{self.data_dim}, "
+                f"got {a.shape}"
             )
         total = float(np.sum(np.square(a.real) + np.square(a.imag)))
         if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
@@ -194,26 +189,27 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     """The counting circuit's whole P x N x D tensor: the referee, not a runner path.
 
     Branch m holds (1/sqrt(P)) times the m-times-amplified state; powers are
-    computed incrementally, so the whole circuit costs P amplification steps,
-    each one reflection about the column mean.
-    The ancilla transform is numpy's FFT along axis 0.  Runners call
-    ``circuit_distribution``, which reads the same distribution off the
-    column means; see ``CountState`` for why this stays in the package.
+    computed incrementally in one table, so the whole circuit costs P - 1
+    steps of ``_mean_step``, the circuit's own kernel.  The ancilla transform
+    is numpy's FFT along axis 0.  Runners call ``circuit_distribution``,
+    which reads the same distribution off the column means; see
+    ``CountState`` for why this stays in the package.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
-    n = state.n_states
-    check_memory(p_size * n * state.data_dim)
-    gmask = good.mask(n)
-    amps = np.empty((p_size, n, state.data_dim), dtype=np.complex128)
+    n, d = state.n_states, state.data_dim
+    check_memory(p_size * n * d)
+    sign = _float_signs(good.mask(n), d)
+    two_mu = np.empty(d, dtype=np.complex128)
+    cur = np.array(state.coeffs, order="C")
+    amps = np.empty((p_size, n, d), dtype=np.complex128)
     scale = 1.0 / math.sqrt(p_size * n)  # physical rows carry 1/sqrt(N) as well
-    cur = state.coeffs
     for m in range(p_size):
-        amps[m] = cur * scale
+        np.multiply(cur, scale, out=amps[m])
         if m + 1 < p_size:
-            cur = _reflect_rows(cur, gmask)
+            _mean_step(cur, sign, two_mu)
     amps = np.fft.ifft(amps, axis=0, norm="ortho")
-    return CountState._trusted(p_size, state.n_qubits, state.data_dim, amps)
+    return CountState(p_size, state.n_qubits, d, amps)
 
 
 def ancilla_distribution(cs: CountState) -> np.ndarray:

@@ -7,20 +7,13 @@ kept (not dropped as an unobservable phase) so iterated rows can be
 compared amplitude-by-amplitude, including the (-1)^n alternation of the
 unmarked rows, against closed-form predictions.
 
-A step composes the operators literally: the phase flip, W as log2(N)
-butterfly passes, S0, W again.  Since W|0> is the uniform vector |u>,
-the diffusion -W S0 W also equals 2|u><u| - I, the inversion about the
-average: each row x_a becomes 2*mean(x) - x_a.  ``_reflect_rows`` computes
-that form in O(N*D) for the counting circuit's referee tensor
-(``counting.build_count_state``), whose many powers of a small state would
-be dominated by per-pass overhead; ``counting.circuit_distribution`` steps
-its table with the same arithmetic in place.  The two forms agree to last-place
-rounding but round differently: every butterfly pass scales by the rounded
-1/sqrt(2), so the composed step drifts the norm by the same few 1e-14 for
-every state of a given shape, while the mean form leaves a few ulps that
-change from state to state.  ``grover_step``, ``grover_iterate`` and
-``grover_trajectory`` compose the operators, so the unitarity headroom of
-a find report depends on the shape only, not on the random state.
+W is log2(N) butterfly passes.  Since W|0> is the uniform vector |u>, the
+diffusion -W S0 W also equals 2|u><u| - I, each row x_a becoming
+2*mean(x) - x_a; the counting circuit steps in that form
+(``counting._mean_step``).  Every butterfly pass scales by the rounded
+1/sqrt(2), so this gate form drifts the norm by the same few 1e-14 for
+every state of a given shape, and the unitarity headroom of a find report
+depends on the shape only, not on the random state.
 
 W's butterfly passes run on cache-sized blocks of rows (``_BLOCK_BYTES``)
 while a pass pairs rows inside a block, and over the whole table after
@@ -38,9 +31,7 @@ elementwise ops.  The step's signs (the phase flip, S0 and the global sign)
 negate the table's float64 view: numpy's complex negative is an
 unvectorized loop, 0.87 ms per 4 MiB table against 0.18 ms.  Both are
 elementwise, so every amplitude gets the same operations in the same order
-and no bit changes.  One step, best of 7, went from 20.6 to 13.8 ms at
-4096 x 64, 34.6 to 26.4 ms at 2^16 x 4, 154 to 121 ms at 2^18 x 4 and
-207 to 176 ms at 2^20 x 1 (2 cores, Python 3.11.7, numpy 2.4.6).
+and no bit changes (timings in ``BENCH_14.json``).
 
 The row operators act on the rows axis (-2) of any leading batch shape.
 ``trajectory_tables`` steps a stack of same-shape tables (B, N, D), with
@@ -80,10 +71,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # block and its partner buffer (1 MiB) stay in a 2 MiB L2 cache.  Over 4096 x 64,
 # 2^16 x 4, 2^18 x 4 and 2^20 x 1, 256 KiB and 512 KiB blocks were fastest;
 # 1 MiB and 2 MiB were up to 40% slower at 2^18 x 4 and 2^20 x 1 (2 cores,
-# 2 MiB L2 each, numpy 2.4.6).  Inside a block the passes pair runs of 2hD
-# floats, which numpy copies through its ufunc buffer; the default 8192
-# elements (3 x 64 KiB) overflow a 48 KiB L1, so the block loop runs in a
-# buffer of _PASS_BUFFER elements.
+# 2 MiB L2 each, numpy 2.4.6).
 _BLOCK_BYTES = 1 << 19
 
 # Elements of numpy's ufunc buffer in ``small_buffer``.  Of 16, 64, 256, 1024
@@ -158,12 +146,6 @@ def _passes(src: np.ndarray, dst: np.ndarray, h: int, stop: int) -> tuple[np.nda
     return src, dst
 
 
-def _flip_good(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
-    out = table.copy()
-    out[gmask] = -out[gmask]
-    return out
-
-
 def _step_rows(
     src: np.ndarray, gmask: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -190,41 +172,8 @@ def _step_rows(
     return out, scratch
 
 
-def _reflect_rows(table: np.ndarray, gmask: np.ndarray) -> np.ndarray:
-    """The same step as the phase flip, then the reflection about the column mean."""
-    x = _flip_good(table, gmask)
-    return 2.0 * x.mean(axis=0) - x
-
-
 def _wrap(state: EntangledState, coeffs: np.ndarray) -> EntangledState:
     return EntangledState._trusted(state.n_qubits, state.data_dim, coeffs)
-
-
-def oracle_phase_flip(state: EntangledState, good: GoodSet) -> EntangledState:
-    """Negate the marked rows (the reflection I - 2 sum_g |g><g|)."""
-    gmask = good.mask(state.n_states)
-    return _wrap(state, _flip_good(state.coeffs, gmask))
-
-
-def walsh_hadamard(state: EntangledState) -> EntangledState:
-    """Apply H on every search qubit; the data register is untouched."""
-    src = state.coeffs.copy()  # the state's table is read-only
-    return _wrap(state, _hadamard_rows(src, np.empty_like(src))[0])
-
-
-def reflect_zero(state: EntangledState) -> EntangledState:
-    """Negate row 0 (the reflection I - 2|0><0|)."""
-    c = state.coeffs.copy()
-    c[0] = -c[0]
-    return _wrap(state, c)
-
-
-def grover_step(state: EntangledState, good: GoodSet) -> EntangledState:
-    """One amplification step: -W S0 W S_H, global sign included."""
-    gmask = good.mask(state.n_states)
-    c = state.coeffs
-    out, scratch = np.empty_like(c, order="C"), np.empty_like(c, order="C")
-    return _wrap(state, _step_rows(c, gmask, out, scratch)[0])
 
 
 def grover_iterate(state: EntangledState, good: GoodSet, n: int) -> EntangledState:

@@ -8,7 +8,8 @@ only carry a runtime column when ``include_timings`` is set.
 
 ``find`` and ``count`` build their marked set and state through one setup
 step, and ``find`` and each ``sweep`` cell read the oscillation law against
-one trajectory audit through one shared step.  The scenario key
+one trajectory audit, and make the same checks on it, through one shared
+step.  The scenario key
 ``workers`` is accepted and checked but selects nothing: every run is
 sequential.
 
@@ -29,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import analytic, counting, qstate
-from .checks import Tolerances, TrajectoryAudit, VerifyConfig, audit_trajectory
+from .checks import Tolerances, VerifyConfig, audit_trajectory
 from .checks import check_audit_memory, run_checks
 
 SCHEMA_VERSION = 1
@@ -426,13 +427,14 @@ def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
 
 def _read_law(
     s: Scenario, state: qstate.EntangledState, good: qstate.GoodSet, m: qstate.MomentSummary
-) -> tuple[analytic.OscillationParams | None, TrajectoryAudit, list[float]]:
-    """The oscillation law against one simulated trajectory.
+) -> tuple[analytic.OscillationParams | None, list[dict], list[dict]]:
+    """The oscillation law against one simulated trajectory, and find's checks on it.
 
     Returns the law's parameters (None when t is 0 or N, where P = t/N at
-    every step), the audit of ``s.iterations`` steps (by default
-    ceil(2*pi/theta), or 16 when a sector is empty) and P(n) from the law
-    at each audited step.
+    every step), the table of P(n) from the law and from the audit of
+    ``s.iterations`` steps (by default ceil(2*pi/theta), or 16 when a sector
+    is empty), and the checks in report order.  ``find`` reports the table
+    and the checks; a sweep cell reads the same checks into its row.
     """
     if 0 < good.t < state.n_states:
         params = analytic.oscillation_params(m)
@@ -440,11 +442,31 @@ def _read_law(
     else:
         params, horizon = None, 16
     audit = audit_trajectory(state, good, horizon if s.iterations is None else s.iterations, m)
-    p_law = [
-        good.t / state.n_states if params is None else analytic.success_probability(params, n)
-        for n in range(len(audit.p_sim))
+    table = []
+    max_prob_dev = 0.0
+    for n, p_sim in enumerate(audit.p_sim):
+        p_an = (good.t / state.n_states if params is None
+                else analytic.success_probability(params, n))
+        dev = abs(p_an - p_sim)
+        max_prob_dev = max(max_prob_dev, dev)
+        table.append({"n": n, "p_analytic": p_an, "p_simulated": p_sim, "abs_dev": dev})
+    max_amp_dev = max(audit.amp_dev, default=0.0)
+    max_var_drift = max(audit.var_drift)
+    max_norm_dev = max(audit.norm_dev)
+
+    tol = s.tolerances
+    checks = [
+        {"name": "probability_agreement", "value": max_prob_dev, "tolerance": tol.probability,
+         "passed": max_prob_dev < tol.probability},
+        {"name": "variance_conservation", "value": max_var_drift, "tolerance": tol.probability,
+         "passed": max_var_drift < tol.probability},
+        {"name": "unitarity", "value": max_norm_dev, "tolerance": tol.unitarity,
+         "passed": max_norm_dev < tol.unitarity},
     ]
-    return params, audit, p_law
+    if params is not None:
+        checks.insert(1, {"name": "closed_form_agreement", "value": max_amp_dev,
+                          "tolerance": tol.amplitude, "passed": max_amp_dev < tol.amplitude})
+    return params, table, checks
 
 
 def _peak(params: analytic.OscillationParams) -> dict:
@@ -460,30 +482,8 @@ def run_find(s: Scenario) -> Report:
     if s.kind != "find":
         raise ScenarioError(f"run_find needs kind 'find', got {s.kind!r}")
     good, state = _setup(s)
-    tol = s.tolerances
     m = qstate.moments(state, good)
-    params, audit, p_law = _read_law(s, state, good, m)
-    table = []
-    max_prob_dev = 0.0
-    for n, (p_an, p_sim) in enumerate(zip(p_law, audit.p_sim)):
-        dev = abs(p_an - p_sim)
-        max_prob_dev = max(max_prob_dev, dev)
-        table.append({"n": n, "p_analytic": p_an, "p_simulated": p_sim, "abs_dev": dev})
-    max_amp_dev = max(audit.amp_dev, default=0.0)
-    max_var_drift = max(audit.var_drift)
-    max_norm_dev = max(audit.norm_dev)
-
-    checks = [
-        {"name": "probability_agreement", "value": max_prob_dev, "tolerance": tol.probability,
-         "passed": max_prob_dev < tol.probability},
-        {"name": "variance_conservation", "value": max_var_drift, "tolerance": tol.probability,
-         "passed": max_var_drift < tol.probability},
-        {"name": "unitarity", "value": max_norm_dev, "tolerance": tol.unitarity,
-         "passed": max_norm_dev < tol.unitarity},
-    ]
-    if params is not None:
-        checks.insert(1, {"name": "closed_form_agreement", "value": max_amp_dev,
-                          "tolerance": tol.amplitude, "passed": max_amp_dev < tol.amplitude})
+    params, table, checks = _read_law(s, state, good, m)
 
     payload: dict = {
         "n_states": state.n_states,
@@ -502,7 +502,7 @@ def run_find(s: Scenario) -> Report:
         }
         payload.update(_peak(params))
     payload["table"] = table
-    payload["max_probability_deviation"] = max_prob_dev
+    payload["max_probability_deviation"] = checks[0]["value"]
     payload["checks"] = checks
     return Report("find", s.echo, payload, all(c["passed"] for c in checks))
 
@@ -578,6 +578,7 @@ SWEEP_COLUMNS = (
     "max_amp_dev",
     "max_prob_dev",
     "var_drift",
+    "max_norm_dev",
     "w_predicted",
     "w_dev",
     "passed",
@@ -608,24 +609,22 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         state = build_state(template, nq, d, good)
         m = qstate.moments(state, good)
         row["theta"] = m.theta
-        tol = s.tolerances
         if interior:
-            params, audit, p_law = _read_law(s, state, good, m)
+            params, _, checks = _read_law(s, state, good, m)
             row.update((k, v) for k, v in _peak(params).items() if v is not None)
-            max_amp = max(audit.amp_dev)
-            max_prob = max(abs(p_an - p_sim) for p_an, p_sim in zip(p_law, audit.p_sim))
-            drift = max(audit.var_drift)
-            row["max_amp_dev"] = max_amp
-            row["max_prob_dev"] = max_prob
-            row["var_drift"] = drift
-            ok = max_amp < tol.amplitude and max_prob < tol.probability and drift < tol.probability
+            value = {c["name"]: c["value"] for c in checks}
+            row["max_amp_dev"] = value["closed_form_agreement"]
+            row["max_prob_dev"] = value["probability_agreement"]
+            row["var_drift"] = value["variance_conservation"]
+            row["max_norm_dev"] = value["unitarity"]
+            ok = all(c["passed"] for c in checks)
             if circuit:
                 pred_w = counting.window_probability(m, p_size)
                 dist = counting.circuit_distribution(state, good, p_size)
                 w_dev = abs(pred_w.mass - float(sum(dist[mm] for mm in pred_w.outcomes)))
                 row["w_predicted"] = pred_w.mass
                 row["w_dev"] = w_dev
-                ok = ok and w_dev < tol.probability
+                ok = ok and w_dev < s.tolerances.probability
             row["passed"] = ok
         else:
             row["passed"] = True

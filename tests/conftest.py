@@ -124,6 +124,13 @@ def exact_doubled_means(table: np.ndarray, gmask: np.ndarray, steps: int) -> np.
     return np.array(out)
 
 
+def exact_marked_mass(exact: np.ndarray, gmask: np.ndarray) -> Fraction:
+    """The probability of a marked index, sum over marked rows of |x_a|^2 / N,
+    of one exact (2, N, D) table: a rational number."""
+    marked = exact[:, gmask]
+    return (marked * marked).sum() / exact.shape[1]
+
+
 def exact_closed_form(table: np.ndarray, gmask: np.ndarray, n: int) -> np.ndarray:
     """The paper's closed-form table after n steps, exactly, from the float (N, D) ``table``.
 

@@ -18,7 +18,7 @@ from entgrover import (
     from_amplitudes,
     good_mass,
     grover,
-    grover_step,
+    grover_iterate,
     grover_trajectory,
     moments,
     new_flat,
@@ -439,7 +439,7 @@ def test_steps_are_not_revalidated(monkeypatch):
     last = None
     for _, last in grover_trajectory(state, good, 6):
         pass
-    step = grover_step(state, good)
+    step = grover_iterate(state, good, 1)
     assert calls == []
     for out in (last, step):
         assert not out.coeffs.flags.writeable

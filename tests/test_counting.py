@@ -14,7 +14,7 @@ from conftest import (
     random_marked,
     random_state,
 )
-from entgrover import counting, grover
+from entgrover import counting, from_amplitudes
 from entgrover import (
     CountState,
     DegenerateCaseError,
@@ -108,12 +108,18 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _tensor_branches(state, good, p):
-    """The referee tensor's branches before scaling and transform, and their 2*mu_m."""
+    """The referee tensor's branches before scaling and transform, and their 2*mu_m.
+
+    The step is written out here, apart from the package's kernel: copy the
+    table, negate the marked rows, take twice the column mean, subtract.
+    """
     gmask = good.mask(state.n_states)
     branches, two_mu = [state.coeffs], []
     for _ in range(p - 1):
-        two_mu.append(2.0 * grover._flip_good(branches[-1], gmask).mean(axis=0))
-        branches.append(grover._reflect_rows(branches[-1], gmask))
+        x = branches[-1].copy()
+        x[gmask] = -x[gmask]
+        two_mu.append(2.0 * x.mean(axis=0))
+        branches.append(two_mu[-1] - x)
     return branches, np.array(two_mu, dtype=np.complex128).reshape(p - 1, state.data_dim)
 
 
@@ -125,7 +131,7 @@ class TestCircuitDistribution:
         oracle = brute_force_count_distribution(state, good, p)
         np.testing.assert_allclose(dist, oracle, atol=1e-12)
 
-    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES + LONG_ANCILLA_CASES)
     def test_one_block_gives_the_tensor_bits(self, nq, d, t, p, seed):
         # one pass over the whole table keeps the tensor's doubled means, bit for bit
         state, good = _count_case(nq, d, t, seed)
@@ -134,7 +140,7 @@ class TestCircuitDistribution:
         assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("block_steps", [1, 3])
-    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES)
+    @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES + LONG_ANCILLA_CASES)
     def test_blocks_equal_the_tensor_bit_for_bit(self, block_steps, nq, d, t, p, seed):
         # the pass split after a first block of steps, resumed from the tensor's
         # branch there, continues the whole pass's means bit for bit
@@ -164,6 +170,30 @@ class TestCircuitDistribution:
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         # the P x N x D tensor alone is 64 MiB; building it peaked at 128 MiB
         assert peak <= 2**20
+
+    def test_first_pass_holds_no_step_buffer(self):
+        # the table's copy, the sign of each float and the P x D means, beside
+        # numpy's ufunc buffer for the broadcast subtract; a step buffer would
+        # add a whole table (262,144 bytes), far past the 16 KiB of slack
+        n, d, p = 1 << 12, 4, 1024
+        state, good = random_state(12, d, seed=63), random_marked(n, 100, seed=64)
+        gmask = good.mask(n)
+        tracemalloc.start()
+        try:
+            counting._doubled_means(state.coeffs, gmask, p - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 16 * n * d
+        assert peak <= 2 * table + 16 * (p - 1) * d + 16 * np.getbufsize() + 2**14
+
+    @pytest.mark.parametrize("nq,d", [(4, 3), (6, 2)])
+    def test_fortran_ordered_table_counts_like_the_c_ordered_one(self, nq, d):
+        state, good = _count_case(nq, d, 5, seed=nq)
+        fortran = from_amplitudes(np.asfortranarray(state.coeffs))
+        assert not fortran.coeffs.flags.c_contiguous
+        for run in (circuit_distribution, lambda *a: build_count_state(*a).amps):
+            assert np.array_equal(_bits(run(fortran, good, 16)), _bits(run(state, good, 16)))
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
         # three tables of 16 amplitudes, five sequences of 64 and a 16-byte mask, not P*N*D

@@ -1,13 +1,16 @@
 """The float paths against the exact referee: the trajectory, the closed form,
-the two-block recurrence and the counting circuit's doubled means in rational
-arithmetic (``exact_trajectory``, ``exact_closed_form``, ``exact_recurrence``
-and ``exact_doubled_means``).
+the two-block recurrence, the oscillation law and the counting circuit's
+doubled means in rational arithmetic (``exact_trajectory``,
+``exact_closed_form``, ``exact_recurrence``, ``exact_marked_mass`` and
+``exact_doubled_means``).
 
 Each bound below was set from a measurement over ten seeds of these four
 shapes, before the test was written, and catches a planted perturbation of
 the path it bounds (see the docstrings).
 """
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from conftest import (
     exact_closed_form,
     exact_doubled_means,
     exact_error,
+    exact_marked_mass,
     exact_recurrence,
     exact_table,
     exact_trajectory,
@@ -117,6 +121,50 @@ def test_recurrence_error_is_within_the_phase_model(case):
         scale = max(scale, float(np.max(np.abs(big_x))), float(np.max(np.abs(big_y))))
         err = max(exact_error(x[0], big_x), exact_error(y[0], big_y))
         assert err <= 2.5 * EPS * scale * (1.0 + n * phase)
+
+
+def _law_error(case, plant=None):
+    """Largest error of ``analytic.success_probability`` against the exact marked
+    mass over eps * (1 + 4 n theta), with the law's parameters passed through ``plant``.
+    A double minus a Fraction is exact, so the error is rounded to a float once."""
+    state, good, gmask, exact = case
+    m = moments(state, good)
+    params = analytic.oscillation_params(m)
+    if plant is not None:
+        params = plant(params)
+    worst = 0.0
+    for n in range(N_MAX + 1):
+        p_n = Fraction(analytic.success_probability(params, n))
+        err = float(abs(p_n - exact_marked_mass(exact[n], gmask)))
+        worst = max(worst, err / (EPS * (1.0 + 4.0 * n * m.theta)))
+    return worst
+
+
+def test_law_error_is_within_the_phase_model(case):
+    """err_n <= 2 * eps * (1 + 4 n theta).
+
+    P(n) = p_av - delta_p e^(-2 phi_i) cos(4 n theta - 2 phi_r) is at most 1,
+    so rounding its terms costs about eps, and the phase 4n*theta carries an
+    error of about eps per radian.  Measured 0.00-1.69 of the model (40
+    states, ten seeds of these four shapes); on these four states delta_p
+    scaled by (1 +- 1e-13) reads 3.09-9.97, and phi_r moved by +-1e-13 reads
+    6.15-43.5.
+    """
+    assert _law_error(case) <= 2.0
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        lambda p: dataclasses.replace(p, delta_p=p.delta_p * (1.0 + 1e-13)),
+        lambda p: dataclasses.replace(p, delta_p=p.delta_p * (1.0 - 1e-13)),
+        lambda p: dataclasses.replace(p, phi_r=p.phi_r + 1e-13),
+        lambda p: dataclasses.replace(p, phi_r=p.phi_r - 1e-13),
+    ],
+    ids=["delta_p-up", "delta_p-down", "phi_r-up", "phi_r-down"],
+)
+def test_law_bound_catches_a_planted_parameter(case, plant):
+    assert _law_error(case, plant) > 2.0
 
 
 @pytest.fixture(scope="module")

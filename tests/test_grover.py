@@ -21,59 +21,11 @@ from entgrover import (
     from_amplitudes,
     good_mass,
     grover_iterate,
-    grover_step,
     grover_trajectory,
     moments,
     new_flat,
-    oracle_phase_flip,
-    reflect_zero,
     search_distribution,
-    walsh_hadamard,
 )
-
-
-class TestOraclePhaseFlip:
-    def test_flat_n2(self):
-        out = oracle_phase_flip(new_flat(1, 1), GoodSet((0,)))
-        np.testing.assert_array_equal(out.coeffs, [[-1.0], [1.0]])
-
-    def test_empty_good_is_identity(self):
-        state = random_state(2, 2, seed=5)
-        out = oracle_phase_flip(state, GoodSet(()))
-        assert np.array_equal(out.coeffs, state.coeffs)
-
-    def test_involution(self):
-        state = random_state(3, 1, seed=6)
-        good = GoodSet((1, 4))
-        twice = oracle_phase_flip(oracle_phase_flip(state, good), good)
-        assert np.array_equal(twice.coeffs, state.coeffs)
-
-
-class TestWalshHadamard:
-    def test_basis_row_to_flat(self):
-        table = np.zeros((8, 1), dtype=complex)
-        table[0, 0] = math.sqrt(8)
-        out = walsh_hadamard(from_amplitudes(table))
-        np.testing.assert_allclose(out.coeffs, np.ones((8, 1)), atol=1e-14)
-
-    def test_square_is_identity(self):
-        state = random_state(4, 2, seed=8)
-        twice = walsh_hadamard(walsh_hadamard(state))
-        np.testing.assert_allclose(twice.coeffs, state.coeffs, atol=1e-12)
-
-    def test_n2_example(self):
-        out = walsh_hadamard(from_amplitudes(np.array([[math.sqrt(2)], [0.0]])))
-        np.testing.assert_allclose(out.coeffs, [[1.0], [1.0]], atol=1e-15)
-
-    def test_matches_dense_matrix(self):
-        for nq, d in ((1, 1), (2, 3), (3, 2), (4, 1)):
-            state = random_state(nq, d, seed=nq * 10 + d)
-            expected = hadamard_matrix(nq) @ state.coeffs
-            np.testing.assert_allclose(walsh_hadamard(state).coeffs, expected, atol=1e-12)
-
-    def test_norm_preserved(self):
-        state = random_state(5, 2, seed=9)
-        assert walsh_hadamard(state).physical_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def _bits(a):
@@ -96,6 +48,32 @@ def _table(shape, seed):
     table.real[..., 0] = 0.0
     table.imag[..., -1] = -0.0
     return table
+
+
+class TestWalshHadamard:
+    """W, the n-qubit Hadamard on the search register (``grover._hadamard_rows``)."""
+
+    def test_basis_row_to_flat(self):
+        table = np.zeros((8, 1), dtype=complex)
+        table[0, 0] = math.sqrt(8)
+        np.testing.assert_allclose(_kernel(table), np.ones((8, 1)), atol=1e-14)
+
+    def test_square_is_identity(self):
+        table = random_state(4, 2, seed=8).coeffs
+        np.testing.assert_allclose(_kernel(_kernel(table)), table, atol=1e-12)
+
+    def test_n2_example(self):
+        out = _kernel(np.array([[math.sqrt(2)], [0.0]]))
+        np.testing.assert_allclose(out, [[1.0], [1.0]], atol=1e-15)
+
+    def test_matches_dense_matrix(self):
+        for nq, d in ((1, 1), (2, 3), (3, 2), (4, 1)):
+            table = random_state(nq, d, seed=nq * 10 + d).coeffs
+            np.testing.assert_allclose(_kernel(table), hadamard_matrix(nq) @ table, atol=1e-12)
+
+    def test_norm_preserved(self):
+        out = from_amplitudes(_kernel(random_state(5, 2, seed=9).coeffs))
+        assert out.physical_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHadamardKernel:
@@ -202,34 +180,18 @@ class TestStepSignsAndBuffer:
         assert np.getbufsize() == caller_buffer
 
 
-class TestReflectZero:
-    def test_flat_n2(self):
-        out = reflect_zero(new_flat(1, 1))
-        np.testing.assert_array_equal(out.coeffs, [[-1.0], [1.0]])
-
-    def test_involution(self):
-        state = random_state(3, 2, seed=2)
-        assert np.array_equal(reflect_zero(reflect_zero(state)).coeffs, state.coeffs)
-
-    def test_basis_one_unchanged(self):
-        table = np.zeros((2, 1), dtype=complex)
-        table[1, 0] = math.sqrt(2)
-        state = from_amplitudes(table)
-        assert np.array_equal(reflect_zero(state).coeffs, state.coeffs)
-
-
 class TestGroverStep:
     def test_flat_n4_single_step_finds_item(self, flat4, good0):
-        out = grover_step(flat4, good0)
+        out = grover_iterate(flat4, good0, 1)
         np.testing.assert_allclose(search_distribution(out), [1, 0, 0, 0], atol=1e-12)
 
     def test_empty_good_fixes_flat(self):
         flat = new_flat(3, 1)
-        out = grover_step(flat, GoodSet(()))
+        out = grover_iterate(flat, GoodSet(()), 1)
         np.testing.assert_allclose(out.coeffs, flat.coeffs, atol=1e-12)
 
     def test_flat_n2_probability_half(self):
-        out = grover_step(new_flat(1, 1), GoodSet((0,)))
+        out = grover_iterate(new_flat(1, 1), GoodSet((0,)), 1)
         assert good_mass(out, GoodSet((0,))) == pytest.approx(0.5, abs=1e-12)
         assert good_mass(out, GoodSet((0,))) == pytest.approx(
             math.sin(3 * math.pi / 4) ** 2, abs=1e-12
@@ -243,14 +205,7 @@ class TestGroverStep:
         state = random_state(nq, d, seed)
         good = random_marked(1 << nq, t, seed + 100)
         expected = grover_matrix(nq, good.indices) @ state.coeffs
-        np.testing.assert_allclose(grover_step(state, good).coeffs, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("nq,d,t,seed", [(1, 1, 1, 0), (4, 3, 5, 1), (6, 2, 64, 2)])
-    def test_equals_the_operator_composition_bit_for_bit(self, nq, d, t, seed):
-        state = random_state(nq, d, seed)
-        good = random_marked(1 << nq, t, seed + 100)
-        composed = walsh_hadamard(reflect_zero(walsh_hadamard(oracle_phase_flip(state, good))))
-        assert np.array_equal(grover_step(state, good).coeffs, -composed.coeffs)
+        np.testing.assert_allclose(grover_iterate(state, good, 1).coeffs, expected, atol=1e-12)
 
     @pytest.mark.parametrize("nq,d,t,seed", [(1, 1, 1, 0), (4, 3, 5, 1), (6, 2, 64, 2), (11, 64, 300, 3)])
     def test_equals_the_unblocked_composition_bit_for_bit(self, nq, d, t, seed):
@@ -262,7 +217,7 @@ class TestGroverStep:
         x = butterfly_hadamard(x)
         x[0] = -x[0]
         x = -butterfly_hadamard(x)
-        assert np.array_equal(_bits(grover_step(state, good).coeffs), _bits(x))
+        assert np.array_equal(_bits(grover_iterate(state, good, 1).coeffs), _bits(x))
 
     def test_works_in_two_owned_buffers(self):
         """The phase flip's copy and one scratch table, plus numpy's fixed 384 KiB
@@ -272,10 +227,10 @@ class TestGroverStep:
         n, d = 1 << 10, 16
         state = from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
         good = random_marked(n, 100, seed=4)
-        grover_step(state, good)
+        grover_iterate(state, good, 1)
         tracemalloc.start()
         try:
-            grover_step(state, good)
+            grover_iterate(state, good, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,7 +290,7 @@ class TestGroverIterate:
         good = random_marked(1 << nq, 5, seed=nq + 3)
         stepped = state
         for n in range(1, 6):
-            stepped = grover_step(stepped, good)
+            stepped = grover_iterate(stepped, good, 1)
             assert np.array_equal(_bits(grover_iterate(state, good, n).coeffs), _bits(stepped.coeffs))
 
     # A Fortran-ordered table's last axis is strided; the butterflies view it
@@ -346,7 +301,7 @@ class TestGroverIterate:
         fortran = from_amplitudes(np.asfortranarray(state.coeffs))
         assert fortran.coeffs.flags.f_contiguous and not fortran.coeffs.flags.c_contiguous
         good = random_marked(1 << nq, 5, seed=nq + 5)
-        pairs = [(grover_step(fortran, good), grover_step(state, good)),
+        pairs = [(grover_iterate(fortran, good, 1), grover_iterate(state, good, 1)),
                  (grover_iterate(fortran, good, 4), grover_iterate(state, good, 4))]
         pairs += [(a, b) for (_, a), (_, b) in
                   zip(grover_trajectory(fortran, good, 4), grover_trajectory(state, good, 4))]

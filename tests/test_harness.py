@@ -142,6 +142,25 @@ class TestSweep:
             assert row["max_amp_dev"] < 1e-9
             assert row["max_prob_dev"] < 1e-9
 
+    def test_cell_fails_where_find_fails_its_unitarity_check(self, tmp_path):
+        # the cell with seed s sweeps find's state {"seed": s} and marked set {"seed": s + 1}
+        state = {"type": "random", "seed": 0, "var_b": 0.05}
+        find = {"kind": "find", "n_qubits": 5, "state": state, "good": {"t": 1, "seed": 1}}
+        checks = run_find(parse_scenario(find)).payload["checks"]
+        norm_dev = next(c["value"] for c in checks if c["name"] == "unitarity")
+        tight = {"tolerances": {"unitarity": norm_dev}}  # a pass needs value < tolerance
+        cfg = write_json(tmp_path / "find.json", {**find, **tight})
+        assert cli.main(["find", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        failed = [c["name"] for c in json.loads((tmp_path / "r.json").read_text())["checks"]
+                  if not c["passed"]]
+        assert failed == ["unitarity"]
+        sweep = {"kind": "sweep", "state": state,
+                 "grid": {"n_qubits": [5], "t": [1], "seeds": [0]}, **tight}
+        report = run_sweep(parse_scenario(sweep))
+        (row,) = report.payload["rows"]
+        assert row["max_norm_dev"] == norm_dev
+        assert row["passed"] is False and not report.passed
+
     def test_empty_grid_header_only(self):
         s = parse_scenario({"kind": "sweep", "output_format": "csv", "grid": {}})
         report = run_sweep(s)
@@ -209,8 +228,8 @@ class TestSweep:
     def test_json_rows_keep_their_keys(self, tmp_path):
         edge = ("n_qubits", "data_dim", "t", "p_size", "seed", "status", "error", "theta",
                 "passed")
-        measured = ("p_max", "max_amp_dev", "max_prob_dev", "var_drift", "w_predicted", "w_dev",
-                    "passed")
+        measured = ("p_max", "max_amp_dev", "max_prob_dev", "var_drift", "max_norm_dev",
+                    "w_predicted", "w_dev", "passed")
         s = parse_scenario({"kind": "sweep",
                             "grid": {"n_qubits": [3], "t": [0, 2, 8], "P": [8], "seeds": [1]}})
         keys = {r["t"]: tuple(r) for r in run_sweep(s).payload["rows"]}
