@@ -31,13 +31,13 @@ P(n) = P_av for every n; this is a physical regime (e.g. any one-to-one
 row mapping), reported through the ``degenerate`` flag rather than an
 exception.
 
-After n steps every marked row is its initial value plus the same
-combination of Gbar and Bbar, and so is every unmarked row, up to the sign
-(-1)^n.  ``closed_form_table`` is the one evaluator: it predicts a stack of
-tables in their own row order, every row by the unmarked-row formula first
-and then the marked rows, gathered, by theirs.  It is the one-step case of
-``_closed_form_into``, which the trajectory audit and criterion 2 call for a
-chunk of consecutive steps at once, into buffers they own.
+After n steps every marked row is its initial row plus one vector, and
+every unmarked row (-1)^n times its initial row plus another: the sector
+offsets (``_closed_form_offsets``), combinations of Gbar and Bbar, which
+the two-block recurrence gives as -(2/N) X_n and -(2/N) Y_n.  The one
+evaluator of the tables, ``closed_form_table``, adds them to the initial
+rows; the trajectory audit does so a chunk of steps at once
+(``_closed_form_into``), and criterion 2 compares them with the recurrence's.
 """
 from __future__ import annotations
 
@@ -185,43 +185,31 @@ def closed_form_table(
     Unmarked rows:  (-1)^n f_b - tan(theta) sin(2n*theta) Gbar + (cos(2n*theta) - (-1)^n) Bbar
 
     ``c0`` is a (B, N, D) stack of initial tables, ``gmask`` their (B, N)
-    marked-row masks and ``ms`` their B moment summaries.  Every entry sees
-    the same operations in the same order as its state predicted alone, so a
-    stack of one gives the bits of any larger stack holding that state.
-    Singular at t in {0, N} (the construction divides by sin(2*theta)).
-    n = 0 returns ``c0`` itself, not a copy.
+    marked-row masks and ``ms`` their B moment summaries; each state gets the
+    bits it gets alone.  Singular at t in {0, N} (the construction divides
+    by sin(2*theta)).  n = 0 returns ``c0`` itself, not a copy.
     """
-    _check_closed_form(ms, n)
+    if n < 0:
+        raise ValueError(f"iteration count must be >= 0, got {n}")
+    for m in ms:
+        _require_interior(m)
     if n == 0:
         return c0
     out = np.empty((1,) + c0.shape, dtype=np.complex128)
-    scratch = np.empty((np.count_nonzero(gmask), c0.shape[-1]), dtype=np.complex128)
-    return _closed_form_into(c0, gmask, ms, n, out, scratch)[0]
+    return _closed_form_into(c0, gmask, ms, n, out)[0]
 
 
-def _closed_form_into(
-    c0: np.ndarray,
-    gmask: np.ndarray,
-    ms: Sequence[MomentSummary],
-    n0: int,
-    out: np.ndarray,
-    scratch: np.ndarray,
-) -> np.ndarray:
-    """``closed_form_table`` for interior states at the k consecutive steps
-    n0 .. n0 + k - 1, written into ``out``, a C-ordered (k, B, N, D) buffer
-    (n = 0 gives ``c0`` up to the sign of a zero).
+def _closed_form_offsets(
+    ms: Sequence[MomentSummary], n0: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, B, D) marked and unmarked offsets of interior states at steps
+    n0 .. n0 + k - 1, the rows of ``closed_form_table`` less f_g and (-1)^n f_b:
 
-    The per-state factors of every step are computed with ``math`` into a
-    (k, B) array, so each step's table gets the bits it gets alone.  The
-    marked rows of ``c0`` are gathered once into the front of ``out``, and
-    their k predictions are formed in ``scratch``, a C-ordered buffer with
-    room for k x (marked rows) x D amplitudes.  Then every row of
-    ``out`` gets the unmarked-row formula: c0 - v on even steps and (-v) - c0
-    on odd ones, which rounds as -c0 - v without negating the table, each on
-    one strided slice of the steps.  Finally the marked predictions are
-    scattered back.
-    """
-    k, d = len(out), c0.shape[-1]
+        o_g(n) = cot(theta) sin(2n*theta) Bbar - (1 - cos(2n*theta)) Gbar
+        o_b(n) = (cos(2n*theta) - (-1)^n) Bbar - tan(theta) sin(2n*theta) Gbar
+
+    The factors are computed with ``math``, so each state and step gets the
+    bits it gets alone."""
     tans = [math.tan(m.theta) for m in ms]
     factors = []
     for n in range(n0, n0 + k):
@@ -234,31 +222,23 @@ def _closed_form_into(
     good_g, good_b, bad_g, bad_b = np.moveaxis(factors, -1, 0)[..., None]
     g_avg = np.array([m.g_avg for m in ms])
     b_avg = np.array([m.b_avg for m in ms])
-    marked = np.flatnonzero(gmask)
-    c0_good = out.reshape(-1, d)[: len(marked)]
-    np.take(c0.reshape(-1, d), marked, axis=0, out=c0_good, mode="clip")
-    good = scratch.reshape(-1)[: k * len(marked) * d].reshape(k, len(marked), d)
-    drift = (bad_g * g_avg)[:, :, None]
+    return good_b * b_avg - good_g * g_avg, bad_b * b_avg - bad_g * g_avg
+
+
+def _closed_form_into(
+    c0: np.ndarray, gmask: np.ndarray, ms: Sequence[MomentSummary], n0: int, out: np.ndarray
+) -> np.ndarray:
+    """``closed_form_table`` for interior states at steps n0 .. n0 + k - 1,
+    written into the (k, B, N, D) buffer ``out`` (n = 0 gives ``c0`` up to
+    the sign of a zero): every row gets c0 + o_b on even steps and o_b - c0
+    on odd ones, then the marked rows c0 + o_g through a ``where=`` mask."""
+    good, bad = (o[:, :, None] for o in _closed_form_offsets(ms, n0, len(out)))
     even, odd = slice(n0 % 2, None, 2), slice(1 - n0 % 2, None, 2)
     with small_buffer():  # the broadcast operands go through numpy's ufunc buffer
-        stop = 0
-        for i, m in enumerate(ms):  # each state's marked rows, one after another
-            rows = slice(stop, stop + m.t)
-            stop += m.t
-            np.subtract(c0_good[rows], (good_g[:, i] * g_avg[i])[:, None], out=good[:, rows])
-            good[:, rows] += (good_b[:, i] * b_avg[i])[:, None]
-        np.subtract(c0, drift[even], out=out[even])
-        np.subtract(-drift[odd], c0, out=out[odd])
-        out += (bad_b * b_avg)[:, :, None]
-    out[:, gmask] = good
+        np.add(c0, bad[even], out=out[even])
+        np.subtract(bad[odd], c0, out=out[odd])
+        np.add(c0, good, out=out, where=gmask[..., None])
     return out
-
-
-def _check_closed_form(ms: Sequence[MomentSummary], n: int) -> None:
-    if n < 0:
-        raise ValueError(f"iteration count must be >= 0, got {n}")
-    for m in ms:
-        _require_interior(m)
 
 
 def closed_form_rows(

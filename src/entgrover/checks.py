@@ -6,39 +6,28 @@ returns a CheckResult.  The same battery backs the ``verify`` CLI command
 and the acceptance test suite, so a criterion is stated exactly once.
 
 ``audit_trajectory`` simulates one state once and records, step by step,
-everything the closed forms predict about it: the marked-sector mass, the
-amplitude deviation from the closed-form rows, the drift of the sector
-variances and of the norm.  The ``find`` and ``sweep`` runners read their
-checks from it, and so do the criteria that simulate a trajectory.  The
-audit steps the trajectory itself, through ``grover._step_rows``, a chunk
-of k consecutive steps at a time, and reads the k steps together: one numpy
-call per reading per chunk instead of one per step.  A chunk holds at most
-``_CHUNK_BYTES`` of tables, so the battery's small stacks are read in one
-to a few chunks, while a table of that size or more is read one step at a
-time.  The audit allocates three chunks once per call, each on a cache
-line (``_arena``): the steps, and two free chunks that take the closed-form
-predictions, the sector gathers and every |z|^2, so nothing the size of a
-table is allocated from step to step.
-``check_audit_memory`` charges the state's table together with the audit;
-the chunk grows past one table only where the memory cap leaves room.
+the marked-sector mass, the amplitude deviation from the closed form, and
+the drift of the sector variances and of the norm; ``find``, ``sweep`` and
+the criteria that simulate a trajectory read it.  It steps and reads a
+chunk of k steps at a time (at most ``_CHUNK_BYTES`` of tables), in three
+chunks allocated once per call; ``check_audit_memory`` charges them.
 
-The battery builds its corpus once (``build_corpus``) for criteria 1-4.
-It holds many small states of a few table shapes, so it is kept as one
-stack per shape: each stack is audited in lock step (``audit_trajectory``
-is the stack of one) and criterion 2 steps the recurrence over the same
-stacks and predicts them a chunk of steps at a time.  Every reading stays
-bit for bit what the state gives alone, whatever the chunk: elementwise
-work, the norms and the per-state maxima run on whole chunks or on their
-gathered sectors, while sums over a state's marked or unmarked rows, whose
-count differs from state to state, are formed one state at a time over all
-k steps.  The battery runs sequentially: its work is small arrays under the
-interpreter lock, where threads only add overhead.
+The battery builds its corpus once (``build_corpus``) for criteria 1-4, as
+one stack per table shape: each stack is audited in lock step
+(``audit_trajectory`` is the stack of one), and criterion 2 compares the
+recurrence's offsets with the closed form's over the same stacks, every
+step at once, without a table.  Every reading stays bit for bit what the
+state gives alone: elementwise work, the norms and the per-state maxima
+run on whole chunks or on their gathered sectors, while sums over a
+state's rows are formed one state at a time over all k steps.  The battery
+runs sequentially: its work is small arrays under the interpreter lock.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -48,15 +37,14 @@ from . import analytic, counting, grover, qstate
 SIGMA_LOW = counting.SIGMA_LOWER_BOUND
 AVG_THRESHOLD = math.pi**2 / (8.0 * math.sqrt(2.0))
 
-# Bytes of the k consecutive step tables the audit and criterion 2 hold at
-# once.  Small stacks are then read a chunk of steps a call; a table this
-# size or larger is read one step at a time.
+# Bytes of the k consecutive step tables the audit holds at once.  Small
+# stacks are then read a chunk of steps a call; a table this size or larger
+# is read one step at a time.
 _CHUNK_BYTES = 1 << 18
 
-# The audit's chunks start on a cache line.  malloc aligns a table to 16
-# bytes only, so where in its cache line each of the three tables started
-# changed from process to process, and a 4096 x 64 step between two tables
-# off a cache-line boundary ran 8-10% slower (2 cores, numpy 2.4.6).
+# The audit's chunks start on a cache line: malloc aligns to 16 bytes only,
+# and a 4096 x 64 step between tables off a cache-line boundary ran 8-10%
+# slower, by an amount that changed from process to process (2 cores, numpy 2.4.6).
 _ALIGN = 64
 
 
@@ -112,14 +100,10 @@ def corpus_states(cfg: VerifyConfig) -> list[tuple[qstate.EntangledState, qstate
 
 @dataclass(frozen=True)
 class TrajectoryAudit:
-    """Per-step readings of one simulated trajectory, indexed by n = 0 .. n_max.
-
-    ``p_sim`` is the marked-sector mass, ``amp_dev`` the largest amplitude
-    deviation from the closed-form table (empty when t is 0 or N, where the
-    closed form is singular), ``var_drift`` the larger drift of the two
-    sector variances from step 0, and ``norm_dev`` the deviation of the
-    physical norm from 1.
-    """
+    """Per-step readings of one simulated trajectory, indexed by n = 0 .. n_max:
+    the marked-sector mass, the largest amplitude deviation from the closed
+    form (empty when t is 0 or N, where it is singular), the larger drift of
+    the two sector variances and the deviation of the physical norm from 1."""
 
     moments: qstate.MomentSummary
     p_sim: tuple[float, ...]
@@ -129,13 +113,9 @@ class TrajectoryAudit:
 
 
 def _abs2(z: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """re^2 + im^2 of a complex array, formed in a free complex buffer.
-
-    ``buf`` is C-contiguous with at least ``z.size`` amplitudes: the squares
-    of the real and the imaginary parts fill the two halves of its float
-    view, and their sum is returned in the first half, as a contiguous array
-    of ``z``'s shape.
-    """
+    """re^2 + im^2 of a complex array, formed in the float view of a free
+    C-contiguous buffer of at least ``z.size`` amplitudes and returned as a
+    contiguous array of ``z``'s shape in its first half."""
     sq, im = _carve(buf, z.shape, np.float64), _carve(buf, z.shape, np.float64, z.size)
     np.square(z.real, out=sq)
     np.square(z.imag, out=im)
@@ -183,11 +163,6 @@ def _span_means(rows: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
             out[..., i, :] = np.add.reduce(rows[..., span, :], -2) / (span.stop - span.start)
 
 
-def _sector_rows(gmask: np.ndarray) -> np.ndarray:
-    """Flat row indices, in a (B*N, D) view, of the gathers ``c[gmask]`` then ``c[~gmask]``."""
-    return np.concatenate([np.flatnonzero(gmask), np.flatnonzero(~gmask)])
-
-
 def _audit_bytes(table_bytes: int, n_rows: int, k: int) -> int:
     """Bytes a state and its audit hold at k steps a chunk: the state's table,
     three chunks of k tables, the sector row index (8 bytes a row) and the
@@ -204,14 +179,22 @@ def _chunk_steps(table_bytes: int, n_rows: int, steps: int) -> int:
 
 
 def check_audit_memory(n_states: int, data_dim: int) -> None:
-    """Refuse a run whose state and trajectory audit together exceed the cap.
-
-    The charge is ``_audit_bytes`` at one step a chunk.  Longer chunks are
-    taken only where ``_CHUNK_BYTES`` and the cap leave room for them
-    (``_chunk_steps``), so the cap bounds the state and the audit together.
-    """
+    """Refuse a run whose state and trajectory audit, at one step a chunk,
+    exceed the cap; ``_chunk_steps`` takes longer chunks only where it leaves room."""
     needed = _audit_bytes(16 * n_states * data_dim, n_states, 1)
     qstate.check_bytes(needed, f"trajectory audit working set ({n_states} x {data_dim})")
+
+
+def check_corpus_memory(cfg: VerifyConfig) -> None:
+    """Refuse a battery whose corpus exceeds the cap: every corpus table, held
+    as a state, and the audit of its largest stack (``_audit_bytes``)."""
+    combos = [(1 << nq, d) for nq in cfg.n_qubits_list for d in cfg.data_dims]
+    counts = Counter(combos[i % len(combos)] for i in range(cfg.corpus_count))
+    stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
+    if stacks:
+        (b, n, d), stack = max(stacks.items(), key=lambda item: item[1])
+        needed = sum(stacks.values()) + _audit_bytes(stack, b * n, 1)
+        qstate.check_bytes(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes")
 
 
 def _audit_stack(
@@ -226,34 +209,30 @@ def _audit_stack(
     marked-row masks, ``ms`` their moments and ``horizons`` the last step
     audited for each; the stack is stepped to max(horizons).
 
-    The call owns its memory: three C-ordered chunks of k tables of the
-    stack's shape (``_chunk_steps``), allocated once, each starting on a
-    cache line (``_arena``) so that the step runs alike in every process.
-    The steps of a chunk are written one after another into the first,
-    through ``grover._step_rows`` (a step's two transforms leave it in the
-    output table), with a table of a free chunk as scratch; then all k are
+    The call owns three C-ordered chunks of k tables (``_chunk_steps``),
+    each on a cache line (``_arena``).  The steps of a chunk are written
+    into the first, with a table of a free chunk as scratch; then all k are
     read at once, and the last is stepped into the first table for the next
-    chunk.  A read writes the k predictions into the second chunk in the
-    tables' own row order (``analytic._closed_form_into``; the marked rows
-    go through the third), subtracts the steps and takes each state's
-    largest absolute value.  It then gathers the two sectors, ``c[gmask]``
-    then ``c[~gmask]``, which lay each state's rows out one state after
-    another, into the second chunk with one ``np.take``; the marked mass and
-    the sector variances are read on those rows, every |z|^2 formed in the
-    third chunk, and only the norm is summed over the whole tables.  Sums
-    over a state's rows are reduced state by state over (k, rows, D) slices,
-    with the reductions ``qstate.good_mass`` and ``qstate.moments`` make, so
-    every reading stays bit for bit what the state gives alone, whatever k
-    is.
+    chunk.  A read writes the k closed-form predictions into the second
+    chunk (``analytic._closed_form_into``), subtracts the steps and takes
+    each state's largest absolute value.  It then gathers the two sectors,
+    ``c[gmask]`` then ``c[~gmask]``, into the second chunk with one
+    ``np.take``; the marked mass and the sector variances are read on those
+    rows, every |z|^2 formed in the third chunk, and only the norm is summed
+    over the whole tables.  Sums over a state's rows are reduced state by
+    state, with the reductions ``qstate.good_mass`` and ``qstate.moments``
+    make, so every reading stays bit for bit what the state gives alone,
+    whatever k is.
     """
     n_big, d = c0.shape[1:]
     ts = [m.t for m in ms]
     n_bad = [n_big - t for t in ts]
     n_good_rows = sum(ts)
-    # Each state's rows in the stack-wide gathers c[gmask] and c[~gmask].
+    # The flat rows, in a (B*N, D) view, of the gathers c[gmask] then
+    # c[~gmask], and each state's rows in them.
+    rows = np.concatenate([np.flatnonzero(gmask), np.flatnonzero(~gmask)])
     g_spans = _spans(ts)
     b_spans = _spans(n_bad)
-    rows = _sector_rows(gmask)
     # The closed form is singular at t in {0, N}: predict the others only.
     # Only a stack mixing both copies its interior tables; a runner's stack is
     # one state, or a corpus stack with every t in [1, N).
@@ -270,14 +249,14 @@ def _audit_stack(
     var0 = np.array([[m.var_g, m.var_b] for m in ms]).T[..., None]
 
     def read(n0: int, c: np.ndarray, sectors: np.ndarray, work: np.ndarray):
-        """(p_sim, amp_dev or None, var_drift, norm_dev) of each stacked table at
-        the k steps from n0 held in ``c``, each a length-k array."""
+        """(p_sim, amp_dev or None, var_drift, norm_dev) of each stacked table,
+        each a length-k array, at the k steps from n0 held in ``c``."""
         size = len(c)
         norms = np.add.reduce(_abs2(c, work), axis=(2, 3)).T
         amp_dev = [None] * len(ms)
         if interior:
             pred = analytic._closed_form_into(
-                c0_in, gmask_in, ms_in, n0, _carve(sectors, (size,) + c0_in.shape), work
+                c0_in, gmask_in, ms_in, n0, _carve(sectors, (size,) + c0_in.shape)
             )
             pred -= c[:, pick]
             abs_dev = np.abs(pred, out=_carve(work, pred.shape, np.float64))
@@ -322,13 +301,10 @@ def audit_trajectory(
 ) -> TrajectoryAudit:
     """Simulate n_max steps once and compare every step with the predictions.
 
-    ``m`` is moments(state, good) when the caller already has it.  This is
-    the batch of one of the corpus audit, so memory stays at the audit's
-    fixed tables whatever n_max is.  The mass is computed as
-    ``qstate.good_mass`` and the variances as ``qstate.moments`` compute
-    them, bit for bit; the norm uses numpy's pairwise sum, not the
-    exactly-rounded sum of ``physical_norm``, and agrees with it to about
-    1e-16.
+    ``m`` is moments(state, good) when the caller already has it.  The mass
+    and the variances are those ``qstate.good_mass`` and ``qstate.moments``
+    compute, bit for bit; the norm uses numpy's pairwise sum, and agrees
+    with the exactly-rounded ``physical_norm`` to about 1e-16.
     """
     if m is None:
         m = qstate.moments(state, good)
@@ -343,13 +319,9 @@ def _law_horizon(m: qstate.MomentSummary) -> int:
 
 @dataclass(frozen=True)
 class Corpus:
-    """The battery's corpus, built once for criteria 1-4.
-
-    ``stacks`` holds (c0, gmask, ms) per table shape: the (B, N, D) initial
-    tables, their (B, N) marked-row masks and their B moment summaries.
-    ``audits`` holds one audit per state, in corpus order, long enough for
-    criteria 1, 3 and 4.
-    """
+    """The battery's corpus, built once for criteria 1-4: ``stacks`` holds the
+    (B, N, D) initial tables, (B, N) marked-row masks and B moment summaries
+    of each table shape, and ``audits`` one audit per state, in corpus order."""
 
     stacks: tuple[tuple[np.ndarray, np.ndarray, tuple[qstate.MomentSummary, ...]], ...]
     audits: tuple[TrajectoryAudit, ...]
@@ -382,30 +354,18 @@ def check_closed_form_fidelity(cfg: VerifyConfig, corpus: Corpus) -> CheckResult
 
 
 def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
-    """Rows rebuilt from the two-block recurrence equal the closed-form rows.
-
-    Each stack is predicted a chunk of consecutive steps at a time, as the
-    audit reads them (``_chunk_steps``); every entry keeps the bits of its
-    step and state predicted alone.
-    """
+    """The two-block recurrence's offsets -(2/N) X_n and -(2/N) Y_n equal the
+    closed form's marked and unmarked offsets, for n up to max_steps; each
+    stack is compared at every step at once, each state with its own bits."""
     tol = cfg.tolerances.amplitude
     worst = 0.0
-    for c0, gmask, ms in corpus.stacks:
-        good = gmask[..., None]
-        scale = 2.0 / c0.shape[1]
-        k = _chunk_steps(c0.nbytes, gmask.size, cfg.max_steps)
-        pred, rows = (np.empty((k,) + c0.shape, dtype=np.complex128) for _ in range(2))
-        scratch = np.empty((k * np.count_nonzero(gmask), c0.shape[-1]), dtype=np.complex128)
-        steps = analytic.recurrence_sequence(ms, cfg.max_steps)
-        for n0 in range(1, cfg.max_steps + 1, k):
-            ns, x, y = map(np.array, zip(*itertools.islice(steps, k)))
-            rebuilt = rows[: len(ns)]
-            np.multiply(((-1) ** ns)[:, None, None, None], c0, out=rebuilt)
-            rebuilt -= (scale * y)[:, :, None]
-            np.subtract(c0, (scale * x)[:, :, None], out=rebuilt, where=good)
-            rebuilt -= analytic._closed_form_into(c0, gmask, ms, n0, pred[: len(ns)], scratch)
-            abs_dev = np.abs(rebuilt, out=_carve(pred, rebuilt.shape, np.float64))
-            worst = max(worst, float(np.max(abs_dev)))
+    for c0, _, ms in corpus.stacks:
+        steps = [(x, y) for _, x, y in analytic.recurrence_sequence(ms, cfg.max_steps)]
+        if steps:
+            offsets = analytic._closed_form_offsets(ms, 1, cfg.max_steps)
+            scale = -2.0 / c0.shape[1]
+            for z, offset in zip(np.moveaxis(np.array(steps), 1, 0), offsets):  # X_n, then Y_n
+                worst = max(worst, float(np.max(np.abs(scale * z - offset))))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
 
@@ -458,8 +418,7 @@ def check_grover_reduction(cfg: VerifyConfig) -> CheckResult:
         good = qstate.GoodSet(tuple(range(t)))
         m = qstate.moments(flat, good)
         p = analytic.oscillation_params(m)
-        n_max = math.ceil(math.pi / m.theta) + 1
-        for n, p_sim in enumerate(audit_trajectory(flat, good, n_max, m).p_sim):
+        for n, p_sim in enumerate(audit_trajectory(flat, good, _law_horizon(m), m).p_sim):
             expected = math.sin((2 * n + 1) * m.theta) ** 2
             worst = max(
                 worst,

@@ -15,7 +15,8 @@ sequential.
 
 Every scenario field is checked when the scenario is parsed, so a bad
 value ends in a ScenarioError that names it rather than in a traceback
-half-way through a run.
+half-way through a run.  Each block also refuses a key it does not read,
+so a misspelled key cannot leave its default in force.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import analytic, counting, qstate
 from .checks import Tolerances, VerifyConfig, audit_trajectory
-from .checks import check_audit_memory, run_checks
+from .checks import check_audit_memory, check_corpus_memory, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -175,8 +176,31 @@ def _non_finite_path(value: Any, path: str) -> str | None:
     return None
 
 
+def _known(block: dict, keys, where: str) -> dict:
+    """``block``, once every key in it is one of ``keys``, the keys the run reads."""
+    for key in block:
+        if key not in keys:
+            raise ScenarioError(f"field '{where}.{key}' is not read; {where} reads "
+                                + ", ".join(keys))
+    return block
+
+
+# The top-level keys each kind reads, beside the ones every kind reads.
+_COMMON_KEYS = ("schema_version", "kind", "workers", "output_format", "tolerances")
+_KIND_KEYS = {
+    "find": ("n_qubits", "data_dim", "state", "good", "iterations"),
+    "count": ("n_qubits", "data_dim", "state", "good", "P", "repetitions", "seed"),
+    "verify": ("verify", "seed"),
+    "sweep": ("grid", "state", "iterations", "include_timings"),
+}
+# A random state's targets are rescaled together to unit norm, so only their
+# ratios matter; much larger ones overflow its construction.
+_TARGET_MAX = 1e150
+
+
 def _parse_tolerances(obj: dict) -> Tolerances:
-    tol_obj = _optional(obj, "tolerances", dict, "top level", {})
+    tol_obj = _known(_optional(obj, "tolerances", dict, "top level", {}), asdict(Tolerances()),
+                     "tolerances")
     values = {}
     for name, default in asdict(Tolerances()).items():
         path = f"tolerances.{name}"
@@ -192,6 +216,7 @@ def _parse_grid(obj: dict) -> dict:
     grid = _optional(obj, "grid", dict, "top level")
     if grid is None:
         raise ScenarioError("top level: kind 'sweep' requires field 'grid'")
+    _known(grid, ("n_qubits", "data_dim", "t", "P", "seeds"), "grid")
     return {
         "n_qubits": _int_list(grid, "n_qubits", "grid", [], 1, qstate.MAX_QUBITS),
         "data_dim": _int_list(grid, "data_dim", "grid", [1], 1),
@@ -221,19 +246,18 @@ _VERIFY_LISTS = {
 
 def _parse_verify(obj: dict) -> dict:
     """Battery overrides as VerifyConfig fields (lists become tuples)."""
-    raw = _optional(obj, "verify", dict, "top level", {})
+    raw = _known(_optional(obj, "verify", dict, "top level", {}), [*_VERIFY_INTS, *_VERIFY_LISTS],
+                 "verify")
     overrides: dict[str, Any] = {}
     for key in raw:
         if key in _VERIFY_INTS:
             overrides[key] = _in_range(_require(raw, key, int, "verify"), f"verify.{key}",
                                        _VERIFY_INTS[key])
-        elif key in _VERIFY_LISTS:
+        else:
             values = _int_list(raw, key, "verify", [], *_VERIFY_LISTS[key])
             if not values:
                 raise ScenarioError(f"field 'verify.{key}' must not be empty")
             overrides[key] = tuple(values)
-        else:
-            raise ScenarioError(f"verify: unknown field {key!r}")
     return overrides
 
 
@@ -252,8 +276,9 @@ def parse_scenario(obj: dict) -> Scenario:
     kind = _require(obj, "kind", str, "top level")
     if kind not in ("find", "count", "verify", "sweep"):
         raise ScenarioError(f"top level: field 'kind' must be find|count|verify|sweep, got {kind!r}")
-    if kind in ("find", "sweep") and "seed" in obj:
-        raise ScenarioError(f"top level: field 'seed' is not read by kind '{kind}'")
+    for key in obj:
+        if key not in _COMMON_KEYS + _KIND_KEYS[kind]:
+            raise ScenarioError(f"top level: field '{key}' is not read by kind '{kind}'")
     def bounded(name: str, minimum: int, default: int | None = None) -> int | None:
         return _in_range(_optional(obj, name, int, "top level", default), name, minimum)
 
@@ -333,11 +358,12 @@ def build_state(
     where = "state"
     kind = _require(spec, "type", str, where)
     if kind == "flat":
+        _known(spec, ("type",), where)
         if n_qubits is None:
             raise ScenarioError("state: flat state requires 'n_qubits'")
         return qstate.new_flat(n_qubits, data_dim)
     if kind == "file":
-        path = _require(spec, "path", str, where)
+        path = _require(_known(spec, ("type", "path"), where), "path", str, where)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -347,6 +373,7 @@ def build_state(
             raise ScenarioError(f"state: {path!r} is not valid JSON: {exc.msg}") from exc
         return qstate.EntangledState.from_json_obj(obj)
     if kind == "random":
+        _known(spec, ("type", "seed", "var_g", "var_b", "g_avg", "b_avg"), where)
         if n_qubits is None:
             raise ScenarioError("state: random state requires 'n_qubits'")
         if good is None:
@@ -356,6 +383,9 @@ def build_state(
         var_b = _variance(spec, "var_b", (1 << n_qubits) - good.t)
         g_avg = _complex_vector(spec.get("g_avg"), data_dim, "state.g_avg")
         b_avg = _complex_vector(spec.get("b_avg"), data_dim, "state.b_avg")
+        for name, avg in (("g_avg", g_avg), ("b_avg", b_avg)):
+            if not np.vdot(avg, avg).real <= _TARGET_MAX:
+                raise ScenarioError(f"field 'state.{name}' must have squared norm <= 1e150")
         try:
             return qstate.random_with_moments(
                 n_qubits, data_dim, good, var_g, var_b, g_avg, b_avg, seed=seed
@@ -369,8 +399,8 @@ def _variance(spec: dict, name: str, rows: int) -> float:
     """The random state's variance target ``name`` for a sector of ``rows`` rows."""
     path = f"state.{name}"
     var = _number(spec.get(name, 0.0), path)
-    if var < 0:
-        raise ScenarioError(f"field '{path}' must be >= 0, got {var}")
+    if not 0 <= var <= _TARGET_MAX:
+        raise ScenarioError(f"field '{path}' must lie in [0, 1e150], got {var}")
     if rows == 1 and var > 0:
         raise ScenarioError(f"field '{path}' = {var} is unsatisfiable: a sector of one row has variance 0")
     return var
@@ -379,7 +409,7 @@ def _variance(spec: dict, name: str, rows: int) -> float:
 def build_good(spec: dict, n_states: int) -> qstate.GoodSet:
     where = "good"
     if "indices" in spec:
-        indices = _require(spec, "indices", list, where)
+        indices = _require(_known(spec, ("indices",), where), "indices", list, where)
         if not all(_is_kind(i, int) for i in indices):
             raise ScenarioError("good: field 'indices' must list integers")
         try:
@@ -389,7 +419,8 @@ def build_good(spec: dict, n_states: int) -> qstate.GoodSet:
             raise ScenarioError(f"field 'good.indices': {exc}") from exc
         return good
     if "t" in spec:
-        t = _in_range(_require(spec, "t", int, where), "good.t", 0, n_states)
+        t = _in_range(_require(_known(spec, ("t", "seed"), where), "t", int, where), "good.t", 0,
+                      n_states)
         seed = _in_range(_require(spec, "seed", int, where), "good.seed", 0)
         return qstate.random_good_set(n_states, t, seed)
     raise ScenarioError("good: need either 'indices' or {'t', 'seed'}")
@@ -551,6 +582,11 @@ def run_verify(s: Scenario) -> Report:
         raise ScenarioError(
             f"field 'verify.majority_repetitions' = {cfg.majority_repetitions} is too large: {exc}"
         ) from exc
+    try:
+        check_corpus_memory(cfg)
+    except qstate.MemoryLimitError as exc:
+        raise ScenarioError(f"fields 'verify.corpus_count', 'verify.n_qubits_list' and "
+                            f"'verify.data_dims' ask for too large a corpus: {exc}") from exc
     results = run_checks(cfg)
     payload = {
         "config": asdict(cfg),

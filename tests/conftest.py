@@ -10,9 +10,11 @@ the closed form's masked evaluation), the simpler one is kept here as well.
 The exact referee computes the trajectory and the closed form in rational
 arithmetic, so a float path's own error can be measured.
 """
+import inspect
 import math
 import os
 import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -55,10 +57,14 @@ def butterfly_hadamard(table: np.ndarray) -> np.ndarray:
 
 
 def masked_closed_form_table(c0: np.ndarray, gmask: np.ndarray, ms, n: int) -> np.ndarray:
-    """The closed-form tables as they were computed before the sector gathers.
+    """The closed-form tables, each sector written through a ufunc ``where=``
+    mask over the whole (B, N, D) stack: the marked rows c0 + o_g and the
+    unmarked rows (-1)^n c0 + o_b, with the offsets
 
-    Each sector is written through a ufunc ``where=`` mask over the whole
-    (B, N, D) stack.  ``analytic.closed_form_table`` must give its bits.
+        o_g = cot(theta) sin(2n theta) Bbar - (1 - cos(2n theta)) Gbar
+        o_b = (cos(2n theta) - (-1)^n) Bbar - tan(theta) sin(2n theta) Gbar
+
+    ``analytic.closed_form_table`` must give its bits.
     """
     if n == 0:
         return c0
@@ -67,24 +73,32 @@ def masked_closed_form_table(c0: np.ndarray, gmask: np.ndarray, ms, n: int) -> n
         c2n = math.cos(2.0 * n * m.theta)
         s2n = math.sin(2.0 * n * m.theta)
         tan_t = math.tan(m.theta)
-        bad_b = 1.0 - c2n if n % 2 == 0 else 1.0 + c2n
+        bad_b = c2n - 1.0 if n % 2 == 0 else c2n + 1.0
         factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, bad_b))
     good_g, good_b, bad_g, bad_b = np.array(factors).T[..., None]
     g_avg = np.array([m.g_avg for m in ms])
     b_avg = np.array([m.b_avg for m in ms])
+    offset_g = (good_b * b_avg - good_g * g_avg)[:, None]
+    offset_b = (bad_b * b_avg - bad_g * g_avg)[:, None]
     good = gmask[..., None]
-    bad = ~good
     out = np.empty_like(c0)
-    np.subtract(c0, (good_g * g_avg)[:, None], out=out, where=good)
-    np.add(out, (good_b * b_avg)[:, None], out=out, where=good)
+    np.add(c0, offset_g, out=out, where=good)
     if n % 2 == 0:
-        np.subtract(c0, (bad_g * g_avg)[:, None], out=out, where=bad)
-        np.subtract(out, (bad_b * b_avg)[:, None], out=out, where=bad)
+        np.add(c0, offset_b, out=out, where=~good)
     else:
-        np.negative(c0, out=out, where=bad)
-        np.subtract(out, (bad_g * g_avg)[:, None], out=out, where=bad)
-        np.add(out, (bad_b * b_avg)[:, None], out=out, where=bad)
+        np.subtract(offset_b, c0, out=out, where=~good)
     return out
+
+
+def planted(fn, old: str, new: str):
+    """A copy of the module-level function ``fn`` with the one occurrence of
+    ``old`` in its source replaced by ``new``, defined in ``fn``'s module
+    namespace: a planted fault for a check that must catch it."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, f"{old!r} must occur once in {fn.__name__}"
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(textwrap.dedent(source.replace(old, new)), namespace)
+    return namespace[fn.__name__]
 
 
 def exact_table(table: np.ndarray) -> np.ndarray:

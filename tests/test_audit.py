@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import masked_closed_form_table
+from conftest import masked_closed_form_table, planted
 from entgrover import (
     EntangledState,
     GoodSet,
@@ -238,23 +238,6 @@ def test_every_chunk_size_keeps_the_per_step_bits(case, monkeypatch):
             assert [readings(a) for a in got] == want
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 3 * 16 * 4, 1 << 12, 1 << 18, 1 << 30])
-def test_recurrence_check_keeps_its_bits_at_every_chunk_size(chunk_bytes, monkeypatch):
-    """Criterion 2 predicts each stack a chunk of steps a call; from one step a
-    chunk to every step in one, its deviation keeps the per-state bits."""
-    corpus = build_corpus(SMALL)
-    worst = 0.0
-    for c0, gmask, ms in corpus.stacks:
-        for b, m in enumerate(ms):
-            for n, x, y in analytic.recurrence_sequence([m], SMALL.max_steps):
-                rebuilt = np.where(gmask[b][:, None], c0[b] - (2.0 / c0.shape[1]) * x[0],
-                                   (-1) ** n * c0[b] - (2.0 / c0.shape[1]) * y[0])
-                pred = analytic.closed_form_table(c0[b : b + 1], gmask[b : b + 1], [m], n)[0]
-                worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
-    monkeypatch.setattr(checks, "_CHUNK_BYTES", chunk_bytes)
-    assert checks.check_recurrence_consistency(SMALL, corpus).max_deviation == worst
-
-
 def test_closed_form_table_keeps_the_masked_bits():
     rng = np.random.default_rng(8)
     states = [from_amplitudes(rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3)), True)
@@ -415,17 +398,41 @@ def test_run_checks_builds_the_corpus_once(monkeypatch):
 
 
 def test_recurrence_check_is_bit_identical_to_wrapped_closed_forms():
+    """Criterion 2 compares each corpus stack at every step at once; its reading
+    equals the largest deviation of each state alone, one step at a time,
+    through the single-state recurrence and the closed form's offsets."""
     worst = 0.0
     for state, good in corpus_states(SMALL):
         m = moments(state, good)
-        gmask = good.mask(state.n_states)
-        for n, x, y in analytic.recurrence_sequence([m], SMALL.max_steps):
-            rebuilt = np.empty_like(state.coeffs)
-            rebuilt[gmask] = state.coeffs[gmask] - (2.0 / state.n_states) * x[0]
-            rebuilt[~gmask] = (-1) ** n * state.coeffs[~gmask] - (2.0 / state.n_states) * y[0]
-            pred = closed_form_rows(state, good, n, m).coeffs
-            worst = max(worst, float(np.max(np.abs(rebuilt - pred))))
+        scale = -2.0 / state.n_states
+        for n in range(1, SMALL.max_steps + 1):
+            x, y = analytic.recurrence_vectors(m, n)
+            marked, unmarked = analytic._closed_form_offsets([m], n, 1)
+            worst = max(worst, float(np.max(np.abs(scale * x - marked[0, 0]))),
+                        float(np.max(np.abs(scale * y - unmarked[0, 0]))))
     assert checks.check_recurrence_consistency(SMALL, build_corpus(SMALL)).max_deviation == worst
+
+
+@pytest.fixture(scope="module")
+def full_corpus():
+    return build_corpus(VerifyConfig())
+
+
+@pytest.mark.parametrize(
+    "fn, old, new",
+    [
+        (analytic.recurrence_sequence, "(-1) ** k", "(-1) ** (k + 1)"),
+        (analytic._closed_form_offsets, "s2n / tan_t", "s2n * tan_t"),
+    ],
+    ids=["drive-sign", "tan-for-cot"],
+)
+def test_recurrence_check_fails_on_a_planted_fault(full_corpus, monkeypatch, fn, old, new):
+    """The recurrence's drive with the wrong (-1)^k sign, or tan(theta) in place
+    of cot(theta) in the marked offset, fails criterion 2 on the full corpus."""
+    cfg = VerifyConfig()
+    assert checks.check_recurrence_consistency(cfg, full_corpus).passed
+    monkeypatch.setattr(analytic, fn.__name__, planted(fn, old, new))
+    assert not checks.check_recurrence_consistency(cfg, full_corpus).passed
 
 
 def test_steps_are_not_revalidated(monkeypatch):

@@ -1,5 +1,5 @@
-"""The float paths against the exact referee: the trajectory, the closed form,
-the two-block recurrence, the oscillation law and the counting circuit's
+"""The float paths against the exact referee: the trajectory, the closed form
+and its sector offsets, the two-block recurrence, the oscillation law and the counting circuit's
 doubled means in rational arithmetic (``exact_trajectory``,
 ``exact_closed_form``, ``exact_recurrence``, ``exact_marked_mass`` and
 ``exact_doubled_means``).
@@ -25,6 +25,7 @@ from conftest import (
     exact_table,
     exact_trajectory,
     grover_matrix,
+    planted,
     random_table,
 )
 from entgrover import analytic, counting, from_amplitudes, grover, moments, random_good_set
@@ -75,6 +76,55 @@ def test_closed_form_table_error_is_within_the_phase_model(case):
         table = analytic.closed_form_table(state.coeffs[None], gmask[None], [m], n)[0]
         model = EPS * float(np.max(np.abs(exact[n]))) * (1.0 + n * phase)
         assert exact_error(table, exact[n]) <= 0.5 * model
+
+
+def _exact_offsets(case) -> list[tuple]:
+    """The exact (marked, unmarked) offsets after n = 0 .. N_MAX steps, each a
+    (2, D) object array: every marked row minus its initial row, and every
+    unmarked row minus (-1)^n times its initial row, which are one vector per
+    sector."""
+    state, good, gmask, exact = case
+    out = []
+    for n, x in enumerate(exact):
+        marked = x[:, gmask] - exact[0][:, gmask]
+        unmarked = x[:, ~gmask] - (-1) ** n * exact[0][:, ~gmask]
+        assert (marked == marked[:, :1]).all() and (unmarked == unmarked[:, :1]).all()
+        out.append((marked[:, 0], unmarked[:, 0]))
+    return out
+
+
+def _offsets_error(case, offsets=analytic._closed_form_offsets):
+    """Largest error of ``offsets`` at n = 0 .. N_MAX against the exact offsets,
+    over eps * max|x_n| * (1 + 4 n theta / sin(2 theta))."""
+    state, good, gmask, exact = case
+    m = moments(state, good)
+    phase = 4.0 * m.theta / math.sin(2.0 * m.theta)
+    marked, unmarked = offsets([m], 0, N_MAX + 1)
+    worst = 0.0
+    for n, (want_g, want_b) in enumerate(_exact_offsets(case)):
+        err = max(exact_error(marked[n, 0], want_g), exact_error(unmarked[n, 0], want_b))
+        worst = max(worst, err / (EPS * float(np.max(np.abs(exact[n]))) * (1.0 + n * phase)))
+    return worst
+
+
+def test_closed_form_offsets_error_is_within_the_phase_model(case):
+    """err_n <= 0.5 * eps * max|x_n| * (1 + 4 n theta / sin(2 theta)).
+
+    The closed form's model, on the offsets alone.  Measured 0.03-0.30 of the
+    model (40 states, ten seeds of these four shapes); any one of the four
+    per-state factors scaled by (1 + 1e-13) reads 2.71-20.7 on these four.
+    """
+    assert _offsets_error(case) <= 0.5
+
+
+@pytest.mark.parametrize(
+    "factor",
+    ["1.0 - c2n", "s2n / tan_t", "tan_t * s2n", "c2n - sign"],
+    ids=["one-minus-cos", "cot-sin", "tan-sin", "cos-minus-sign"],
+)
+def test_offsets_bound_catches_a_planted_factor(case, factor):
+    offsets = planted(analytic._closed_form_offsets, factor, f"({factor}) * (1.0 + 1e-13)")
+    assert _offsets_error(case, offsets) > 0.5
 
 
 def test_composed_step_error_is_within_the_bias_model(case):

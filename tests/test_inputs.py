@@ -103,6 +103,48 @@ class TestRegressions:
         assert code == 1 and "'verify.majority_repetitions' = 10000" in err
 
     @pytest.mark.parametrize(
+        "scenario, field",
+        [
+            ({"kind": "sweep", "grid": {"n_qubits": [3], "t": [1], "p": [16]}}, "grid.p"),
+            (dict(FIND, tolerances={"unitary": 1e-30}), "tolerances.unitary"),
+            (dict(FIND, iteration=3), "iteration"),
+            (dict(FIND, n_qubits=3, good={"indices": [0], "t": 5, "seed": 1}), "good.t"),
+            (dict(FIND, n_qubits=3, good={"t": 3, "seed": 1},
+                  state={"type": "random", "seed": 1, "var_G": 0.1}), "state.var_G"),
+            ({"kind": "verify", "n_qubits": 3}, "n_qubits"),
+        ],
+    )
+    def test_key_the_run_does_not_read_exit_1_names_it(self, tmp_path, scenario, field):
+        # each of these ran, and exited 0, with the key's default in its place
+        cfg = write_json(tmp_path / "c.json", scenario)
+        code, err = run_cli([scenario["kind"], "--config", cfg])
+        assert code == 1 and f"'{field}'" in err
+
+    @pytest.mark.parametrize(
+        "verify, field",
+        [({"data_dims": [1_000_000_000], "corpus_count": 1}, "verify.data_dims"),
+         ({"n_qubits_list": [40], "corpus_count": 1}, "verify.n_qubits_list")],
+    )
+    def test_corpus_over_memory_cap_exit_1_names_field(self, tmp_path, verify, field):
+        cfg = write_json(tmp_path / "c.json", {"kind": "verify", "verify": verify})
+        code, err = run_cli(["verify", "--config", cfg])
+        assert code == 1 and f"'{field}'" in err
+
+    @pytest.mark.parametrize(
+        "t, target, field",
+        [(3, {"var_g": 1e308}, "state.var_g"), (5, {"var_b": 1e308}, "state.var_b"),
+         (3, {"g_avg": [1e200]}, "state.g_avg"), (3, {"b_avg": [1e200]}, "state.b_avg")],
+    )
+    def test_overflowing_random_state_target_exit_1_names_field(self, tmp_path, t, target, field):
+        # at N = 8 these overflowed the construction and failed its norm gate
+        # with "got nan" or "got 0.0"
+        state = {"type": "random", "seed": 0, **target}
+        cfg = write_json(tmp_path / "c.json",
+                         dict(FIND, n_qubits=3, good={"t": t, "seed": 1}, state=state))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and f"'{field}'" in err
+
+    @pytest.mark.parametrize(
         "rows",
         [
             [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]],
