@@ -618,14 +618,8 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
         flat = qstate.new_flat(nq, 1)
         for t in range(1, n_big // 4 + 1):
             good = qstate.GoodSet(tuple(range(t)))
-            m = qstate.moments(flat, good)
             for p_size in cfg.sweep_p_sizes:
                 cell += 1
-                pred = counting.window_probability(m, p_size)
-                bound = counting.error_bound(t, p_size, n_big)
-                for outcome in pred.outcomes:
-                    est = counting.estimate_from_outcome(outcome, p_size, n_big)
-                    worst_slack = max(worst_slack, abs(est.t_tilde - t) - bound)
                 report = counting.run_count(
                     flat,
                     good,
@@ -633,8 +627,11 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
                     repetitions=cfg.majority_repetitions,
                     seed=cfg.base_seed + cell,
                 )
-                if pred.mass > 0.5 and (
-                    report.majority_m not in pred.outcomes or report.w_empirical <= 0.5
+                for outcome in report.window:
+                    est = counting.estimate_from_outcome(outcome, p_size, n_big)
+                    worst_slack = max(worst_slack, abs(est.t_tilde - t) - report.bound)
+                if report.w_predicted > 0.5 and (
+                    report.majority_m not in report.window or report.w_empirical <= 0.5
                 ):
                     majority_ok = False
     return CheckResult(

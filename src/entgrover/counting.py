@@ -11,12 +11,14 @@ t~ = N*sin^2(pi*f~/P) estimates t within a bound that shrinks as 1/P.
 
 The step here is the inversion about the average, x_{m+1}(a) =
 2*mu_m - s_a*x_m(a) with s_a = -1 on marked rows, taken in place by one
-kernel, ``_mean_step``.  ``circuit_distribution`` simulates the circuit
-without holding its P x N x D amplitude tensor: every branch is +-x_0(a)
-plus one offset per sector, so one pass over the table keeps the P x D
-doubled means, and the transforms of the two offset sequences give the
-distribution in O(P*D).  ``build_count_state`` still builds the whole
-tensor; it is the referee the tests hold the circuit to.
+kernel, ``_mean_step``, on a copy of the table sorted by sector, marked rows
+first: the reflection reads only the column mean, so it commutes with the
+sort, and s_a negates a leading slice.  ``circuit_distribution`` simulates
+the circuit without holding its P x N x D amplitude tensor: every branch is
++-x_0(a) plus one offset per sector, so one pass keeps the P x D doubled
+means, and the transforms of the two offset sequences give the distribution
+in O(P*D).  ``build_count_state`` still builds the whole tensor; it is the
+referee the tests hold the circuit to.
 
 The probability mass captured by the peak window admits exact closed
 forms built from the Dirichlet-style kernel
@@ -53,44 +55,40 @@ def check_sample_memory(repetitions: int) -> None:
 
 
 def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> None:
-    """Refuse a circuit whose working set exceeds the cap.
-
-    The charge is three tables, five P x D sequences and the marked-row
-    mask.  The first pass holds the table and the sign of each float (two
-    tables) beside the P x D means; the transforms hold at most five P x D
-    sequences; the line terms hold one sector's rows and their squares (at
-    most 2.5 tables) beside the two transforms.
-    """
-    needed = 16 * (3 * n_states + 5 * p_size) * data_dim + n_states
+    """Refuse a circuit whose working set exceeds the cap: the sorted table, its row
+    order and mask (9 bytes a row), numpy's ufunc buffer for the step's broadcast
+    subtract (at most a table), and the five P x D sequences that the transforms
+    hold at most once the table is released."""
+    amps = n_states * data_dim
+    needed = 16 * (amps + min(amps, np.getbufsize()) + 5 * p_size * data_dim) + 9 * n_states
     check_bytes(needed, f"counting circuit working set (P = {p_size})")
 
 
 def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
     """Ancilla distribution of the counting circuit, from the simulated column means.
 
-    A first pass steps a copy of the table P - 1 times in place
+    A first pass steps a sector-sorted copy of the table P - 1 times in place
     (``_mean_step``) and keeps the doubled column means 2*mu_m.  Branch m
     then holds x_0(a) + G_m on marked rows and (-1)^m*x_0(a) + B_m on
     unmarked rows, with offsets G_{m+1} = G_m + 2*mu_m and
     B_{m+1} = 2*mu_m - B_m from zero.  With g and b their transforms,
-    outcome k has (t*|g_k|^2 + (N - t)*|b_k|^2) / (P*N),
-    save that x_0 adds sqrt(P)*x_0(a) to the marked rows' g_0 and to the
-    unmarked rows' b_{P/2}: the tensor's distribution to last-place rounding.
+    outcome k has (t*|g_k|^2 + (N - t)*|b_k|^2) / (P*N), save that x_0 adds
+    sqrt(P)*x_0(a) to the marked rows' g_0 and to the unmarked rows' b_{P/2}
+    (``_spectrum``, from sector sums read before the pass): the tensor's
+    distribution to last-place rounding.
 
     The memory cap applies to the working set (``check_circuit_memory``),
     the tensor's norm gate to the total.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
-    n, d = state.n_states, state.data_dim
+    n, d, t = state.n_states, state.data_dim, good.t
     check_circuit_memory(n, d, p_size)
-    gmask = good.mask(n)
-    g, b = _offset_transforms(_doubled_means(state.coeffs, gmask, p_size - 1))
-    marked = good.t * _norm2(g, axis=1)
-    unmarked = (n - good.t) * _norm2(b, axis=1)
-    marked[0] = _line_norm2(state.coeffs[gmask], p_size, g[0])
-    unmarked[p_size // 2] = _line_norm2(state.coeffs[~gmask], p_size, b[p_size // 2])
-    dist = (marked + unmarked) / (p_size * n)
+    cur = state.coeffs[_sector_order(good.mask(n))]
+    sectors = [(len(x), np.add.reduce(x, 0), np.vdot(x, x).real) for x in (cur[:t], cur[t:])]
+    two_mu = _doubled_means(cur, t, p_size - 1)
+    del cur  # the transforms run without the table (check_circuit_memory)
+    dist = _spectrum(_offset_transforms(two_mu), sectors) / (p_size * n)
 
     total = float(np.sum(dist))
     if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
@@ -98,38 +96,27 @@ def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> n
     return dist
 
 
-def _doubled_means(table: np.ndarray, gmask: np.ndarray, steps: int) -> np.ndarray:
-    """2*mu_m for m < ``steps``, stepping a C-ordered copy of an (N, D) table in place."""
-    cur = np.array(table, order="C")
-    sign = _float_signs(gmask, table.shape[1])
-    two_mu = np.empty((steps, table.shape[1]), dtype=np.complex128)
+def _sector_order(gmask: np.ndarray) -> np.ndarray:
+    """Row order of the sector-sorted table: the marked rows first, each sector in row order."""
+    return np.argsort(~gmask, kind="stable")
+
+
+def _doubled_means(cur: np.ndarray, t: int, steps: int) -> np.ndarray:
+    """2*mu_m for m < ``steps``, stepping in place a table whose first ``t`` rows are marked."""
+    two_mu = np.empty((steps, cur.shape[1]), dtype=np.complex128)
     for out in two_mu:
-        _mean_step(cur, sign, out)
+        _mean_step(cur, t, out)
     return two_mu
 
 
-def _float_signs(gmask: np.ndarray, d: int) -> np.ndarray:
-    """s_a for each float of an (N, D) table's (N, 2D) float64 view: -1 on marked rows."""
-    return np.repeat(np.where(gmask, -1.0, 1.0)[:, None], 2 * d, axis=1)
-
-
-def _mean_step(cur: np.ndarray, sign: np.ndarray, two_mu: np.ndarray) -> None:
-    """x(a) <- 2*mu - s_a*x(a) in the C-ordered (N, D) table ``cur``; 2*mu goes to ``two_mu``.
-
-    Times s_a is one contiguous multiply of the float64 view, the bits of
-    negating the marked rows; nothing the size of a table is allocated.
-    """
-    parts = cur.view(np.float64)
-    np.multiply(parts, sign, out=parts)
+def _mean_step(cur: np.ndarray, t: int, two_mu: np.ndarray) -> None:
+    """x(a) <- 2*mu - s_a*x(a) in a C-ordered table whose first ``t`` rows are the marked
+    ones, s_a as one in-place negation of their float64 view; 2*mu goes to ``two_mu``.
+    Nothing the size of a table is allocated."""
+    head = cur[:t].view(np.float64)
+    np.negative(head, out=head)
     np.multiply(2.0, np.add.reduce(cur, 0) / len(cur), out=two_mu)
     np.subtract(two_mu, cur, out=cur)
-
-
-def _line_norm2(rows: np.ndarray, p_size: int, line: np.ndarray) -> float:
-    """||sqrt(P)*x_0(a) + line||^2 summed over a sector's gathered rows, in their one copy."""
-    rows *= math.sqrt(p_size)
-    rows += line
-    return _norm2(rows)
 
 
 def _offset_transforms(two_mu: np.ndarray) -> np.ndarray:
@@ -143,6 +130,18 @@ def _offset_transforms(two_mu: np.ndarray) -> np.ndarray:
     np.cumsum(alt * two_mu, axis=0, out=offsets[1, 1:])
     offsets[1, 1:] *= alt
     return np.fft.ifft(offsets, axis=1, norm="ortho")
+
+
+def _spectrum(lines: np.ndarray, sectors: list) -> np.ndarray:
+    """P*N times the distribution, from the transforms l of the offsets and each sector's
+    (rows r, sum S, squared norm M): r*|l_k|^2, and at the sector's line k (0, then P/2)
+    P*M + 2*sqrt(P)*Re<S, l_k> more, which sum_a ||sqrt(P)*x_0(a) + l_k||^2 adds."""
+    p_size = lines.shape[1]
+    out = np.zeros(p_size)
+    for k, line, (rows, total, norm2) in zip((0, p_size // 2), lines, sectors):
+        out += rows * _norm2(line, axis=1)
+        out[k] += p_size * norm2 + 2.0 * math.sqrt(p_size) * np.vdot(total, line[k]).real
+    return out
 
 
 def _norm2(a: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -189,25 +188,25 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     """The counting circuit's whole P x N x D tensor: the referee, not a runner path.
 
     Branch m holds (1/sqrt(P)) times the m-times-amplified state; powers are
-    computed incrementally in one table, so the whole circuit costs P - 1
-    steps of ``_mean_step``, the circuit's own kernel.  The ancilla transform
-    is numpy's FFT along axis 0.  Runners call ``circuit_distribution``,
-    which reads the same distribution off the column means; see
-    ``CountState`` for why this stays in the package.
+    computed incrementally in one sector-sorted table, P - 1 steps of the
+    circuit's kernel ``_mean_step``, and scattered back to row order.  The
+    ancilla transform is numpy's FFT along axis 0.  Runners call
+    ``circuit_distribution``, which reads the same distribution off the
+    column means; see ``CountState`` for why this stays in the package.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
     n, d = state.n_states, state.data_dim
     check_memory(p_size * n * d)
-    sign = _float_signs(good.mask(n), d)
+    order = _sector_order(good.mask(n))
     two_mu = np.empty(d, dtype=np.complex128)
-    cur = np.array(state.coeffs, order="C")
+    cur = state.coeffs[order]
     amps = np.empty((p_size, n, d), dtype=np.complex128)
     scale = 1.0 / math.sqrt(p_size * n)  # physical rows carry 1/sqrt(N) as well
     for m in range(p_size):
-        np.multiply(cur, scale, out=amps[m])
+        amps[m, order] = cur * scale
         if m + 1 < p_size:
-            _mean_step(cur, sign, two_mu)
+            _mean_step(cur, good.t, two_mu)
     amps = np.fft.ifft(amps, axis=0, norm="ortho")
     return CountState(p_size, state.n_qubits, d, amps)
 
@@ -438,7 +437,7 @@ def run_count(
     probs = probs / probs.sum()
     samples = rng.choice(p_size, size=repetitions, p=probs)
     counts = Counter(int(s) for s in samples)
-    majority_m = min(sorted(counts), key=lambda m: (-counts[m], m))
+    majority_m = min(counts, key=lambda m: (-counts[m], m))
     in_window = sum(counts[m] for m in window if m in counts)
     estimate = estimate_from_outcome(majority_m, p_size, n)
     bound = error_bound(t, p_size, n)

@@ -193,9 +193,6 @@ _KIND_KEYS = {
     "verify": ("verify", "seed"),
     "sweep": ("grid", "state", "iterations", "include_timings"),
 }
-# A random state's targets are rescaled together to unit norm, so only their
-# ratios matter; much larger ones overflow its construction.
-_TARGET_MAX = 1e150
 
 
 def _parse_tolerances(obj: dict) -> Tolerances:
@@ -305,6 +302,9 @@ def parse_scenario(obj: dict) -> Scenario:
         raise ScenarioError("top level: field 'output_format' must be json or csv")
     if scenario.output_format == "csv" and kind != "sweep":
         raise ScenarioError("top level: field 'output_format' csv is only available for sweep")
+    if kind == "sweep" and "seed" in scenario.state_spec:
+        raise ScenarioError("field 'state.seed' is not read by a sweep: grid.seeds sets each "
+                            "cell's state seed")
     if kind in ("find", "count") and scenario.n_qubits is None:
         raise ScenarioError(f"top level: kind '{kind}' requires field 'n_qubits'")
     if kind in ("find", "count") and scenario.good_spec is None:
@@ -384,7 +384,7 @@ def build_state(
         g_avg = _complex_vector(spec.get("g_avg"), data_dim, "state.g_avg")
         b_avg = _complex_vector(spec.get("b_avg"), data_dim, "state.b_avg")
         for name, avg in (("g_avg", g_avg), ("b_avg", b_avg)):
-            if not np.vdot(avg, avg).real <= _TARGET_MAX:
+            if not np.vdot(avg, avg).real <= qstate.TARGET_MAX:
                 raise ScenarioError(f"field 'state.{name}' must have squared norm <= 1e150")
         try:
             return qstate.random_with_moments(
@@ -399,7 +399,7 @@ def _variance(spec: dict, name: str, rows: int) -> float:
     """The random state's variance target ``name`` for a sector of ``rows`` rows."""
     path = f"state.{name}"
     var = _number(spec.get(name, 0.0), path)
-    if not 0 <= var <= _TARGET_MAX:
+    if not 0 <= var <= qstate.TARGET_MAX:
         raise ScenarioError(f"field '{path}' must lie in [0, 1e150], got {var}")
     if rows == 1 and var > 0:
         raise ScenarioError(f"field '{path}' = {var} is unsatisfiable: a sector of one row has variance 0")

@@ -31,6 +31,9 @@ import numpy as np
 NORM_ATOL = 1e-9
 # Row indices are int64, so a search register has at most 62 qubits.
 MAX_QUBITS = 62
+# A random state's targets are rescaled together to unit norm, so only their
+# ratios matter; much larger ones overflow its construction.
+TARGET_MAX = 1e150
 
 _MEMORY_CAP_ENV = "ENTGROVER_MEMORY_CAP"
 _DEFAULT_MEMORY_CAP = 1 << 30  # bytes of amplitude and sample storage
@@ -321,8 +324,6 @@ def _zero_sum_perturbations(
     rng: np.random.Generator, count: int, dim: int, target_var: float
 ) -> np.ndarray:
     """Rows summing to zero whose sample variance equals target_var exactly."""
-    if target_var < 0:
-        raise ValueError("variance targets must be >= 0")
     if target_var == 0.0:
         return np.zeros((count, dim), dtype=np.complex128)
     if count < 2:
@@ -359,13 +360,16 @@ def random_with_moments(
     """
     if n_qubits < 1 or data_dim < 1:
         raise ValueError("n_qubits and data_dim must be >= 1")
-    if target_var_g < 0 or target_var_b < 0:
-        raise ValueError("variance targets must be >= 0")
     n = 1 << n_qubits
     t = good.t
     good.mask(n)  # range check
     ga = np.asarray(g_avg, dtype=np.complex128).reshape(data_dim)
     ba = np.asarray(b_avg, dtype=np.complex128).reshape(data_dim)
+    g2, b2 = float(np.vdot(ga, ga).real), float(np.vdot(ba, ba).real)
+    for name, target in (("target_var_g", target_var_g), ("target_var_b", target_var_b),
+                         ("squared norm of g_avg", g2), ("squared norm of b_avg", b2)):
+        if not 0 <= target <= TARGET_MAX:
+            raise ValueError(f"{name} must lie in [0, {TARGET_MAX:g}], got {target!r}")
     if t == 1 and target_var_g > 0:
         raise ValueError("t=1 forces var_g=0; nonzero target is unsatisfiable")
     if n - t == 1 and target_var_b > 0:
@@ -373,9 +377,7 @@ def random_with_moments(
 
     sin2 = t / n
     cos2 = 1.0 - sin2
-    total = sin2 * (target_var_g + float(np.vdot(ga, ga).real)) + cos2 * (
-        target_var_b + float(np.vdot(ba, ba).real)
-    )
+    total = sin2 * (target_var_g + g2) + cos2 * (target_var_b + b2)
     if total <= 0.0:
         raise ValueError("targets produce a zero state; total norm must be positive")
     scale = 1.0 / math.sqrt(total)

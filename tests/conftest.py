@@ -8,7 +8,8 @@ implementation is checked against a slow, obviously-correct one.  Where a
 fast path must keep the bits of a simpler one (the cache-blocked butterflies,
 the closed form's masked evaluation), the simpler one is kept here as well.
 The exact referee computes the trajectory and the closed form in rational
-arithmetic, so a float path's own error can be measured.
+arithmetic, and the counting circuit's transforms at 50 digits, so a float
+path's own error can be measured.
 """
 import inspect
 import math
@@ -17,6 +18,7 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -136,6 +138,76 @@ def exact_doubled_means(table: np.ndarray, gmask: np.ndarray, steps: int) -> np.
         flipped[:, gmask] = -flipped[:, gmask]
         out.append(2 * flipped.sum(axis=1) / x.shape[1])
     return np.array(out)
+
+
+def exact_offsets(means: np.ndarray) -> np.ndarray:
+    """The counting circuit's exact offsets from its exact doubled means
+    (``exact_doubled_means``, (steps, 2, D)), a (2, steps + 1, 2, D) object
+    array: G_0 = B_0 = 0, G_{m+1} = G_m + 2*mu_m and B_{m+1} = 2*mu_m - B_m,
+    sums of dyadic rationals."""
+    g, b = [means[0] * 0], [means[0] * 0]
+    for two_mu in means:
+        g.append(g[-1] + two_mu)
+        b.append(two_mu - b[-1])
+    return np.array([g, b])
+
+
+def rounded(parts: np.ndarray) -> np.ndarray:
+    """The complex doubles nearest an exact array whose axis -2 holds the real
+    and imaginary parts."""
+    to_float = np.vectorize(float, otypes=[np.float64])
+    return to_float(parts[..., 0, :]) + 1j * to_float(parts[..., 1, :])
+
+
+def _mpc(re: Fraction, im: Fraction) -> mpmath.mpc:
+    return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                      mpmath.mpf(im.numerator) / im.denominator)
+
+
+PRECISE_DIGITS = 50
+
+
+def precise_transform(offsets: np.ndarray) -> np.ndarray:
+    """The unitary positive-phase DFT over the P branches of exact (2, P, 2, D)
+    offsets, as numpy's ``ifft(..., norm="ortho")`` forms it: a (2, P, D) object
+    array of ``mpmath.mpc`` at ``PRECISE_DIGITS`` digits, 34 orders below a
+    double's rounding (the twiddles are irrational, so no rational is exact)."""
+    p = offsets.shape[1]
+    with mpmath.workdps(PRECISE_DIGITS):
+        z = np.vectorize(_mpc, otypes=[object])(offsets[..., 0, :], offsets[..., 1, :])
+        w = [mpmath.expjpi(mpmath.mpf(2 * j) / p) / mpmath.sqrt(p) for j in range(p)]
+        dft = np.array(w, dtype=object)[np.outer(np.arange(p), np.arange(p)) % p]
+        return np.array([dft @ seq for seq in z])
+
+
+def precise_spectrum(table: np.ndarray, gmask: np.ndarray, lines: np.ndarray) -> list:
+    """P*N times the counting circuit's ancilla distribution by its definition,
+    from the float (N, D) ``table`` and the precise transforms ``lines`` (2, P, D)
+    of the marked and unmarked offsets: at outcome k, the sum over rows a of
+    ||l_k + sqrt(P)*x_0(a)||^2, the x_0 term only on a marked row at k = 0 and
+    an unmarked row at k = P/2."""
+    p = lines.shape[1]
+    x = exact_table(table)
+    with mpmath.workdps(PRECISE_DIGITS):
+        rows = np.vectorize(_mpc, otypes=[object])(x[0], x[1]) * mpmath.sqrt(p)
+        out = []
+        for k in range(p):
+            total = mpmath.mpf(0)
+            for row, marked in zip(rows, gmask):
+                line = lines[0 if marked else 1, k]
+                if k == (0 if marked else p // 2):
+                    line = line + row
+                total += sum(abs(z) ** 2 for z in line)
+            out.append(total)
+        return out
+
+
+def precise_error(values: np.ndarray, precise) -> float:
+    """Largest |value - precise| over an array of doubles and its precise
+    counterpart, rounded to a float once."""
+    with mpmath.workdps(PRECISE_DIGITS):
+        return float(max(abs(mpmath.mpmathify(complex(v)) - w)
+                         for v, w in zip(np.ravel(values), np.ravel(np.array(precise, dtype=object)))))
 
 
 def exact_marked_mass(exact: np.ndarray, gmask: np.ndarray) -> Fraction:

@@ -108,16 +108,18 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _tensor_branches(state, good, p):
-    """The referee tensor's branches before scaling and transform, and their 2*mu_m.
+    """The referee tensor's branches before scaling and transform, with the
+    marked rows first and each sector in row order, and their 2*mu_m.
 
-    The step is written out here, apart from the package's kernel: copy the
-    table, negate the marked rows, take twice the column mean, subtract.
+    The step is written out here, apart from the package's kernel: sort the
+    table, then per step copy it, negate the leading t rows, take twice the
+    column mean, subtract.
     """
     gmask = good.mask(state.n_states)
-    branches, two_mu = [state.coeffs], []
+    branches, two_mu = [np.concatenate([state.coeffs[gmask], state.coeffs[~gmask]])], []
     for _ in range(p - 1):
         x = branches[-1].copy()
-        x[gmask] = -x[gmask]
+        x[: good.t] = -x[: good.t]
         two_mu.append(2.0 * x.mean(axis=0))
         branches.append(two_mu[-1] - x)
     return branches, np.array(two_mu, dtype=np.complex128).reshape(p - 1, state.data_dim)
@@ -133,10 +135,12 @@ class TestCircuitDistribution:
 
     @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES + LONG_ANCILLA_CASES)
     def test_one_block_gives_the_tensor_bits(self, nq, d, t, p, seed):
-        # one pass over the whole table keeps the tensor's doubled means, bit for bit
+        # one pass over the whole sorted table keeps the tensor's doubled means, bit for bit
         state, good = _count_case(nq, d, t, seed)
-        _, want = _tensor_branches(state, good, p)
-        got = counting._doubled_means(state.coeffs, good.mask(1 << nq), p - 1)
+        branches, want = _tensor_branches(state, good, p)
+        cur = state.coeffs[counting._sector_order(good.mask(1 << nq))]
+        assert np.array_equal(_bits(cur), _bits(branches[0]))
+        got = counting._doubled_means(cur, t, p - 1)
         assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("block_steps", [1, 3])
@@ -145,11 +149,10 @@ class TestCircuitDistribution:
         # the pass split after a first block of steps, resumed from the tensor's
         # branch there, continues the whole pass's means bit for bit
         state, good = _count_case(nq, d, t, seed)
-        gmask = good.mask(1 << nq)
         branches, want = _tensor_branches(state, good, p)
         k = min(block_steps, p - 1)
-        head = counting._doubled_means(state.coeffs, gmask, k)
-        tail = counting._doubled_means(branches[k], gmask, p - 1 - k)
+        head = counting._doubled_means(branches[0].copy(), t, k)
+        tail = counting._doubled_means(branches[k].copy(), t, p - 1 - k)
         assert np.array_equal(_bits(np.concatenate([head, tail])), _bits(want))
 
     @pytest.mark.parametrize("nq,d,t,p,seed", CIRCUIT_CASES + LONG_ANCILLA_CASES)
@@ -172,7 +175,7 @@ class TestCircuitDistribution:
         assert peak <= 2**20
 
     def test_first_pass_holds_no_step_buffer(self):
-        # the table's copy, the sign of each float and the P x D means, beside
+        # the sorted copy of the table, its row order and the P x D means, beside
         # numpy's ufunc buffer for the broadcast subtract; a step buffer would
         # add a whole table (262,144 bytes), far past the 16 KiB of slack
         n, d, p = 1 << 12, 4, 1024
@@ -180,12 +183,13 @@ class TestCircuitDistribution:
         gmask = good.mask(n)
         tracemalloc.start()
         try:
-            counting._doubled_means(state.coeffs, gmask, p - 1)
+            cur = state.coeffs[counting._sector_order(gmask)]
+            counting._doubled_means(cur, good.t, p - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         table = 16 * n * d
-        assert peak <= 2 * table + 16 * (p - 1) * d + 16 * np.getbufsize() + 2**14
+        assert peak <= table + 8 * n + 16 * (p - 1) * d + 16 * np.getbufsize() + 2**14
 
     @pytest.mark.parametrize("nq,d", [(4, 3), (6, 2)])
     def test_fortran_ordered_table_counts_like_the_c_ordered_one(self, nq, d):
@@ -196,14 +200,17 @@ class TestCircuitDistribution:
             assert np.array_equal(_bits(run(fortran, good, 16)), _bits(run(state, good, 16)))
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
-        # three tables of 16 amplitudes, five sequences of 64 and a 16-byte mask, not P*N*D
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (3 * 16 + 5 * 64) + 16 - 1))
+        # a table of 16 amplitudes, numpy's ufunc buffer (a table here), five
+        # sequences of 64, and 9 bytes a row for the row order and mask, not P*N*D
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64) + 9 * 16 - 1))
         with pytest.raises(MemoryLimitError):
             circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (3 * 16 + 5 * 64) + 16))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64) + 9 * 16))
         assert circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64).sum() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("nq,d,t,p", [(12, 1, 100, 1024), (12, 4, 100, 1024), (10, 4, 1, 4096)])
+    @pytest.mark.parametrize(
+        "nq,d,t,p", [(12, 1, 100, 1024), (12, 4, 100, 1024), (10, 4, 1, 4096), (12, 4, 2000, 64)]
+    )
     def test_memory_charge_covers_the_traced_peak(self, monkeypatch, nq, d, t, p):
         state, good = random_state(nq, d, seed=63), random_marked(1 << nq, t, seed=64)
         charged = []

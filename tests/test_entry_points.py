@@ -1,9 +1,11 @@
 """The shipped configs run through the CLI, the demo scripts run to completion,
-and the benchmark's tracer still finds every name it rebinds.
+the benchmark's tracer still finds every name it rebinds, and the benchmark's
+workloads pass its own correctness checks.
 
 ``verify_default.json`` is left out: acceptance criterion 11 already runs
 the full battery through the CLI three times.
 """
+import importlib
 import importlib.util
 import json
 import runpy
@@ -54,3 +56,19 @@ def test_benchmark_tracer_rebinds_and_restores_the_package():
         assert grover.grover_trajectory is not trajectory
     assert grover.grover_trajectory is trajectory
     assert _namespaces() == before
+
+
+@pytest.mark.parametrize("name", ["count", "find-wide"])
+def test_benchmark_workload_passes_the_benchmarks_check(name, monkeypatch, tmp_path):
+    """Seed 1 of a benchmark workload, run through ``cli.main`` in process, passes
+    ``perfbench/workloads.py``'s own check: its referee simulation and report
+    fields.  A report the benchmark would call incorrect fails here first."""
+    for module in ("workloads", "tracer"):  # imported by name below; gone again after
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    argv, scenario = workload.make(1, ROOT, tmp_path)
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert workload.check(json.loads(out.read_text()), scenario, 1) == []

@@ -2,7 +2,8 @@
 and its sector offsets, the two-block recurrence, the oscillation law and the counting circuit's
 doubled means in rational arithmetic (``exact_trajectory``,
 ``exact_closed_form``, ``exact_recurrence``, ``exact_marked_mass`` and
-``exact_doubled_means``).
+``exact_doubled_means``), and the circuit's offset transforms and spectrum
+at 50 digits (``exact_offsets``, ``precise_transform`` and ``precise_spectrum``).
 
 Each bound below was set from a measurement over ten seeds of these four
 shapes, before the test was written, and catches a planted perturbation of
@@ -21,12 +22,17 @@ from conftest import (
     exact_doubled_means,
     exact_error,
     exact_marked_mass,
+    exact_offsets,
     exact_recurrence,
     exact_table,
     exact_trajectory,
     grover_matrix,
     planted,
+    precise_error,
+    precise_spectrum,
+    precise_transform,
     random_table,
+    rounded,
 )
 from entgrover import analytic, counting, from_amplitudes, grover, moments, random_good_set
 
@@ -227,7 +233,8 @@ def _doubled_means_error(means_case, scale=1.0):
     """Largest error of ``counting._doubled_means`` over eps * max_{k<=m} max|x_k| * (m + 1),
     its means scaled by scale^m as a circuit scaling each step by ``scale`` would be."""
     state, gmask, exact, exact_means = means_case
-    two_mu = counting._doubled_means(state.coeffs, gmask, N_MAX)
+    cur = state.coeffs[counting._sector_order(gmask)]
+    two_mu = counting._doubled_means(cur, int(np.count_nonzero(gmask)), N_MAX)
     two_mu *= scale ** np.arange(N_MAX)[:, None]
     worst = size = 0.0
     for m in range(N_MAX):
@@ -251,3 +258,92 @@ def test_doubled_means_error_is_within_the_step_model(means_case):
 @pytest.mark.parametrize("scale", [1.0 + 1e-14, 1.0 - 1e-14])
 def test_doubled_means_bound_catches_a_scaled_step(means_case, scale):
     assert _doubled_means_error(means_case, scale) > 0.5
+
+
+# The ancilla of the circuit referee below: 15 doubled means, within N_MAX.
+P_SIZE = 16
+
+
+@pytest.fixture(scope="module")
+def circuit_case(means_case):
+    state, gmask, _, exact_means = means_case
+    means = exact_means[: P_SIZE - 1]
+    return state, gmask, means, precise_transform(exact_offsets(means))
+
+
+def _transforms_error(circuit_case, transforms=counting._offset_transforms):
+    """Largest error of ``transforms`` of the rounded exact doubled means against
+    the precise transforms of the exact offsets, over eps * max ||O||_2, the
+    largest 2-norm of an offset sequence over the P branches."""
+    _, _, means, lines = circuit_case
+    scale = float(np.max(np.linalg.norm(rounded(exact_offsets(means)), axis=1)))
+    return precise_error(transforms(rounded(means)), lines) / (EPS * scale)
+
+
+def test_offset_transforms_error_is_within_the_norm_model(circuit_case):
+    """err <= 2 * eps * max ||O||_2.
+
+    The cumulative sums round each offset about once per mean summed and the
+    unitary FFT spreads its rounding over the sequence's norm.  Measured
+    0.21-1.33 of the model (40 states, ten seeds of these four shapes); the
+    G or B offsets scaled by (1 + 1e-13) read 23-387 on three seeds of each.
+    """
+    assert _transforms_error(circuit_case) <= 2.0
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("np.cumsum(two_mu, axis=0", "np.cumsum(two_mu * (1.0 + 1e-13), axis=0"),
+     ("offsets[1, 1:] *= alt", "offsets[1, 1:] *= alt * (1.0 + 1e-13)")],
+    ids=["G-scaled", "B-scaled"],
+)
+def test_transforms_bound_catches_a_scaled_offset(circuit_case, old, new):
+    transforms = planted(counting._offset_transforms, old, new)
+    assert _transforms_error(circuit_case, transforms) > 2.0
+
+
+def _spectrum_error(circuit_case, spectrum=counting._spectrum):
+    """Largest error of ``spectrum`` of the rounded precise transforms and sector
+    sums against ``precise_spectrum``, each outcome's over eps times the sum of
+    the magnitudes of its terms: r*|l_k|^2 per sector of r rows, and
+    P*M + 2*sqrt(P)*|S|.|l_k| at the sector's line."""
+    state, gmask, _, lines = circuit_case
+    x = exact_table(state.coeffs)
+    near = np.vectorize(complex, otypes=[np.complex128])(lines)
+    sectors = [(int(np.count_nonzero(rows)), rounded(x[:, rows].sum(axis=1)),
+                float((x[:, rows] ** 2).sum())) for rows in (gmask, ~gmask)]
+    got = spectrum(near, sectors)
+    want = precise_spectrum(state.coeffs, gmask, lines)
+    worst = 0.0
+    for k in range(P_SIZE):
+        scale = sum(r * float(np.vdot(l[k], l[k]).real) for (r, _, _), l in zip(sectors, near))
+        for line_at, (_, total, norm2), l in zip((0, P_SIZE // 2), sectors, near):
+            if k == line_at:
+                scale += P_SIZE * norm2 + 2.0 * math.sqrt(P_SIZE) * float(np.abs(total) @ np.abs(l[k]))
+        worst = max(worst, precise_error(got[k], want[k]) / (EPS * scale))
+    return worst
+
+
+def test_spectrum_error_is_within_the_term_model(circuit_case):
+    """err_k <= 2 * eps * (sum of the magnitudes of outcome k's terms).
+
+    Each term rounds about once, and its rounded inputs carry half an eps
+    each.  Measured 0.55-1.34 of the model (40 states, ten seeds of these
+    four shapes); on three seeds of each, the cross term without its factor
+    2 reads 1.3e14-1.1e15, and either line term scaled by (1 + 1e-13) 36.8-432.
+    """
+    assert _spectrum_error(circuit_case) <= 2.0
+
+
+_LINE = "p_size * norm2 + 2.0 * math.sqrt(p_size) * np.vdot(total, line[k]).real"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("2.0 * math.sqrt(p_size)", "math.sqrt(p_size)"),
+     (_LINE, f"({_LINE}) * (1.0 + 1e-13 * (k == 0))"),
+     (_LINE, f"({_LINE}) * (1.0 + 1e-13 * (k > 0))")],
+    ids=["cross-term-halved", "marked-line-scaled", "unmarked-line-scaled"],
+)
+def test_spectrum_bound_catches_a_planted_line_term(circuit_case, old, new):
+    assert _spectrum_error(circuit_case, planted(counting._spectrum, old, new)) > 2.0

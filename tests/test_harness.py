@@ -122,9 +122,10 @@ class TestRunCount:
         assert window["value"] < s.tolerances.probability
 
 
-# The counting circuit's working set at N = 2^12, D = 1, P = 1024: three tables,
-# five P x D sequences of complex128 and the marked-row mask.
-CIRCUIT_BYTES = 16 * (3 * 4096 + 5 * 1024) + 4096
+# The counting circuit's working set at N = 2^12, D = 1, P = 1024: the sorted
+# table, numpy's ufunc buffer (one table here), five P x D sequences of
+# complex128, and the row order and marked-row mask.
+CIRCUIT_BYTES = 16 * (2 * 4096 + 5 * 1024) + 9 * 4096
 # The trajectory audit's charge at N = 2^12, D = 1: the state's table, the
 # audit's three tables, the row index and the mask.
 AUDIT_BYTES = 4 * 16 * 4096 + 9 * 4096
@@ -144,8 +145,9 @@ class TestSweep:
 
     def test_cell_fails_where_find_fails_its_unitarity_check(self, tmp_path):
         # the cell with seed s sweeps find's state {"seed": s} and marked set {"seed": s + 1}
-        state = {"type": "random", "seed": 0, "var_b": 0.05}
-        find = {"kind": "find", "n_qubits": 5, "state": state, "good": {"t": 1, "seed": 1}}
+        state = {"type": "random", "var_b": 0.05}
+        find = {"kind": "find", "n_qubits": 5, "state": dict(state, seed=0),
+                "good": {"t": 1, "seed": 1}}
         checks = run_find(parse_scenario(find)).payload["checks"]
         norm_dev = next(c["value"] for c in checks if c["name"] == "unitarity")
         tight = {"tolerances": {"unitarity": norm_dev}}  # a pass needs value < tolerance

@@ -144,6 +144,15 @@ class TestRegressions:
         code, err = run_cli(["find", "--config", cfg])
         assert code == 1 and f"'{field}'" in err
 
+    def test_sweep_state_seed_exit_1_names_it(self, tmp_path):
+        # grid.seeds sets each cell's state seed: sweeps with a state.seed of 5
+        # and of 6 ran, and gave identical rows
+        state = {"type": "random", "seed": 5, "var_b": 0.05}
+        cfg = write_json(tmp_path / "c.json", {"kind": "sweep", "state": state,
+                                               "grid": {"n_qubits": [4], "t": [3], "seeds": [0]}})
+        code, err = run_cli(["sweep", "--config", cfg])
+        assert code == 1 and "'state.seed'" in err and "grid.seeds" in err
+
     @pytest.mark.parametrize(
         "rows",
         [

@@ -203,6 +203,18 @@ class TestRandomWithMoments:
         assert m.var_g / m.g_norm2 == pytest.approx(0.5 / 4.0, rel=1e-9)
         assert m.var_b / m.b_norm2 == pytest.approx(0.25 / 1.0, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "target, name",
+        [({"target_var_g": 1e308}, "target_var_g"), ({"target_var_b": math.inf}, "target_var_b"),
+         ({"target_var_g": math.nan}, "target_var_g"), ({"target_var_b": -0.1}, "target_var_b"),
+         ({"g_avg": [1e200]}, "g_avg"), ({"b_avg": [math.nan]}, "b_avg")],
+    )
+    def test_target_out_of_range_rejected_by_name(self, target, name):
+        # 1e308 overflowed the construction, which then failed its norm gate with "got nan"
+        args = {"target_var_g": 0.0, "target_var_b": 0.0, "g_avg": [1.0], "b_avg": [1.0], **target}
+        with pytest.raises(ValueError, match=name):
+            random_with_moments(3, 1, GoodSet((0, 1)), **args, seed=0)
+
     def test_zero_everything_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             random_with_moments(2, 1, GoodSet((0,)), 0.0, 0.0, [0.0], [0.0], seed=1)
