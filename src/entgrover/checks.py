@@ -42,6 +42,12 @@ AVG_THRESHOLD = math.pi**2 / (8.0 * math.sqrt(2.0))
 # is read one step at a time.
 _CHUNK_BYTES = 1 << 18
 
+# Peak bytes of a find's readings a step (the audit's series, the report's row
+# and its JSON text), and of the corpus's a state and step: tracemalloc read
+# 1,244-1,274 and 125-130 over 10^4 to 4 x 10^4 steps (CPython 3.11, numpy 2.4.6).
+_STEP_BYTES = 1280
+_CORPUS_STEP_BYTES = 160
+
 # The audit's chunks start on a cache line: malloc aligns to 16 bytes only,
 # and a 4096 x 64 step between tables off a cache-line boundary ran 8-10%
 # slower, by an amount that changed from process to process (2 cores, numpy 2.4.6).
@@ -178,23 +184,28 @@ def _chunk_steps(table_bytes: int, n_rows: int, steps: int) -> int:
     return max(1, min(steps, k))
 
 
-def check_audit_memory(n_states: int, data_dim: int) -> None:
-    """Refuse a run whose state and trajectory audit, at one step a chunk,
-    exceed the cap; ``_chunk_steps`` takes longer chunks only where it leaves room."""
-    needed = _audit_bytes(16 * n_states * data_dim, n_states, 1)
-    qstate.check_bytes(needed, f"trajectory audit working set ({n_states} x {data_dim})")
+def check_audit_memory(n_states: int, data_dim: int, steps: int = 0) -> None:
+    """Refuse a run whose state, trajectory audit at one step a chunk and readings of
+    ``steps`` steps exceed the cap; ``_chunk_steps`` takes longer chunks where it leaves room."""
+    needed = _audit_bytes(16 * n_states * data_dim, n_states, 1) + steps * _STEP_BYTES
+    qstate.check_bytes(needed, f"trajectory audit working set ({n_states} x {data_dim}, "
+                               f"{steps} steps)")
 
 
 def check_corpus_memory(cfg: VerifyConfig) -> None:
     """Refuse a battery whose corpus exceeds the cap: every corpus table, held
-    as a state, and the audit of its largest stack (``_audit_bytes``)."""
+    as a state, the audit of its largest stack (``_audit_bytes``), and each
+    state's readings of ``max_steps`` steps."""
     combos = [(1 << nq, d) for nq in cfg.n_qubits_list for d in cfg.data_dims]
-    counts = Counter(combos[i % len(combos)] for i in range(cfg.corpus_count))
+    rounds, rest = divmod(cfg.corpus_count, len(combos))
+    counts = Counter(combos[:rest]) + Counter({c: rounds * combos.count(c) for c in combos})
     stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
     if stacks:
         (b, n, d), stack = max(stacks.items(), key=lambda item: item[1])
-        needed = sum(stacks.values()) + _audit_bytes(stack, b * n, 1)
-        qstate.check_bytes(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes")
+        needed = (sum(stacks.values()) + _audit_bytes(stack, b * n, 1)
+                  + cfg.corpus_count * (cfg.max_steps + 1) * _CORPUS_STEP_BYTES)
+        qstate.check_bytes(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes "
+                                   f"and {cfg.max_steps} steps")
 
 
 def _audit_stack(
@@ -618,6 +629,7 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
         flat = qstate.new_flat(nq, 1)
         for t in range(1, n_big // 4 + 1):
             good = qstate.GoodSet(tuple(range(t)))
+            m = qstate.moments(flat, good)
             for p_size in cfg.sweep_p_sizes:
                 cell += 1
                 report = counting.run_count(
@@ -626,6 +638,7 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
                     p_size,
                     repetitions=cfg.majority_repetitions,
                     seed=cfg.base_seed + cell,
+                    m=m,
                 )
                 for outcome in report.window:
                     est = counting.estimate_from_outcome(outcome, p_size, n_big)

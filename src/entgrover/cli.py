@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .harness import Report, ScenarioError, load_scenario, run_scenario
+from .harness import Report, ScenarioError, load_scenario, read_option, run_scenario
 from .qstate import MemoryLimitError
 
 USAGE_EXIT = 1
@@ -49,14 +49,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError(
                 f"config kind {scenario.kind!r} does not match subcommand {args.command!r}"
             )
-        if args.workers is not None and args.workers < 1:
-            raise ScenarioError("--workers must be >= 1")
+        if args.workers is not None:
+            read_option(scenario.kind, "workers", args.workers)
         if args.seed is not None:
-            if scenario.kind in ("find", "sweep"):
-                raise ScenarioError(f"--seed is not read by {scenario.kind}")
-            if args.seed < 0:
-                raise ScenarioError("--seed must be >= 0")
-            scenario = replace(scenario, seed=args.seed)
+            scenario = replace(scenario, seed=read_option(scenario.kind, "seed", args.seed))
         start = time.perf_counter()
         report = run_scenario(scenario)
         seconds = time.perf_counter() - start

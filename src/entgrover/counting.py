@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import DegenerateCaseError
+from .grover import small_buffer
 from .qstate import EntangledState, GoodSet, MomentSummary, check_bytes, check_memory, moments
 
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
@@ -56,11 +57,9 @@ def check_sample_memory(repetitions: int) -> None:
 
 def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> None:
     """Refuse a circuit whose working set exceeds the cap: the sorted table, its row
-    order and mask (9 bytes a row), numpy's ufunc buffer for the step's broadcast
-    subtract (at most a table), and the five P x D sequences that the transforms
-    hold at most once the table is released."""
-    amps = n_states * data_dim
-    needed = 16 * (amps + min(amps, np.getbufsize()) + 5 * p_size * data_dim) + 9 * n_states
+    order and mask (9 bytes a row), and the five P x D sequences that the
+    transforms hold at most once the table is released."""
+    needed = 16 * (n_states * data_dim + 5 * p_size * data_dim) + 9 * n_states
     check_bytes(needed, f"counting circuit working set (P = {p_size})")
 
 
@@ -102,10 +101,13 @@ def _sector_order(gmask: np.ndarray) -> np.ndarray:
 
 
 def _doubled_means(cur: np.ndarray, t: int, steps: int) -> np.ndarray:
-    """2*mu_m for m < ``steps``, stepping in place a table whose first ``t`` rows are marked."""
+    """2*mu_m for m < ``steps``, stepping in place a table whose first ``t`` rows are marked.
+    The loop runs in a small ufunc buffer, for the broadcast subtract at D > 1; the column
+    sums keep the default buffer's bits (checked at N up to 2^15, D from 1 to 64)."""
     two_mu = np.empty((steps, cur.shape[1]), dtype=np.complex128)
-    for out in two_mu:
-        _mean_step(cur, t, out)
+    with small_buffer():
+        for out in two_mu:
+            _mean_step(cur, t, out)
     return two_mu
 
 
@@ -399,12 +401,14 @@ def run_count(
     repetitions: int,
     seed: int,
     dist: np.ndarray | None = None,
+    m: MomentSummary | None = None,
 ) -> CountReport:
     """Simulate the circuit once, sample the ancilla, and decode by majority rule.
 
     ``dist`` is the circuit's ancilla distribution, for a caller that has
-    already simulated it; without it the circuit is simulated here.  The
-    report records ``seed``, the sampling seed.
+    already simulated it; without it the circuit is simulated here.  ``m`` is
+    moments(state, good) when the caller already has it.  The report records
+    ``seed``, the sampling seed.
 
     The majority outcome is the most frequent sample (ties to the smallest
     outcome).  ``w_empirical`` is the fraction of samples inside the
@@ -423,7 +427,7 @@ def run_count(
         dist = circuit_distribution(state, good, p_size)
 
     if 0 < t < n and p_size >= 4:
-        pred = window_probability(moments(state, good), p_size)
+        pred = window_probability(moments(state, good) if m is None else m, p_size)
         case, w_predicted, window = pred.case, pred.mass, pred.outcomes
     elif 0 < t < n:
         case, w_predicted = "small-P", None

@@ -9,24 +9,27 @@ only carry a runtime column when ``include_timings`` is set.
 ``find`` and ``count`` build their marked set and state through one setup
 step, and ``find`` and each ``sweep`` cell read the oscillation law against
 one trajectory audit, and make the same checks on it, through one shared
-step.  The scenario key
-``workers`` is accepted and checked but selects nothing: every run is
-sequential.
+step.  The scenario key ``workers`` is accepted and checked but selects
+nothing: every run is sequential.
 
-Every scenario field is checked when the scenario is parsed, so a bad
-value ends in a ScenarioError that names it rather than in a traceback
-half-way through a run.  Each block also refuses a key it does not read,
-so a misspelled key cannot leave its default in force.
+The scenario format has one source, the tables of ``_Key`` records below:
+the top-level keys of each kind (``KEYS``), ``tolerances``, ``grid``,
+``verify``, one per ``state`` type and one per ``good`` form.  One reader,
+``_read``, takes every block through its table; each message names the bad
+key as ``field '<dotted path>'``.  A sweep reads a ``flat`` or ``random``
+state, never a ``file``, whose shape is fixed where the grid varies it.
+Rules that tie one field to another stay as code after the tables.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -43,21 +46,24 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario, its defaults filled in from the format's tables; a key
+    that its kind does not read is None.  ``echo`` is the scenario as given."""
+
     kind: str
-    n_qubits: int | None = None
-    data_dim: int = 1
-    state_spec: dict = field(default_factory=lambda: {"type": "flat"})
-    good_spec: dict | None = None
-    iterations: int | None = None
-    p_size: int | None = None
-    repetitions: int = 1
-    seed: int | None = None
-    grid: dict | None = None
-    verify_overrides: dict = field(default_factory=dict)
-    output_format: str = "json"
-    include_timings: bool = False
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    echo: dict = field(default_factory=dict)
+    n_qubits: int | None
+    data_dim: int | None
+    state: dict | None
+    good: dict | None
+    iterations: int | None
+    p_size: int | None
+    repetitions: int | None
+    seed: int | None
+    grid: dict | None
+    verify: dict | None
+    output_format: str
+    include_timings: bool | None
+    tolerances: Tolerances
+    echo: dict
 
 
 @dataclass
@@ -77,14 +83,12 @@ class Report:
         return json.dumps(self.to_json_obj(), indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
-        rows = self.payload.get("rows")
-        columns = self.payload.get("columns")
-        if rows is None or columns is None:
-            raise ScenarioError("csv output is only available for sweep reports")
+        """A sweep report as CSV: the format's tables give csv output to sweeps only."""
+        columns = self.payload["columns"]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
+        for row in self.payload["rows"]:
             writer.writerow([_csv_cell(row.get(c)) for c in columns])
         return buf.getvalue()
 
@@ -97,66 +101,174 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _is_kind(value: Any, kinds: type | tuple) -> bool:
-    """isinstance, except that a bool passes only where bool itself is asked for."""
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    if isinstance(value, bool):
-        return bool in kinds
-    return isinstance(value, kinds)
+class _Key(NamedTuple):
+    """One key of the scenario format: its JSON ``type`` (int; float, a finite number;
+    complex, a number or an [re, im] pair; str, bool or dict), inclusive bounds ``lo``
+    and ``hi``, whether it must be a power of two, the ``choices`` allowed, and its
+    ``default`` when absent unless it is ``required``.  With ``min_len`` set, the key
+    holds a list of at least that many such values, read as a tuple."""
+
+    type: type
+    lo: float | None = None
+    hi: float | None = None
+    pow2: bool = False
+    choices: tuple = ()
+    default: Any = None
+    required: bool = False
+    min_len: int | None = None
 
 
-def _require(obj: dict, name: str, kinds: type | tuple, where: str) -> Any:
-    if name not in obj:
-        raise ScenarioError(f"{where}: missing required field '{name}'")
-    value = obj[name]
-    if not _is_kind(value, kinds):
-        raise ScenarioError(f"{where}: field '{name}' has wrong type {type(value).__name__}")
-    return value
+# The least positive double: a lower bound that reads "> 0".
+_POSITIVE = math.ulp(0.0)
 
 
-def _optional(obj: dict, name: str, kinds: type | tuple, where: str, default: Any = None) -> Any:
-    if name not in obj or obj[name] is None:
-        return default
-    return _require(obj, name, kinds, where)
+# The top-level keys every kind reads (csv output is for sweeps only).
+_COMMON = {
+    "schema_version": _Key(int, choices=(SCHEMA_VERSION,), default=SCHEMA_VERSION),
+    "kind": _Key(str, choices=("find", "count", "verify", "sweep"), required=True),
+    "workers": _Key(int, 1),  # checked only: every run is sequential
+    "output_format": _Key(str, choices=("json",), default="json"),
+    "tolerances": _Key(dict, default={}),
+}
+_SETUP = {
+    "n_qubits": _Key(int, 1, qstate.MAX_QUBITS, required=True),
+    "data_dim": _Key(int, 1, default=1),
+    "state": _Key(dict, default={"type": "flat"}),
+    "good": _Key(dict, required=True),
+}
+# The top-level keys of each kind.
+KEYS = {
+    "find": {**_COMMON, **_SETUP, "iterations": _Key(int, 0)},
+    "count": {**_COMMON, **_SETUP, "P": _Key(int, 2, pow2=True, required=True),
+              "repetitions": _Key(int, 1, default=1), "seed": _Key(int, 0, required=True)},
+    "verify": {**_COMMON, "verify": _Key(dict, default={}), "seed": _Key(int, 0)},
+    "sweep": {**_COMMON, "output_format": _Key(str, choices=("json", "csv"), default="json"),
+              "grid": _Key(dict, required=True), "state": _SETUP["state"],
+              "iterations": _Key(int, 0), "include_timings": _Key(bool, default=False)},
+}
+_TOLERANCES = {name: _Key(float, _POSITIVE, default=value)
+               for name, value in asdict(Tolerances()).items()}
+_GRID = {
+    "n_qubits": _Key(int, 1, qstate.MAX_QUBITS, default=(), min_len=0),
+    "data_dim": _Key(int, 1, default=(1,), min_len=0),
+    "t": _Key(int, 0, default=(), min_len=0),
+    "P": _Key(int, 1, pow2=True, default=(), min_len=0),
+    "seeds": _Key(int, 0, default=(0,), min_len=0),
+}
+# The battery's settings other than integers >= 0.  The estimator-bound grid
+# needs N >= 4 for a marked count t <= N/4 to exist.
+_BATTERY_BOUNDS = {
+    "majority_repetitions": _Key(int, 1),
+    "n_qubits_list": _Key(int, 1, qstate.MAX_QUBITS, min_len=1),
+    "data_dims": _Key(int, 1, min_len=1),
+    "sweep_n_qubits": _Key(int, 2, qstate.MAX_QUBITS, min_len=1),
+    "sweep_p_sizes": _Key(int, 4, pow2=True, min_len=1),
+}
+_VERIFY = {f.name: _BATTERY_BOUNDS.get(f.name, _Key(int, 0))._replace(default=f.default)
+           for f in fields(VerifyConfig) if f.name != "tolerances"}
+# The state tables, one per type.  A sweep reads no file: a file fixes the
+# table's shape, which the grid varies; and grid.seeds seeds a random state.
+_RANDOM = {
+    "type": _Key(str, required=True),
+    "seed": _Key(int, 0, required=True),
+    "var_g": _Key(float, 0, qstate.TARGET_MAX, default=0.0),
+    "var_b": _Key(float, 0, qstate.TARGET_MAX, default=0.0),
+    "g_avg": _Key(complex, min_len=0),
+    "b_avg": _Key(complex, min_len=0),
+}
+_STATE = {
+    "flat": {"type": _Key(str, required=True)},
+    "random": _RANDOM,
+    "file": {"type": _Key(str, required=True), "path": _Key(str, required=True)},
+}
+_SWEEP_STATE = {"flat": _STATE["flat"],
+                "random": {k: v for k, v in _RANDOM.items() if k != "seed"}}
+# The marked-set tables, one per form: the form with "indices" when it is given.
+_GOOD = {
+    "indices": {"indices": _Key(int, 0, required=True, min_len=0)},
+    "t": {"t": _Key(int, 0, required=True), "seed": _Key(int, 0, required=True)},
+}
+_NOUNS = {int: "an integer", float: "a finite number", complex: "a number or [re, im] pair",
+          str: "a string", bool: "true or false", dict: "an object"}
 
 
-def _in_range(value: int | None, path: str, minimum: int, maximum: int | None = None) -> int | None:
-    if value is not None and (value < minimum or (maximum is not None and value > maximum)):
-        upper = "" if maximum is None else f" and <= {maximum}"
-        raise ScenarioError(f"field '{path}' must be >= {minimum}{upper}, got {value}")
-    return value
+def _describe(key: _Key) -> str:
+    """What a value of ``key`` must be, as the messages say it."""
+    if key.choices:
+        return "one of " + ", ".join(map(str, key.choices))
+    noun = "a power of two" if key.pow2 else _NOUNS[key.type]
+    if key.lo == _POSITIVE:
+        return f"{noun} > 0"
+    if key.hi is not None:
+        return f"{noun} in [{key.lo:g}, {key.hi:g}]"
+    return noun if key.lo is None else f"{noun} >= {key.lo:g}"
 
 
-def _number(value: Any, path: str) -> float:
-    """A finite JSON number as a float; a bool or an int beyond the double range is refused."""
-    if _is_kind(value, (int, float)):
+def _value(raw: Any, key: _Key, path: str) -> Any:
+    """``raw`` once it has ``key``'s type (a bool only where a bool is asked for)
+    and lies in its bounds and choices."""
+    if key.type is complex and isinstance(raw, list) and len(raw) == 2:
+        return complex(*(_value(part, _Key(float), path) for part in raw))
+    numeric = key.type in (float, complex)
+    kinds = (int, float) if numeric else key.type
+    if isinstance(raw, bool) != (key.type is bool) or not isinstance(raw, kinds):
+        raise ScenarioError(f"field '{path}' must be {_describe(key)}, got {raw!r}")
+    value = raw
+    if numeric:
         try:
-            x = float(value)
-        except OverflowError:
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ScenarioError(f"field '{path}' must be a finite number, got {value!r}")
+            value = float(raw)
+        except OverflowError:  # an integer beyond the double range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ScenarioError(f"field '{path}' must be a finite number, got {raw!r}")
+        value = key.type(value)
+    if ((key.lo is not None and value < key.lo) or (key.hi is not None and value > key.hi)
+            or (key.pow2 and value & (value - 1)) or (key.choices and value not in key.choices)):
+        raise ScenarioError(f"field '{path}' must be {_describe(key)}, got {raw!r}")
+    return value
 
 
-def _int_list(
-    obj: dict,
-    name: str,
-    where: str,
-    default: list,
-    minimum: int,
-    maximum: int | None = None,
-    power_of_two: bool = False,
-) -> list[int]:
-    """A list of integers in [minimum, maximum] (powers of two when asked), default when absent."""
-    path = f"{where}.{name}"
-    values = _optional(obj, name, list, where, default)
-    for v in values:
-        if not _is_kind(v, int) or (power_of_two and v & (v - 1) != 0):
-            want = "powers of two" if power_of_two else "integers"
-            raise ScenarioError(f"field '{path}' must list {want}, got {v!r}")
-        _in_range(v, path, minimum, maximum)
-    return values
+def _read(block: dict, keys: dict, where: str) -> dict:
+    """The values of ``block`` as the table ``keys`` declares them, defaults filled
+    in.  A key the table does not declare is refused, so that a misspelled key
+    cannot leave its default in force; ``where`` is the block's dotted path."""
+    for name in block:
+        if name not in keys:
+            raise ScenarioError(f"field '{where}{name}' is not read; "
+                                f"{where[:-1] or 'this kind'} reads {', '.join(keys)}")
+    out = {}
+    for name, key in keys.items():
+        path = where + name
+        if block.get(name) is None:  # null reads as absent
+            if key.required:
+                raise ScenarioError(f"field '{path}' is required")
+            out[name] = key.default
+        elif key.min_len is None:
+            out[name] = _value(block[name], key, path)
+        else:
+            values = block[name]
+            if not isinstance(values, list) or len(values) < key.min_len:
+                shape = "a non-empty list" if key.min_len else "a list"
+                raise ScenarioError(f"field '{path}' must be {shape}, got {values!r}")
+            out[name] = tuple(_value(v, key, path) for v in values)
+    return out
+
+
+def _read_state(spec: dict, forms: dict = _STATE) -> dict:
+    """A state spec read by the table of its type."""
+    kind = _value(spec.get("type"), _Key(str, choices=tuple(forms)), "state.type")
+    return _read(spec, forms[kind], "state.")
+
+
+def _read_good(spec: dict) -> dict:
+    return _read(spec, _GOOD["indices" if "indices" in spec else "t"], "good.")
+
+
+def read_option(kind: str, name: str, value: int) -> int:
+    """A command-line override of the top-level key ``name``, checked by the kind's table."""
+    if name not in KEYS[kind]:
+        raise ScenarioError(f"--{name} is not read by {kind}")
+    return _value(value, KEYS[kind][name], name)
 
 
 def _non_finite_path(value: Any, path: str) -> str | None:
@@ -176,283 +288,123 @@ def _non_finite_path(value: Any, path: str) -> str | None:
     return None
 
 
-def _known(block: dict, keys, where: str) -> dict:
-    """``block``, once every key in it is one of ``keys``, the keys the run reads."""
-    for key in block:
-        if key not in keys:
-            raise ScenarioError(f"field '{where}.{key}' is not read; {where} reads "
-                                + ", ".join(keys))
-    return block
-
-
-# The top-level keys each kind reads, beside the ones every kind reads.
-_COMMON_KEYS = ("schema_version", "kind", "workers", "output_format", "tolerances")
-_KIND_KEYS = {
-    "find": ("n_qubits", "data_dim", "state", "good", "iterations"),
-    "count": ("n_qubits", "data_dim", "state", "good", "P", "repetitions", "seed"),
-    "verify": ("verify", "seed"),
-    "sweep": ("grid", "state", "iterations", "include_timings"),
-}
-
-
-def _parse_tolerances(obj: dict) -> Tolerances:
-    tol_obj = _known(_optional(obj, "tolerances", dict, "top level", {}), asdict(Tolerances()),
-                     "tolerances")
-    values = {}
-    for name, default in asdict(Tolerances()).items():
-        path = f"tolerances.{name}"
-        value = _number(tol_obj.get(name, default), path)
-        if value <= 0.0:
-            raise ScenarioError(f"field '{path}' must be a finite positive number, got {value!r}")
-        values[name] = value
-    return Tolerances(**values)
-
-
-def _parse_grid(obj: dict) -> dict:
-    """Grid lists with their defaults filled in, every value range-checked."""
-    grid = _optional(obj, "grid", dict, "top level")
-    if grid is None:
-        raise ScenarioError("top level: kind 'sweep' requires field 'grid'")
-    _known(grid, ("n_qubits", "data_dim", "t", "P", "seeds"), "grid")
-    return {
-        "n_qubits": _int_list(grid, "n_qubits", "grid", [], 1, qstate.MAX_QUBITS),
-        "data_dim": _int_list(grid, "data_dim", "grid", [1], 1),
-        "t": _int_list(grid, "t", "grid", [], 0),
-        "P": _int_list(grid, "P", "grid", [], 1, power_of_two=True),
-        "seeds": _int_list(grid, "seeds", "grid", [0], 0),
-    }
-
-
-_VERIFY_INTS = {
-    "corpus_count": 0,
-    "max_steps": 0,
-    "base_seed": 0,
-    "majority_repetitions": 1,
-    "sigma_samples": 0,
-    "averages_cases": 0,
-}
-# Non-empty list fields -> (smallest entry, largest entry, powers of two only).
-# The estimator-bound grid needs N >= 4 for a marked count t <= N/4 to exist.
-_VERIFY_LISTS = {
-    "n_qubits_list": (1, qstate.MAX_QUBITS, False),
-    "data_dims": (1, None, False),
-    "sweep_n_qubits": (2, qstate.MAX_QUBITS, False),
-    "sweep_p_sizes": (4, None, True),
-}
-
-
-def _parse_verify(obj: dict) -> dict:
-    """Battery overrides as VerifyConfig fields (lists become tuples)."""
-    raw = _known(_optional(obj, "verify", dict, "top level", {}), [*_VERIFY_INTS, *_VERIFY_LISTS],
-                 "verify")
-    overrides: dict[str, Any] = {}
-    for key in raw:
-        if key in _VERIFY_INTS:
-            overrides[key] = _in_range(_require(raw, key, int, "verify"), f"verify.{key}",
-                                       _VERIFY_INTS[key])
-        else:
-            values = _int_list(raw, key, "verify", [], *_VERIFY_LISTS[key])
-            if not values:
-                raise ScenarioError(f"field 'verify.{key}' must not be empty")
-            overrides[key] = tuple(values)
-    return overrides
-
-
 def parse_scenario(obj: dict) -> Scenario:
+    """Read a scenario by the format's tables.  Rules that tie one field to
+    another (state dimensions, marked indices, variances, memory) are checked
+    when the run builds its state."""
     if not isinstance(obj, dict):
-        raise ScenarioError("top level: scenario must be a JSON object")
+        raise ScenarioError("scenario must be a JSON object")
     # The scenario is echoed into every report, which must stay valid JSON.
     bad = _non_finite_path(obj, "")
     if bad is not None:
         raise ScenarioError(f"field '{bad}' must be a finite number")
-    version = _optional(obj, "schema_version", int, "top level", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"top level: unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-        )
-    kind = _require(obj, "kind", str, "top level")
-    if kind not in ("find", "count", "verify", "sweep"):
-        raise ScenarioError(f"top level: field 'kind' must be find|count|verify|sweep, got {kind!r}")
-    for key in obj:
-        if key not in _COMMON_KEYS + _KIND_KEYS[kind]:
-            raise ScenarioError(f"top level: field '{key}' is not read by kind '{kind}'")
-    def bounded(name: str, minimum: int, default: int | None = None) -> int | None:
-        return _in_range(_optional(obj, name, int, "top level", default), name, minimum)
-
-    bounded("workers", 1)  # checked only: every run is sequential
-    scenario = Scenario(
-        kind=kind,
-        n_qubits=_in_range(_optional(obj, "n_qubits", int, "top level"), "n_qubits", 1,
-                           qstate.MAX_QUBITS),
-        data_dim=bounded("data_dim", 1, 1),
-        state_spec=_optional(obj, "state", dict, "top level", {"type": "flat"}),
-        good_spec=_optional(obj, "good", dict, "top level"),
-        iterations=bounded("iterations", 0),
-        p_size=_optional(obj, "P", int, "top level"),
-        repetitions=bounded("repetitions", 1, 1),
-        seed=bounded("seed", 0),
-        grid=_parse_grid(obj) if kind == "sweep" else None,
-        verify_overrides=_parse_verify(obj) if kind == "verify" else {},
-        output_format=_optional(obj, "output_format", str, "top level", "json"),
-        include_timings=bool(_optional(obj, "include_timings", bool, "top level", False)),
-        tolerances=_parse_tolerances(obj),
-        echo=obj,
-    )
-    if scenario.output_format not in ("json", "csv"):
-        raise ScenarioError("top level: field 'output_format' must be json or csv")
-    if scenario.output_format == "csv" and kind != "sweep":
-        raise ScenarioError("top level: field 'output_format' csv is only available for sweep")
-    if kind == "sweep" and "seed" in scenario.state_spec:
+    kind = _value(obj.get("kind"), _COMMON["kind"], "kind")
+    top = _read(obj, KEYS[kind], "")
+    if kind == "sweep" and "seed" in top["state"]:
         raise ScenarioError("field 'state.seed' is not read by a sweep: grid.seeds sets each "
                             "cell's state seed")
-    if kind in ("find", "count") and scenario.n_qubits is None:
-        raise ScenarioError(f"top level: kind '{kind}' requires field 'n_qubits'")
-    if kind in ("find", "count") and scenario.good_spec is None:
-        raise ScenarioError(f"top level: kind '{kind}' requires field 'good'")
-    if kind == "count":
-        if scenario.p_size is None:
-            raise ScenarioError("top level: kind 'count' requires field 'P'")
-        if scenario.p_size < 2 or scenario.p_size & (scenario.p_size - 1) != 0:
-            raise ScenarioError(
-                f"top level: field 'P' must be a power of two >= 2, got {scenario.p_size}"
-            )
-        if scenario.seed is None:
-            raise ScenarioError("top level: kind 'count' requires field 'seed' (no ambient randomness)")
-    return scenario
+    if "state" in top:
+        _read_state(top["state"], _SWEEP_STATE if kind == "sweep" else _STATE)
+    if "good" in top:
+        _read_good(top["good"])
+    return Scenario(
+        kind=kind,
+        p_size=top.get("P"),
+        grid=_read(top["grid"], _GRID, "grid.") if kind == "sweep" else None,
+        verify=_read(top["verify"], _VERIFY, "verify.") if kind == "verify" else None,
+        tolerances=Tolerances(**_read(top["tolerances"], _TOLERANCES, "tolerances.")),
+        echo=obj,
+        **{name: top.get(name) for name in ("n_qubits", "data_dim", "state", "good", "seed",
+                                            "iterations", "repetitions", "output_format",
+                                            "include_timings")},
+    )
+
+
+def _load_json(path: str, what: str) -> Any:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"{what}: cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{what}: {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"config {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    return parse_scenario(obj)
+    return parse_scenario(_load_json(path, "config"))
 
 
-def _complex_vector(raw: Any, dim: int, where: str) -> np.ndarray:
-    if raw is None:
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[0] = 1.0
-        return vec
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{where}: vector must be a list, got {type(raw).__name__}")
-    out = []
-    for i, item in enumerate(raw):
-        if isinstance(item, list) and len(item) == 2:
-            out.append(complex(_number(item[0], f"{where}[{i}]"), _number(item[1], f"{where}[{i}]")))
-        elif _is_kind(item, (int, float)):
-            out.append(complex(_number(item, f"{where}[{i}]")))
-        else:
-            raise ScenarioError(f"{where}: vector entries must be numbers or [re, im] pairs")
-    if len(out) != dim:
-        raise ScenarioError(f"{where}: vector must have length {dim}, got {len(out)}")
-    return np.array(out, dtype=np.complex128)
+def _vector(values: tuple | None, dim: int, path: str) -> np.ndarray:
+    """A random state's sector average: ``values``, or the first basis vector when absent."""
+    if values is None:
+        return np.eye(1, dim, dtype=np.complex128)[0]
+    if len(values) != dim:
+        raise ScenarioError(f"field '{path}' must have length data_dim = {dim}, got {len(values)}")
+    vec = np.array(values, dtype=np.complex128)
+    if not np.vdot(vec, vec).real <= qstate.TARGET_MAX:
+        raise ScenarioError(f"field '{path}' must have squared norm <= 1e150")
+    return vec
 
 
 def build_state(
     spec: dict, n_qubits: int | None, data_dim: int, good: qstate.GoodSet | None = None
 ) -> qstate.EntangledState:
-    where = "state"
-    kind = _require(spec, "type", str, where)
-    if kind == "flat":
-        _known(spec, ("type",), where)
-        if n_qubits is None:
-            raise ScenarioError("state: flat state requires 'n_qubits'")
+    spec = _read_state(spec)
+    if spec["type"] == "file":
+        return qstate.EntangledState.from_json_obj(_load_json(spec["path"], "field 'state.path'"))
+    if spec["type"] == "flat":
         return qstate.new_flat(n_qubits, data_dim)
-    if kind == "file":
-        path = _require(_known(spec, ("type", "path"), where), "path", str, where)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ScenarioError(f"state: cannot read {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"state: {path!r} is not valid JSON: {exc.msg}") from exc
-        return qstate.EntangledState.from_json_obj(obj)
-    if kind == "random":
-        _known(spec, ("type", "seed", "var_g", "var_b", "g_avg", "b_avg"), where)
-        if n_qubits is None:
-            raise ScenarioError("state: random state requires 'n_qubits'")
-        if good is None:
-            raise ScenarioError("state: random state requires a marked set")
-        seed = _in_range(_require(spec, "seed", int, where), "state.seed", 0)
-        var_g = _variance(spec, "var_g", good.t)
-        var_b = _variance(spec, "var_b", (1 << n_qubits) - good.t)
-        g_avg = _complex_vector(spec.get("g_avg"), data_dim, "state.g_avg")
-        b_avg = _complex_vector(spec.get("b_avg"), data_dim, "state.b_avg")
-        for name, avg in (("g_avg", g_avg), ("b_avg", b_avg)):
-            if not np.vdot(avg, avg).real <= qstate.TARGET_MAX:
-                raise ScenarioError(f"field 'state.{name}' must have squared norm <= 1e150")
-        try:
-            return qstate.random_with_moments(
-                n_qubits, data_dim, good, var_g, var_b, g_avg, b_avg, seed=seed
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"state: {exc}") from exc
-    raise ScenarioError(f"state: unknown type {kind!r} (expected flat|random|file)")
-
-
-def _variance(spec: dict, name: str, rows: int) -> float:
-    """The random state's variance target ``name`` for a sector of ``rows`` rows."""
-    path = f"state.{name}"
-    var = _number(spec.get(name, 0.0), path)
-    if not 0 <= var <= qstate.TARGET_MAX:
-        raise ScenarioError(f"field '{path}' must lie in [0, 1e150], got {var}")
-    if rows == 1 and var > 0:
-        raise ScenarioError(f"field '{path}' = {var} is unsatisfiable: a sector of one row has variance 0")
-    return var
+    for name, rows in (("var_g", good.t), ("var_b", (1 << n_qubits) - good.t)):
+        if rows == 1 and spec[name] > 0:
+            raise ScenarioError(f"field 'state.{name}' = {spec[name]} is unsatisfiable: "
+                                "a sector of one row has variance 0")
+    g_avg = _vector(spec["g_avg"], data_dim, "state.g_avg")
+    b_avg = _vector(spec["b_avg"], data_dim, "state.b_avg")
+    try:
+        return qstate.random_with_moments(n_qubits, data_dim, good, spec["var_g"],
+                                          spec["var_b"], g_avg, b_avg, seed=spec["seed"])
+    except ValueError as exc:
+        raise ScenarioError(f"state: {exc}") from exc
 
 
 def build_good(spec: dict, n_states: int) -> qstate.GoodSet:
-    where = "good"
-    if "indices" in spec:
-        indices = _require(_known(spec, ("indices",), where), "indices", list, where)
-        if not all(_is_kind(i, int) for i in indices):
-            raise ScenarioError("good: field 'indices' must list integers")
-        try:
-            good = qstate.GoodSet(tuple(indices))
-            good.mask(n_states)
-        except ValueError as exc:
-            raise ScenarioError(f"field 'good.indices': {exc}") from exc
+    spec = _read_good(spec)
+    try:  # qstate checks the marked set against N
+        if "t" in spec:
+            return qstate.random_good_set(n_states, spec["t"], spec["seed"])
+        good = qstate.GoodSet(spec["indices"])
+        good.mask(n_states)
         return good
-    if "t" in spec:
-        t = _in_range(_require(_known(spec, ("t", "seed"), where), "t", int, where), "good.t", 0,
-                      n_states)
-        seed = _in_range(_require(spec, "seed", int, where), "good.seed", 0)
-        return qstate.random_good_set(n_states, t, seed)
-    raise ScenarioError("good: need either 'indices' or {'t', 'seed'}")
+    except ValueError as exc:
+        raise ScenarioError(f"field 'good.{'t' if 't' in spec else 'indices'}': {exc}") from exc
 
 
-def _verify_config(s: Scenario) -> VerifyConfig:
-    cfg = VerifyConfig(tolerances=s.tolerances)
-    if s.seed is not None:
-        # verdicts must not depend on the corpus seed; --seed exercises that
-        cfg = replace(cfg, base_seed=s.seed)
-    return replace(cfg, **s.verify_overrides)
+@contextlib.contextmanager
+def _over_cap(what: str):
+    """Refuse the scenario, blaming ``what``, when the block is over the memory cap."""
+    try:
+        yield
+    except qstate.MemoryLimitError as exc:
+        raise ScenarioError(f"{what} is too large: {exc}") from exc
 
 
 def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
     """The scenario's marked set and state, once its table (and for ``find`` the
-    table together with its trajectory audit) is known to fit the memory cap."""
+    table together with its trajectory audit and its readings of ``iterations``
+    steps) is known to fit the memory cap."""
     n_states = 1 << s.n_qubits
-    try:
+    with _over_cap(f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim})"):
         qstate.check_memory(n_states * s.data_dim)
         if s.kind == "find":
             check_audit_memory(n_states, s.data_dim)
-    except qstate.MemoryLimitError as exc:
-        raise ScenarioError(
-            f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim}) is too large: {exc}"
-        ) from exc
-    good = build_good(s.good_spec, n_states)
-    state = build_state(s.state_spec, s.n_qubits, s.data_dim, good)
+    if s.kind == "find" and s.iterations:
+        with _over_cap(f"field 'iterations' = {s.iterations}"):
+            check_audit_memory(n_states, s.data_dim, s.iterations)
+    good = build_good(s.good, n_states)
+    state = build_state(s.state, s.n_qubits, s.data_dim, good)
     if state.n_qubits != s.n_qubits or state.data_dim != s.data_dim:
-        raise ScenarioError(
-            f"state: dimensions {state.n_qubits} qubits x {state.data_dim} do not match "
-            f"scenario n_qubits={s.n_qubits}, data_dim={s.data_dim}"
-        )
+        raise ScenarioError(f"state: dimensions {state.n_qubits} qubits x {state.data_dim} do "
+                            f"not match scenario n_qubits={s.n_qubits}, data_dim={s.data_dim}")
     return good, state
 
 
@@ -510,8 +462,6 @@ def _peak(params: analytic.OscillationParams) -> dict:
 
 
 def run_find(s: Scenario) -> Report:
-    if s.kind != "find":
-        raise ScenarioError(f"run_find needs kind 'find', got {s.kind!r}")
     good, state = _setup(s)
     m = qstate.moments(state, good)
     params, table, checks = _read_law(s, state, good, m)
@@ -539,20 +489,12 @@ def run_find(s: Scenario) -> Report:
 
 
 def run_count(s: Scenario) -> Report:
-    if s.kind != "count":
-        raise ScenarioError(f"run_count needs kind 'count', got {s.kind!r}")
     good, state = _setup(s)
-    try:
+    with _over_cap(f"field 'P' = {s.p_size} (with n_qubits = {s.n_qubits}, "
+                   f"data_dim = {s.data_dim})"):
         dist = counting.circuit_distribution(state, good, s.p_size)
-    except qstate.MemoryLimitError as exc:
-        raise ScenarioError(
-            f"field 'P' = {s.p_size} is too large for the counting circuit at "
-            f"n_qubits = {s.n_qubits}, data_dim = {s.data_dim}: {exc}"
-        ) from exc
-    try:
+    with _over_cap(f"field 'repetitions' = {s.repetitions}"):
         report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
-    except qstate.MemoryLimitError as exc:
-        raise ScenarioError(f"field 'repetitions' = {s.repetitions} is too large: {exc}") from exc
 
     checks = []
     if report.w_predicted is not None:
@@ -573,20 +515,17 @@ def run_count(s: Scenario) -> Report:
 
 
 def run_verify(s: Scenario) -> Report:
-    if s.kind != "verify":
-        raise ScenarioError(f"run_verify needs kind 'verify', got {s.kind!r}")
-    cfg = _verify_config(s)
-    try:  # criterion 10 draws this many samples per cell
+    cfg = VerifyConfig(tolerances=s.tolerances, **s.verify)
+    if s.seed is not None:  # verdicts must not depend on the corpus seed; --seed exercises that
+        cfg = replace(cfg, base_seed=s.seed)
+    # criterion 10 draws this many samples per cell
+    with _over_cap(f"field 'verify.majority_repetitions' = {cfg.majority_repetitions}"):
         counting.check_sample_memory(cfg.majority_repetitions)
-    except qstate.MemoryLimitError as exc:
-        raise ScenarioError(
-            f"field 'verify.majority_repetitions' = {cfg.majority_repetitions} is too large: {exc}"
-        ) from exc
-    try:
+    with _over_cap("the corpus of fields 'verify.corpus_count', 'verify.n_qubits_list' and "
+                   "'verify.data_dims'"):
+        check_corpus_memory(replace(cfg, max_steps=0))
+    with _over_cap(f"field 'verify.max_steps' = {cfg.max_steps}"):
         check_corpus_memory(cfg)
-    except qstate.MemoryLimitError as exc:
-        raise ScenarioError(f"fields 'verify.corpus_count', 'verify.n_qubits_list' and "
-                            f"'verify.data_dims' ask for too large a corpus: {exc}") from exc
     results = run_checks(cfg)
     payload = {
         "config": asdict(cfg),
@@ -637,9 +576,9 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         if circuit:
             counting.check_circuit_memory(n_states, d, p_size)
         if interior:
-            check_audit_memory(n_states, d)
+            check_audit_memory(n_states, d, s.iterations or 0)
         good = qstate.random_good_set(n_states, t, seed + 1)
-        template = dict(s.state_spec)
+        template = dict(s.state)
         if template.get("type") == "random":
             template["seed"] = seed
         state = build_state(template, nq, d, good)
@@ -674,8 +613,6 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
 
 
 def run_sweep(s: Scenario) -> Report:
-    if s.kind != "sweep":
-        raise ScenarioError(f"run_sweep needs kind 'sweep', got {s.kind!r}")
     grid = s.grid
     cells = [
         (nq, d, t, p, seed)

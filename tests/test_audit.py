@@ -334,12 +334,14 @@ def test_audit_charge_covers_a_finds_traced_peak(nq, d, t, iterations):
 
 
 def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(monkeypatch):
-    """The find above at a cap of exactly its audit charge (16,814,080 bytes)
-    peaks over it by interpreter objects only: its broadcast and strided
-    elementwise ops run in a 256-element ufunc buffer (``grover.small_buffer``).
-    It peaked 223 KB over when they ran in numpy's 8192-element buffer."""
+    """The find above at a cap of exactly its audit charge (16,814,080 bytes,
+    and 1,280 a step for its 4 steps of readings) peaks over it by interpreter
+    objects only: its broadcast and strided elementwise ops run in a 256-element
+    ufunc buffer (``grover.small_buffer``).  It peaked 223 KB over when they
+    ran in numpy's 8192-element buffer."""
     n, table = 1 << 12, 16 * 64 << 12
-    charge, caller = checks._audit_bytes(table, n, 1), np.getbufsize()
+    charge = checks._audit_bytes(table, n, 1) + 4 * checks._STEP_BYTES
+    caller = np.getbufsize()
     monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
     s = parse_scenario({"kind": "find", "n_qubits": 12, "data_dim": 64, "iterations": 4,
                         "state": {"type": "random", "seed": 1, "var_b": 0.05},

@@ -175,9 +175,10 @@ class TestCircuitDistribution:
         assert peak <= 2**20
 
     def test_first_pass_holds_no_step_buffer(self):
-        # the sorted copy of the table, its row order and the P x D means, beside
-        # numpy's ufunc buffer for the broadcast subtract; a step buffer would
-        # add a whole table (262,144 bytes), far past the 16 KiB of slack
+        # the sorted copy of the table, its row order and the P x D means; a step
+        # buffer would add a whole table (262,144 bytes), and the broadcast
+        # subtract in numpy's default ufunc buffer 131,072, far past the 16 KiB
+        # of slack that holds its 256-element one
         n, d, p = 1 << 12, 4, 1024
         state, good = random_state(12, d, seed=63), random_marked(n, 100, seed=64)
         gmask = good.mask(n)
@@ -189,7 +190,7 @@ class TestCircuitDistribution:
         finally:
             tracemalloc.stop()
         table = 16 * n * d
-        assert peak <= table + 8 * n + 16 * (p - 1) * d + 16 * np.getbufsize() + 2**14
+        assert peak <= table + 8 * n + 16 * (p - 1) * d + 2**14
 
     @pytest.mark.parametrize("nq,d", [(4, 3), (6, 2)])
     def test_fortran_ordered_table_counts_like_the_c_ordered_one(self, nq, d):
@@ -200,12 +201,12 @@ class TestCircuitDistribution:
             assert np.array_equal(_bits(run(fortran, good, 16)), _bits(run(state, good, 16)))
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
-        # a table of 16 amplitudes, numpy's ufunc buffer (a table here), five
-        # sequences of 64, and 9 bytes a row for the row order and mask, not P*N*D
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64) + 9 * 16 - 1))
+        # a table of 16 amplitudes, five sequences of 64, and 9 bytes a row for
+        # the row order and mask, not P*N*D
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 5 * 64) + 9 * 16 - 1))
         with pytest.raises(MemoryLimitError):
             circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (2 * 16 + 5 * 64) + 9 * 16))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 5 * 64) + 9 * 16))
         assert circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64).sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize(

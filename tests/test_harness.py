@@ -123,9 +123,8 @@ class TestRunCount:
 
 
 # The counting circuit's working set at N = 2^12, D = 1, P = 1024: the sorted
-# table, numpy's ufunc buffer (one table here), five P x D sequences of
-# complex128, and the row order and marked-row mask.
-CIRCUIT_BYTES = 16 * (2 * 4096 + 5 * 1024) + 9 * 4096
+# table, five P x D sequences of complex128, and the row order and marked-row mask.
+CIRCUIT_BYTES = 16 * (4096 + 5 * 1024) + 9 * 4096
 # The trajectory audit's charge at N = 2^12, D = 1: the state's table, the
 # audit's three tables, the row index and the mask.
 AUDIT_BYTES = 4 * 16 * 4096 + 9 * 4096
@@ -208,6 +207,15 @@ class TestSweep:
         assert (audited["status"], audited["passed"]) == ("skipped", None)
         assert "trajectory audit" in audited["error"] and "max_amp_dev" not in audited
 
+    def test_cell_over_the_readings_charge_is_skipped(self, monkeypatch):
+        # 10^4 steps of readings at 1,280 bytes a step are over 1 MiB
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
+        s = parse_scenario({"kind": "sweep", "iterations": 10_000,
+                            "grid": {"n_qubits": [2], "t": [1]}})
+        (row,) = run_sweep(s).payload["rows"]
+        assert (row["status"], row["passed"]) == ("skipped", None)
+        assert "10000 steps" in row["error"] and "max_amp_dev" not in row
+
     def test_circuit_over_the_cap_leaves_no_readings(self, monkeypatch):
         # the 2^12-row table fits one byte under the circuit's working set at P = 1024
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES - 1))
@@ -238,13 +246,12 @@ class TestSweep:
         assert keys[0] == keys[8] == edge
         assert keys[2] == edge[:-1] + ("n0", "best_integer_time") + measured
 
-        # a degenerate law has no optimal time: n0 and best_integer_time stay absent
-        from entgrover import from_amplitudes
-
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(from_amplitudes(np.eye(4)).to_json_obj()))
-        s = parse_scenario({"kind": "sweep", "state": {"type": "file", "path": str(path)},
-                            "grid": {"n_qubits": [2], "data_dim": [4], "t": [1], "P": [8]}})
+        # a degenerate law has no optimal time: n0 and best_integer_time stay absent.
+        # F+ and F- are orthogonal when |Bbar|^2 = tan^2(theta) |Gbar|^2, at t/N = 1/4 a third
+        state = {"type": "random", "var_g": 0.1, "var_b": 0.1, "g_avg": [1.0, 0.0],
+                 "b_avg": [0.0, 3 ** -0.5]}
+        s = parse_scenario({"kind": "sweep", "state": state,
+                            "grid": {"n_qubits": [3], "data_dim": [2], "t": [2], "P": [8]}})
         (row,) = run_sweep(s).payload["rows"]
         assert tuple(row) == edge[:-1] + measured
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entgrover import cli, new_flat
+from entgrover import cli, harness, new_flat
 from entgrover.harness import ScenarioError, parse_scenario
 
 
@@ -28,6 +28,10 @@ def run_cli(argv):
 
 
 FIND = {"kind": "find", "n_qubits": 2, "good": {"indices": [0]}}
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the run started")
 
 
 class TestRegressions:
@@ -152,6 +156,41 @@ class TestRegressions:
                                                "grid": {"n_qubits": [4], "t": [3], "seeds": [0]}})
         code, err = run_cli(["sweep", "--config", cfg])
         assert code == 1 and "'state.seed'" in err and "grid.seeds" in err
+
+    def test_sweep_file_state_exit_1_names_state_type(self, tmp_path):
+        # a file fixes the table's shape, which the grid varies: this sweep of a
+        # 2-qubit file ran, labelled its rows n_qubits 3, and read the file's N = 4
+        state = write_json(tmp_path / "s.json", new_flat(2, 1).to_json_obj())
+        grid = {"n_qubits": [3], "data_dim": [1, 3], "t": [1], "seeds": [0]}
+        cfg = write_json(tmp_path / "c.json", {"kind": "sweep", "grid": grid,
+                                               "state": {"type": "file", "path": state}})
+        code, err = run_cli(["sweep", "--config", cfg])
+        assert code == 1 and "'state.type'" in err
+
+    @pytest.mark.parametrize("iterations, cap", [(10_000, 1 << 20), (10**7, None)])
+    def test_iterations_over_memory_cap_exit_1_names_field(
+        self, tmp_path, monkeypatch, iterations, cap
+    ):
+        # each step's readings are charged; 10^7 steps, about 12.5 GB of them, started to run
+        if cap is not None:
+            monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(cap))
+        monkeypatch.setattr(harness, "audit_trajectory", _must_not_run)
+        cfg = write_json(tmp_path / "c.json", dict(FIND, iterations=iterations))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and f"'iterations' = {iterations}" in err
+
+    @pytest.mark.parametrize(
+        "verify, cap",
+        [({"corpus_count": 4, "max_steps": 10_000}, 1 << 20), ({"max_steps": 10**6}, None)],
+    )
+    def test_max_steps_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch, verify, cap):
+        # the corpus's readings are charged a state and step
+        if cap is not None:
+            monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(cap))
+        monkeypatch.setattr(harness, "run_checks", _must_not_run)
+        cfg = write_json(tmp_path / "c.json", {"kind": "verify", "verify": verify})
+        code, err = run_cli(["verify", "--config", cfg])
+        assert code == 1 and f"'verify.max_steps' = {verify['max_steps']}" in err
 
     @pytest.mark.parametrize(
         "rows",
