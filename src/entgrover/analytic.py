@@ -208,21 +208,36 @@ def _closed_form_offsets(
         o_g(n) = cot(theta) sin(2n*theta) Bbar - (1 - cos(2n*theta)) Gbar
         o_b(n) = (cos(2n*theta) - (-1)^n) Bbar - tan(theta) sin(2n*theta) Gbar
 
-    The factors are computed with ``math``, so each state and step gets the
-    bits it gets alone."""
-    tans = [math.tan(m.theta) for m in ms]
-    factors = []
-    for n in range(n0, n0 + k):
-        sign = (-1.0) ** n
-        for m, tan_t in zip(ms, tans):
-            c2n = math.cos(2.0 * n * m.theta)
-            s2n = math.sin(2.0 * n * m.theta)
-            factors.append((1.0 - c2n, s2n / tan_t, tan_t * s2n, c2n - sign))
-    factors = np.array(factors).reshape(k, len(ms), 4)
-    good_g, good_b, bad_g, bad_b = np.moveaxis(factors, -1, 0)[..., None]
-    g_avg = np.array([m.g_avg for m in ms])
-    b_avg = np.array([m.b_avg for m in ms])
+    The angles 2n*theta are formed elementwise and their sines and cosines
+    taken with ``math``, so each state and step gets the bits it gets alone.
+    The averages are ``_averages``': states of several D come zero-padded to
+    the widest."""
+    tan_t = np.array([math.tan(m.theta) for m in ms])
+    n = np.arange(n0, n0 + k)[:, None]
+    angles = (2.0 * n * np.array([m.theta for m in ms])).ravel().tolist()
+    c2n, s2n = (np.array(list(map(fn, angles))).reshape(k, len(ms)) for fn in (math.cos, math.sin))
+    sign = np.where(n % 2, -1.0, 1.0)
+    good_g, good_b, bad_g, bad_b = (
+        x[..., None] for x in (1.0 - c2n, s2n / tan_t, tan_t * s2n, c2n - sign)
+    )
+    g_avg, b_avg = _averages(ms)
     return good_b * b_avg - good_g * g_avg, bad_b * b_avg - bad_g * g_avg
+
+
+def _averages(ms: Sequence[MomentSummary]) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, D) sector averages Gbar and Bbar of ``ms``, D the widest data dimension
+    among them: a narrower state's columns are zero-padded, and an empty sector's
+    average is a zero row.  Padding and stacking copy values, so no bit changes."""
+    d = max(len(m.b_avg if m.g_avg is None else m.g_avg) for m in ms)
+    zero = np.zeros(d, dtype=np.complex128)
+
+    def stacked(avgs: list) -> np.ndarray:
+        parts = [zero if a is None else a for a in avgs]
+        if any(len(a) < d for a in parts):
+            parts = [x for a in parts for x in (a, zero[len(a):])]
+        return np.concatenate(parts).reshape(len(ms), d)
+
+    return stacked([m.g_avg for m in ms]), stacked([m.b_avg for m in ms])
 
 
 def _closed_form_into(
@@ -265,16 +280,16 @@ def recurrence_sequence(ms: Sequence[MomentSummary], n_max: int):
 
         f_g(n) = f_g - (2/N) X_n,    f_b(n) = (-1)^n f_b - (2/N) Y_n.
 
-    X_k, Y_k are (B, D) stacks for the B states of one D summarised in ``ms``:
-    t, N - t and cos(2*theta) are (B, 1) columns and an empty sector's
-    average a zero row, so each row gets the bits of its state's stack of
-    one.  One pass costs n_max steps.
+    X_k, Y_k are (B, D) stacks for the B states summarised in ``ms``, of any
+    shapes: t, N - t and cos(2*theta) are (B, 1) columns, and the averages are
+    ``_averages``', zero-padded to the widest D with an empty sector's a zero
+    row.  A padded column stays zero, and every step is elementwise per
+    (state, column), so each row gets the bits of its state's stack of one.
+    One pass costs n_max steps, however many states and shapes it holds.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    zero = np.zeros_like(ms[0].g_avg if ms[0].g_avg is not None else ms[0].b_avg)
-    g_avg = np.array([zero if m.g_avg is None else m.g_avg for m in ms])
-    b_avg = np.array([zero if m.b_avg is None else m.b_avg for m in ms])
+    g_avg, b_avg = _averages(ms)
     t = np.array([[m.t] for m in ms])
     n_bad = np.array([[m.n_states - m.t] for m in ms])
     c2t = np.array([[math.cos(2.0 * m.theta)] for m in ms])

@@ -14,11 +14,14 @@ chunks allocated once per call; ``check_audit_memory`` charges them.
 
 The battery builds its corpus once (``build_corpus``) for criteria 1-4, as
 one stack per table shape: each stack is audited in lock step
-(``audit_trajectory`` is the stack of one), and criterion 2 compares the
-recurrence's offsets with the closed form's over the same stacks, every
-step at once, without a table.  Every reading stays bit for bit what the
-state gives alone: elementwise work, the norms and the per-state maxima
-run on whole chunks or on their gathered sectors, while sums over a
+(``audit_trajectory`` is the stack of one), and criterion 2 runs the
+recurrence once over the whole corpus, its averages zero-padded to the
+widest D, and compares its offsets with the closed form's a chunk of steps
+at a time, without a table.  Criterion 7 audits its three states as one
+stack, criterion 8 reads its kernel sums as arrays, and criterion 10 makes
+one circuit pass per (N, P) over every t.  Every reading stays bit for bit
+what the state gives alone: elementwise work, the norms and the per-state
+maxima run on whole chunks or on their gathered sectors, while sums over a
 state's rows are formed one state at a time over all k steps.  The battery
 runs sequentially: its work is small arrays under the interpreter lock.
 """
@@ -195,15 +198,19 @@ def check_audit_memory(n_states: int, data_dim: int, steps: int = 0) -> None:
 def check_corpus_memory(cfg: VerifyConfig) -> None:
     """Refuse a battery whose corpus exceeds the cap: every corpus table, held
     as a state, the audit of its largest stack (``_audit_bytes``), and each
-    state's readings of ``max_steps`` steps."""
+    state's readings of steps 0 .. max(max_steps, law horizon), the law
+    horizon charged at t = 1, where it is longest."""
     combos = [(1 << nq, d) for nq in cfg.n_qubits_list for d in cfg.data_dims]
     rounds, rest = divmod(cfg.corpus_count, len(combos))
     counts = Counter(combos[:rest]) + Counter({c: rounds * combos.count(c) for c in combos})
     stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
     if stacks:
         (b, n, d), stack = max(stacks.items(), key=lambda item: item[1])
+        # _law_horizon at t = 1
+        horizon = {n: math.ceil(math.pi / math.asin(math.sqrt(1 / n))) + 1 for _, n, _ in stacks}
+        readings = sum(b * (max(cfg.max_steps, horizon[n]) + 1) for b, n, _ in stacks)
         needed = (sum(stacks.values()) + _audit_bytes(stack, b * n, 1)
-                  + cfg.corpus_count * (cfg.max_steps + 1) * _CORPUS_STEP_BYTES)
+                  + readings * _CORPUS_STEP_BYTES)
         qstate.check_bytes(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes "
                                    f"and {cfg.max_steps} steps")
 
@@ -366,16 +373,22 @@ def check_closed_form_fidelity(cfg: VerifyConfig, corpus: Corpus) -> CheckResult
 
 def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     """The two-block recurrence's offsets -(2/N) X_n and -(2/N) Y_n equal the
-    closed form's marked and unmarked offsets, for n up to max_steps; each
-    stack is compared at every step at once, each state with its own bits."""
+    closed form's marked and unmarked offsets, for n up to max_steps.  One
+    recurrence pass runs over the whole corpus, its averages zero-padded to
+    the widest D, and is compared a chunk of steps at a time (at most
+    ``_CHUNK_BYTES`` of offsets), each state with its own bits."""
     tol = cfg.tolerances.amplitude
     worst = 0.0
-    for c0, _, ms in corpus.stacks:
-        steps = [(x, y) for _, x, y in analytic.recurrence_sequence(ms, cfg.max_steps)]
-        if steps:
-            offsets = analytic._closed_form_offsets(ms, 1, cfg.max_steps)
-            scale = -2.0 / c0.shape[1]
-            for z, offset in zip(np.moveaxis(np.array(steps), 1, 0), offsets):  # X_n, then Y_n
+    ms = [m for _, _, stack in corpus.stacks for m in stack]
+    if ms and cfg.max_steps:
+        scale = np.array([[-2.0 / m.n_states] for m in ms])
+        steps = analytic.recurrence_sequence(ms, cfg.max_steps)
+        k = max(1, _CHUNK_BYTES // (64 * len(ms) * max(c0.shape[2] for c0, _, _ in corpus.stacks)))
+        for n0 in range(1, cfg.max_steps + 1, k):
+            size = min(k, cfg.max_steps + 1 - n0)
+            xy = np.array([(x, y) for _, x, y in itertools.islice(steps, size)])
+            offsets = analytic._closed_form_offsets(ms, n0, size)
+            for z, offset in zip(np.moveaxis(xy, 1, 0), offsets):  # X_n, then Y_n
                 worst = max(worst, float(np.max(np.abs(scale * z - offset))))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
@@ -495,18 +508,21 @@ def _state_with_bad_variance(epsilon: float, seed: int) -> tuple[qstate.Entangle
 
 
 def check_p_max_claim(cfg: VerifyConfig) -> CheckResult:
-    """With bad-sector variance epsilon (and no damping) the peak probability is 1 - epsilon."""
+    """With bad-sector variance epsilon (and no damping) the peak probability is 1 - epsilon;
+    the three states are audited as one stack, each to its best integer time."""
     tol = 1e-6
-    worst = 0.0
-    sim_dev = 0.0
-    for i, eps in enumerate((0.01, 0.05, 0.1)):
-        state, good = _state_with_bad_variance(eps, seed=cfg.base_seed + 777 + i)
-        m = qstate.moments(state, good)
-        p = analytic.oscillation_params(m)
-        worst = max(worst, abs(analytic.p_max(p) - (1.0 - eps)))
-        n_star = analytic.best_integer_time(p)
-        p_sim = audit_trajectory(state, good, n_star, m).p_sim[n_star]
-        sim_dev = max(sim_dev, abs(p_sim - analytic.success_probability(p, n_star)))
+    epsilons = (0.01, 0.05, 0.1)
+    cases = [_state_with_bad_variance(eps, seed=cfg.base_seed + 777 + i)
+             for i, eps in enumerate(epsilons)]
+    ms = [qstate.moments(state, good) for state, good in cases]
+    params = [analytic.oscillation_params(m) for m in ms]
+    worst = max(abs(analytic.p_max(p) - (1.0 - eps)) for p, eps in zip(params, epsilons))
+    n_stars = [analytic.best_integer_time(p) for p in params]
+    c0 = np.stack([state.coeffs for state, _ in cases])
+    gmask = np.stack([good.mask(state.n_states) for state, good in cases])
+    audits = _audit_stack(c0, gmask, ms, n_stars)
+    sim_dev = max(abs(a.p_sim[n] - analytic.success_probability(p, n))
+                  for a, p, n in zip(audits, params, n_stars))
     passed = worst < tol and sim_dev < cfg.tolerances.probability
     return CheckResult(
         "p_max_claim",
@@ -519,7 +535,11 @@ def check_p_max_claim(cfg: VerifyConfig) -> CheckResult:
 
 def check_counting_window(cfg: VerifyConfig) -> CheckResult:
     """Window formula equals circuit mass on the uniform N=16, t=4, P=16 case and
-    exceeds 1/2; all three kernel sums stay in (8/pi^2, 1]."""
+    exceeds 1/2; all three kernel sums stay in (8/pi^2, 1].
+
+    The sums are read at ``sigma_samples`` random (P, f) per case, drawn as
+    arrays from one seeded generator, and the ten squared kernels of a sample
+    are array operations (``counting.kernel_s2``)."""
     tol = cfg.tolerances.probability
     flat = qstate.new_flat(4, 1)
     good = qstate.GoodSet((0, 1, 2, 3))
@@ -533,30 +553,23 @@ def check_counting_window(cfg: VerifyConfig) -> CheckResult:
         and worst < tol
     )
 
+    # each case's kernel sum of every sample, from an (offsets, samples) array of outcomes
     rng = np.random.default_rng(cfg.base_seed + 55)
-    sigma_ok = True
-    for _ in range(cfg.sigma_samples):
-        p_size = int(rng.choice((8, 16, 32, 64)))
-        f_int = rng.uniform(1.0, p_size / 2 - 1.0)
-        f_low = rng.uniform(1e-6, 1.0 - 1e-6)
-        f_high = rng.uniform(p_size / 2 - 1.0 + 1e-6, p_size / 2 - 1e-6)
-        s1 = sum(
-            counting.kernel_s(m, f_int, p_size, +1) ** 2
-            for m in (
-                math.floor(f_int),
-                math.floor(f_int) + 1,
-                p_size - math.floor(f_int) - 1,
-                p_size - math.floor(f_int),
-            )
+    p_size = rng.choice((8, 16, 32, 64), size=cfg.sigma_samples)
+    half = p_size // 2
+    f_int = rng.uniform(1.0, half - 1.0)
+    f_low = rng.uniform(1e-6, 1.0 - 1e-6, size=cfg.sigma_samples)
+    f_high = rng.uniform(half - 1.0 + 1e-6, half - 1e-6)
+    lo = np.floor(f_int)
+    sums = [
+        np.sum(counting.kernel_s2(np.array(outcomes), f, p_size), axis=0)
+        for outcomes, f in (
+            ((lo, lo + 1, p_size - lo - 1, p_size - lo), f_int),
+            ((np.zeros_like(p_size), np.ones_like(p_size), p_size - 1), f_low),
+            ((half, half - 1, half + 1), f_high),
         )
-        s2 = sum(counting.kernel_s(m, f_low, p_size, +1) ** 2 for m in (0, 1, p_size - 1))
-        s3 = sum(
-            counting.kernel_s(m, f_high, p_size, +1) ** 2
-            for m in (p_size // 2, p_size // 2 - 1, p_size // 2 + 1)
-        )
-        for s in (s1, s2, s3):
-            if not SIGMA_LOW < s <= 1.0 + 1e-12:
-                sigma_ok = False
+    ]
+    sigma_ok = all(bool(np.all((SIGMA_LOW < s) & (s <= 1.0 + 1e-12))) for s in sums)
     return CheckResult(
         "counting_window",
         ok and sigma_ok,
@@ -620,39 +633,51 @@ def check_sufficient_averages(cfg: VerifyConfig) -> CheckResult:
 
 def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
     """Every window outcome decodes within the stated error bound; the majority
-    of 101 samples lands in the window whenever its mass exceeds 1/2."""
+    of 101 samples lands in the window whenever its mass exceeds 1/2.
+
+    Cell c of the (N, t, P) grid, in that order, samples with seed base_seed + c.
+    One circuit pass per (N, P) covers every t: the flat tables marked 1 .. N/4
+    are stacked (``counting.circuit_distributions``) a chunk at a time, at most
+    ``_CHUNK_BYTES`` of tables, and each cell gets its distribution and moments
+    through ``counting.run_count(dist=, m=)``."""
     worst_slack = -math.inf
     majority_ok = True
-    cell = 0
+    cells = 0
+    n_p = len(cfg.sweep_p_sizes)
     for nq in cfg.sweep_n_qubits:
         n_big = 1 << nq
         flat = qstate.new_flat(nq, 1)
-        for t in range(1, n_big // 4 + 1):
-            good = qstate.GoodSet(tuple(range(t)))
-            m = qstate.moments(flat, good)
-            for p_size in cfg.sweep_p_sizes:
-                cell += 1
-                report = counting.run_count(
-                    flat,
-                    good,
-                    p_size,
-                    repetitions=cfg.majority_repetitions,
-                    seed=cfg.base_seed + cell,
-                    m=m,
-                )
-                for outcome in report.window:
-                    est = counting.estimate_from_outcome(outcome, p_size, n_big)
-                    worst_slack = max(worst_slack, abs(est.t_tilde - t) - report.bound)
-                if report.w_predicted > 0.5 and (
-                    report.majority_m not in report.window or report.w_empirical <= 0.5
-                ):
-                    majority_ok = False
+        per_chunk = max(1, _CHUNK_BYTES // flat.coeffs.nbytes)
+        for lo in range(1, n_big // 4 + 1, per_chunk):
+            ts = range(lo, min(lo + per_chunk, n_big // 4 + 1))
+            goods = [qstate.GoodSet(tuple(range(t))) for t in ts]
+            ms = [qstate.moments(flat, good) for good in goods]
+            for j, p_size in enumerate(cfg.sweep_p_sizes):
+                dists = counting.circuit_distributions([(flat, good) for good in goods], p_size)
+                for t, good, m, dist in zip(ts, goods, ms, dists):
+                    report = counting.run_count(
+                        flat,
+                        good,
+                        p_size,
+                        repetitions=cfg.majority_repetitions,
+                        seed=cfg.base_seed + cells + (t - 1) * n_p + j + 1,
+                        dist=dist,
+                        m=m,
+                    )
+                    for outcome in report.window:
+                        est = counting.estimate_from_outcome(outcome, p_size, n_big)
+                        worst_slack = max(worst_slack, abs(est.t_tilde - t) - report.bound)
+                    if report.w_predicted > 0.5 and (
+                        report.majority_m not in report.window or report.w_empirical <= 0.5
+                    ):
+                        majority_ok = False
+        cells += n_big // 4 * n_p
     return CheckResult(
         "estimator_bound",
         worst_slack <= 0.0 and majority_ok,
         worst_slack,
         0.0,
-        detail=f"max (|t~-t| - bound) over {cell} cells; majority rule "
+        detail=f"max (|t~-t| - bound) over {cells} cells; majority rule "
         f"{'held' if majority_ok else 'FAILED'}",
     )
 

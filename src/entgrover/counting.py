@@ -10,15 +10,21 @@ norm="ortho")``, along the ancilla axis.  Measuring the ancilla and inverting
 t~ = N*sin^2(pi*f~/P) estimates t within a bound that shrinks as 1/P.
 
 The step here is the inversion about the average, x_{m+1}(a) =
-2*mu_m - s_a*x_m(a) with s_a = -1 on marked rows, taken in place by one
-kernel, ``_mean_step``, on a copy of the table sorted by sector, marked rows
-first: the reflection reads only the column mean, so it commutes with the
-sort, and s_a negates a leading slice.  ``circuit_distribution`` simulates
-the circuit without holding its P x N x D amplitude tensor: every branch is
-+-x_0(a) plus one offset per sector, so one pass keeps the P x D doubled
-means, and the transforms of the two offset sequences give the distribution
-in O(P*D).  ``build_count_state`` still builds the whole tensor; it is the
-referee the tests hold the circuit to.
+2*mu_m - s_a*x_m(a) with s_a = -1 on marked rows, taken in place on a copy
+of the table sorted by sector, marked rows first: the reflection reads only
+the column mean, so it commutes with the sort, and s_a negates a leading
+slice.  One kernel, ``_doubled_means``, takes every step, on a (B, N, D)
+stack of such tables with table b's first t_b rows marked: three ufunc calls
+a step, each elementwise per (table, column) or a sum over one table's rows,
+so every table gets the bits it gets alone.  ``circuit_distributions``
+simulates the circuit for a stack of same-shape (state, marked set) pairs
+without holding a P x N x D amplitude tensor: every branch is +-x_0(a) plus
+one offset per sector, so one pass keeps each table's P x D doubled means,
+and the transforms of its two offset sequences give its distribution in
+O(P*D).  ``circuit_distribution`` is the stack of one, and criterion 10 of
+the battery stacks every t of an (N, P) cell grid.  ``build_count_state``
+still builds the whole tensor, one kernel step at a time; it is the referee
+the tests hold the circuit to.
 
 The probability mass captured by the peak window admits exact closed
 forms built from the Dirichlet-style kernel
@@ -50,49 +56,77 @@ SIGMA_LOWER_BOUND = 8.0 / math.pi**2
 _SAMPLE_BYTES = 128
 
 
+# Bytes a circuit pass holds beyond its arrays' data: array headers, the sector
+# sums and the list of distributions.  tracemalloc read at most 7.0 KB over the
+# charged arrays at one table, and 0.8 KB more a table (N = 2 to 2^10, D = 1 to 5,
+# P = 1 to 4096, 1 to 16 tables; CPython 3.11, numpy 2.4.6); these two cover every
+# case with 2.6 KB to spare.
+_PASS_BYTES = 8192
+_TABLE_BYTES = 512
+
+
 def check_sample_memory(repetitions: int) -> None:
     """Refuse a sample count whose storage would exceed the memory cap."""
     check_bytes(repetitions * _SAMPLE_BYTES, f"{repetitions} repetitions")
 
 
-def check_circuit_memory(n_states: int, data_dim: int, p_size: int) -> None:
-    """Refuse a circuit whose working set exceeds the cap: the sorted table, its row
-    order and mask (9 bytes a row), and the five P x D sequences that the
-    transforms hold at most once the table is released."""
-    needed = 16 * (n_states * data_dim + 5 * p_size * data_dim) + 9 * n_states
+def check_circuit_memory(n_states: int, data_dim: int, p_size: int, n_tables: int = 1) -> None:
+    """Refuse a circuit pass over ``n_tables`` tables whose working set exceeds the cap:
+    the sorted tables, a table's row order and two masks (10 bytes a row), the P x D
+    doubled means of every table, four P x D sequences that one table's transforms
+    hold at most once the tables are released, the distributions already read, and
+    ``_PASS_BYTES`` and ``_TABLE_BYTES`` a table of small objects."""
+    needed = (16 * (n_tables * n_states * data_dim + (n_tables + 4) * p_size * data_dim)
+              + 8 * (n_tables - 1) * p_size + 10 * n_states
+              + _PASS_BYTES + _TABLE_BYTES * n_tables)
     check_bytes(needed, f"counting circuit working set (P = {p_size})")
 
 
 def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
-    """Ancilla distribution of the counting circuit, from the simulated column means.
+    """Ancilla distribution of the counting circuit: ``circuit_distributions``' stack of one."""
+    return circuit_distributions([(state, good)], p_size)[0]
 
-    A first pass steps a sector-sorted copy of the table P - 1 times in place
-    (``_mean_step``) and keeps the doubled column means 2*mu_m.  Branch m
-    then holds x_0(a) + G_m on marked rows and (-1)^m*x_0(a) + B_m on
-    unmarked rows, with offsets G_{m+1} = G_m + 2*mu_m and
-    B_{m+1} = 2*mu_m - B_m from zero.  With g and b their transforms,
-    outcome k has (t*|g_k|^2 + (N - t)*|b_k|^2) / (P*N), save that x_0 adds
-    sqrt(P)*x_0(a) to the marked rows' g_0 and to the unmarked rows' b_{P/2}
-    (``_spectrum``, from sector sums read before the pass): the tensor's
-    distribution to last-place rounding.
 
-    The memory cap applies to the working set (``check_circuit_memory``),
-    the tensor's norm gate to the total.
+def circuit_distributions(
+    cases: list[tuple[EntangledState, GoodSet]], p_size: int
+) -> list[np.ndarray]:
+    """Ancilla distributions of the counting circuit for same-shape (state, marked set)
+    pairs, from the simulated column means of one pass over their stacked tables.
+
+    The pass steps a stack of sector-sorted copies of the tables P - 1 times in
+    place (``_doubled_means``) and keeps each table's doubled column means 2*mu_m.
+    Branch m then holds x_0(a) + G_m on marked rows and (-1)^m*x_0(a) + B_m on
+    unmarked rows, with offsets G_{m+1} = G_m + 2*mu_m and B_{m+1} = 2*mu_m - B_m
+    from zero.  With g and b their transforms, outcome k has
+    (t*|g_k|^2 + (N - t)*|b_k|^2) / (P*N), save that x_0 adds sqrt(P)*x_0(a) to the
+    marked rows' g_0 and to the unmarked rows' b_{P/2} (``_spectrum``, from sector
+    sums read before the pass): the tensor's distribution to last-place rounding.
+    Every pair gets the bits it gets alone.
+
+    The memory cap applies to the working set of the whole stack
+    (``check_circuit_memory``), the tensor's norm gate to each total.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
-    n, d, t = state.n_states, state.data_dim, good.t
-    check_circuit_memory(n, d, p_size)
-    cur = state.coeffs[_sector_order(good.mask(n))]
-    sectors = [(len(x), np.add.reduce(x, 0), np.vdot(x, x).real) for x in (cur[:t], cur[t:])]
-    two_mu = _doubled_means(cur, t, p_size - 1)
-    del cur  # the transforms run without the table (check_circuit_memory)
-    dist = _spectrum(_offset_transforms(two_mu), sectors) / (p_size * n)
-
-    total = float(np.sum(dist))
-    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
-        raise ValueError(f"total squared norm must be 1 within 1e-9, got {total!r}")
-    return dist
+    n, d = cases[0][0].coeffs.shape
+    check_circuit_memory(n, d, p_size, len(cases))
+    cur = np.empty((len(cases), n, d), dtype=np.complex128)
+    for i, (state, good) in enumerate(cases):
+        np.take(state.coeffs, _sector_order(good.mask(n)), axis=0, out=cur[i], mode="clip")
+    ts = [good.t for _, good in cases]
+    sectors = [[(len(x), np.add.reduce(x, 0), np.vdot(x, x).real) for x in (c[:t], c[t:])]
+               for c, t in zip(cur, ts)]
+    two_mu = _doubled_means(cur, ts, p_size - 1)
+    del cur  # the transforms run without the tables (check_circuit_memory)
+    dists = []
+    for i, sector in enumerate(sectors):
+        dist = _spectrum(_offset_transforms(two_mu[i]), sector)
+        dist /= p_size * n
+        total = float(np.sum(dist))
+        if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
+            raise ValueError(f"total squared norm must be 1 within 1e-9, got {total!r}")
+        dists.append(dist)
+    return dists
 
 
 def _sector_order(gmask: np.ndarray) -> np.ndarray:
@@ -100,25 +134,34 @@ def _sector_order(gmask: np.ndarray) -> np.ndarray:
     return np.argsort(~gmask, kind="stable")
 
 
-def _doubled_means(cur: np.ndarray, t: int, steps: int) -> np.ndarray:
-    """2*mu_m for m < ``steps``, stepping in place a table whose first ``t`` rows are marked.
-    The loop runs in a small ufunc buffer, for the broadcast subtract at D > 1; the column
-    sums keep the default buffer's bits (checked at N up to 2^15, D from 1 to 64)."""
-    two_mu = np.empty((steps, cur.shape[1]), dtype=np.complex128)
+def _doubled_means(cur: np.ndarray, t, steps: int) -> np.ndarray:
+    """2*mu_m for m < ``steps``, stepping in place a (B, N, D) stack of tables whose
+    first t_b rows of table b are marked: a (B, steps, D) array, each table's means
+    contiguous.  An (N, D) table with an int ``t`` is the stack of one, and gives
+    (steps, D).
+
+    A step is three ufunc calls: the leading max(t) rows negated on the float64 view
+    (through a ``where=`` mask when the t differ), the column sums times 2/N (exact, N
+    being a power of two) into the step's slot, and the subtraction in place.  Each is
+    elementwise per (state, column) or a sum over one state's rows, so every state
+    gets the bits it gets alone.  Nothing the size of a table is allocated.  The loop
+    runs in a small ufunc buffer, for the broadcast subtract at D > 1; the column sums
+    are unbuffered and keep the default buffer's bits (checked at N up to 2^15, D
+    from 1 to 64)."""
+    stack = cur if cur.ndim == 3 else cur[None]
+    ts = np.atleast_1d(t)
+    b, n, d = stack.shape
+    head = stack[:, : int(ts.max())].view(np.float64)
+    marked = True if np.all(ts == ts[0]) else (np.arange(head.shape[1]) < ts[:, None])[..., None]
+    scale = 2.0 / n
+    two_mu = np.empty((b, steps, d), dtype=np.complex128)
     with small_buffer():
-        for out in two_mu:
-            _mean_step(cur, t, out)
-    return two_mu
-
-
-def _mean_step(cur: np.ndarray, t: int, two_mu: np.ndarray) -> None:
-    """x(a) <- 2*mu - s_a*x(a) in a C-ordered table whose first ``t`` rows are the marked
-    ones, s_a as one in-place negation of their float64 view; 2*mu goes to ``two_mu``.
-    Nothing the size of a table is allocated."""
-    head = cur[:t].view(np.float64)
-    np.negative(head, out=head)
-    np.multiply(2.0, np.add.reduce(cur, 0) / len(cur), out=two_mu)
-    np.subtract(two_mu, cur, out=cur)
+        for m in range(steps):
+            slot = two_mu[:, m : m + 1]
+            np.negative(head, out=head, where=marked)
+            np.multiply(np.add.reduce(stack, 1, keepdims=True), scale, out=slot)
+            np.subtract(slot, stack, out=stack)
+    return two_mu if cur.ndim == 3 else two_mu[0]
 
 
 def _offset_transforms(two_mu: np.ndarray) -> np.ndarray:
@@ -129,9 +172,11 @@ def _offset_transforms(two_mu: np.ndarray) -> np.ndarray:
     alt = np.where(np.arange(steps) % 2, -1.0, 1.0)[:, None]
     offsets = np.zeros((2, steps + 1, d), dtype=np.complex128)
     np.cumsum(two_mu, axis=0, out=offsets[0, 1:])
-    np.cumsum(alt * two_mu, axis=0, out=offsets[1, 1:])
+    np.multiply(alt, two_mu, out=offsets[1, 1:])
+    np.cumsum(offsets[1, 1:], axis=0, out=offsets[1, 1:])
     offsets[1, 1:] *= alt
-    return np.fft.ifft(offsets, axis=1, norm="ortho")
+    del alt
+    return np.fft.ifft(offsets, axis=1, norm="ortho", out=offsets)
 
 
 def _spectrum(lines: np.ndarray, sectors: list) -> np.ndarray:
@@ -141,13 +186,17 @@ def _spectrum(lines: np.ndarray, sectors: list) -> np.ndarray:
     p_size = lines.shape[1]
     out = np.zeros(p_size)
     for k, line, (rows, total, norm2) in zip((0, p_size // 2), lines, sectors):
-        out += rows * _norm2(line, axis=1)
+        norm = _norm2(line, axis=1)
+        norm *= rows
+        out += norm
         out[k] += p_size * norm2 + 2.0 * math.sqrt(p_size) * np.vdot(total, line[k]).real
     return out
 
 
 def _norm2(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    return np.sum(np.square(a.real) + np.square(a.imag), axis=axis)
+    sq = np.square(a.real)
+    sq += np.square(a.imag)
+    return np.sum(sq, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -155,7 +204,9 @@ class CountState:
     """Joint ancilla x search x data amplitude tensor, physically normalized.
 
     No runner builds it: it is the tensor referee that the tests hold
-    ``circuit_distribution`` to.  It stays in the package, with
+    ``circuit_distribution`` to; it steps through the circuit's own kernel
+    (``_doubled_means``), and the tests write the step out once more on their
+    own.  It stays in the package, with
     ``build_count_state`` and ``ancilla_distribution``, only because the
     benchmark's tracer (``perfbench/tracer.py``) rebinds those names; the
     three move to ``tests/conftest.py`` once the tracer no longer does.
@@ -190,8 +241,8 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     """The counting circuit's whole P x N x D tensor: the referee, not a runner path.
 
     Branch m holds (1/sqrt(P)) times the m-times-amplified state; powers are
-    computed incrementally in one sector-sorted table, P - 1 steps of the
-    circuit's kernel ``_mean_step``, and scattered back to row order.  The
+    computed incrementally in one sector-sorted table, P - 1 single steps of
+    the circuit's kernel ``_doubled_means``, and scattered back to row order.  The
     ancilla transform is numpy's FFT along axis 0.  Runners call
     ``circuit_distribution``, which reads the same distribution off the
     column means; see ``CountState`` for why this stays in the package.
@@ -201,14 +252,13 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     n, d = state.n_states, state.data_dim
     check_memory(p_size * n * d)
     order = _sector_order(good.mask(n))
-    two_mu = np.empty(d, dtype=np.complex128)
     cur = state.coeffs[order]
     amps = np.empty((p_size, n, d), dtype=np.complex128)
     scale = 1.0 / math.sqrt(p_size * n)  # physical rows carry 1/sqrt(N) as well
     for m in range(p_size):
         amps[m, order] = cur * scale
         if m + 1 < p_size:
-            _mean_step(cur, good.t, two_mu)
+            _doubled_means(cur, good.t, 1)
     amps = np.fft.ifft(amps, axis=0, norm="ortho")
     return CountState(p_size, state.n_qubits, d, amps)
 
@@ -234,6 +284,17 @@ def kernel_s(m: int, f: float, p_size: int, sign: int = 1) -> float:
     if abs(x - k * p_size) < 1e-12:
         return float((-1) ** (k * (p_size - 1)))
     return math.sin(math.pi * x) / (p_size * math.sin(math.pi * x / p_size))
+
+
+def kernel_s2(m: np.ndarray, f: np.ndarray, p_size: np.ndarray) -> np.ndarray:
+    """kernel_s(m, f, P)**2 elementwise over broadcast arrays: 1 at the removable
+    singularities, where m + f is within 1e-12 of a multiple of P, as ``kernel_s``
+    decides them; numpy's sine may differ from ``math.sin`` in the last place."""
+    x = m + f
+    singular = np.abs(x - np.round(x / p_size) * p_size) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sin(np.pi * x) / (p_size * np.sin(np.pi * x / p_size))
+    return np.where(singular, 1.0, np.square(s))
 
 
 @dataclass(frozen=True)
@@ -439,8 +500,8 @@ def run_count(
     rng = np.random.default_rng(seed)
     probs = np.maximum(dist, 0.0)
     probs = probs / probs.sum()
-    samples = rng.choice(p_size, size=repetitions, p=probs)
-    counts = Counter(int(s) for s in samples)
+    samples = rng.choice(p_size, size=repetitions, p=probs).tolist()
+    counts = Counter(samples)
     majority_m = min(counts, key=lambda m: (-counts[m], m))
     in_window = sum(counts[m] for m in window if m in counts)
     estimate = estimate_from_outcome(majority_m, p_size, n)
@@ -454,7 +515,7 @@ def run_count(
         w_empirical=in_window / repetitions,
         window=tuple(window),
         seed=seed,
-        outcomes=tuple(int(s) for s in samples),
+        outcomes=tuple(samples),
         majority_m=majority_m,
         majority_t=estimate.t_tilde,
         bound=bound,

@@ -10,7 +10,7 @@ unmarked rows, against closed-form predictions.
 W is log2(N) butterfly passes.  Since W|0> is the uniform vector |u>, the
 diffusion -W S0 W also equals 2|u><u| - I, each row x_a becoming
 2*mean(x) - x_a; the counting circuit steps in that form
-(``counting._mean_step``).  Every butterfly pass scales by the rounded
+(``counting._doubled_means``).  Every butterfly pass scales by the rounded
 1/sqrt(2), so this gate form drifts the norm by the same few 1e-14 for
 every state of a given shape, and the unitarity headroom of a find report
 depends on the shape only, not on the random state.

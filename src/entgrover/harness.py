@@ -388,10 +388,19 @@ def _over_cap(what: str):
         raise ScenarioError(f"{what} is too large: {exc}") from exc
 
 
+def _horizon(t: int, n_states: int) -> int:
+    """The audit's default last step: ceil(2*pi/theta), two periods of the law, or
+    16 when a sector is empty; theta is formed as ``qstate.moments`` forms it."""
+    if 0 < t < n_states:
+        return math.ceil(2.0 * math.pi / math.asin(math.sqrt(t / n_states)))
+    return 16
+
+
 def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
     """The scenario's marked set and state, once its table (and for ``find`` the
-    table together with its trajectory audit and its readings of ``iterations``
-    steps) is known to fit the memory cap."""
+    table together with its trajectory audit and its readings, of ``iterations``
+    steps or of the default horizon once the marked set is known) is known to
+    fit the memory cap."""
     n_states = 1 << s.n_qubits
     with _over_cap(f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim})"):
         qstate.check_memory(n_states * s.data_dim)
@@ -401,6 +410,10 @@ def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
         with _over_cap(f"field 'iterations' = {s.iterations}"):
             check_audit_memory(n_states, s.data_dim, s.iterations)
     good = build_good(s.good, n_states)
+    if s.kind == "find" and s.iterations is None:
+        with _over_cap(f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim} and "
+                       f"the default horizon at t = {good.t})"):
+            check_audit_memory(n_states, s.data_dim, _horizon(good.t, n_states) + 1)
     state = build_state(s.state, s.n_qubits, s.data_dim, good)
     if state.n_qubits != s.n_qubits or state.data_dim != s.data_dim:
         raise ScenarioError(f"state: dimensions {state.n_qubits} qubits x {state.data_dim} do "
@@ -419,12 +432,9 @@ def _read_law(
     is empty), and the checks in report order.  ``find`` reports the table
     and the checks; a sweep cell reads the same checks into its row.
     """
-    if 0 < good.t < state.n_states:
-        params = analytic.oscillation_params(m)
-        horizon = math.ceil(2.0 * math.pi / m.theta)
-    else:
-        params, horizon = None, 16
-    audit = audit_trajectory(state, good, horizon if s.iterations is None else s.iterations, m)
+    params = analytic.oscillation_params(m) if 0 < good.t < state.n_states else None
+    horizon = _horizon(good.t, state.n_states) if s.iterations is None else s.iterations
+    audit = audit_trajectory(state, good, horizon, m)
     table = []
     max_prob_dev = 0.0
     for n, p_sim in enumerate(audit.p_sim):
@@ -576,7 +586,8 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         if circuit:
             counting.check_circuit_memory(n_states, d, p_size)
         if interior:
-            check_audit_memory(n_states, d, s.iterations or 0)
+            steps = _horizon(t, n_states) + 1 if s.iterations is None else s.iterations
+            check_audit_memory(n_states, d, steps)
         good = qstate.random_good_set(n_states, t, seed + 1)
         template = dict(s.state)
         if template.get("type") == "random":

@@ -11,8 +11,10 @@ from conftest import (
     brute_force_count_amplitudes,
     brute_force_count_distribution,
     dft_matrix,
+    planted,
     random_marked,
     random_state,
+    random_table,
 )
 from entgrover import counting, from_amplitudes
 from entgrover import (
@@ -201,16 +203,20 @@ class TestCircuitDistribution:
             assert np.array_equal(_bits(run(fortran, good, 16)), _bits(run(state, good, 16)))
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
-        # a table of 16 amplitudes, five sequences of 64, and 9 bytes a row for
-        # the row order and mask, not P*N*D
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 5 * 64) + 9 * 16 - 1))
+        # a table of 16 amplitudes, five sequences of 64, 10 bytes a row for the
+        # row order and two masks, and the pass's and the table's small objects,
+        # not P*N*D
+        charge = 16 * (16 + 5 * 64) + 10 * 16 + counting._PASS_BYTES + counting._TABLE_BYTES
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
         with pytest.raises(MemoryLimitError):
             circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(16 * (16 + 5 * 64) + 9 * 16))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
         assert circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64).sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
-        "nq,d,t,p", [(12, 1, 100, 1024), (12, 4, 100, 1024), (10, 4, 1, 4096), (12, 4, 2000, 64)]
+        "nq,d,t,p",
+        [(12, 1, 100, 1024), (12, 4, 100, 1024), (10, 4, 1, 4096), (12, 4, 2000, 64),
+         (4, 1, 1, 4096), (2, 2, 1, 2), (10, 1, 3, 1)],
     )
     def test_memory_charge_covers_the_traced_peak(self, monkeypatch, nq, d, t, p):
         state, good = random_state(nq, d, seed=63), random_marked(1 << nq, t, seed=64)
@@ -224,6 +230,121 @@ class TestCircuitDistribution:
         finally:
             tracemalloc.stop()
         assert peak <= charged[-1]
+
+
+# (N, D, steps) of the stacked kernel's cases; each stack holds t in
+# {0, 1, N/3, N - 1, N}.
+STACK_CASES = [(1 << 15, 1, 8), (4096, 3, 16), (256, 64, 16), (16, 1, 63), (4, 2, 15)]
+
+
+def _stack_case(n, d, seed):
+    ts = [0, 1, n // 3, n - 1, n]
+    tables = np.stack([random_table(n, d, seed + i) for i in range(len(ts))])
+    return tables, ts
+
+
+def _written_out_means(table, t, steps):
+    """One table's 2*mu_m, the step written out apart from the package's kernel."""
+    x, two_mu = table.copy(), []
+    for _ in range(steps):
+        x[:t] = -x[:t]
+        two_mu.append(2.0 * x.mean(axis=0))
+        x = two_mu[-1] - x
+    return np.array(two_mu, dtype=np.complex128).reshape(steps, table.shape[1])
+
+
+class TestStackedKernel:
+    """``_doubled_means`` steps a (B, N, D) stack whose table b has its first t_b rows
+    marked; each table gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("n,d,steps", STACK_CASES)
+    def test_stack_equals_each_table_alone_bit_for_bit(self, n, d, steps):
+        tables, ts = _stack_case(n, d, seed=n + d)
+        got = counting._doubled_means(tables.copy(), ts, steps)
+        assert got.shape == (len(ts), steps, d)
+        for i, (table, t) in enumerate(zip(tables, ts)):
+            alone = counting._doubled_means(table.copy(), t, steps)
+            assert np.array_equal(_bits(got[i]), _bits(alone))
+            assert np.array_equal(_bits(alone), _bits(_written_out_means(table, t, steps)))
+
+    def test_equal_t_stack_equals_each_table_alone(self):
+        tables = np.stack([random_table(64, 3, 70 + i) for i in range(4)])
+        got = counting._doubled_means(tables.copy(), [21] * 4, 31)
+        for i, table in enumerate(tables):
+            assert np.array_equal(_bits(got[i]), _bits(_written_out_means(table, 21, 31)))
+
+    def test_an_off_by_one_mask_fails_the_bit_test(self, monkeypatch):
+        # the mask marks one row too many in the second table only
+        fault = planted(counting._doubled_means, "< ts[:, None]",
+                        "< ts[:, None] + (np.arange(len(ts)) == 1)[:, None]")
+        tables, ts = _stack_case(256, 3, seed=5)
+        got = fault(tables.copy(), ts, 8)
+        alone = [counting._doubled_means(t.copy(), k, 8) for t, k in zip(tables, ts)]
+        assert np.array_equal(_bits(got[0]), _bits(alone[0]))
+        assert not np.array_equal(_bits(got[1]), _bits(alone[1]))
+
+    @pytest.mark.parametrize("p", [1, 2, 16, 64])
+    def test_stacked_distributions_equal_each_alone(self, p):
+        # mixed marked sets over two states of one shape, one pass
+        cases = [(random_state(5, 3, seed=80 + i), random_marked(32, t, seed=90 + t))
+                 for i, t in enumerate([0, 1, 10, 31, 32])]
+        dists = counting.circuit_distributions(cases, p)
+        for (state, good), dist in zip(cases, dists):
+            assert np.array_equal(_bits(dist), _bits(circuit_distribution(state, good, p)))
+
+    def test_memory_cap_charges_every_table_of_the_stack(self, monkeypatch):
+        # three tables of 16 amplitudes, the doubled means of each and four more
+        # sequences of 64, the two distributions already read, one row order and
+        # two masks, and the pass's and each table's small objects
+        cases = [(new_flat(4, 1), GoodSet(tuple(range(t)))) for t in (1, 2, 3)]
+        charge = (16 * (3 * 16 + (3 + 4) * 64) + 8 * 2 * 64 + 10 * 16
+                  + counting._PASS_BYTES + 3 * counting._TABLE_BYTES)
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
+        with pytest.raises(MemoryLimitError):
+            counting.circuit_distributions(cases, 64)
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
+        assert len(counting.circuit_distributions(cases, 64)) == 3
+
+    @pytest.mark.parametrize(
+        "n,d,p,b", [(64, 1, 64, 16), (1024, 4, 256, 8), (16, 1, 4096, 4), (256, 2, 4096, 4),
+                    (16, 2, 2, 16)],
+    )
+    def test_stack_charge_covers_the_traced_peak(self, monkeypatch, n, d, p, b):
+        cases = [(random_state(n.bit_length() - 1, d, seed=i), random_marked(n, i + 1, seed=i))
+                 for i in range(b)]
+        charged = []
+        monkeypatch.setattr(counting, "check_bytes", lambda needed, what: charged.append(needed))
+        counting.circuit_distributions(cases, p)
+        tracemalloc.start()
+        try:
+            counting.circuit_distributions(cases, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[-1]
+
+
+class TestKernelSquares:
+    """``kernel_s2`` is ``kernel_s(...)**2`` over arrays, as criterion 8 reads it."""
+
+    def test_agrees_with_the_scalar_kernel_on_random_draws(self):
+        rng = np.random.default_rng(11)
+        p = rng.choice((8, 16, 32, 64), size=10_000)
+        f = rng.uniform(0.0, p / 2)
+        m = rng.integers(0, p)
+        got = counting.kernel_s2(m, f, p)
+        want = [kernel_s(int(a), float(b), int(c)) ** 2 for a, b, c in zip(m, f, p)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [4, 8, 64])
+    def test_agrees_at_the_removable_singular_points(self, p):
+        # m + f at multiples of P, exactly and within the 1e-12 that kernel_s rounds to one
+        m = np.array([0, p, 2, p - 1, 0, p // 2])
+        f = np.array([0.0, 0.0, p - 2.0, 1.0 + 5e-13, 2.0 * p - 3e-13, p / 2])
+        got = counting.kernel_s2(m, f, p)
+        want = [kernel_s(int(a), float(b), p) ** 2 for a, b in zip(m, f)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert np.all(got[:5] == 1.0)
 
 
 class TestBuildCountState:

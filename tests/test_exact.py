@@ -229,12 +229,18 @@ def means_case(case):
     return state, gmask, exact, exact_doubled_means(state.coeffs, gmask, N_MAX)
 
 
-def _doubled_means_error(means_case, scale=1.0):
+def _doubled_means_error(means_case, scale=1.0, stacked=False):
     """Largest error of ``counting._doubled_means`` over eps * max_{k<=m} max|x_k| * (m + 1),
-    its means scaled by scale^m as a circuit scaling each step by ``scale`` would be."""
+    its means scaled by scale^m as a circuit scaling each step by ``scale`` would be.
+    ``stacked`` steps the table second in a stack with t = 0, t = N and t = 1 tables."""
     state, gmask, exact, exact_means = means_case
     cur = state.coeffs[counting._sector_order(gmask)]
-    two_mu = counting._doubled_means(cur, int(np.count_nonzero(gmask)), N_MAX)
+    t = int(np.count_nonzero(gmask))
+    if stacked:
+        stack = np.stack([cur[::-1], cur, -cur, cur[::-1] * 1j])
+        two_mu = counting._doubled_means(stack, [0, t, len(cur), 1], N_MAX)[1]
+    else:
+        two_mu = counting._doubled_means(cur, t, N_MAX)
     two_mu *= scale ** np.arange(N_MAX)[:, None]
     worst = size = 0.0
     for m in range(N_MAX):
@@ -258,6 +264,14 @@ def test_doubled_means_error_is_within_the_step_model(means_case):
 @pytest.mark.parametrize("scale", [1.0 + 1e-14, 1.0 - 1e-14])
 def test_doubled_means_bound_catches_a_scaled_step(means_case, scale):
     assert _doubled_means_error(means_case, scale) > 0.5
+
+
+def test_stacked_doubled_means_error_is_within_the_step_model(means_case):
+    """The kernel's stack of four tables with mixed t keeps the table's means
+    within the same bound (it keeps their bits), and the bound still catches a
+    scaled step there."""
+    assert _doubled_means_error(means_case, stacked=True) <= 0.5
+    assert _doubled_means_error(means_case, 1.0 + 1e-14, stacked=True) > 0.5
 
 
 # The ancilla of the circuit referee below: 15 doubled means, within N_MAX.

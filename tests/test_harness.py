@@ -123,11 +123,14 @@ class TestRunCount:
 
 
 # The counting circuit's working set at N = 2^12, D = 1, P = 1024: the sorted
-# table, five P x D sequences of complex128, and the row order and marked-row mask.
-CIRCUIT_BYTES = 16 * (4096 + 5 * 1024) + 9 * 4096
-# The trajectory audit's charge at N = 2^12, D = 1: the state's table, the
-# audit's three tables, the row index and the mask.
-AUDIT_BYTES = 4 * 16 * 4096 + 9 * 4096
+# table, five P x D sequences of complex128, the row order and two masks, and the
+# pass's small objects.
+CIRCUIT_BYTES = (16 * (4096 + 5 * 1024) + 10 * 4096
+                 + counting._PASS_BYTES + counting._TABLE_BYTES)
+# The trajectory audit's charge at N = 2^12, D = 1, t = 100: the state's table,
+# the audit's three tables, the row index and the mask, and the readings of the
+# default horizon, ceil(2*pi/theta) = 41 steps: 42 readings of 1,280 bytes.
+AUDIT_BYTES = 4 * 16 * 4096 + 9 * 4096 + 42 * 1280
 
 
 class TestSweep:
@@ -170,7 +173,9 @@ class TestSweep:
         assert csv_text.startswith("n_qubits,")
 
     def test_memory_cap_marks_skipped(self, monkeypatch):
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", "300")
+        # N = 4, t = 1: four tables, the row index and mask (292 bytes) and the
+        # 13 readings of the default horizon (2*pi/theta = 12 steps)
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(292 + 13 * 1280))
         s = parse_scenario({"kind": "sweep",
                             "grid": {"n_qubits": [2, 6], "t": [1], "seeds": [3]}})
         report = run_sweep(s)
@@ -194,8 +199,9 @@ class TestSweep:
 
     def test_cell_skipped_only_over_the_audit_working_set(self, monkeypatch):
         # N = 2^8, D = 4: the state's table and the audit's three, the row
-        # index and the mask
-        audit = 4 * 16 * 256 * 4 + 9 * 256
+        # index and the mask, and at t = 3 the 59 readings of the default
+        # horizon (ceil(2*pi/theta) = 58 steps); the t = 0 cell is not audited
+        audit = 4 * 16 * 256 * 4 + 9 * 256 + 59 * 1280
         s = parse_scenario({"kind": "sweep", "grid": {"n_qubits": [8], "data_dim": [4],
                                                       "t": [0, 3], "seeds": [3]}})
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit))

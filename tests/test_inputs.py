@@ -53,7 +53,9 @@ class TestRegressions:
     def test_audit_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
         # N = 2^8, D = 4: the 16 KiB table fits alone; the table, the audit's
         # three tables, row index and mask (67,840 bytes) are charged together
-        audit = 4 * 16 * 256 * 4 + 9 * 256
+        # with the readings of the default horizon: at t = 3, ceil(2*pi/theta)
+        # = 58 steps, so 59 readings of 1,280 bytes
+        audit = 4 * 16 * 256 * 4 + 9 * 256 + 59 * 1280
         cfg = write_json(tmp_path / "c.json",
                          dict(FIND, n_qubits=8, data_dim=4, good={"t": 3, "seed": 1}))
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit - 1))
@@ -191,6 +193,20 @@ class TestRegressions:
         cfg = write_json(tmp_path / "c.json", {"kind": "verify", "verify": verify})
         code, err = run_cli(["verify", "--config", cfg])
         assert code == 1 and f"'verify.max_steps' = {verify['max_steps']}" in err
+
+    def test_corpus_law_horizon_is_charged(self, tmp_path, monkeypatch):
+        # one state at N = 2^16, D = 1 and max_steps 0: its table, the audit's four
+        # tables, row index and mask, and the readings of criterion 4's two periods
+        # at t = 1, ceil(pi/theta) + 1 = 806 steps: 807 readings of 160 bytes
+        charge = 16 * 65536 + 4 * 16 * 65536 + 9 * 65536 + 807 * 160
+        monkeypatch.setattr(harness, "run_checks", lambda cfg: [])
+        verify = {"corpus_count": 1, "n_qubits_list": [16], "data_dims": [1], "max_steps": 0}
+        cfg = write_json(tmp_path / "c.json", {"kind": "verify", "verify": verify})
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
+        code, err = run_cli(["verify", "--config", cfg])
+        assert code == 1 and "'verify.corpus_count'" in err
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
+        assert run_cli(["verify", "--config", cfg])[0] == 0
 
     @pytest.mark.parametrize(
         "rows",
