@@ -273,7 +273,7 @@ class TestStackedKernel:
         for i, table in enumerate(tables):
             assert np.array_equal(_bits(got[i]), _bits(_written_out_means(table, 21, 31)))
 
-    def test_an_off_by_one_mask_fails_the_bit_test(self, monkeypatch):
+    def test_an_off_by_one_mask_fails_the_bit_test(self):
         # the mask marks one row too many in the second table only
         fault = planted(counting._doubled_means, "< ts[:, None]",
                         "< ts[:, None] + (np.arange(len(ts)) == 1)[:, None]")
@@ -285,7 +285,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("p", [1, 2, 16, 64])
     def test_stacked_distributions_equal_each_alone(self, p):
-        # mixed marked sets over two states of one shape, one pass
+        # five states of one shape with mixed marked sets, one pass
         cases = [(random_state(5, 3, seed=80 + i), random_marked(32, t, seed=90 + t))
                  for i, t in enumerate([0, 1, 10, 31, 32])]
         dists = counting.circuit_distributions(cases, p)
@@ -338,13 +338,15 @@ class TestKernelSquares:
 
     @pytest.mark.parametrize("p", [4, 8, 64])
     def test_agrees_at_the_removable_singular_points(self, p):
-        # m + f at multiples of P, exactly and within the 1e-12 that kernel_s rounds to one
-        m = np.array([0, p, 2, p - 1, 0, p // 2])
-        f = np.array([0.0, 0.0, p - 2.0, 1.0 + 5e-13, 2.0 * p - 3e-13, p / 2])
+        # m + f at multiples of P, exactly and within the 1e-12 that kernel_s rounds
+        # to one; then just outside it, where both evaluate the quotient
+        m = np.array([0, p, 2, p - 1, 0, p // 2, 1, p - 1])
+        f = np.array([0.0, 0.0, p - 2.0, 1.0 + 5e-13, 2.0 * p - 3e-13, p / 2,
+                      p - 1.0 + 1e-9, 1.0 - 2e-12])
         got = counting.kernel_s2(m, f, p)
         want = [kernel_s(int(a), float(b), p) ** 2 for a, b in zip(m, f)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-        assert np.all(got[:5] == 1.0)
+        assert np.all(got[:6] == 1.0)
 
 
 class TestBuildCountState:
