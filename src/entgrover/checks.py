@@ -51,6 +51,11 @@ _CHUNK_BYTES = 1 << 18
 _STEP_BYTES = 1280
 _CORPUS_STEP_BYTES = 160
 
+# Peak bytes of one of criterion 8's kernel-sum samples, its draws and the squared
+# kernels of its ten outcomes: tracemalloc read 277-283 a sample over 10^4 to
+# 4 x 10^4 samples (CPython 3.11, numpy 2.4.6).
+_SIGMA_SAMPLE_BYTES = 320
+
 # The audit's chunks start on a cache line: malloc aligns to 16 bytes only,
 # and a 4096 x 64 step between tables off a cache-line boundary ran 8-10%
 # slower, by an amount that changed from process to process (2 cores, numpy 2.4.6).
@@ -206,9 +211,7 @@ def check_corpus_memory(cfg: VerifyConfig) -> None:
     stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
     if stacks:
         (b, n, d), stack = max(stacks.items(), key=lambda item: item[1])
-        # _law_horizon at t = 1
-        horizon = {n: math.ceil(math.pi / math.asin(math.sqrt(1 / n))) + 1 for _, n, _ in stacks}
-        readings = sum(b * (max(cfg.max_steps, horizon[n]) + 1) for b, n, _ in stacks)
+        readings = sum(b * (max(cfg.max_steps, _law_horizon_at(1, n)) + 1) for b, n, _ in stacks)
         needed = (sum(stacks.values()) + _audit_bytes(stack, b * n, 1)
                   + readings * _CORPUS_STEP_BYTES)
         qstate.check_bytes(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes "
@@ -330,9 +333,21 @@ def audit_trajectory(
     return _audit_stack(state.coeffs[None], gmask, [m], [n_max])[0]
 
 
+def default_horizon(t: int, n_states: int) -> int:
+    """A find's default last step: ceil(2*pi/theta), four periods of the law
+    sin^2((2n+1)*theta), or 16 when a sector is empty."""
+    if 0 < t < n_states:
+        return math.ceil(2.0 * math.pi / qstate.rotation_angle(t, n_states))
+    return 16
+
+
+def _law_horizon_at(t: int, n_states: int) -> int:
+    """Last step of the two periods over which criterion 4 checks the law, at 0 < t."""
+    return math.ceil(math.pi / qstate.rotation_angle(t, n_states)) + 1
+
+
 def _law_horizon(m: qstate.MomentSummary) -> int:
-    """Last step of the two periods over which criterion 4 checks the law."""
-    return math.ceil(math.pi / m.theta) + 1
+    return _law_horizon_at(m.t, m.n_states)
 
 
 @dataclass(frozen=True)
@@ -538,8 +553,9 @@ def check_counting_window(cfg: VerifyConfig) -> CheckResult:
     exceeds 1/2; all three kernel sums stay in (8/pi^2, 1].
 
     The sums are read at ``sigma_samples`` random (P, f) per case, drawn as
-    arrays from one seeded generator, and the ten squared kernels of a sample
-    are array operations (``counting.kernel_s2``)."""
+    arrays from one seeded generator at most ``_CHUNK_BYTES`` of samples at a
+    time, and the ten squared kernels of a sample are array operations
+    (``counting.kernel_s2``)."""
     tol = cfg.tolerances.probability
     flat = qstate.new_flat(4, 1)
     good = qstate.GoodSet((0, 1, 2, 3))
@@ -553,12 +569,28 @@ def check_counting_window(cfg: VerifyConfig) -> CheckResult:
         and worst < tol
     )
 
-    # each case's kernel sum of every sample, from an (offsets, samples) array of outcomes
     rng = np.random.default_rng(cfg.base_seed + 55)
-    p_size = rng.choice((8, 16, 32, 64), size=cfg.sigma_samples)
+    per_chunk = _CHUNK_BYTES // _SIGMA_SAMPLE_BYTES
+    sigma_ok = True
+    for lo in range(0, cfg.sigma_samples, per_chunk):
+        sigma_ok &= _kernel_sums_hold(rng, min(per_chunk, cfg.sigma_samples - lo))
+    return CheckResult(
+        "counting_window",
+        ok and sigma_ok,
+        worst,
+        tol,
+        detail=f"W1={pred.mass:.6f} on {pred.outcomes}; kernel-sum bounds "
+        f"{'held' if sigma_ok else 'VIOLATED'} over {cfg.sigma_samples} samples/case",
+    )
+
+
+def _kernel_sums_hold(rng: np.random.Generator, size: int) -> bool:
+    """Draw ``size`` samples of (P, f) for each case and read whether every sample's
+    kernel sum lies in (SIGMA_LOW, 1], from an (offsets, samples) array of outcomes."""
+    p_size = rng.choice((8, 16, 32, 64), size=size)
     half = p_size // 2
     f_int = rng.uniform(1.0, half - 1.0)
-    f_low = rng.uniform(1e-6, 1.0 - 1e-6, size=cfg.sigma_samples)
+    f_low = rng.uniform(1e-6, 1.0 - 1e-6, size=size)
     f_high = rng.uniform(half - 1.0 + 1e-6, half - 1e-6)
     lo = np.floor(f_int)
     sums = [
@@ -569,15 +601,7 @@ def check_counting_window(cfg: VerifyConfig) -> CheckResult:
             ((half, half - 1, half + 1), f_high),
         )
     ]
-    sigma_ok = all(bool(np.all((SIGMA_LOW < s) & (s <= 1.0 + 1e-12))) for s in sums)
-    return CheckResult(
-        "counting_window",
-        ok and sigma_ok,
-        worst,
-        tol,
-        detail=f"W1={pred.mass:.6f} on {pred.outcomes}; kernel-sum bounds "
-        f"{'held' if sigma_ok else 'VIOLATED'} over {cfg.sigma_samples} samples/case",
-    )
+    return all(bool(np.all((SIGMA_LOW < s) & (s <= 1.0 + 1e-12))) for s in sums)
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -637,8 +661,9 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
 
     Cell c of the (N, t, P) grid, in that order, samples with seed base_seed + c.
     One circuit pass per (N, P) covers every t: the flat tables marked 1 .. N/4
-    are stacked (``counting.circuit_distributions``) a chunk at a time, at most
-    ``_CHUNK_BYTES`` of tables, and each cell gets its distribution and moments
+    are stacked (``counting.circuit_distributions``) a chunk at a time, as many
+    as ``_CHUNK_BYTES`` holds of what a table adds to the pass at the largest P
+    (``counting._table_bytes``), and each cell gets its distribution and moments
     through ``counting.run_count(dist=, m=)``."""
     worst_slack = -math.inf
     majority_ok = True
@@ -647,7 +672,7 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
     for nq in cfg.sweep_n_qubits:
         n_big = 1 << nq
         flat = qstate.new_flat(nq, 1)
-        per_chunk = max(1, _CHUNK_BYTES // flat.coeffs.nbytes)
+        per_chunk = max(1, _CHUNK_BYTES // counting._table_bytes(n_big, 1, max(cfg.sweep_p_sizes)))
         for lo in range(1, n_big // 4 + 1, per_chunk):
             ts = range(lo, min(lo + per_chunk, n_big // 4 + 1))
             goods = [qstate.GoodSet(tuple(range(t))) for t in ts]

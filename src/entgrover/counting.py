@@ -57,10 +57,10 @@ _SAMPLE_BYTES = 128
 
 
 # Bytes a circuit pass holds beyond its arrays' data: array headers, the sector
-# sums and the list of distributions.  tracemalloc read at most 7.0 KB over the
-# charged arrays at one table, and 0.8 KB more a table (N = 2 to 2^10, D = 1 to 5,
-# P = 1 to 4096, 1 to 16 tables; CPython 3.11, numpy 2.4.6); these two cover every
-# case with 2.6 KB to spare.
+# sums and the list of distributions.  tracemalloc read at most 6.0 KB over the
+# charged arrays at one table, and up to 0.95 KB more a table (N = 2 to 2^10,
+# D = 1 to 5, P = 1 to 4096, 1 to 16 tables of mixed t; CPython 3.11, numpy 2.4.6);
+# these two cover every case with 2.2 KB to spare.
 _PASS_BYTES = 8192
 _TABLE_BYTES = 512
 
@@ -70,15 +70,20 @@ def check_sample_memory(repetitions: int) -> None:
     check_bytes(repetitions * _SAMPLE_BYTES, f"{repetitions} repetitions")
 
 
+def _table_bytes(n_states: int, data_dim: int, p_size: int) -> int:
+    """What each table adds to a circuit pass's working set: the sorted table, its
+    P x D doubled means, its row of the stack's marked-row mask (a byte a row), its
+    distribution, and ``_TABLE_BYTES`` of small objects."""
+    return 16 * (n_states + p_size) * data_dim + n_states + 8 * p_size + _TABLE_BYTES
+
+
 def check_circuit_memory(n_states: int, data_dim: int, p_size: int, n_tables: int = 1) -> None:
     """Refuse a circuit pass over ``n_tables`` tables whose working set exceeds the cap:
-    the sorted tables, a table's row order and two masks (10 bytes a row), the P x D
-    doubled means of every table, four P x D sequences that one table's transforms
-    hold at most once the tables are released, the distributions already read, and
-    ``_PASS_BYTES`` and ``_TABLE_BYTES`` a table of small objects."""
-    needed = (16 * (n_tables * n_states * data_dim + (n_tables + 4) * p_size * data_dim)
-              + 8 * (n_tables - 1) * p_size + 10 * n_states
-              + _PASS_BYTES + _TABLE_BYTES * n_tables)
+    each table's ``_table_bytes``, a table's row order and two masks while the stack
+    is sorted (10 bytes a row), four P x D sequences that one table's transforms hold
+    at most once the tables are released, and ``_PASS_BYTES`` of small objects."""
+    needed = (n_tables * _table_bytes(n_states, data_dim, p_size) + 64 * p_size * data_dim
+              + 10 * n_states + _PASS_BYTES)
     check_bytes(needed, f"counting circuit working set (P = {p_size})")
 
 
@@ -152,7 +157,13 @@ def _doubled_means(cur: np.ndarray, t, steps: int) -> np.ndarray:
     ts = np.atleast_1d(t)
     b, n, d = stack.shape
     head = stack[:, : int(ts.max())].view(np.float64)
-    marked = True if np.all(ts == ts[0]) else (np.arange(head.shape[1]) < ts[:, None])[..., None]
+    marked = True
+    if np.any(ts != ts[0]):
+        # filled row by row: a broadcast comparison would take a ufunc buffer of
+        # up to 128 KiB, which check_circuit_memory does not charge
+        marked = np.zeros((b, head.shape[1], 1), dtype=bool)
+        for row, t_b in zip(marked, ts):
+            row[:t_b] = True
     scale = 2.0 / n
     two_mu = np.empty((b, steps, d), dtype=np.complex128)
     with small_buffer():
@@ -176,7 +187,7 @@ def _offset_transforms(two_mu: np.ndarray) -> np.ndarray:
     np.cumsum(offsets[1, 1:], axis=0, out=offsets[1, 1:])
     offsets[1, 1:] *= alt
     del alt
-    return np.fft.ifft(offsets, axis=1, norm="ortho", out=offsets)
+    return np.fft.ifft(offsets, axis=1, norm="ortho")
 
 
 def _spectrum(lines: np.ndarray, sectors: list) -> np.ndarray:

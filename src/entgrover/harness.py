@@ -35,7 +35,7 @@ import numpy as np
 
 from . import analytic, counting, qstate
 from .checks import Tolerances, VerifyConfig, audit_trajectory
-from .checks import check_audit_memory, check_corpus_memory, run_checks
+from .checks import check_audit_memory, check_corpus_memory, default_horizon, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -388,14 +388,6 @@ def _over_cap(what: str):
         raise ScenarioError(f"{what} is too large: {exc}") from exc
 
 
-def _horizon(t: int, n_states: int) -> int:
-    """The audit's default last step: ceil(2*pi/theta), two periods of the law, or
-    16 when a sector is empty; theta is formed as ``qstate.moments`` forms it."""
-    if 0 < t < n_states:
-        return math.ceil(2.0 * math.pi / math.asin(math.sqrt(t / n_states)))
-    return 16
-
-
 def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
     """The scenario's marked set and state, once its table (and for ``find`` the
     table together with its trajectory audit and its readings, of ``iterations``
@@ -413,7 +405,7 @@ def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
     if s.kind == "find" and s.iterations is None:
         with _over_cap(f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim} and "
                        f"the default horizon at t = {good.t})"):
-            check_audit_memory(n_states, s.data_dim, _horizon(good.t, n_states) + 1)
+            check_audit_memory(n_states, s.data_dim, default_horizon(good.t, n_states) + 1)
     state = build_state(s.state, s.n_qubits, s.data_dim, good)
     if state.n_qubits != s.n_qubits or state.data_dim != s.data_dim:
         raise ScenarioError(f"state: dimensions {state.n_qubits} qubits x {state.data_dim} do "
@@ -433,7 +425,7 @@ def _read_law(
     and the checks; a sweep cell reads the same checks into its row.
     """
     params = analytic.oscillation_params(m) if 0 < good.t < state.n_states else None
-    horizon = _horizon(good.t, state.n_states) if s.iterations is None else s.iterations
+    horizon = default_horizon(good.t, state.n_states) if s.iterations is None else s.iterations
     audit = audit_trajectory(state, good, horizon, m)
     table = []
     max_prob_dev = 0.0
@@ -586,7 +578,7 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         if circuit:
             counting.check_circuit_memory(n_states, d, p_size)
         if interior:
-            steps = _horizon(t, n_states) + 1 if s.iterations is None else s.iterations
+            steps = default_horizon(t, n_states) + 1 if s.iterations is None else s.iterations
             check_audit_memory(n_states, d, steps)
         good = qstate.random_good_set(n_states, t, seed + 1)
         template = dict(s.state)

@@ -253,6 +253,11 @@ def _sector_stats(rows: np.ndarray) -> tuple[np.ndarray, float, float]:
     return avg, norm2, var
 
 
+def rotation_angle(t: int, n_states: int) -> float:
+    """theta = asin(sqrt(t/N)), the angle each amplification step turns by."""
+    return math.asin(math.sqrt(t / n_states))
+
+
 def moments(state: EntangledState, good: GoodSet) -> MomentSummary:
     """Sector means, variances and the rotation angle of a marked-set split.
 
@@ -281,7 +286,7 @@ def moments(state: EntangledState, good: GoodSet) -> MomentSummary:
         cross=cross,
         var_g=var_g,
         var_b=var_b,
-        theta=math.asin(math.sqrt(t / n)),
+        theta=rotation_angle(t, n),
         n_good_mass=n_good_mass,
     )
 

@@ -5,6 +5,7 @@ The pinned readings were taken from the per-state loops (one recurrence pass
 per corpus stack, one audit per state, scalar kernel sums and one circuit per
 cell) before those loops were replaced; every reading keeps its bits.
 """
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -101,6 +102,20 @@ class TestCountingWindow:
         assert not result.passed
         assert "VIOLATED over 1000 samples/case" in result.detail
 
+    def test_samples_are_read_in_chunks_of_bounded_memory(self):
+        # 40,000 samples a case hold about 11 MB at once; a chunk holds at most
+        # _CHUNK_BYTES, on top of what the window check holds without samples
+        def peak(samples):
+            cfg = replace(FULL, sigma_samples=samples)
+            tracemalloc.start()
+            try:
+                assert checks.check_counting_window(cfg).passed
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40_000) <= peak(0) + checks._CHUNK_BYTES + 2**14
+
     def test_no_samples_pass(self):
         result = checks.check_counting_window(replace(FULL, sigma_samples=0))
         assert result.passed and "held over 0 samples/case" in result.detail
@@ -116,16 +131,17 @@ class TestEstimatorBound:
 
     @pytest.mark.parametrize("tables", [1, 3])
     def test_chunks_hold_at_most_the_chunk_bytes(self, monkeypatch, tables):
-        # chunks of one and of three flat tables of 64 rows (1 KiB each)
-        monkeypatch.setattr(checks, "_CHUNK_BYTES", tables * 16 * 64)
+        # chunks of one and of three tables of 64 rows, each adding to the pass what
+        # it adds at the largest P
+        per_table = counting._table_bytes(64, 1, max(FULL.sweep_p_sizes))
+        monkeypatch.setattr(checks, "_CHUNK_BYTES", tables * per_table)
         charged = _counted(monkeypatch, counting, "check_circuit_memory")
         calls = _counted(monkeypatch, counting, "circuit_distributions")
         result = checks.check_estimator_bound(FULL)
-        for cases, _ in calls:
-            assert len(cases) * cases[0][0].coeffs.nbytes <= checks._CHUNK_BYTES
-        # N = 16 takes t = 1 .. 4 and N = 64 t = 1 .. 16, in chunks of ``tables``
-        # (a table of 16 rows is a quarter of one of 64)
-        per_chunk = {16: tables * 4, 64: tables}
+        # N = 16 takes t = 1 .. 4 and N = 64 t = 1 .. 16, in chunks of as many
+        # tables as fit
+        per_chunk = {n: checks._CHUNK_BYTES // counting._table_bytes(n, 1, 64) for n in (16, 64)}
+        assert per_chunk[64] == tables
         sizes = [
             min(per_chunk[n], n // 4 - lo)
             for n in (16, 64)
@@ -135,3 +151,17 @@ class TestEstimatorBound:
         assert [len(cases) for cases, _ in calls] == sizes
         assert [c[3] for c in charged] == sizes
         assert (result.max_deviation, result.detail) == PINNED["estimator_bound", "full"]
+
+    def test_a_pass_charges_at_most_the_chunk_bytes_over_one_table(self, monkeypatch):
+        # at P = 2^13 a table adds more to the pass than the 1 KiB of its amplitudes
+        # (16 rows of 16 bytes): its 8,191 doubled means and its distribution, so
+        # every t gets a pass of its own
+        cfg = replace(REDUCED, sweep_p_sizes=(1 << 13,))
+        needed = []
+        monkeypatch.setattr(counting, "check_bytes", lambda n, what: needed.append(n))
+        counting.check_circuit_memory(16, 1, 1 << 13)
+        (alone,) = needed
+        passes = _counted(monkeypatch, counting, "check_circuit_memory")
+        assert checks.check_estimator_bound(cfg).passed
+        assert [p[3] for p in passes] == [1] * 4
+        assert max(needed) <= checks._CHUNK_BYTES + alone

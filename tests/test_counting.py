@@ -203,10 +203,11 @@ class TestCircuitDistribution:
             assert np.array_equal(_bits(run(fortran, good, 16)), _bits(run(state, good, 16)))
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
-        # a table of 16 amplitudes, five sequences of 64, 10 bytes a row for the
-        # row order and two masks, and the pass's and the table's small objects,
-        # not P*N*D
-        charge = 16 * (16 + 5 * 64) + 10 * 16 + counting._PASS_BYTES + counting._TABLE_BYTES
+        # a table of 16 amplitudes, five sequences of 64, the distribution, 11 bytes
+        # a row for the row order, two masks and the marked-row mask, and the pass's
+        # and the table's small objects, not P*N*D
+        charge = (16 * (16 + 5 * 64) + 8 * 64 + 11 * 16
+                  + counting._PASS_BYTES + counting._TABLE_BYTES)
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
         with pytest.raises(MemoryLimitError):
             circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
@@ -275,8 +276,8 @@ class TestStackedKernel:
 
     def test_an_off_by_one_mask_fails_the_bit_test(self):
         # the mask marks one row too many in the second table only
-        fault = planted(counting._doubled_means, "< ts[:, None]",
-                        "< ts[:, None] + (np.arange(len(ts)) == 1)[:, None]")
+        fault = planted(counting._doubled_means, "zip(marked, ts)",
+                        "zip(marked, ts + (np.arange(len(ts)) == 1))")
         tables, ts = _stack_case(256, 3, seed=5)
         got = fault(tables.copy(), ts, 8)
         alone = [counting._doubled_means(t.copy(), k, 8) for t, k in zip(tables, ts)]
@@ -294,10 +295,10 @@ class TestStackedKernel:
 
     def test_memory_cap_charges_every_table_of_the_stack(self, monkeypatch):
         # three tables of 16 amplitudes, the doubled means of each and four more
-        # sequences of 64, the two distributions already read, one row order and
-        # two masks, and the pass's and each table's small objects
+        # sequences of 64, the three distributions, one row order and two masks,
+        # the stack's marked-row mask, and the pass's and each table's small objects
         cases = [(new_flat(4, 1), GoodSet(tuple(range(t)))) for t in (1, 2, 3)]
-        charge = (16 * (3 * 16 + (3 + 4) * 64) + 8 * 2 * 64 + 10 * 16
+        charge = (16 * (3 * 16 + (3 + 4) * 64) + 8 * 3 * 64 + (10 + 3) * 16
                   + counting._PASS_BYTES + 3 * counting._TABLE_BYTES)
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
         with pytest.raises(MemoryLimitError):
@@ -306,12 +307,14 @@ class TestStackedKernel:
         assert len(counting.circuit_distributions(cases, 64)) == 3
 
     @pytest.mark.parametrize(
-        "n,d,p,b", [(64, 1, 64, 16), (1024, 4, 256, 8), (16, 1, 4096, 4), (256, 2, 4096, 4),
-                    (16, 2, 2, 16)],
+        "n,d,p,b,spread", [(64, 1, 64, 16, 1), (1024, 4, 256, 8, 1), (16, 1, 4096, 4, 1),
+                           (256, 2, 4096, 4, 1), (16, 2, 2, 16, 1), (1024, 2, 2, 16, 64)],
     )
-    def test_stack_charge_covers_the_traced_peak(self, monkeypatch, n, d, p, b):
-        cases = [(random_state(n.bit_length() - 1, d, seed=i), random_marked(n, i + 1, seed=i))
-                 for i in range(b)]
+    def test_stack_charge_covers_the_traced_peak(self, monkeypatch, n, d, p, b, spread):
+        # table i marks (i + 1) * spread rows; at spread 64 the marked-row mask
+        # is 16 x 1024, over the 8192 elements of numpy's default ufunc buffer
+        cases = [(random_state(n.bit_length() - 1, d, seed=i),
+                  random_marked(n, (i + 1) * spread, seed=i)) for i in range(b)]
         charged = []
         monkeypatch.setattr(counting, "check_bytes", lambda needed, what: charged.append(needed))
         counting.circuit_distributions(cases, p)

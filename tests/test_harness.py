@@ -123,9 +123,9 @@ class TestRunCount:
 
 
 # The counting circuit's working set at N = 2^12, D = 1, P = 1024: the sorted
-# table, five P x D sequences of complex128, the row order and two masks, and the
-# pass's small objects.
-CIRCUIT_BYTES = (16 * (4096 + 5 * 1024) + 10 * 4096
+# table, five P x D sequences of complex128, the distribution, the row order, two
+# masks and the marked-row mask, and the pass's small objects.
+CIRCUIT_BYTES = (16 * (4096 + 5 * 1024) + 8 * 1024 + 11 * 4096
                  + counting._PASS_BYTES + counting._TABLE_BYTES)
 # The trajectory audit's charge at N = 2^12, D = 1, t = 100: the state's table,
 # the audit's three tables, the row index and the mask, and the readings of the
