@@ -40,13 +40,13 @@ each table gets the bits it gets alone.  ``grover_trajectory`` wraps the same
 generator for one state, without stacking it, and ``grover_iterate`` keeps
 its last table.
 
-There is one step code path, ``_step_rows``, which writes the step into two
-buffers its caller passes and allocates no table.  The public functions pass
-a fresh C-ordered output table for every step, whatever the input's layout,
-and carry the buffer a step leaves over to the next step as scratch, so
-each table they return is new and never written again.  The trajectory
-audit (``checks._audit_stack``) steps through ``_step_rows`` directly, into
-chunks of tables it allocates once per call.
+There is one step code path, ``_step_rows``, which writes the step into the
+output buffer its caller passes, using a second as scratch, and allocates no
+table.  The public functions pass a fresh C-ordered output table for every
+step, whatever the input's layout, and one scratch table for the whole
+trajectory, so each table they return is new and never written again.  The
+trajectory audit (``checks._audit_stack``) steps through ``_step_rows``
+directly, into chunks of tables it allocates once per call.
 
 Everything here acts on the search index only; the data register rides
 along untouched.  The public functions are pure and numerically exact up
@@ -148,14 +148,15 @@ def _passes(src: np.ndarray, dst: np.ndarray, h: int, stop: int) -> tuple[np.nda
 
 def _step_rows(
     src: np.ndarray, gmask: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """-W S0 W S_H on the rows, composed operator by operator, in caller buffers.
+) -> np.ndarray:
+    """-W S0 W S_H on the rows, composed operator by operator, written into ``out``.
 
     ``src`` is (..., N, D) and ``gmask`` the matching (..., N) marked-row mask.
     The phase flip writes into ``out`` (``src`` itself flips in place) and both
     transforms run in ``out`` and ``scratch``, two C-contiguous tables of
-    ``src``'s shape; returns (result, the other buffer).  Nothing the size of
-    a table is allocated.
+    ``src``'s shape.  The two transforms make 2*log2(N) butterfly passes, an
+    even count, so the step ends in ``out``, which is returned; ``scratch`` is
+    left overwritten.  Nothing the size of a table is allocated.
     """
     if out is not src:
         np.copyto(out, src)
@@ -169,7 +170,7 @@ def _step_rows(
     out, scratch = _hadamard_rows(out, scratch)
     parts = out.view(np.float64)
     np.negative(parts, out=parts)
-    return out, scratch
+    return out
 
 
 def _wrap(state: EntangledState, coeffs: np.ndarray) -> EntangledState:
@@ -194,15 +195,14 @@ def trajectory_tables(table: np.ndarray, gmask: np.ndarray, n_max: int):
     stepped in lock step, with ``gmask`` of shape (N,) or (B, N).  Each
     stacked table gets the bits it would get alone.  n = 0 yields ``table``
     itself; each later step gets a fresh output table, so a yielded table is
-    never written again, and the buffer a step leaves over is the next step's
-    scratch.
+    never written again, and every step shares one scratch table.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     yield 0, table
-    c, spare = table, np.empty_like(table, order="C")
+    c, scratch = table, np.empty_like(table, order="C")
     for n in range(1, n_max + 1):
-        c, spare = _step_rows(c, gmask, np.empty_like(c, order="C"), spare)
+        c = _step_rows(c, gmask, np.empty_like(c, order="C"), scratch)
         yield n, c
 
 

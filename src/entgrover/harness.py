@@ -3,8 +3,7 @@
 A scenario names everything explicitly (state, marked set, seeds, sizes,
 tolerances); identical scenarios produce byte-identical report artifacts.
 Wall-clock timings are therefore never part of the canonical serialized
-report -- the CLI times the run and prints it to stderr, and sweep rows
-only carry a runtime column when ``include_timings`` is set.
+report: the CLI times the run and prints it to stderr.
 
 ``find`` and ``count`` build their marked set and state through one setup
 step, and ``find`` and each ``sweep`` cell read the oscillation law against
@@ -14,11 +13,13 @@ nothing: every run is sequential.
 
 The scenario format has one source, the tables of ``_Key`` records below:
 the top-level keys of each kind (``KEYS``), ``tolerances``, ``grid``,
-``verify``, one per ``state`` type and one per ``good`` form.  One reader,
+one per ``state`` type and one per ``good`` form.  One reader,
 ``_read``, takes every block through its table; each message names the bad
 key as ``field '<dotted path>'``.  A sweep reads a ``flat`` or ``random``
 state, never a ``file``, whose shape is fixed where the grid varies it.
 Rules that tie one field to another stay as code after the tables.
+``verify`` runs the battery at ``VerifyConfig``'s fixed sizes: its scenario
+chooses only the corpus ``seed`` and the ``tolerances``.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ import csv
 import io
 import json
 import math
-import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -47,7 +47,9 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     """A parsed scenario, its defaults filled in from the format's tables; a key
-    that its kind does not read is None.  ``echo`` is the scenario as given."""
+    that its kind does not read is None.  ``echo`` is the scenario as given.
+    A ``verify`` sets only ``seed`` and ``tolerances``: the battery's sizes are
+    ``VerifyConfig``'s defaults."""
 
     kind: str
     n_qubits: int | None
@@ -59,9 +61,7 @@ class Scenario:
     repetitions: int | None
     seed: int | None
     grid: dict | None
-    verify: dict | None
     output_format: str
-    include_timings: bool | None
     tolerances: Tolerances
     echo: dict
 
@@ -103,10 +103,10 @@ def _csv_cell(value: Any) -> str:
 
 class _Key(NamedTuple):
     """One key of the scenario format: its JSON ``type`` (int; float, a finite number;
-    complex, a number or an [re, im] pair; str, bool or dict), inclusive bounds ``lo``
-    and ``hi``, whether it must be a power of two, the ``choices`` allowed, and its
-    ``default`` when absent unless it is ``required``.  With ``min_len`` set, the key
-    holds a list of at least that many such values, read as a tuple."""
+    complex, a number or an [re, im] pair; str or dict), inclusive bounds ``lo`` and
+    ``hi``, whether it must be a power of two, the ``choices`` allowed, and its
+    ``default`` when absent unless it is ``required``.  With ``many`` set, the key
+    holds a list of such values, read as a tuple."""
 
     type: type
     lo: float | None = None
@@ -115,7 +115,7 @@ class _Key(NamedTuple):
     choices: tuple = ()
     default: Any = None
     required: bool = False
-    min_len: int | None = None
+    many: bool = False
 
 
 # The least positive double: a lower bound that reads "> 0".
@@ -141,31 +141,20 @@ KEYS = {
     "find": {**_COMMON, **_SETUP, "iterations": _Key(int, 0)},
     "count": {**_COMMON, **_SETUP, "P": _Key(int, 2, pow2=True, required=True),
               "repetitions": _Key(int, 1, default=1), "seed": _Key(int, 0, required=True)},
-    "verify": {**_COMMON, "verify": _Key(dict, default={}), "seed": _Key(int, 0)},
+    "verify": {**_COMMON, "seed": _Key(int, 0)},
     "sweep": {**_COMMON, "output_format": _Key(str, choices=("json", "csv"), default="json"),
               "grid": _Key(dict, required=True), "state": _SETUP["state"],
-              "iterations": _Key(int, 0), "include_timings": _Key(bool, default=False)},
+              "iterations": _Key(int, 0)},
 }
 _TOLERANCES = {name: _Key(float, _POSITIVE, default=value)
                for name, value in asdict(Tolerances()).items()}
 _GRID = {
-    "n_qubits": _Key(int, 1, qstate.MAX_QUBITS, default=(), min_len=0),
-    "data_dim": _Key(int, 1, default=(1,), min_len=0),
-    "t": _Key(int, 0, default=(), min_len=0),
-    "P": _Key(int, 1, pow2=True, default=(), min_len=0),
-    "seeds": _Key(int, 0, default=(0,), min_len=0),
+    "n_qubits": _Key(int, 1, qstate.MAX_QUBITS, default=(), many=True),
+    "data_dim": _Key(int, 1, default=(1,), many=True),
+    "t": _Key(int, 0, default=(), many=True),
+    "P": _Key(int, 1, pow2=True, default=(), many=True),
+    "seeds": _Key(int, 0, default=(0,), many=True),
 }
-# The battery's settings other than integers >= 0.  The estimator-bound grid
-# needs N >= 4 for a marked count t <= N/4 to exist.
-_BATTERY_BOUNDS = {
-    "majority_repetitions": _Key(int, 1),
-    "n_qubits_list": _Key(int, 1, qstate.MAX_QUBITS, min_len=1),
-    "data_dims": _Key(int, 1, min_len=1),
-    "sweep_n_qubits": _Key(int, 2, qstate.MAX_QUBITS, min_len=1),
-    "sweep_p_sizes": _Key(int, 4, pow2=True, min_len=1),
-}
-_VERIFY = {f.name: _BATTERY_BOUNDS.get(f.name, _Key(int, 0))._replace(default=f.default)
-           for f in fields(VerifyConfig) if f.name != "tolerances"}
 # The state tables, one per type.  A sweep reads no file: a file fixes the
 # table's shape, which the grid varies; and grid.seeds seeds a random state.
 _RANDOM = {
@@ -173,8 +162,8 @@ _RANDOM = {
     "seed": _Key(int, 0, required=True),
     "var_g": _Key(float, 0, qstate.TARGET_MAX, default=0.0),
     "var_b": _Key(float, 0, qstate.TARGET_MAX, default=0.0),
-    "g_avg": _Key(complex, min_len=0),
-    "b_avg": _Key(complex, min_len=0),
+    "g_avg": _Key(complex, many=True),
+    "b_avg": _Key(complex, many=True),
 }
 _STATE = {
     "flat": {"type": _Key(str, required=True)},
@@ -185,11 +174,11 @@ _SWEEP_STATE = {"flat": _STATE["flat"],
                 "random": {k: v for k, v in _RANDOM.items() if k != "seed"}}
 # The marked-set tables, one per form: the form with "indices" when it is given.
 _GOOD = {
-    "indices": {"indices": _Key(int, 0, required=True, min_len=0)},
+    "indices": {"indices": _Key(int, 0, required=True, many=True)},
     "t": {"t": _Key(int, 0, required=True), "seed": _Key(int, 0, required=True)},
 }
 _NOUNS = {int: "an integer", float: "a finite number", complex: "a number or [re, im] pair",
-          str: "a string", bool: "true or false", dict: "an object"}
+          str: "a string", dict: "an object"}
 
 
 def _describe(key: _Key) -> str:
@@ -205,13 +194,13 @@ def _describe(key: _Key) -> str:
 
 
 def _value(raw: Any, key: _Key, path: str) -> Any:
-    """``raw`` once it has ``key``'s type (a bool only where a bool is asked for)
-    and lies in its bounds and choices."""
+    """``raw`` once it has ``key``'s type (never a bool) and lies in its bounds
+    and choices."""
     if key.type is complex and isinstance(raw, list) and len(raw) == 2:
         return complex(*(_value(part, _Key(float), path) for part in raw))
     numeric = key.type in (float, complex)
     kinds = (int, float) if numeric else key.type
-    if isinstance(raw, bool) != (key.type is bool) or not isinstance(raw, kinds):
+    if isinstance(raw, bool) or not isinstance(raw, kinds):
         raise ScenarioError(f"field '{path}' must be {_describe(key)}, got {raw!r}")
     value = raw
     if numeric:
@@ -243,13 +232,12 @@ def _read(block: dict, keys: dict, where: str) -> dict:
             if key.required:
                 raise ScenarioError(f"field '{path}' is required")
             out[name] = key.default
-        elif key.min_len is None:
+        elif not key.many:
             out[name] = _value(block[name], key, path)
         else:
             values = block[name]
-            if not isinstance(values, list) or len(values) < key.min_len:
-                shape = "a non-empty list" if key.min_len else "a list"
-                raise ScenarioError(f"field '{path}' must be {shape}, got {values!r}")
+            if not isinstance(values, list):
+                raise ScenarioError(f"field '{path}' must be a list, got {values!r}")
             out[name] = tuple(_value(v, key, path) for v in values)
     return out
 
@@ -311,12 +299,10 @@ def parse_scenario(obj: dict) -> Scenario:
         kind=kind,
         p_size=top.get("P"),
         grid=_read(top["grid"], _GRID, "grid.") if kind == "sweep" else None,
-        verify=_read(top["verify"], _VERIFY, "verify.") if kind == "verify" else None,
         tolerances=Tolerances(**_read(top["tolerances"], _TOLERANCES, "tolerances.")),
         echo=obj,
         **{name: top.get(name) for name in ("n_qubits", "data_dim", "state", "good", "seed",
-                                            "iterations", "repetitions", "output_format",
-                                            "include_timings")},
+                                            "iterations", "repetitions", "output_format")},
     )
 
 
@@ -517,16 +503,12 @@ def run_count(s: Scenario) -> Report:
 
 
 def run_verify(s: Scenario) -> Report:
-    cfg = VerifyConfig(tolerances=s.tolerances, **s.verify)
+    cfg = VerifyConfig(tolerances=s.tolerances)
     if s.seed is not None:  # verdicts must not depend on the corpus seed; --seed exercises that
         cfg = replace(cfg, base_seed=s.seed)
-    # criterion 10 draws this many samples per cell
-    with _over_cap(f"field 'verify.majority_repetitions' = {cfg.majority_repetitions}"):
+    # criterion 10's samples per cell, and the corpus with its readings
+    with _over_cap("field 'kind' = 'verify' (a battery of fixed sizes)"):
         counting.check_sample_memory(cfg.majority_repetitions)
-    with _over_cap("the corpus of fields 'verify.corpus_count', 'verify.n_qubits_list' and "
-                   "'verify.data_dims'"):
-        check_corpus_memory(replace(cfg, max_steps=0))
-    with _over_cap(f"field 'verify.max_steps' = {cfg.max_steps}"):
         check_corpus_memory(cfg)
     results = run_checks(cfg)
     payload = {
@@ -568,7 +550,6 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         "n_qubits": nq, "data_dim": d, "t": t, "p_size": p_size, "seed": seed,
         "status": "ok", "error": None,
     }
-    started = time.perf_counter()
     try:
         n_states = 1 << nq
         qstate.check_memory(n_states * d)
@@ -610,8 +591,6 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         row["status"] = "skipped"
         row["error"] = str(exc)
         row["passed"] = None
-    if s.include_timings:
-        row["runtime_s"] = time.perf_counter() - started
     return row
 
 
@@ -628,10 +607,9 @@ def run_sweep(s: Scenario) -> Report:
     ]
     rows = [_sweep_cell(s, *c) for c in cells]
     rows.sort(key=lambda r: (r["n_qubits"], r["data_dim"], r["t"], r["p_size"] or 0, r["seed"]))
-    columns = list(SWEEP_COLUMNS) + (["runtime_s"] if s.include_timings else [])
     skipped = sum(1 for r in rows if r["status"] == "skipped")
     payload = {
-        "columns": columns,
+        "columns": list(SWEEP_COLUMNS),
         "rows": rows,
         "cells": len(rows),
         "skipped": skipped,

@@ -58,7 +58,7 @@ def test_benchmark_tracer_rebinds_and_restores_the_package():
     assert _namespaces() == before
 
 
-@pytest.mark.parametrize("name", ["count", "find-wide"])
+@pytest.mark.parametrize("name", ["count", "find-wide", "verify"])
 def test_benchmark_workload_passes_the_benchmarks_check(name, monkeypatch, tmp_path):
     """Seed 1 of a benchmark workload, run through ``cli.main`` in process, passes
     ``perfbench/workloads.py``'s own check: its referee simulation and report

@@ -38,7 +38,6 @@ BLOCKS = [
     )),
     ("tolerances", "", harness._TOLERANCES, shipped("find_flat")),
     ("grid", "", harness._GRID, shipped("sweep_small")),
-    ("verify", "", harness._VERIFY, shipped("verify_default")),
     ("state", "flat", harness._STATE["flat"], shipped("find_flat")),
     ("state", "random", harness._STATE["random"], shipped("find_random")),
     ("state", "file", harness._STATE["file"],
@@ -54,7 +53,7 @@ BLOCKS = [
 
 def invalid_classes(key):
     """(class, strategy of values in it) for each invalid class ``key`` admits."""
-    many = key.min_len is not None
+    many = key.many
 
     def entries(values):
         return values.map(lambda v: [v]) if many else values
@@ -67,12 +66,8 @@ def invalid_classes(key):
         out.append(("a string", entries(st.text(max_size=5))))
     if key.type is int:
         out.append(("a bool", entries(st.booleans())))
-    if key.type is bool:
-        out.append(("a number", st.integers()))
     if many:
         out.append(("a dict", st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)))
-    if key.min_len:
-        out.append(("too short", st.just([])))
     if key.lo is not None:
         out.append(("below", entries(
             st.integers(key.lo - 1000, key.lo - 1) if key.type is int

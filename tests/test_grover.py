@@ -144,7 +144,8 @@ class TestStepSignsAndBuffer:
         gmask[..., :2] = True  # rows of zeros among the marked rows
         src = table.copy()
         out = src if in_place else np.empty_like(src)
-        result = grover._step_rows(src, gmask, out, np.empty_like(src))[0]
+        result = grover._step_rows(src, gmask, out, np.empty_like(src))
+        assert result is out
         assert np.array_equal(_bits(result), _bits(_reference_step(table, gmask)))
         assert (result.view(np.float64) == 0).any()  # whose sign the bits compare
 

@@ -369,11 +369,7 @@ class TestCli:
         assert self.run(["find", "--config", cfg]) == 1
 
     def test_verify_verdicts_stable_across_seeds(self, tmp_path):
-        cfg = write_json(tmp_path / "c.json",
-                         {"kind": "verify",
-                          "verify": {"corpus_count": 6, "max_steps": 8,
-                                      "sweep_n_qubits": [4], "sweep_p_sizes": [16],
-                                      "sigma_samples": 20, "averages_cases": 4}})
+        cfg = write_json(tmp_path / "c.json", {"kind": "verify"})
         verdicts = []
         for seed in (1, 2, 3):
             out = tmp_path / f"r{seed}.json"
@@ -391,10 +387,7 @@ class TestCli:
     def test_verify_tightened_tolerance_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "c.json",
                          {"kind": "verify",
-                          "tolerances": {"amplitude": 1e-15, "probability": 1e-15},
-                          "verify": {"corpus_count": 6, "max_steps": 8,
-                                      "sweep_n_qubits": [4], "sweep_p_sizes": [16],
-                                      "sigma_samples": 20, "averages_cases": 4}})
+                          "tolerances": {"amplitude": 1e-15, "probability": 1e-15}})
         out = tmp_path / "r.json"
         assert self.run(["verify", "--config", cfg, "--out", str(out)]) == 2
         obj = json.loads(out.read_text())

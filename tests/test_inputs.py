@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entgrover import cli, harness, new_flat
+from entgrover.checks import VerifyConfig, check_corpus_memory
 from entgrover.harness import ScenarioError, parse_scenario
+from entgrover.qstate import MemoryLimitError
 
 
 def write_json(path, obj):
@@ -101,12 +104,19 @@ class TestRegressions:
         code, err = run_cli(["count", "--config", cfg])
         assert code == 1 and "'repetitions' = 10000" in err
 
-    def test_majority_repetitions_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
-        cfg = write_json(tmp_path / "c.json",
-                         {"kind": "verify", "verify": {"majority_repetitions": 10_000}})
+    def test_verify_over_memory_cap_exit_1_names_kind(self, tmp_path, monkeypatch):
+        # the default battery: its 100 tables (83,008 bytes), the audit of its
+        # largest stack, 8 tables of 64 x 4 (4 x 32,768 + 9 x 512 bytes), and
+        # 51 readings of 160 bytes a state, max_steps 50 outlasting criterion
+        # 4's two periods at every N of the corpus
+        charge = 83_008 + 4 * 32_768 + 9 * 512 + 100 * 51 * 160
+        monkeypatch.setattr(harness, "run_checks", lambda cfg: [])
+        cfg = write_json(tmp_path / "c.json", {"kind": "verify"})
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
         code, err = run_cli(["verify", "--config", cfg])
-        assert code == 1 and "'verify.majority_repetitions' = 10000" in err
+        assert code == 1 and "'kind' = 'verify'" in err and f"needs {charge} bytes" in err
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
+        assert run_cli(["verify", "--config", cfg])[0] == 0
 
     @pytest.mark.parametrize(
         "scenario, field",
@@ -118,22 +128,20 @@ class TestRegressions:
             (dict(FIND, n_qubits=3, good={"t": 3, "seed": 1},
                   state={"type": "random", "seed": 1, "var_G": 0.1}), "state.var_G"),
             ({"kind": "verify", "n_qubits": 3}, "n_qubits"),
+            # the battery's sizes are fixed: this one audited no corpus state and passed
+            ({"kind": "verify", "verify": {"corpus_count": 0, "max_steps": 0, "sigma_samples": 0,
+                                           "averages_cases": 0, "sweep_n_qubits": [2],
+                                           "sweep_p_sizes": [4]}}, "verify"),
+            ({"kind": "verify", "verify": {}}, "verify"),
+            ({"kind": "sweep", "grid": {"n_qubits": [3], "t": [1]}, "include_timings": False},
+             "include_timings"),
         ],
     )
     def test_key_the_run_does_not_read_exit_1_names_it(self, tmp_path, scenario, field):
         # each of these ran, and exited 0, with the key's default in its place
+        # (or, for the last three, with the key's value in force)
         cfg = write_json(tmp_path / "c.json", scenario)
         code, err = run_cli([scenario["kind"], "--config", cfg])
-        assert code == 1 and f"'{field}'" in err
-
-    @pytest.mark.parametrize(
-        "verify, field",
-        [({"data_dims": [1_000_000_000], "corpus_count": 1}, "verify.data_dims"),
-         ({"n_qubits_list": [40], "corpus_count": 1}, "verify.n_qubits_list")],
-    )
-    def test_corpus_over_memory_cap_exit_1_names_field(self, tmp_path, verify, field):
-        cfg = write_json(tmp_path / "c.json", {"kind": "verify", "verify": verify})
-        code, err = run_cli(["verify", "--config", cfg])
         assert code == 1 and f"'{field}'" in err
 
     @pytest.mark.parametrize(
@@ -182,31 +190,41 @@ class TestRegressions:
         assert code == 1 and f"'iterations' = {iterations}" in err
 
     @pytest.mark.parametrize(
-        "verify, cap",
-        [({"corpus_count": 4, "max_steps": 10_000}, 1 << 20), ({"max_steps": 10**6}, None)],
+        "cfg",
+        [VerifyConfig(corpus_count=1, data_dims=(10**9,)),
+         VerifyConfig(corpus_count=1, n_qubits_list=(40,))],
+        ids=["data_dims", "n_qubits_list"],
     )
-    def test_max_steps_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch, verify, cap):
-        # the corpus's readings are charged a state and step
+    def test_corpus_tables_are_charged(self, cfg):
+        with pytest.raises(MemoryLimitError, match="corpus"):
+            check_corpus_memory(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg, cap",
+        [(VerifyConfig(corpus_count=4, max_steps=10_000), 1 << 20),
+         (VerifyConfig(max_steps=10**6), None)],
+        ids=["capped", "default-cap"],
+    )
+    def test_max_steps_readings_are_charged(self, monkeypatch, cfg, cap):
+        # the corpus's readings are charged a state and step: the same corpus
+        # read to its law horizons fits
         if cap is not None:
             monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(cap))
-        monkeypatch.setattr(harness, "run_checks", _must_not_run)
-        cfg = write_json(tmp_path / "c.json", {"kind": "verify", "verify": verify})
-        code, err = run_cli(["verify", "--config", cfg])
-        assert code == 1 and f"'verify.max_steps' = {verify['max_steps']}" in err
+        with pytest.raises(MemoryLimitError, match=f"{cfg.max_steps} steps"):
+            check_corpus_memory(cfg)
+        check_corpus_memory(replace(cfg, max_steps=0))
 
-    def test_corpus_law_horizon_is_charged(self, tmp_path, monkeypatch):
+    def test_corpus_law_horizon_is_charged(self, monkeypatch):
         # one state at N = 2^16, D = 1 and max_steps 0: its table, the audit's four
         # tables, row index and mask, and the readings of criterion 4's two periods
         # at t = 1, ceil(pi/theta) + 1 = 806 steps: 807 readings of 160 bytes
         charge = 16 * 65536 + 4 * 16 * 65536 + 9 * 65536 + 807 * 160
-        monkeypatch.setattr(harness, "run_checks", lambda cfg: [])
-        verify = {"corpus_count": 1, "n_qubits_list": [16], "data_dims": [1], "max_steps": 0}
-        cfg = write_json(tmp_path / "c.json", {"kind": "verify", "verify": verify})
+        cfg = VerifyConfig(corpus_count=1, n_qubits_list=(16,), data_dims=(1,), max_steps=0)
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
-        code, err = run_cli(["verify", "--config", cfg])
-        assert code == 1 and "'verify.corpus_count'" in err
+        with pytest.raises(MemoryLimitError, match=f"needs {charge} bytes"):
+            check_corpus_memory(cfg)
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
-        assert run_cli(["verify", "--config", cfg])[0] == 0
+        check_corpus_memory(cfg)
 
     @pytest.mark.parametrize(
         "rows",
@@ -315,27 +333,12 @@ def scenarios(paths):
             "seeds": st.lists(ints(0, 3), max_size=2),
         },
     )
-    verify = st.fixed_dictionaries(
-        {
-            "corpus_count": ints(0, 3),
-            "max_steps": ints(0, 4),
-            "n_qubits_list": st.lists(ints(1, 3), min_size=1, max_size=2),
-            "data_dims": st.lists(ints(1, 2), min_size=1, max_size=2),
-            "sweep_n_qubits": st.lists(ints(2, 3), min_size=1, max_size=1),
-            "sweep_p_sizes": st.lists(st.sampled_from([4, 8]), min_size=1, max_size=1),
-            "majority_repetitions": ints(1, 5),
-            "sigma_samples": ints(0, 3),
-            "averages_cases": ints(0, 2),
-        },
-        optional={"base_seed": ints(0, 9)},
-    )
     tolerances = st.fixed_dictionaries(
         {}, optional={k: st.floats(1e-15, 1e-6) for k in ("amplitude", "probability")}
     )
     common = {
         "schema_version": st.just(1),
         "workers": ints(1, 3),
-        "include_timings": st.booleans(),
         "tolerances": tolerances,
     }
     search = {"n_qubits": ints(1, 3), "good": good}
@@ -346,7 +349,7 @@ def scenarios(paths):
             {**search, "P": st.sampled_from([2, 4, 8]), "seed": ints(0, 9)},
             {**setup, "repetitions": ints(1, 9)},
         ),
-        "verify": ({"verify": verify}, {"seed": ints(0, 9)}),
+        "verify": ({}, {"seed": ints(0, 9)}),
         "sweep": (
             {"grid": grid},
             {"state": state, "iterations": ints(0, 6), "output_format": st.just("csv")},
