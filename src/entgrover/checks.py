@@ -192,12 +192,13 @@ def _chunk_steps(table_bytes: int, n_rows: int, steps: int) -> int:
     return max(1, min(steps, k))
 
 
-def check_audit_memory(n_states: int, data_dim: int, steps: int = 0) -> None:
-    """Refuse a run whose state, trajectory audit at one step a chunk and readings of
-    ``steps`` steps exceed the cap; ``_chunk_steps`` takes longer chunks where it leaves room."""
-    needed = _audit_bytes(16 * n_states * data_dim, n_states, 1) + steps * _STEP_BYTES
+def check_audit_memory(n_states: int, data_dim: int, readings: int = 0) -> None:
+    """Refuse a run whose state, trajectory audit at one step a chunk and ``readings``
+    readings (one a step, steps 0 .. horizon) exceed the cap; ``_chunk_steps`` takes
+    longer chunks where it leaves room."""
+    needed = _audit_bytes(16 * n_states * data_dim, n_states, 1) + readings * _STEP_BYTES
     qstate.check_bytes(needed, f"trajectory audit working set ({n_states} x {data_dim}, "
-                               f"{steps} steps)")
+                               f"{readings} readings)")
 
 
 def check_corpus_memory(cfg: VerifyConfig) -> None:

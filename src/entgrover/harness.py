@@ -11,13 +11,16 @@ one trajectory audit, and make the same checks on it, through one shared
 step.  The scenario key ``workers`` is accepted and checked but selects
 nothing: every run is sequential.
 
-The scenario format has one source, the tables of ``_Key`` records below:
-the top-level keys of each kind (``KEYS``), ``tolerances``, ``grid``,
-one per ``state`` type and one per ``good`` form.  One reader,
-``_read``, takes every block through its table; each message names the bad
-key as ``field '<dotted path>'``.  A sweep reads a ``flat`` or ``random``
-state, never a ``file``, whose shape is fixed where the grid varies it.
-Rules that tie one field to another stay as code after the tables.
+The scenario format and the state file's format have one source, the tables
+of ``_Key`` records below: the top-level keys of each kind (``KEYS``),
+``tolerances``, ``grid``, one per ``state`` type, one per ``good`` form and
+the state file's (``_STATE_FILE``).  One reader, ``_read``, takes every block
+through its table and every value through ``_value``, which refuses NaN and
+infinities; each message names the bad key as ``field '<dotted path>'``, an
+entry of a state file as ``field 'state.path:<entry>'``.  A sweep reads a
+``flat`` or ``random`` state, never a ``file``, whose shape is fixed where
+the grid varies it.  Rules that tie one field to another stay as code after
+the tables.
 ``verify`` runs the battery at ``VerifyConfig``'s fixed sizes: its scenario
 chooses only the corpus ``seed`` and the ``tolerances``.
 """
@@ -103,7 +106,7 @@ def _csv_cell(value: Any) -> str:
 
 class _Key(NamedTuple):
     """One key of the scenario format: its JSON ``type`` (int; float, a finite number;
-    complex, a number or an [re, im] pair; str or dict), inclusive bounds ``lo`` and
+    complex, a number or an [re, im] pair; str, dict or list), inclusive bounds ``lo`` and
     ``hi``, whether it must be a power of two, the ``choices`` allowed, and its
     ``default`` when absent unless it is ``required``.  With ``many`` set, the key
     holds a list of such values, read as a tuple."""
@@ -177,8 +180,16 @@ _GOOD = {
     "indices": {"indices": _Key(int, 0, required=True, many=True)},
     "t": {"t": _Key(int, 0, required=True), "seed": _Key(int, 0, required=True)},
 }
+# A state file, as ``EntangledState.to_json_obj`` writes it: its dimensions are
+# the scenario's, and its N rows each hold data_dim entries (``_ENTRY``).
+_STATE_FILE = {
+    "n_qubits": _SETUP["n_qubits"],
+    "data_dim": _Key(int, 1, required=True),
+    "rows": _Key(list, required=True),
+}
+_ENTRY = _Key(complex)
 _NOUNS = {int: "an integer", float: "a finite number", complex: "a number or [re, im] pair",
-          str: "a string", dict: "an object"}
+          str: "a string", dict: "an object", list: "a list"}
 
 
 def _describe(key: _Key) -> str:
@@ -197,6 +208,9 @@ def _value(raw: Any, key: _Key, path: str) -> Any:
     """``raw`` once it has ``key``'s type (never a bool) and lies in its bounds
     and choices."""
     if key.type is complex and isinstance(raw, list) and len(raw) == 2:
+        re, im = raw
+        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+            return complex(re, im)  # a state file's entries, without the checks below
         return complex(*(_value(part, _Key(float), path) for part in raw))
     numeric = key.type in (float, complex)
     kinds = (int, float) if numeric else key.type
@@ -259,33 +273,13 @@ def read_option(kind: str, name: str, value: int) -> int:
     return _value(value, KEYS[kind][name], name)
 
 
-def _non_finite_path(value: Any, path: str) -> str | None:
-    """Path of the first NaN or infinity in a parsed JSON value, or None."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return path
-    if isinstance(value, dict):
-        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    for sub_path, sub in items:
-        found = _non_finite_path(sub, sub_path)
-        if found is not None:
-            return found
-    return None
-
-
 def parse_scenario(obj: dict) -> Scenario:
-    """Read a scenario by the format's tables.  Rules that tie one field to
-    another (state dimensions, marked indices, variances, memory) are checked
-    when the run builds its state."""
+    """Read a scenario by the format's tables.  Every value it holds passes
+    through ``_value``, so the report that echoes it holds no NaN or infinity.
+    Rules that tie one field to another (state dimensions, marked indices,
+    variances, memory) are checked when the run builds its state."""
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
-    # The scenario is echoed into every report, which must stay valid JSON.
-    bad = _non_finite_path(obj, "")
-    if bad is not None:
-        raise ScenarioError(f"field '{bad}' must be a finite number")
     kind = _value(obj.get("kind"), _COMMON["kind"], "kind")
     top = _read(obj, KEYS[kind], "")
     if kind == "sweep" and "seed" in top["state"]:
@@ -314,10 +308,44 @@ def _load_json(path: str, what: str) -> Any:
         raise ScenarioError(f"{what}: cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{what}: {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{what}: {path!r} is not UTF-8 text: byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{what}: {path!r} nests its values too deeply to read") from exc
 
 
 def load_scenario(path: str) -> Scenario:
-    return parse_scenario(_load_json(path, "config"))
+    return parse_scenario(_load_json(path, "field 'config'"))
+
+
+def _read_state_file(path: str, n_qubits: int, data_dim: int) -> qstate.EntangledState:
+    """The state in the file at ``path``, read by ``_STATE_FILE``: its dimensions
+    must be the scenario's, each entry a finite number or [re, im] pair, and the
+    table must pass the state's norm gate."""
+    obj = _load_json(path, "field 'state.path'")
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"field 'state.path' must hold a JSON object, got {type(obj).__name__}")
+    where = "state.path:"
+    spec = _read(obj, _STATE_FILE, where)
+    for name, want in (("n_qubits", n_qubits), ("data_dim", data_dim)):
+        if spec[name] != want:
+            raise ScenarioError(f"field '{where}{name}' = {spec[name]} does not match the "
+                                f"scenario's {name} = {want}")
+    rows = spec["rows"]
+    if len(rows) != 1 << n_qubits:
+        raise ScenarioError(f"field '{where}rows' must hold N = {1 << n_qubits} rows, "
+                            f"got {len(rows)}")
+    table = []
+    for a, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != data_dim:
+            raise ScenarioError(f"field '{where}rows[{a}]' must be a list of data_dim = "
+                                f"{data_dim} entries")
+        table.append([_value(z, _ENTRY, f"{where}rows[{a}][{d}]") for d, z in enumerate(row)])
+    try:  # entries whose squares overflow fail the gate, named below
+        with np.errstate(over="ignore"):
+            return qstate.EntangledState(n_qubits, data_dim, np.array(table, dtype=np.complex128))
+    except ValueError as exc:
+        raise ScenarioError(f"field '{where}rows': {exc}") from exc
 
 
 def _vector(values: tuple | None, dim: int, path: str) -> np.ndarray:
@@ -337,7 +365,7 @@ def build_state(
 ) -> qstate.EntangledState:
     spec = _read_state(spec)
     if spec["type"] == "file":
-        return qstate.EntangledState.from_json_obj(_load_json(spec["path"], "field 'state.path'"))
+        return _read_state_file(spec["path"], n_qubits, data_dim)
     if spec["type"] == "flat":
         return qstate.new_flat(n_qubits, data_dim)
     for name, rows in (("var_g", good.t), ("var_b", (1 << n_qubits) - good.t)):
@@ -376,27 +404,25 @@ def _over_cap(what: str):
 
 def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
     """The scenario's marked set and state, once its table (and for ``find`` the
-    table together with its trajectory audit and its readings, of ``iterations``
-    steps or of the default horizon once the marked set is known) is known to
-    fit the memory cap."""
+    table together with its trajectory audit and its readings of steps 0 ..
+    ``iterations``, or 0 .. the default horizon once the marked set is known)
+    is known to fit the memory cap."""
     n_states = 1 << s.n_qubits
     with _over_cap(f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim})"):
         qstate.check_memory(n_states * s.data_dim)
         if s.kind == "find":
             check_audit_memory(n_states, s.data_dim)
-    if s.kind == "find" and s.iterations:
-        with _over_cap(f"field 'iterations' = {s.iterations}"):
-            check_audit_memory(n_states, s.data_dim, s.iterations)
     good = build_good(s.good, n_states)
-    if s.kind == "find" and s.iterations is None:
-        with _over_cap(f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim} and "
-                       f"the default horizon at t = {good.t})"):
-            check_audit_memory(n_states, s.data_dim, default_horizon(good.t, n_states) + 1)
-    state = build_state(s.state, s.n_qubits, s.data_dim, good)
-    if state.n_qubits != s.n_qubits or state.data_dim != s.data_dim:
-        raise ScenarioError(f"state: dimensions {state.n_qubits} qubits x {state.data_dim} do "
-                            f"not match scenario n_qubits={s.n_qubits}, data_dim={s.data_dim}")
-    return good, state
+    if s.kind == "find":  # the readings of steps 0 .. horizon
+        if s.iterations is None:
+            horizon = default_horizon(good.t, n_states)
+            blame = (f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim} and "
+                     f"the default horizon at t = {good.t})")
+        else:
+            horizon, blame = s.iterations, f"field 'iterations' = {s.iterations}"
+        with _over_cap(blame):
+            check_audit_memory(n_states, s.data_dim, horizon + 1)
+    return good, build_state(s.state, s.n_qubits, s.data_dim, good)
 
 
 def _read_law(
@@ -559,8 +585,8 @@ def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: 
         if circuit:
             counting.check_circuit_memory(n_states, d, p_size)
         if interior:
-            steps = default_horizon(t, n_states) + 1 if s.iterations is None else s.iterations
-            check_audit_memory(n_states, d, steps)
+            horizon = default_horizon(t, n_states) if s.iterations is None else s.iterations
+            check_audit_memory(n_states, d, horizon + 1)
         good = qstate.random_good_set(n_states, t, seed + 1)
         template = dict(s.state)
         if template.get("type") == "random":

@@ -13,11 +13,12 @@ not be unit vectors, orthogonal, or distinct: the mapping from search
 index to data vector is arbitrary.
 
 States are immutable; every operation returns a fresh value.  A table is
-validated once, where it enters the package: the public constructor,
-``from_amplitudes``, ``from_json_obj``, ``new_flat`` and
-``random_with_moments``.  The simulator's own unitary steps wrap their
-output through ``EntangledState._trusted``, which neither copies nor
-re-checks it.
+validated once, where it enters the package: the public constructor
+(through which ``harness`` reads a state file), ``from_amplitudes``,
+``new_flat`` and ``random_with_moments``.  The simulator's own unitary
+steps wrap their output through ``EntangledState._trusted``, which neither
+copies nor re-checks it.  ``EntangledState.to_json_obj`` writes the state
+file's format.
 """
 from __future__ import annotations
 
@@ -140,41 +141,6 @@ class EntangledState:
         """Schema: {"n_qubits": int, "data_dim": int, "rows": [[[re, im], ...], ...]}."""
         rows = [[[z.real, z.imag] for z in row] for row in self.coeffs]
         return {"n_qubits": self.n_qubits, "data_dim": self.data_dim, "rows": rows}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "EntangledState":
-        try:
-            n_qubits = obj["n_qubits"]
-            data_dim = obj["data_dim"]
-            rows = obj["rows"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"state object missing required field: {exc}") from exc
-        for name, value in (("n_qubits", n_qubits), ("data_dim", data_dim)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"state field '{name}' must be an integer, got {value!r}")
-        if not (
-            isinstance(rows, list)
-            and all(isinstance(row, list) and len(row) == data_dim for row in rows)
-            and all(_is_pair(z) for row in rows for z in row)
-        ):
-            raise ValueError(
-                f"state field 'rows' must be a list of rows, each of data_dim={data_dim} "
-                "[re, im] number pairs"
-            )
-        try:
-            table = [[complex(re, im) for re, im in row] for row in rows]
-        except OverflowError as exc:
-            raise ValueError("state field 'rows' holds a number too large for a double") from exc
-        coeffs = np.array(table, dtype=np.complex128).reshape(len(rows), data_dim)
-        return cls(n_qubits=n_qubits, data_dim=data_dim, coeffs=coeffs)
-
-
-def _is_pair(z) -> bool:
-    return (
-        isinstance(z, list)
-        and len(z) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
-    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""The shipped configs run through the CLI, the demo scripts run to completion,
-the benchmark's tracer still finds every name it rebinds, and the benchmark's
-workloads pass its own correctness checks.
+"""The shipped configs run through the CLI, in process and as a process, the
+demo scripts run to completion, the benchmark's tracer still finds every name
+it rebinds, and the benchmark's workloads pass its own correctness checks.
 
 ``verify_default.json`` is left out: acceptance criterion 11 already runs
 the full battery through the CLI three times.
@@ -8,7 +8,9 @@ the full battery through the CLI three times.
 import importlib
 import importlib.util
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,6 +27,26 @@ def test_shipped_config_exits_0(name, tmp_path):
     config = SCRIPTS / "configs" / f"{name}.json"
     command = json.loads(config.read_text())["kind"]
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "report")]) == 0
+
+
+@pytest.mark.parametrize("deep, code", [(False, 0), (True, 1)], ids=["shipped", "deep"])
+def test_cli_process_exits_without_a_traceback(deep, code, tmp_path):
+    """``python -m entgrover.cli`` on a shipped config, and on a config nested
+    10^4 levels deep, which ended in a RecursionError traceback.  An uncaught
+    exception exits 1 too, so only stderr tells the two apart."""
+    config = SCRIPTS / "configs" / "find_flat.json"
+    if deep:
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 10**4 + "]" * 10**4)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run(
+        [sys.executable, "-m", "entgrover.cli", "find", "--config", str(config),
+         "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == code and "Traceback" not in run.stderr, run.stderr
+    assert deep == ("field 'config'" in run.stderr)
 
 
 @pytest.mark.parametrize("script", ["demo_find.py", "demo_count.py"])

@@ -1,11 +1,12 @@
 """The scenario format's tables against the parser and the README.
 
 Every key that ``harness``'s tables declare is mutated, in a shipped config
-that reads its block, into each invalid class the key admits: a wrong type,
+that reads its block (or, for the state file's table, in the state file a
+shipped config reads), into each invalid class the key admits: a wrong type,
 a value out of range or not among its choices, a number that is not a power
 of two, a non-finite number, and a misspelled sibling key.  Each mutation
-must exit 1 with the key's dotted path quoted in the message.  A key is
-covered as soon as it is declared.
+must exit 1 with the key's dotted path quoted in the message, a state file's
+key as ``state.path:<key>``.  A key is covered as soon as it is declared.
 """
 import contextlib
 import copy
@@ -28,6 +29,11 @@ def shipped(name):
     return json.loads((ROOT / "scripts" / "configs" / f"{name}.json").read_text())
 
 
+# The block of a state file's keys, which its carrier writes into the file it reads.
+FILE = "state.path:"
+READS_FILE = dict(shipped("find_flat"), state={"type": "file", "path": "state.json"})
+
+
 # (block, form, its table, a shipped config that reads the block in that form)
 BLOCKS = [
     *(("", kind, keys, shipped(name)) for kind, keys, name in (
@@ -40,8 +46,8 @@ BLOCKS = [
     ("grid", "", harness._GRID, shipped("sweep_small")),
     ("state", "flat", harness._STATE["flat"], shipped("find_flat")),
     ("state", "random", harness._STATE["random"], shipped("find_random")),
-    ("state", "file", harness._STATE["file"],
-     dict(shipped("find_flat"), state={"type": "file", "path": "state.json"})),
+    ("state", "file", harness._STATE["file"], READS_FILE),
+    (FILE, "", harness._STATE_FILE, READS_FILE),
     ("state", "sweep flat", harness._SWEEP_STATE["flat"],
      dict(shipped("sweep_small"), state={"type": "flat"})),
     ("state", "sweep random", harness._SWEEP_STATE["random"],
@@ -87,9 +93,16 @@ def invalid_classes(key):
     return out
 
 
+def key_path(block, name):
+    if block == FILE:
+        return FILE + name
+    return f"{block}.{name}" if block else name
+
+
 CASES = [
     pytest.param(block, name, key, carrier,
-                 id=f"{block}({form}).{name}" if block else f"{form}.{name}")
+                 id=FILE + name if block == FILE
+                 else f"{block}({form}).{name}" if block else f"{form}.{name}")
     for block, form, keys, carrier in BLOCKS
     for name, key in keys.items()
 ]
@@ -104,9 +117,7 @@ def run_cli(argv):
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    root = tmp_path_factory.mktemp("format")
-    (root / "state.json").write_text(json.dumps(new_flat(2, 1).to_json_obj()))
-    return root
+    return tmp_path_factory.mktemp("format")
 
 
 @pytest.mark.parametrize("block, name, key, carrier", CASES)
@@ -114,17 +125,21 @@ def work(tmp_path_factory):
 @given(data=st.data())
 def test_every_invalid_value_exits_1_naming_its_key(work, data, block, name, key, carrier):
     for cls, values in [*invalid_classes(key), ("misspelled", None)]:
-        scenario = copy.deepcopy(carrier)
+        scenario, state = copy.deepcopy(carrier), new_flat(2, 1).to_json_obj()
         if scenario.get("state", {}).get("type") == "file":  # a state file in ``work``
             scenario["state"]["path"] = str(work / "state.json")
-        target = scenario.setdefault(block, {}) if block else scenario
+        if block == FILE:
+            target = state
+        else:
+            target = scenario.setdefault(block, {}) if block else scenario
         if values is None:  # a sibling key: the last letter's case swapped
             bad = name[:-1] + name[-1].swapcase()
             target[bad] = 1
         else:
             bad = name
             target[name] = data.draw(values)
-        path = f"{block}.{bad}" if block else bad
+        path = key_path(block, bad)
+        (work / "state.json").write_text(json.dumps(state))
         cfg = work / "c.json"
         cfg.write_text(json.dumps(scenario))
         code, err = run_cli([carrier["kind"], "--config", str(cfg), "--out", str(work / "r")])
@@ -132,8 +147,9 @@ def test_every_invalid_value_exits_1_naming_its_key(work, data, block, name, key
 
 
 def declared_paths():
-    return {f"{block}.{name}" if block else name
-            for block, _, keys, _ in BLOCKS for name in keys}
+    """The scenario's keys; the state file's format is documented on its own."""
+    return {key_path(block, name)
+            for block, _, keys, _ in BLOCKS if block != FILE for name in keys}
 
 
 def readme_paths():

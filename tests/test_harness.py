@@ -214,13 +214,13 @@ class TestSweep:
         assert "trajectory audit" in audited["error"] and "max_amp_dev" not in audited
 
     def test_cell_over_the_readings_charge_is_skipped(self, monkeypatch):
-        # 10^4 steps of readings at 1,280 bytes a step are over 1 MiB
+        # the readings of steps 0 .. 10^4 at 1,280 bytes a reading are over 1 MiB
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(1 << 20))
         s = parse_scenario({"kind": "sweep", "iterations": 10_000,
                             "grid": {"n_qubits": [2], "t": [1]}})
         (row,) = run_sweep(s).payload["rows"]
         assert (row["status"], row["passed"]) == ("skipped", None)
-        assert "10000 steps" in row["error"] and "max_amp_dev" not in row
+        assert "10001 readings" in row["error"] and "max_amp_dev" not in row
 
     def test_circuit_over_the_cap_leaves_no_readings(self, monkeypatch):
         # the 2^12-row table fits one byte under the circuit's working set at P = 1024

@@ -31,6 +31,8 @@ def run_cli(argv):
 
 
 FIND = {"kind": "find", "n_qubits": 2, "good": {"indices": [0]}}
+FLAT_FILE = new_flat(2, 1).to_json_obj()
+FLAT_ROWS = FLAT_FILE["rows"]
 
 
 def _must_not_run(*args, **kwargs):
@@ -189,6 +191,23 @@ class TestRegressions:
         code, err = run_cli(["find", "--config", cfg])
         assert code == 1 and f"'iterations' = {iterations}" in err
 
+    @pytest.mark.parametrize("iterations", [0, 10])
+    def test_iterations_readings_are_charged_at_the_boundary(
+        self, tmp_path, monkeypatch, iterations
+    ):
+        # N = 2^8, D = 4, t = 3: the table, the audit's three tables, row index
+        # and mask (67,840 bytes) and the readings of steps 0 .. iterations, at
+        # 1,280 bytes each; iterations 0 was charged no reading, and 10 ten
+        charge = 4 * 16 * 256 * 4 + 9 * 256 + (iterations + 1) * 1280
+        cfg = write_json(tmp_path / "c.json", dict(FIND, n_qubits=8, data_dim=4,
+                                                   good={"t": 3, "seed": 1},
+                                                   iterations=iterations))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and f"'iterations' = {iterations}" in err
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
+        assert run_cli(["find", "--config", cfg])[0] == 0
+
     @pytest.mark.parametrize(
         "cfg",
         [VerifyConfig(corpus_count=1, data_dims=(10**9,)),
@@ -241,6 +260,47 @@ class TestRegressions:
         code, err = run_cli(["find", "--config", cfg])
         assert code == 1 and "rows" in err
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"note": 1}, "state.path:note"),
+            ({"rows": [[[float("nan"), 0.0]], *FLAT_ROWS[1:]]}, "state.path:rows[0][0]"),
+            ({"rows": [*FLAT_ROWS[:3], [[1.0, float("inf")]]]}, "state.path:rows[3][0]"),
+            ({"rows": [*FLAT_ROWS[:3], [[-float("inf"), 0.0]]]}, "state.path:rows[3][0]"),
+            # finite entries whose squares overflow the norm gate's sum
+            ({"rows": [[[1e308, 1e308]], *FLAT_ROWS[1:]]}, "state.path:rows"),
+            ({"rows": [[[2.0, 0.0]], *FLAT_ROWS[1:]]}, "state.path:rows"),
+            ({"rows": FLAT_ROWS[:3]}, "state.path:rows"),
+            ({"rows": [[[1.0, 0.0], [0.0, 0.0]], *FLAT_ROWS[1:]]}, "state.path:rows[0]"),
+            ({"n_qubits": 3}, "state.path:n_qubits"),
+            ({"data_dim": 2}, "state.path:data_dim"),
+            ({"rows": None}, "state.path:rows"),
+            ([1, 2], "state.path"),  # a whole file that is not an object
+        ],
+        ids=["extra-key", "nan", "inf", "-inf", "overflow", "norm", "row-count", "row-length",
+             "n_qubits", "data_dim", "no-rows", "not-object"],
+    )
+    def test_bad_state_file_exit_1_names_the_entry(self, tmp_path, change, field):
+        # each of these exited 0, or 1 with a message naming no field
+        obj = {**FLAT_FILE, **change} if isinstance(change, dict) else change
+        state = write_json(tmp_path / "s.json", obj)
+        cfg = write_json(tmp_path / "c.json", dict(FIND, state={"type": "file", "path": state}))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and f"field '{field}'" in err, err
+
+    @pytest.mark.parametrize("text", [b"[" * 10**4 + b"]" * 10**4, b'{"kind": "find\xff"}'],
+                             ids=["deep", "not-utf8"])
+    @pytest.mark.parametrize("where", ["config", "state.path"])
+    def test_unreadable_file_exit_1_names_its_field(self, tmp_path, text, where):
+        # these ended in a RecursionError traceback, or in a codec message that
+        # named neither file
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        cfg = str(bad) if where == "config" else write_json(
+            tmp_path / "c.json", dict(FIND, state={"type": "file", "path": str(bad)}))
+        code, err = run_cli(["find", "--config", cfg])
+        assert code == 1 and f"field '{where}'" in err and "Traceback" not in err, err
+
     @pytest.mark.parametrize("value", [-1e-9, 0.0, float("nan"), float("inf"), "1e-9", True])
     @pytest.mark.parametrize("field", ["amplitude", "probability", "unitarity"])
     def test_tolerance_must_be_finite_positive(self, tmp_path, field, value):
@@ -267,9 +327,19 @@ class TestRegressions:
         assert code == 1 and "output_format" in err
 
     def test_non_finite_value_anywhere_exit_1(self, tmp_path):
-        cfg = write_json(tmp_path / "c.json", dict(FIND, note=[1.0, float("nan")]))
-        code, err = run_cli(["find", "--config", cfg])
-        assert code == 1 and "note[1]" in err
+        # every value passes through the tables' reader: a key no table declares
+        # is refused by name, and a NaN or infinity in a declared key by its path
+        random = {"type": "random", "seed": 0, "g_avg": [[1.0, float("nan")]]}
+        for scenario, message in [
+            (dict(FIND, note=[1.0, float("nan")]), "'note' is not read"),
+            (dict(FIND, n_qubits=3, good={"t": 3, "seed": 1}, state=random),
+             "'state.g_avg' must be a finite number"),
+            (dict(FIND, tolerances={"amplitude": float("-inf")}),
+             "'tolerances.amplitude' must be a finite number"),
+        ]:
+            cfg = write_json(tmp_path / "c.json", scenario)
+            code, err = run_cli(["find", "--config", cfg])
+            assert code == 1 and message in err, err
 
     @pytest.mark.parametrize(
         "scenario, flags",
@@ -295,7 +365,17 @@ def state_files(tmp_path_factory):
     good.write_text(json.dumps(new_flat(2, 1).to_json_obj()))
     ragged = root / "ragged.json"
     ragged.write_text(json.dumps({"n_qubits": 2, "data_dim": 1, "rows": [[[1, 0]], [[1]]]}))
-    return [str(good), str(ragged), str(root / "missing.json"), str(root)]
+    bad = {
+        "not-object": [1, 2],
+        "extra-key": {**FLAT_FILE, "note": 1},
+        "nan-entry": {**FLAT_FILE, "rows": [[[float("nan"), 0.0]], *FLAT_ROWS[1:]]},
+        "row-count": {**FLAT_FILE, "rows": FLAT_ROWS[:3]},
+        "dimensions": new_flat(4, 3).to_json_obj(),  # the scenarios draw 1-3 qubits, D <= 2
+    }
+    for name, obj in bad.items():
+        (root / f"{name}.json").write_text(json.dumps(obj))
+    return [str(good), str(ragged), str(root / "missing.json"), str(root),
+            *(str(root / f"{name}.json") for name in bad)]
 
 
 ODD = st.sampled_from([None, True, -1, 0, 63, 200, 2**70, 1.5, float("nan"), float("inf"),

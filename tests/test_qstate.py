@@ -20,6 +20,7 @@ from entgrover import (
     random_with_moments,
     search_distribution,
 )
+from entgrover.harness import ScenarioError, build_state
 
 
 class TestConstruction:
@@ -234,20 +235,27 @@ class TestDistributions:
         assert search_distribution(state).sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def read_file_state(tmp_path, obj, n_qubits, data_dim):
+    """``obj`` written as a state file and read back as a scenario's file state."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    return build_state({"type": "file", "path": str(path)}, n_qubits, data_dim)
+
+
 class TestSerialization:
-    def test_round_trip_bit_exact(self):
+    def test_round_trip_bit_exact(self, tmp_path):
+        # the writer's format through the scenario's reader
         state = random_state(3, 3, seed=11)
         obj = state.to_json_obj()
-        text = json.dumps(obj)
-        back = EntangledState.from_json_obj(json.loads(text))
+        back = read_file_state(tmp_path, obj, 3, 3)
         assert np.array_equal(state.coeffs, back.coeffs)
-        assert json.dumps(back.to_json_obj()) == text
+        assert json.dumps(back.to_json_obj()) == json.dumps(obj)
 
     def test_schema_fields(self):
         obj = new_flat(1, 1).to_json_obj()
         assert set(obj) == {"n_qubits", "data_dim", "rows"}
         assert obj["rows"] == [[[1.0, 0.0]], [[1.0, 0.0]]]
 
-    def test_missing_field_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            EntangledState.from_json_obj({"n_qubits": 1, "rows": []})
+    def test_missing_field_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="'state.path:data_dim' is required"):
+            read_file_state(tmp_path, {"n_qubits": 1, "rows": []}, 1, 1)
