@@ -9,8 +9,8 @@ and the acceptance test suite, so a criterion is stated exactly once.
 the marked-sector mass, the amplitude deviation from the closed form, and
 the drift of the sector variances and of the norm; ``find``, ``sweep`` and
 the criteria that simulate a trajectory read it.  It steps and reads a
-chunk of k steps at a time (at most ``_CHUNK_BYTES`` of tables), in three
-chunks allocated once per call; ``check_audit_memory`` charges them.
+chunk of k steps at a time (at most ``memory._CHUNK_BYTES`` of tables), in
+three chunks allocated once per call; ``memory.audit`` charges them.
 
 The battery builds its corpus once (``build_corpus``) for criteria 1-4, as
 one stack per table shape: each stack is audited in lock step
@@ -30,31 +30,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import analytic, counting, grover, qstate
+from . import analytic, counting, grover, memory, qstate
 
 SIGMA_LOW = counting.SIGMA_LOWER_BOUND
 AVG_THRESHOLD = math.pi**2 / (8.0 * math.sqrt(2.0))
-
-# Bytes of the k consecutive step tables the audit holds at once.  Small
-# stacks are then read a chunk of steps a call; a table this size or larger
-# is read one step at a time.
-_CHUNK_BYTES = 1 << 18
-
-# Peak bytes of a find's readings a step (the audit's series, the report's row
-# and its JSON text), and of the corpus's a state and step: tracemalloc read
-# 1,244-1,274 and 125-130 over 10^4 to 4 x 10^4 steps (CPython 3.11, numpy 2.4.6).
-_STEP_BYTES = 1280
-_CORPUS_STEP_BYTES = 160
-
-# Peak bytes of one of criterion 8's kernel-sum samples, its draws and the squared
-# kernels of its ten outcomes: tracemalloc read 277-283 a sample over 10^4 to
-# 4 x 10^4 samples (CPython 3.11, numpy 2.4.6).
-_SIGMA_SAMPLE_BYTES = 320
 
 # The audit's chunks start on a cache line: malloc aligns to 16 bytes only,
 # and a 4096 x 64 step between tables off a cache-line boundary ran 8-10%
@@ -102,7 +85,7 @@ def corpus_states(cfg: VerifyConfig) -> list[tuple[qstate.EntangledState, qstate
     for i in range(cfg.corpus_count):
         nq, d = combos[i % len(combos)]
         n = 1 << nq
-        qstate.check_memory(n * d)
+        memory.check([memory.table(n, d)])
         rng = np.random.default_rng(cfg.base_seed + i)
         t = int(rng.integers(1, n))
         table = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -177,46 +160,13 @@ def _span_means(rows: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
             out[..., i, :] = np.add.reduce(rows[..., span, :], -2) / (span.stop - span.start)
 
 
-def _audit_bytes(table_bytes: int, n_rows: int, k: int) -> int:
-    """Bytes a state and its audit hold at k steps a chunk: the state's table,
-    three chunks of k tables, the sector row index (8 bytes a row) and the
-    marked-row mask (1 byte a row)."""
-    return table_bytes * (1 + 3 * k) + 9 * n_rows
-
-
-def _chunk_steps(table_bytes: int, n_rows: int, steps: int) -> int:
-    """Steps the audit holds at once: as many tables as ``_CHUNK_BYTES`` holds and
-    the memory cap leaves room for, at most ``steps`` and at least one."""
-    room = qstate.memory_cap_bytes() - _audit_bytes(table_bytes, n_rows, 0)
-    k = min(_CHUNK_BYTES, room // 3) // table_bytes
-    return max(1, min(steps, k))
-
-
-def check_audit_memory(n_states: int, data_dim: int, readings: int = 0) -> None:
-    """Refuse a run whose state, trajectory audit at one step a chunk and ``readings``
-    readings (one a step, steps 0 .. horizon) exceed the cap; ``_chunk_steps`` takes
-    longer chunks where it leaves room."""
-    needed = _audit_bytes(16 * n_states * data_dim, n_states, 1) + readings * _STEP_BYTES
-    qstate.check_bytes(needed, f"trajectory audit working set ({n_states} x {data_dim}, "
-                               f"{readings} readings)")
-
-
-def check_corpus_memory(cfg: VerifyConfig) -> None:
-    """Refuse a battery whose corpus exceeds the cap: every corpus table, held
-    as a state, the audit of its largest stack (``_audit_bytes``), and each
-    state's readings of steps 0 .. max(max_steps, law horizon), the law
-    horizon charged at t = 1, where it is longest."""
-    combos = [(1 << nq, d) for nq in cfg.n_qubits_list for d in cfg.data_dims]
-    rounds, rest = divmod(cfg.corpus_count, len(combos))
-    counts = Counter(combos[:rest]) + Counter({c: rounds * combos.count(c) for c in combos})
-    stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
-    if stacks:
-        (b, n, d), stack = max(stacks.items(), key=lambda item: item[1])
-        readings = sum(b * (max(cfg.max_steps, _law_horizon_at(1, n)) + 1) for b, n, _ in stacks)
-        needed = (sum(stacks.values()) + _audit_bytes(stack, b * n, 1)
-                  + readings * _CORPUS_STEP_BYTES)
-        qstate.check_bytes(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes "
-                                   f"and {cfg.max_steps} steps")
+def _chunk_steps(shape: tuple[int, int, int], steps: int) -> int:
+    """Steps the audit of a (B, N, D) stack holds at once: as many stacks as
+    ``memory._CHUNK_BYTES`` holds and the memory cap leaves room for, at most
+    ``steps`` and at least one."""
+    step = memory._audit_bytes(shape, 1) - memory._audit_bytes(shape, 0)
+    room = qstate.memory_cap_bytes() - memory._audit_bytes(shape, 0)
+    return max(1, min(steps, memory._CHUNK_BYTES // (16 * math.prod(shape)), room // step))
 
 
 def _audit_stack(
@@ -262,7 +212,7 @@ def _audit_stack(
     pick = slice(None) if len(interior) == len(ms) else interior
     c0_in, gmask_in, ms_in = c0[pick], gmask[pick], [ms[i] for i in interior]
     last = max(horizons)
-    k = _chunk_steps(c0.nbytes, gmask.size, last + 1)
+    k = _chunk_steps(c0.shape, last + 1)
     steps, sectors, work = _arena((k,) + c0.shape, 3)
     avg = np.empty((k,) + c0.shape[::2], dtype=np.complex128)
     # Empty sectors sum to 0 over one row, so their drift reads 0.
@@ -334,21 +284,8 @@ def audit_trajectory(
     return _audit_stack(state.coeffs[None], gmask, [m], [n_max])[0]
 
 
-def default_horizon(t: int, n_states: int) -> int:
-    """A find's default last step: ceil(2*pi/theta), four periods of the law
-    sin^2((2n+1)*theta), or 16 when a sector is empty."""
-    if 0 < t < n_states:
-        return math.ceil(2.0 * math.pi / qstate.rotation_angle(t, n_states))
-    return 16
-
-
-def _law_horizon_at(t: int, n_states: int) -> int:
-    """Last step of the two periods over which criterion 4 checks the law, at 0 < t."""
-    return math.ceil(math.pi / qstate.rotation_angle(t, n_states)) + 1
-
-
 def _law_horizon(m: qstate.MomentSummary) -> int:
-    return _law_horizon_at(m.t, m.n_states)
+    return memory.law_horizon(m.t, m.n_states)
 
 
 @dataclass(frozen=True)
@@ -392,14 +329,15 @@ def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResu
     closed form's marked and unmarked offsets, for n up to max_steps.  One
     recurrence pass runs over the whole corpus, its averages zero-padded to
     the widest D, and is compared a chunk of steps at a time (at most
-    ``_CHUNK_BYTES`` of offsets), each state with its own bits."""
+    ``memory._CHUNK_BYTES`` of offsets), each state with its own bits."""
     tol = cfg.tolerances.amplitude
     worst = 0.0
     ms = [m for _, _, stack in corpus.stacks for m in stack]
     if ms and cfg.max_steps:
         scale = np.array([[-2.0 / m.n_states] for m in ms])
         steps = analytic.recurrence_sequence(ms, cfg.max_steps)
-        k = max(1, _CHUNK_BYTES // (64 * len(ms) * max(c0.shape[2] for c0, _, _ in corpus.stacks)))
+        widest = max(c0.shape[2] for c0, _, _ in corpus.stacks)
+        k = max(1, memory._CHUNK_BYTES // (64 * len(ms) * widest))
         for n0 in range(1, cfg.max_steps + 1, k):
             size = min(k, cfg.max_steps + 1 - n0)
             xy = np.array([(x, y) for _, x, y in itertools.islice(steps, size)])
@@ -554,8 +492,8 @@ def check_counting_window(cfg: VerifyConfig) -> CheckResult:
     exceeds 1/2; all three kernel sums stay in (8/pi^2, 1].
 
     The sums are read at ``sigma_samples`` random (P, f) per case, drawn as
-    arrays from one seeded generator at most ``_CHUNK_BYTES`` of samples at a
-    time, and the ten squared kernels of a sample are array operations
+    arrays from one seeded generator at most ``memory._CHUNK_BYTES`` of samples
+    at a time, and the ten squared kernels of a sample are array operations
     (``counting.kernel_s2``)."""
     tol = cfg.tolerances.probability
     flat = qstate.new_flat(4, 1)
@@ -571,7 +509,7 @@ def check_counting_window(cfg: VerifyConfig) -> CheckResult:
     )
 
     rng = np.random.default_rng(cfg.base_seed + 55)
-    per_chunk = _CHUNK_BYTES // _SIGMA_SAMPLE_BYTES
+    per_chunk = memory._CHUNK_BYTES // memory._SIGMA_SAMPLE_BYTES
     sigma_ok = True
     for lo in range(0, cfg.sigma_samples, per_chunk):
         sigma_ok &= _kernel_sums_hold(rng, min(per_chunk, cfg.sigma_samples - lo))
@@ -663,9 +601,9 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
     Cell c of the (N, t, P) grid, in that order, samples with seed base_seed + c.
     One circuit pass per (N, P) covers every t: the flat tables marked 1 .. N/4
     are stacked (``counting.circuit_distributions``) a chunk at a time, as many
-    as ``_CHUNK_BYTES`` holds of what a table adds to the pass at the largest P
-    (``counting._table_bytes``), and each cell gets its distribution and moments
-    through ``counting.run_count(dist=, m=)``."""
+    as ``memory._CHUNK_BYTES`` holds of what a table adds to the pass at the
+    largest P (``memory._table_bytes``), and each cell gets its distribution and
+    moments through ``counting.run_count(dist=, m=)``."""
     worst_slack = -math.inf
     majority_ok = True
     cells = 0
@@ -673,7 +611,8 @@ def check_estimator_bound(cfg: VerifyConfig) -> CheckResult:
     for nq in cfg.sweep_n_qubits:
         n_big = 1 << nq
         flat = qstate.new_flat(nq, 1)
-        per_chunk = max(1, _CHUNK_BYTES // counting._table_bytes(n_big, 1, max(cfg.sweep_p_sizes)))
+        per_table = memory._table_bytes(n_big, 1, max(cfg.sweep_p_sizes))
+        per_chunk = max(1, memory._CHUNK_BYTES // per_table)
         for lo in range(1, n_big // 4 + 1, per_chunk):
             ts = range(lo, min(lo + per_chunk, n_big // 4 + 1))
             goods = [qstate.GoodSet(tuple(range(t))) for t in ts]

@@ -1,10 +1,10 @@
 """Command-line entry point: find | count | verify | sweep, driven by JSON configs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification failure.
-Reports go to --out (or stdout); the run's wall time and status lines go to
-stderr so the written artifact stays byte-identical across runs.  --workers
-(like the scenario key "workers") is checked and otherwise has no effect:
-every run is sequential.
+Reports go to --out (or stdout); the run's wall time, its memory plan's peak
+and status lines go to stderr so the written artifact stays byte-identical
+across runs.  --workers (like the scenario key "workers") is checked and
+otherwise has no effect: every run is sequential.
 """
 from __future__ import annotations
 
@@ -83,7 +83,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _print_summary(report: Report, seconds: float) -> None:
     verdict = "pass" if report.passed else "FAIL"
-    print(f"entgrover: {report.kind}: {verdict} in {seconds:.2f}s", file=sys.stderr)
+    print(f"entgrover: {report.kind}: {verdict} in {seconds:.2f}s "
+          f"(plan {report.planned / 1e6:.2f} MB)", file=sys.stderr)
     for item in report.payload.get("criteria", []):
         state = "PASS" if item["passed"] else "FAIL"
         print(

@@ -24,7 +24,9 @@ and the transforms of its two offset sequences give its distribution in
 O(P*D).  ``circuit_distribution`` is the stack of one, and criterion 10 of
 the battery stacks every t of an (N, P) cell grid.  ``build_count_state``
 still builds the whole tensor, one kernel step at a time; it is the referee
-the tests hold the circuit to.
+the tests hold the circuit to.  A pass, the samples and the tensor are each
+checked against the memory cap by their term of the memory plan
+(``memory.circuit``, ``memory.samples``, ``memory.table``).
 
 The probability mass captured by the peak window admits exact closed
 forms built from the Dirichlet-style kernel
@@ -44,47 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import memory
 from .analytic import DegenerateCaseError
 from .grover import small_buffer
-from .qstate import EntangledState, GoodSet, MomentSummary, check_bytes, check_memory, moments
+from .qstate import EntangledState, GoodSet, MomentSummary, moments
 
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
-
-# Peak bytes per repetition of a count run, from the int64 draws to the report's
-# outcome tuple, list and JSON text: tracemalloc read 83-103 at P = 2 to 4096 and
-# 123 at P = 2^16, where the outcome tally grows too (CPython 3.11, numpy 2.4.6).
-_SAMPLE_BYTES = 128
-
-
-# Bytes a circuit pass holds beyond its arrays' data: array headers, the sector
-# sums and the list of distributions.  tracemalloc read at most 6.0 KB over the
-# charged arrays at one table, and up to 0.95 KB more a table (N = 2 to 2^10,
-# D = 1 to 5, P = 1 to 4096, 1 to 16 tables of mixed t; CPython 3.11, numpy 2.4.6);
-# these two cover every case with 2.2 KB to spare.
-_PASS_BYTES = 8192
-_TABLE_BYTES = 512
-
-
-def check_sample_memory(repetitions: int) -> None:
-    """Refuse a sample count whose storage would exceed the memory cap."""
-    check_bytes(repetitions * _SAMPLE_BYTES, f"{repetitions} repetitions")
-
-
-def _table_bytes(n_states: int, data_dim: int, p_size: int) -> int:
-    """What each table adds to a circuit pass's working set: the sorted table, its
-    P x D doubled means, its row of the stack's marked-row mask (a byte a row), its
-    distribution, and ``_TABLE_BYTES`` of small objects."""
-    return 16 * (n_states + p_size) * data_dim + n_states + 8 * p_size + _TABLE_BYTES
-
-
-def check_circuit_memory(n_states: int, data_dim: int, p_size: int, n_tables: int = 1) -> None:
-    """Refuse a circuit pass over ``n_tables`` tables whose working set exceeds the cap:
-    each table's ``_table_bytes``, a table's row order and two masks while the stack
-    is sorted (10 bytes a row), four P x D sequences that one table's transforms hold
-    at most once the tables are released, and ``_PASS_BYTES`` of small objects."""
-    needed = (n_tables * _table_bytes(n_states, data_dim, p_size) + 64 * p_size * data_dim
-              + 10 * n_states + _PASS_BYTES)
-    check_bytes(needed, f"counting circuit working set (P = {p_size})")
 
 
 def circuit_distribution(state: EntangledState, good: GoodSet, p_size: int) -> np.ndarray:
@@ -109,12 +76,12 @@ def circuit_distributions(
     Every pair gets the bits it gets alone.
 
     The memory cap applies to the working set of the whole stack
-    (``check_circuit_memory``), the tensor's norm gate to each total.
+    (``memory.circuit``), the tensor's norm gate to each total.
     """
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
     n, d = cases[0][0].coeffs.shape
-    check_circuit_memory(n, d, p_size, len(cases))
+    memory.check([memory.circuit(n, d, p_size, len(cases))])
     cur = np.empty((len(cases), n, d), dtype=np.complex128)
     for i, (state, good) in enumerate(cases):
         np.take(state.coeffs, _sector_order(good.mask(n)), axis=0, out=cur[i], mode="clip")
@@ -122,7 +89,7 @@ def circuit_distributions(
     sectors = [[(len(x), np.add.reduce(x, 0), np.vdot(x, x).real) for x in (c[:t], c[t:])]
                for c, t in zip(cur, ts)]
     two_mu = _doubled_means(cur, ts, p_size - 1)
-    del cur  # the transforms run without the tables (check_circuit_memory)
+    del cur  # the transforms run without the tables (memory.circuit)
     dists = []
     for i, sector in enumerate(sectors):
         dist = _spectrum(_offset_transforms(two_mu[i]), sector)
@@ -160,7 +127,7 @@ def _doubled_means(cur: np.ndarray, t, steps: int) -> np.ndarray:
     marked = True
     if np.any(ts != ts[0]):
         # filled row by row: a broadcast comparison would take a ufunc buffer of
-        # up to 128 KiB, which check_circuit_memory does not charge
+        # up to 128 KiB, which memory.circuit does not charge
         marked = np.zeros((b, head.shape[1], 1), dtype=bool)
         for row, t_b in zip(marked, ts):
             row[:t_b] = True
@@ -261,7 +228,7 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
     if p_size < 1 or p_size & (p_size - 1) != 0:
         raise ValueError(f"ancilla size must be a power of two, got {p_size}")
     n, d = state.n_states, state.data_dim
-    check_memory(p_size * n * d)
+    memory.check([memory.table(p_size * n, d)])
     order = _sector_order(good.mask(n))
     cur = state.coeffs[order]
     amps = np.empty((p_size, n, d), dtype=np.complex128)
@@ -488,11 +455,11 @@ def run_count(
     against the true-t error bound.  Degenerate marked sets (t = 0 or
     t = N) have no oscillation line: the window collapses to {0} or {P/2}
     and no closed-form mass is predicted.  The samples are charged against
-    the memory cap before they are drawn (``check_sample_memory``).
+    the memory cap before they are drawn (``memory.samples``).
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    check_sample_memory(repetitions)
+    memory.check([memory.samples(repetitions)])
     n = state.n_states
     t = good.t
     if dist is None:

@@ -5,8 +5,10 @@ tolerances); identical scenarios produce byte-identical report artifacts.
 Wall-clock timings are therefore never part of the canonical serialized
 report: the CLI times the run and prints it to stderr.
 
-``find`` and ``count`` build their marked set and state through one setup
-step, and ``find`` and each ``sweep`` cell read the oscillation law against
+``find``, ``count`` and each ``sweep`` cell, which runs as the ``find`` of its
+cell, build their marked set and state through one setup step, once the
+run's memory plan (``memory.plan``) fits the cap; ``verify`` checks its plan
+before the battery.  ``find`` and each cell read the oscillation law against
 one trajectory audit, and make the same checks on it, through one shared
 step.  The scenario key ``workers`` is accepted and checked but selects
 nothing: every run is sequential.
@@ -26,7 +28,6 @@ chooses only the corpus ``seed`` and the ``tolerances``.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -36,9 +37,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from . import analytic, counting, qstate
-from .checks import Tolerances, VerifyConfig, audit_trajectory
-from .checks import check_audit_memory, check_corpus_memory, default_horizon, run_checks
+from . import analytic, counting, memory, qstate
+from .checks import Tolerances, VerifyConfig, audit_trajectory, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -71,10 +71,14 @@ class Scenario:
 
 @dataclass
 class Report:
+    """A run's report; ``planned`` is its memory plan's peak in bytes, which the
+    CLI prints and the report does not hold."""
+
     kind: str
     scenario_echo: dict
     payload: dict
     passed: bool
+    planned: int
 
     def to_json_obj(self) -> dict:
         obj = {"schema_version": SCHEMA_VERSION, "kind": self.kind, "scenario": self.scenario_echo}
@@ -277,7 +281,7 @@ def parse_scenario(obj: dict) -> Scenario:
     """Read a scenario by the format's tables.  Every value it holds passes
     through ``_value``, so the report that echoes it holds no NaN or infinity.
     Rules that tie one field to another (state dimensions, marked indices,
-    variances, memory) are checked when the run builds its state."""
+    variances) are checked when the run builds its state, after its memory plan."""
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
     kind = _value(obj.get("kind"), _COMMON["kind"], "kind")
@@ -393,36 +397,12 @@ def build_good(spec: dict, n_states: int) -> qstate.GoodSet:
         raise ScenarioError(f"field 'good.{'t' if 't' in spec else 'indices'}': {exc}") from exc
 
 
-@contextlib.contextmanager
-def _over_cap(what: str):
-    """Refuse the scenario, blaming ``what``, when the block is over the memory cap."""
-    try:
-        yield
-    except qstate.MemoryLimitError as exc:
-        raise ScenarioError(f"{what} is too large: {exc}") from exc
-
-
-def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState]:
-    """The scenario's marked set and state, once its table (and for ``find`` the
-    table together with its trajectory audit and its readings of steps 0 ..
-    ``iterations``, or 0 .. the default horizon once the marked set is known)
-    is known to fit the memory cap."""
-    n_states = 1 << s.n_qubits
-    with _over_cap(f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim})"):
-        qstate.check_memory(n_states * s.data_dim)
-        if s.kind == "find":
-            check_audit_memory(n_states, s.data_dim)
-    good = build_good(s.good, n_states)
-    if s.kind == "find":  # the readings of steps 0 .. horizon
-        if s.iterations is None:
-            horizon = default_horizon(good.t, n_states)
-            blame = (f"field 'n_qubits' = {s.n_qubits} (with data_dim = {s.data_dim} and "
-                     f"the default horizon at t = {good.t})")
-        else:
-            horizon, blame = s.iterations, f"field 'iterations' = {s.iterations}"
-        with _over_cap(blame):
-            check_audit_memory(n_states, s.data_dim, horizon + 1)
-    return good, build_state(s.state, s.n_qubits, s.data_dim, good)
+def _setup(s: Scenario) -> tuple[qstate.GoodSet, qstate.EntangledState, int]:
+    """The scenario's marked set and state, and its planned peak, once its memory
+    plan fits the cap."""
+    planned = memory.check(memory.plan(s))
+    good = build_good(s.good, 1 << s.n_qubits)
+    return good, build_state(s.state, s.n_qubits, s.data_dim, good), planned
 
 
 def _read_law(
@@ -437,7 +417,8 @@ def _read_law(
     and the checks; a sweep cell reads the same checks into its row.
     """
     params = analytic.oscillation_params(m) if 0 < good.t < state.n_states else None
-    horizon = default_horizon(good.t, state.n_states) if s.iterations is None else s.iterations
+    horizon = (memory.default_horizon(good.t, state.n_states) if s.iterations is None
+               else s.iterations)
     audit = audit_trajectory(state, good, horizon, m)
     table = []
     max_prob_dev = 0.0
@@ -476,7 +457,7 @@ def _peak(params: analytic.OscillationParams) -> dict:
 
 
 def run_find(s: Scenario) -> Report:
-    good, state = _setup(s)
+    good, state, planned = _setup(s)
     m = qstate.moments(state, good)
     params, table, checks = _read_law(s, state, good, m)
 
@@ -499,16 +480,13 @@ def run_find(s: Scenario) -> Report:
     payload["table"] = table
     payload["max_probability_deviation"] = checks[0]["value"]
     payload["checks"] = checks
-    return Report("find", s.echo, payload, all(c["passed"] for c in checks))
+    return Report("find", s.echo, payload, all(c["passed"] for c in checks), planned)
 
 
 def run_count(s: Scenario) -> Report:
-    good, state = _setup(s)
-    with _over_cap(f"field 'P' = {s.p_size} (with n_qubits = {s.n_qubits}, "
-                   f"data_dim = {s.data_dim})"):
-        dist = counting.circuit_distribution(state, good, s.p_size)
-    with _over_cap(f"field 'repetitions' = {s.repetitions}"):
-        report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
+    good, state, planned = _setup(s)
+    dist = counting.circuit_distribution(state, good, s.p_size)
+    report = counting.run_count(state, good, s.p_size, s.repetitions, s.seed, dist)
 
     checks = []
     if report.w_predicted is not None:
@@ -525,17 +503,14 @@ def run_count(s: Scenario) -> Report:
         "ancilla_distribution": [float(p) for p in dist],
         "checks": checks,
     }
-    return Report("count", s.echo, payload, all(c["passed"] for c in checks))
+    return Report("count", s.echo, payload, all(c["passed"] for c in checks), planned)
 
 
 def run_verify(s: Scenario) -> Report:
     cfg = VerifyConfig(tolerances=s.tolerances)
     if s.seed is not None:  # verdicts must not depend on the corpus seed; --seed exercises that
         cfg = replace(cfg, base_seed=s.seed)
-    # criterion 10's samples per cell, and the corpus with its readings
-    with _over_cap("field 'kind' = 'verify' (a battery of fixed sizes)"):
-        counting.check_sample_memory(cfg.majority_repetitions)
-        check_corpus_memory(cfg)
+    planned = memory.check(memory.plan(s, cfg))
     results = run_checks(cfg)
     payload = {
         "config": asdict(cfg),
@@ -546,7 +521,7 @@ def run_verify(s: Scenario) -> Report:
             "failed": sum(1 for r in results if not r.passed),
         },
     }
-    return Report("verify", s.echo, payload, all(r.passed for r in results))
+    return Report("verify", s.echo, payload, all(r.passed for r in results), planned)
 
 
 SWEEP_COLUMNS = (
@@ -571,53 +546,43 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None, seed: int) -> dict:
+def _sweep_cell(s: Scenario, nq: int, d: int, t: int, p_size: int | None,
+                seed: int) -> tuple[dict, int]:
+    """A grid cell's row and planned peak (0 when skipped): the ``find`` of the
+    cell, with state seed ``seed`` and marked-set seed ``seed + 1``, read only at
+    0 < t < N, and there the counting window's mass too when P >= 4."""
     row: dict[str, Any] = {
         "n_qubits": nq, "data_dim": d, "t": t, "p_size": p_size, "seed": seed,
         "status": "ok", "error": None,
     }
+    spec = dict(s.state, seed=seed) if s.state["type"] == "random" else s.state
+    cell = replace(s, n_qubits=nq, data_dim=d, state=spec, good={"t": t, "seed": seed + 1},
+                   p_size=p_size)
     try:
-        n_states = 1 << nq
-        qstate.check_memory(n_states * d)
-        interior = 0 < t < n_states
-        circuit = interior and p_size is not None and p_size >= 4
-        # before any reading, so a skipped row carries none
-        if circuit:
-            counting.check_circuit_memory(n_states, d, p_size)
-        if interior:
-            horizon = default_horizon(t, n_states) if s.iterations is None else s.iterations
-            check_audit_memory(n_states, d, horizon + 1)
-        good = qstate.random_good_set(n_states, t, seed + 1)
-        template = dict(s.state)
-        if template.get("type") == "random":
-            template["seed"] = seed
-        state = build_state(template, nq, d, good)
-        m = qstate.moments(state, good)
-        row["theta"] = m.theta
-        if interior:
-            params, _, checks = _read_law(s, state, good, m)
-            row.update((k, v) for k, v in _peak(params).items() if v is not None)
-            value = {c["name"]: c["value"] for c in checks}
-            row["max_amp_dev"] = value["closed_form_agreement"]
-            row["max_prob_dev"] = value["probability_agreement"]
-            row["var_drift"] = value["variance_conservation"]
-            row["max_norm_dev"] = value["unitarity"]
-            ok = all(c["passed"] for c in checks)
-            if circuit:
-                pred_w = counting.window_probability(m, p_size)
-                dist = counting.circuit_distribution(state, good, p_size)
-                w_dev = abs(pred_w.mass - float(sum(dist[mm] for mm in pred_w.outcomes)))
-                row["w_predicted"] = pred_w.mass
-                row["w_dev"] = w_dev
-                ok = ok and w_dev < s.tolerances.probability
-            row["passed"] = ok
-        else:
-            row["passed"] = True
-    except qstate.MemoryLimitError as exc:
-        row["status"] = "skipped"
-        row["error"] = str(exc)
-        row["passed"] = None
-    return row
+        good, state, planned = _setup(cell)
+    except qstate.MemoryLimitError as exc:  # before any reading, so the row carries none
+        row.update(status="skipped", error=str(exc), passed=None)
+        return row, 0
+    m = qstate.moments(state, good)
+    row["theta"] = m.theta
+    ok = True
+    if 0 < t < state.n_states:
+        params, _, checks = _read_law(cell, state, good, m)
+        row.update((k, v) for k, v in _peak(params).items() if v is not None)
+        value = {c["name"]: c["value"] for c in checks}
+        row["max_amp_dev"] = value["closed_form_agreement"]
+        row["max_prob_dev"] = value["probability_agreement"]
+        row["var_drift"] = value["variance_conservation"]
+        row["max_norm_dev"] = value["unitarity"]
+        ok = all(c["passed"] for c in checks)
+        if p_size is not None and p_size >= 4:
+            pred_w = counting.window_probability(m, p_size)
+            dist = counting.circuit_distribution(state, good, p_size)
+            row["w_predicted"] = pred_w.mass
+            row["w_dev"] = abs(pred_w.mass - float(sum(dist[mm] for mm in pred_w.outcomes)))
+            ok = ok and row["w_dev"] < s.tolerances.probability
+    row["passed"] = ok
+    return row, planned
 
 
 def run_sweep(s: Scenario) -> Report:
@@ -631,7 +596,8 @@ def run_sweep(s: Scenario) -> Report:
         for seed in grid["seeds"]
         if t <= (1 << nq)
     ]
-    rows = [_sweep_cell(s, *c) for c in cells]
+    results = [_sweep_cell(s, *c) for c in cells]
+    rows = [row for row, _ in results]
     rows.sort(key=lambda r: (r["n_qubits"], r["data_dim"], r["t"], r["p_size"] or 0, r["seed"]))
     skipped = sum(1 for r in rows if r["status"] == "skipped")
     payload = {
@@ -640,7 +606,8 @@ def run_sweep(s: Scenario) -> Report:
         "cells": len(rows),
         "skipped": skipped,
     }
-    return Report("sweep", s.echo, payload, all(r["passed"] is not False for r in rows))
+    return Report("sweep", s.echo, payload, all(r["passed"] is not False for r in rows),
+                  max((planned for _, planned in results), default=0))
 
 
 RUNNERS = {"find": run_find, "count": run_count, "verify": run_verify, "sweep": run_sweep}

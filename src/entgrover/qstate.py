@@ -29,6 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import memory  # memory imports qstate too: each reads the other only when called
+
 NORM_ATOL = 1e-9
 # Row indices are int64, so a search register has at most 62 qubits.
 MAX_QUBITS = 62
@@ -56,17 +58,6 @@ def memory_cap_bytes() -> int:
     if cap <= 0:
         raise ValueError(f"{_MEMORY_CAP_ENV} must be positive, got {cap}")
     return cap
-
-
-def check_memory(n_amplitudes: int, what: str = "state") -> None:
-    check_bytes(n_amplitudes * 16, f"{what} of {n_amplitudes} amplitudes")  # complex128
-
-
-def check_bytes(needed: int, what: str) -> None:
-    """Raise MemoryLimitError if ``what`` needs more bytes than the cap allows."""
-    cap = memory_cap_bytes()
-    if needed > cap:
-        raise MemoryLimitError(f"{what} needs {needed} bytes, cap is {cap}")
 
 
 def _norm_sq_total(coeffs: np.ndarray) -> float:
@@ -102,7 +93,7 @@ class EntangledState:
         if self.data_dim < 1:
             raise ValueError(f"data_dim must be >= 1, got {self.data_dim}")
         n = 1 << self.n_qubits
-        check_memory(n * self.data_dim)
+        memory.check([memory.table(n, self.data_dim)])
         c = np.array(self.coeffs, dtype=np.complex128, copy=True)
         if c.shape != (n, self.data_dim):
             raise ValueError(f"coefficient table must be {n}x{self.data_dim}, got {c.shape}")
@@ -262,7 +253,7 @@ def new_flat(n_qubits: int, data_dim: int) -> EntangledState:
     if n_qubits < 1 or data_dim < 1:
         raise ValueError("n_qubits and data_dim must be >= 1")
     n = 1 << n_qubits
-    check_memory(n * data_dim)
+    memory.check([memory.table(n, data_dim)])
     c = np.zeros((n, data_dim), dtype=np.complex128)
     c[:, 0] = 1.0
     return EntangledState(n_qubits=n_qubits, data_dim=data_dim, coeffs=c)

@@ -1,4 +1,5 @@
-"""Shared fixtures and the independent dense-matrix oracles.
+"""Shared fixtures, the independent dense-matrix oracles, and the check that
+holds a run to its memory plan (``holds_at_its_plan``).
 
 The oracles here deliberately avoid the package's fast code paths (the
 reflection about the mean, numpy's FFT, the Hadamard butterflies):
@@ -11,12 +12,17 @@ The exact referee computes the trajectory and the closed form in rational
 arithmetic, and the counting circuit's transforms at 50 digits, so a float
 path's own error can be measured.
 """
+import contextlib
 import inspect
+import io
+import json
 import math
 import os
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -24,7 +30,9 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from entgrover import EntangledState, GoodSet, from_amplitudes  # noqa: E402
+from entgrover import EntangledState, GoodSet, cli, from_amplitudes, memory  # noqa: E402
+from entgrover.checks import VerifyConfig  # noqa: E402
+from entgrover.harness import parse_scenario, run_scenario  # noqa: E402
 
 
 def hadamard_matrix(n_qubits: int) -> np.ndarray:
@@ -101,6 +109,69 @@ def planted(fn, old: str, new: str):
     namespace = dict(vars(inspect.getmodule(fn)))
     exec(textwrap.dedent(source.replace(old, new)), namespace)
     return namespace[fn.__name__]
+
+
+# What a run holds beyond its plan: interpreter objects (the scenario, the
+# report's fixed part, the audit's series as lists), numpy's small arrays and
+# ufunc buffers, and the temporaries of building a state and reading its
+# moments, which the plan leaves out (a few tables at these sizes).  Over 1,500
+# draws tracemalloc read at most 70.4 KB over the plan (CPython 3.11, numpy 2.4.6).
+SLACK = 96 << 10
+# A csv report's writer holds a record buffer of 32,768 characters from its
+# first row (the csv module's MEM_INCR), 128 KiB of UCS-4.
+CSV_WRITER = 128 << 10
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one cli.main call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def capped(cap):
+    return mock.patch.dict(os.environ, {"ENTGROVER_MEMORY_CAP": str(cap)})
+
+
+def traced_peak(s):
+    """Bytes a run and its report's text hold at most, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        report = run_scenario(s)
+        report.to_csv() if s.output_format == "csv" else report.to_json()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def holds_at_its_plan(scenario, work):
+    """Run ``scenario`` at a cap of its planned peak, where it must end as it does
+    under the default cap and trace at most ``SLACK`` bytes over the plan (and
+    ``CSV_WRITER`` more for csv), and at one byte less, where it must exit 1
+    naming the field of the plan's first term over the cap, or for a one-cell
+    sweep mark the cell skipped.  Returns that message, or the cell's error."""
+    s = parse_scenario(scenario)
+    report = run_scenario(s)
+    peak = report.planned
+    cfg = work / "c.json"
+    cfg.write_text(json.dumps(scenario))
+    argv = [s.kind, "--config", str(cfg), "--out", str(work / "r")]
+    with capped(peak):
+        assert run_cli(argv)[0] == (0 if report.passed else 2)
+        over = traced_peak(s) - peak
+    slack = SLACK + (CSV_WRITER if s.output_format == "csv" else 0)
+    assert over <= slack, f"traced {over} bytes over the plan of {peak}"
+    with capped(peak - 1):
+        if s.kind == "sweep":
+            (row,) = run_scenario(s).payload["rows"]
+            assert (row["status"], row["passed"]) == ("skipped", None)
+            return row["error"]
+        code, err = run_cli(argv)
+    terms = memory.plan(s, VerifyConfig()) if s.kind == "verify" else memory.plan(s)
+    field = next(term.field for term in terms if term.bytes >= peak)
+    assert code == 1 and f"{field} is too large" in err, err
+    return err
 
 
 def exact_table(table: np.ndarray) -> np.ndarray:

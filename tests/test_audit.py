@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import masked_closed_form_table, planted
+from conftest import holds_at_its_plan, masked_closed_form_table, planted
 from entgrover import (
     EntangledState,
     GoodSet,
@@ -20,6 +20,7 @@ from entgrover import (
     grover,
     grover_iterate,
     grover_trajectory,
+    memory,
     moments,
     new_flat,
     random_good_set,
@@ -232,8 +233,8 @@ def test_every_chunk_size_keeps_the_per_step_bits(case, monkeypatch):
     for c0, gmask, ms, horizons in _chunk_stacks(case):
         want = [readings(a) for a in masked_audit_stack(c0, gmask, ms, horizons)]
         for steps in (1, 2, 3, max(horizons) + 1):
-            monkeypatch.setattr(checks, "_CHUNK_BYTES", steps * c0.nbytes)
-            assert checks._chunk_steps(c0.nbytes, gmask.size, max(horizons) + 1) == steps
+            monkeypatch.setattr(memory, "_CHUNK_BYTES", steps * c0.nbytes)
+            assert checks._chunk_steps(c0.shape, max(horizons) + 1) == steps
             got = checks._audit_stack(c0, gmask, ms, horizons)
             assert [readings(a) for a in got] == want
 
@@ -327,34 +328,25 @@ def test_audit_charge_covers_a_finds_traced_peak(nq, d, t, iterations):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, table = 1 << nq, 16 * d << nq
-    k = checks._chunk_steps(table, n, steps)
+    k = checks._chunk_steps((1, 1 << nq, d), steps)
     assert k == (1 if nq == 12 else steps)
-    assert peak <= checks._audit_bytes(table, n, k) + UNCHARGED
+    assert peak <= memory._audit_bytes((1, 1 << nq, d), k) + UNCHARGED
 
 
-def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(monkeypatch):
-    """The find above at a cap of exactly its audit charge (16,814,080 bytes,
-    and 1,280 a reading for the 5 readings of its steps 0 .. 4) peaks over it
-    by interpreter objects only: its broadcast and strided elementwise ops run
-    in a 256-element ufunc buffer (``grover.small_buffer``).  It peaked 223 KB
-    over when they ran in numpy's 8192-element buffer."""
-    n, table = 1 << 12, 16 * 64 << 12
-    charge = checks._audit_bytes(table, n, 1) + 5 * checks._STEP_BYTES
+def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(tmp_path, monkeypatch):
+    """The find above at a cap of exactly its plan, the audit at one step a
+    chunk and 1,280 bytes a reading for the 5 readings of its steps 0 .. 4,
+    peaks over it by the plan's slack only (``holds_at_its_plan``): its
+    broadcast and strided elementwise ops run in a 256-element ufunc buffer
+    (``grover.small_buffer``).  It peaked 223 KB over when they ran in numpy's
+    8192-element buffer."""
+    scenario = {"kind": "find", "n_qubits": 12, "data_dim": 64, "iterations": 4,
+                "state": {"type": "random", "seed": 1, "var_b": 0.05},
+                "good": {"t": 300, "seed": 2}}
     caller = np.getbufsize()
-    monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
-    s = parse_scenario({"kind": "find", "n_qubits": 12, "data_dim": 64, "iterations": 4,
-                        "state": {"type": "random", "seed": 1, "var_b": 0.05},
-                        "good": {"t": 300, "seed": 2}})
-    run_find(s)
-    tracemalloc.start()
-    try:
-        run_find(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert checks._chunk_steps(table, n, 5) == 1
-    assert peak <= charge + (128 << 10)
+    assert "5 readings" in holds_at_its_plan(scenario, tmp_path)
+    monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(run_find(parse_scenario(scenario)).planned))
+    assert checks._chunk_steps((1, 1 << 12, 64), 5) == 1
     assert np.getbufsize() == caller
 
 
@@ -370,9 +362,9 @@ def test_audit_charge_covers_a_verify_stacks_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    k = checks._chunk_steps(c0.nbytes, gmask.size, max(horizons) + 1)
+    k = checks._chunk_steps(c0.shape, max(horizons) + 1)
     assert c0.shape[1:] == (64, 4) and k > 1
-    assert peak <= checks._audit_bytes(c0.nbytes, gmask.size, k) + UNCHARGED
+    assert peak <= memory._audit_bytes(c0.shape, k) + UNCHARGED
 
 
 @pytest.mark.slow

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from entgrover import analytic, checks, counting
+from entgrover import analytic, checks, counting, memory
 from entgrover.checks import VerifyConfig, build_corpus
 
 FULL = VerifyConfig()
@@ -75,7 +75,7 @@ class TestRecurrenceConsistency:
     @pytest.mark.parametrize("chunk", [1, 64 * 100 * 4 * 7])
     def test_any_chunk_of_steps_reads_the_same(self, monkeypatch, corpora, chunk):
         # one step at a time, and seven steps of the padded (100, 4) offsets at a time
-        monkeypatch.setattr(checks, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(memory, "_CHUNK_BYTES", chunk)
         result = checks.check_recurrence_consistency(FULL, corpora["full"])
         assert result.max_deviation == PINNED["recurrence_consistency", "full"][0]
 
@@ -114,7 +114,7 @@ class TestCountingWindow:
             finally:
                 tracemalloc.stop()
 
-        assert peak(40_000) <= peak(0) + checks._CHUNK_BYTES + 2**14
+        assert peak(40_000) <= peak(0) + memory._CHUNK_BYTES + 2**14
 
     def test_no_samples_pass(self):
         result = checks.check_counting_window(replace(FULL, sigma_samples=0))
@@ -133,14 +133,14 @@ class TestEstimatorBound:
     def test_chunks_hold_at_most_the_chunk_bytes(self, monkeypatch, tables):
         # chunks of one and of three tables of 64 rows, each adding to the pass what
         # it adds at the largest P
-        per_table = counting._table_bytes(64, 1, max(FULL.sweep_p_sizes))
-        monkeypatch.setattr(checks, "_CHUNK_BYTES", tables * per_table)
-        charged = _counted(monkeypatch, counting, "check_circuit_memory")
+        per_table = memory._table_bytes(64, 1, max(FULL.sweep_p_sizes))
+        monkeypatch.setattr(memory, "_CHUNK_BYTES", tables * per_table)
+        charged = _counted(monkeypatch, memory, "circuit")
         calls = _counted(monkeypatch, counting, "circuit_distributions")
         result = checks.check_estimator_bound(FULL)
         # N = 16 takes t = 1 .. 4 and N = 64 t = 1 .. 16, in chunks of as many
         # tables as fit
-        per_chunk = {n: checks._CHUNK_BYTES // counting._table_bytes(n, 1, 64) for n in (16, 64)}
+        per_chunk = {n: memory._CHUNK_BYTES // memory._table_bytes(n, 1, 64) for n in (16, 64)}
         assert per_chunk[64] == tables
         sizes = [
             min(per_chunk[n], n // 4 - lo)
@@ -157,11 +157,9 @@ class TestEstimatorBound:
         # (16 rows of 16 bytes): its 8,191 doubled means and its distribution, so
         # every t gets a pass of its own
         cfg = replace(REDUCED, sweep_p_sizes=(1 << 13,))
-        needed = []
-        monkeypatch.setattr(counting, "check_bytes", lambda n, what: needed.append(n))
-        counting.check_circuit_memory(16, 1, 1 << 13)
-        (alone,) = needed
-        passes = _counted(monkeypatch, counting, "check_circuit_memory")
+        circuit = memory.circuit
+        passes = _counted(monkeypatch, memory, "circuit")
         assert checks.check_estimator_bound(cfg).passed
         assert [p[3] for p in passes] == [1] * 4
-        assert max(needed) <= checks._CHUNK_BYTES + alone
+        alone = circuit(16, 1, 1 << 13).bytes
+        assert max(circuit(*p).bytes for p in passes) <= memory._CHUNK_BYTES + alone

@@ -16,7 +16,7 @@ from conftest import (
     random_state,
     random_table,
 )
-from entgrover import counting, from_amplitudes
+from entgrover import counting, from_amplitudes, memory
 from entgrover import (
     CountState,
     DegenerateCaseError,
@@ -203,11 +203,9 @@ class TestCircuitDistribution:
             assert np.array_equal(_bits(run(fortran, good, 16)), _bits(run(state, good, 16)))
 
     def test_memory_cap_covers_the_working_set(self, monkeypatch):
-        # a table of 16 amplitudes, five sequences of 64, the distribution, 11 bytes
-        # a row for the row order, two masks and the marked-row mask, and the pass's
-        # and the table's small objects, not P*N*D
-        charge = (16 * (16 + 5 * 64) + 8 * 64 + 11 * 16
-                  + counting._PASS_BYTES + counting._TABLE_BYTES)
+        # the circuit's working set, not P*N*D
+        charge = memory.circuit(16, 1, 64).bytes
+        assert charge < 16 * 64 * 16
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
         with pytest.raises(MemoryLimitError):
             circuit_distribution(new_flat(4, 1), GoodSet((0,)), 64)
@@ -221,8 +219,6 @@ class TestCircuitDistribution:
     )
     def test_memory_charge_covers_the_traced_peak(self, monkeypatch, nq, d, t, p):
         state, good = random_state(nq, d, seed=63), random_marked(1 << nq, t, seed=64)
-        charged = []
-        monkeypatch.setattr(counting, "check_bytes", lambda needed, what: charged.append(needed))
         circuit_distribution(state, good, p)
         tracemalloc.start()
         try:
@@ -230,7 +226,7 @@ class TestCircuitDistribution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= charged[-1]
+        assert peak <= memory.circuit(1 << nq, d, p).bytes
 
 
 # (N, D, steps) of the stacked kernel's cases; each stack holds t in
@@ -294,12 +290,10 @@ class TestStackedKernel:
             assert np.array_equal(_bits(dist), _bits(circuit_distribution(state, good, p)))
 
     def test_memory_cap_charges_every_table_of_the_stack(self, monkeypatch):
-        # three tables of 16 amplitudes, the doubled means of each and four more
-        # sequences of 64, the three distributions, one row order and two masks,
-        # the stack's marked-row mask, and the pass's and each table's small objects
+        # three tables' share of the pass, over one table's
         cases = [(new_flat(4, 1), GoodSet(tuple(range(t)))) for t in (1, 2, 3)]
-        charge = (16 * (3 * 16 + (3 + 4) * 64) + 8 * 3 * 64 + (10 + 3) * 16
-                  + counting._PASS_BYTES + 3 * counting._TABLE_BYTES)
+        charge = memory.circuit(16, 1, 64, 3).bytes
+        assert charge > memory.circuit(16, 1, 64).bytes
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
         with pytest.raises(MemoryLimitError):
             counting.circuit_distributions(cases, 64)
@@ -315,8 +309,6 @@ class TestStackedKernel:
         # is 16 x 1024, over the 8192 elements of numpy's default ufunc buffer
         cases = [(random_state(n.bit_length() - 1, d, seed=i),
                   random_marked(n, (i + 1) * spread, seed=i)) for i in range(b)]
-        charged = []
-        monkeypatch.setattr(counting, "check_bytes", lambda needed, what: charged.append(needed))
         counting.circuit_distributions(cases, p)
         tracemalloc.start()
         try:
@@ -324,7 +316,7 @@ class TestStackedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= charged[-1]
+        assert peak <= memory.circuit(n, d, p, b).bytes
 
 
 class TestKernelSquares:

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entgrover import cli, counting
+from conftest import holds_at_its_plan
+from entgrover import cli, counting, memory
 from entgrover.harness import (
     ScenarioError,
     load_scenario,
@@ -122,15 +123,9 @@ class TestRunCount:
         assert window["value"] < s.tolerances.probability
 
 
-# The counting circuit's working set at N = 2^12, D = 1, P = 1024: the sorted
-# table, five P x D sequences of complex128, the distribution, the row order, two
-# masks and the marked-row mask, and the pass's small objects.
-CIRCUIT_BYTES = (16 * (4096 + 5 * 1024) + 8 * 1024 + 11 * 4096
-                 + counting._PASS_BYTES + counting._TABLE_BYTES)
-# The trajectory audit's charge at N = 2^12, D = 1, t = 100: the state's table,
-# the audit's three tables, the row index and the mask, and the readings of the
-# default horizon, ceil(2*pi/theta) = 41 steps: 42 readings of 1,280 bytes.
-AUDIT_BYTES = 4 * 16 * 4096 + 9 * 4096 + 42 * 1280
+def planned(scenario):
+    """The planned peak of a run of ``scenario``."""
+    return run_sweep(parse_scenario(scenario)).planned
 
 
 class TestSweep:
@@ -173,9 +168,9 @@ class TestSweep:
         assert csv_text.startswith("n_qubits,")
 
     def test_memory_cap_marks_skipped(self, monkeypatch):
-        # N = 4, t = 1: four tables, the row index and mask (292 bytes) and the
-        # 13 readings of the default horizon (2*pi/theta = 12 steps)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(292 + 13 * 1280))
+        # a cap of the N = 4 cell's plan
+        cell = {"kind": "sweep", "grid": {"n_qubits": [2], "t": [1], "seeds": [3]}}
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(planned(cell)))
         s = parse_scenario({"kind": "sweep",
                             "grid": {"n_qubits": [2, 6], "t": [1], "seeds": [3]}})
         report = run_sweep(s)
@@ -184,24 +179,18 @@ class TestSweep:
         assert status[6] == "skipped"
         assert report.passed  # skipped cells do not fail the run
 
-    def test_count_cell_skipped_only_over_the_working_set(self, monkeypatch):
-        # P x N x D is 64 MiB; the cell's working set is the larger of the
-        # circuit's and the audit's, here the audit's (AUDIT_BYTES)
-        assert AUDIT_BYTES > CIRCUIT_BYTES
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(AUDIT_BYTES))
-        s = parse_scenario({"kind": "sweep",
-                            "grid": {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}})
-        (row,) = run_sweep(s).payload["rows"]
-        assert row["status"] == "ok" and row["passed"] is True
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(AUDIT_BYTES - 1))
-        (row,) = run_sweep(s).payload["rows"]
-        assert row["status"] == "skipped"
+    def test_count_cell_skipped_only_over_the_working_set(self, tmp_path):
+        # P x N x D is 64 MiB; the cell's plan is the larger of the circuit's
+        # and the audit's working sets, here the audit's
+        cell = {"kind": "sweep", "grid": {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}}
+        assert planned(cell) < 16 * 1024 * 4096
+        assert "trajectory audit" in holds_at_its_plan(cell, tmp_path)
 
     def test_cell_skipped_only_over_the_audit_working_set(self, monkeypatch):
-        # N = 2^8, D = 4: the state's table and the audit's three, the row
-        # index and the mask, and at t = 3 the 59 readings of the default
-        # horizon (ceil(2*pi/theta) = 58 steps); the t = 0 cell is not audited
-        audit = 4 * 16 * 256 * 4 + 9 * 256 + 59 * 1280
+        # N = 2^8, D = 4: a cap of the t = 3 cell's plan, its audit with the
+        # readings of the default horizon; the t = 0 cell is not audited
+        audit = planned({"kind": "sweep", "grid": {"n_qubits": [8], "data_dim": [4], "t": [3],
+                                                   "seeds": [3]}})
         s = parse_scenario({"kind": "sweep", "grid": {"n_qubits": [8], "data_dim": [4],
                                                       "t": [0, 3], "seeds": [3]}})
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit))
@@ -224,7 +213,7 @@ class TestSweep:
 
     def test_circuit_over_the_cap_leaves_no_readings(self, monkeypatch):
         # the 2^12-row table fits one byte under the circuit's working set at P = 1024
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(CIRCUIT_BYTES - 1))
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(memory.circuit(1 << 12, 1, 1024).bytes - 1))
         grid = {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}
         (row,) = run_sweep(parse_scenario({"kind": "sweep", "grid": grid})).payload["rows"]
         big = dict(grid, n_qubits=[17])

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entgrover import cli, harness, new_flat
-from entgrover.checks import VerifyConfig, check_corpus_memory
+from conftest import holds_at_its_plan
+from entgrover import cli, harness, memory, new_flat
+from entgrover.checks import VerifyConfig
 from entgrover.harness import ScenarioError, parse_scenario
 from entgrover.qstate import MemoryLimitError
 
@@ -55,19 +56,13 @@ class TestRegressions:
         code, err = run_cli(["find", "--config", cfg])
         assert code == 1 and "n_qubits" in err
 
-    def test_audit_over_memory_cap_exit_1_names_field(self, tmp_path, monkeypatch):
-        # N = 2^8, D = 4: the 16 KiB table fits alone; the table, the audit's
-        # three tables, row index and mask (67,840 bytes) are charged together
-        # with the readings of the default horizon: at t = 3, ceil(2*pi/theta)
-        # = 58 steps, so 59 readings of 1,280 bytes
-        audit = 4 * 16 * 256 * 4 + 9 * 256 + 59 * 1280
-        cfg = write_json(tmp_path / "c.json",
-                         dict(FIND, n_qubits=8, data_dim=4, good={"t": 3, "seed": 1}))
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit - 1))
-        code, err = run_cli(["find", "--config", cfg])
-        assert code == 1 and "'n_qubits' = 8" in err and "trajectory audit" in err
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(audit))
-        assert run_cli(["find", "--config", cfg])[0] == 0
+    def test_audit_over_memory_cap_exit_1_names_field(self, tmp_path):
+        # N = 2^8, D = 4: the 16 KiB table fits alone; the audit is charged with
+        # the readings of the default horizon: at t = 3, ceil(2*pi/theta) = 58
+        # steps, so 59 readings
+        err = holds_at_its_plan(dict(FIND, n_qubits=8, data_dim=4, good={"t": 3, "seed": 1}),
+                                tmp_path)
+        assert "'n_qubits' = 8" in err and "trajectory audit" in err and "59 readings" in err
 
     @pytest.mark.parametrize(
         "good, state, field",
@@ -107,11 +102,9 @@ class TestRegressions:
         assert code == 1 and "'repetitions' = 10000" in err
 
     def test_verify_over_memory_cap_exit_1_names_kind(self, tmp_path, monkeypatch):
-        # the default battery: its 100 tables (83,008 bytes), the audit of its
-        # largest stack, 8 tables of 64 x 4 (4 x 32,768 + 9 x 512 bytes), and
-        # 51 readings of 160 bytes a state, max_steps 50 outlasting criterion
-        # 4's two periods at every N of the corpus
-        charge = 83_008 + 4 * 32_768 + 9 * 512 + 100 * 51 * 160
+        # the default battery's corpus, its samples aside; its traced peak is held
+        # to this plan in tests/test_memory.py
+        charge = memory.corpus(VerifyConfig()).bytes
         monkeypatch.setattr(harness, "run_checks", lambda cfg: [])
         cfg = write_json(tmp_path / "c.json", {"kind": "verify"})
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
@@ -192,21 +185,12 @@ class TestRegressions:
         assert code == 1 and f"'iterations' = {iterations}" in err
 
     @pytest.mark.parametrize("iterations", [0, 10])
-    def test_iterations_readings_are_charged_at_the_boundary(
-        self, tmp_path, monkeypatch, iterations
-    ):
-        # N = 2^8, D = 4, t = 3: the table, the audit's three tables, row index
-        # and mask (67,840 bytes) and the readings of steps 0 .. iterations, at
-        # 1,280 bytes each; iterations 0 was charged no reading, and 10 ten
-        charge = 4 * 16 * 256 * 4 + 9 * 256 + (iterations + 1) * 1280
-        cfg = write_json(tmp_path / "c.json", dict(FIND, n_qubits=8, data_dim=4,
-                                                   good={"t": 3, "seed": 1},
-                                                   iterations=iterations))
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
-        code, err = run_cli(["find", "--config", cfg])
-        assert code == 1 and f"'iterations' = {iterations}" in err
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
-        assert run_cli(["find", "--config", cfg])[0] == 0
+    def test_iterations_readings_are_charged_at_the_boundary(self, tmp_path, iterations):
+        # N = 2^8, D = 4, t = 3: the audit and the readings of steps 0 ..
+        # iterations; iterations 0 was charged no reading, and 10 ten
+        err = holds_at_its_plan(dict(FIND, n_qubits=8, data_dim=4, good={"t": 3, "seed": 1},
+                                     iterations=iterations), tmp_path)
+        assert f"'iterations' = {iterations}" in err and f"{iterations + 1} readings" in err
 
     @pytest.mark.parametrize(
         "cfg",
@@ -216,7 +200,7 @@ class TestRegressions:
     )
     def test_corpus_tables_are_charged(self, cfg):
         with pytest.raises(MemoryLimitError, match="corpus"):
-            check_corpus_memory(cfg)
+            memory.check([memory.corpus(cfg)])
 
     @pytest.mark.parametrize(
         "cfg, cap",
@@ -230,20 +214,15 @@ class TestRegressions:
         if cap is not None:
             monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(cap))
         with pytest.raises(MemoryLimitError, match=f"{cfg.max_steps} steps"):
-            check_corpus_memory(cfg)
-        check_corpus_memory(replace(cfg, max_steps=0))
+            memory.check([memory.corpus(cfg)])
+        memory.check([memory.corpus(replace(cfg, max_steps=0))])
 
-    def test_corpus_law_horizon_is_charged(self, monkeypatch):
-        # one state at N = 2^16, D = 1 and max_steps 0: its table, the audit's four
-        # tables, row index and mask, and the readings of criterion 4's two periods
-        # at t = 1, ceil(pi/theta) + 1 = 806 steps: 807 readings of 160 bytes
-        charge = 16 * 65536 + 4 * 16 * 65536 + 9 * 65536 + 807 * 160
+    def test_corpus_law_horizon_is_charged(self):
+        # one state at N = 2^16 and max_steps 0 is charged the readings of
+        # criterion 4's two periods at t = 1, ceil(pi/theta) + 1 = 806 steps
         cfg = VerifyConfig(corpus_count=1, n_qubits_list=(16,), data_dims=(1,), max_steps=0)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
-        with pytest.raises(MemoryLimitError, match=f"needs {charge} bytes"):
-            check_corpus_memory(cfg)
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge))
-        check_corpus_memory(cfg)
+        charge = [memory.corpus(replace(cfg, max_steps=steps)).bytes for steps in (0, 806, 807)]
+        assert charge[0] == charge[1] < charge[2]
 
     @pytest.mark.parametrize(
         "rows",
