@@ -196,7 +196,7 @@ def closed_form_table(
     if n == 0:
         return c0
     out = np.empty((1,) + c0.shape, dtype=np.complex128)
-    return _closed_form_into(c0, gmask, ms, n, out)[0]
+    return _closed_form_into(c0, gmask, _closed_form_offsets(ms, n, 1), n, out)[0]
 
 
 def _closed_form_offsets(
@@ -241,13 +241,16 @@ def _averages(ms: Sequence[MomentSummary]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _closed_form_into(
-    c0: np.ndarray, gmask: np.ndarray, ms: Sequence[MomentSummary], n0: int, out: np.ndarray
+    c0: np.ndarray, gmask: np.ndarray, offsets: tuple[np.ndarray, np.ndarray], n0: int,
+    out: np.ndarray,
 ) -> np.ndarray:
     """``closed_form_table`` for interior states at steps n0 .. n0 + k - 1,
     written into the (k, B, N, D) buffer ``out`` (n = 0 gives ``c0`` up to
-    the sign of a zero): every row gets c0 + o_b on even steps and o_b - c0
-    on odd ones, then the marked rows c0 + o_g through a ``where=`` mask."""
-    good, bad = (o[:, :, None] for o in _closed_form_offsets(ms, n0, len(out)))
+    the sign of a zero), from their ``_closed_form_offsets`` (o_g, o_b): every
+    row gets c0 + o_b on even steps and o_b - c0 on odd ones, then the marked
+    rows c0 + o_g through a ``where=`` mask.  Any rows of the states may be
+    passed, as ``c0``, ``gmask`` and ``out`` of fewer than N rows."""
+    good, bad = (o[:, :, None] for o in offsets)
     even, odd = slice(n0 % 2, None, 2), slice(1 - n0 % 2, None, 2)
     with small_buffer():  # the broadcast operands go through numpy's ufunc buffer
         np.add(c0, bad[even], out=out[even])

@@ -10,7 +10,8 @@ the marked-sector mass, the amplitude deviation from the closed form, and
 the drift of the sector variances and of the norm; ``find``, ``sweep`` and
 the criteria that simulate a trajectory read it.  It steps and reads a
 chunk of k steps at a time (at most ``memory._CHUNK_BYTES`` of tables), in
-three chunks allocated once per call; ``memory.audit`` charges them.
+two chunks allocated once per call, the steps and the work that is both the
+step's scratch and the read's only buffer; ``memory.audit`` charges them.
 
 The battery builds its corpus once (``build_corpus``) for criteria 1-4, as
 one stack per table shape: each stack is audited in lock step
@@ -162,10 +163,12 @@ def _span_means(rows: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
 
 def _chunk_steps(shape: tuple[int, int, int], steps: int) -> int:
     """Steps the audit of a (B, N, D) stack holds at once: as many stacks as
-    ``memory._CHUNK_BYTES`` holds and the memory cap leaves room for, at most
+    ``memory._CHUNK_BYTES`` holds and the memory cap leaves room for beside the
+    audit's readings (``memory._STEP_BYTES`` a state and step), at most
     ``steps`` and at least one."""
     step = memory._audit_bytes(shape, 1) - memory._audit_bytes(shape, 0)
-    room = qstate.memory_cap_bytes() - memory._audit_bytes(shape, 0)
+    room = (qstate.memory_cap_bytes() - memory._audit_bytes(shape, 0)
+            - shape[0] * steps * memory._STEP_BYTES)
     return max(1, min(steps, memory._CHUNK_BYTES // (16 * math.prod(shape)), room // step))
 
 
@@ -181,20 +184,23 @@ def _audit_stack(
     marked-row masks, ``ms`` their moments and ``horizons`` the last step
     audited for each; the stack is stepped to max(horizons).
 
-    The call owns three C-ordered chunks of k tables (``_chunk_steps``),
-    each on a cache line (``_arena``).  The steps of a chunk are written
-    into the first, with a table of a free chunk as scratch; then all k are
-    read at once, and the last is stepped into the first table for the next
-    chunk.  A read writes the k closed-form predictions into the second
-    chunk (``analytic._closed_form_into``), subtracts the steps and takes
-    each state's largest absolute value.  It then gathers the two sectors,
-    ``c[gmask]`` then ``c[~gmask]``, into the second chunk with one
-    ``np.take``; the marked mass and the sector variances are read on those
-    rows, every |z|^2 formed in the third chunk, and only the norm is summed
-    over the whole tables.  Sums over a state's rows are reduced state by
-    state, with the reductions ``qstate.good_mass`` and ``qstate.moments``
-    make, so every reading stays bit for bit what the state gives alone,
-    whatever k is.
+    The call owns two C-ordered chunks of k tables (``_chunk_steps``), each
+    on a cache line (``_arena``): ``steps`` and ``work``.  The steps of a
+    chunk are written into ``steps``, with a table of ``work`` as scratch;
+    then all k are read at once, and the last is stepped into the first
+    table for the next chunk.  ``work`` is also the read's only buffer:
+    - the k tables' |z|^2 go into its float view and are reduced to the
+      norms, and their marked rows are gathered into the rest of it and
+      summed to the masses;
+    - the closed-form predictions (``analytic._closed_form_into``) are
+      written into it for one half of the rows at a time, the steps
+      subtracted and each state's largest absolute value taken;
+    - the two sectors, ``c[gmask]`` then ``c[~gmask]``, are gathered into it
+      with one ``np.take``, centred, and squared in place into their real
+      parts, whose sums give the sector variances.
+    Sums over a state's rows are reduced state by state, with the reductions
+    ``qstate.good_mass`` and ``qstate.moments`` make, so every reading stays
+    bit for bit what the state gives alone, whatever k is.
     """
     n_big, d = c0.shape[1:]
     ts = [m.t for m in ms]
@@ -211,40 +217,51 @@ def _audit_stack(
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
     pick = slice(None) if len(interior) == len(ms) else interior
     c0_in, gmask_in, ms_in = c0[pick], gmask[pick], [ms[i] for i in interior]
+    halves = (slice(0, n_big // 2), slice(n_big // 2, n_big))
     last = max(horizons)
     k = _chunk_steps(c0.shape, last + 1)
-    steps, sectors, work = _arena((k,) + c0.shape, 3)
+    steps, work = _arena((k,) + c0.shape, 2)
     avg = np.empty((k,) + c0.shape[::2], dtype=np.complex128)
     # Empty sectors sum to 0 over one row, so their drift reads 0.
     t_rows = np.maximum(ts, 1)[:, None]
     b_rows = np.maximum(n_bad, 1)[:, None]
     var0 = np.array([[m.var_g, m.var_b] for m in ms]).T[..., None]
 
-    def read(n0: int, c: np.ndarray, sectors: np.ndarray, work: np.ndarray):
+    def read(n0: int, c: np.ndarray, work: np.ndarray):
         """(p_sim, amp_dev or None, var_drift, norm_dev) of each stacked table,
         each a length-k array, at the k steps from n0 held in ``c``."""
         size = len(c)
-        norms = np.add.reduce(_abs2(c, work), axis=(2, 3)).T
+        abs2 = _abs2(c, work)
+        norms = np.add.reduce(abs2, axis=(2, 3)).T
+        marked = _carve(work, (size, n_good_rows, d), np.float64, abs2.size)
+        np.take(abs2.reshape(size, -1, d), rows[:n_good_rows], axis=1, out=marked, mode="clip")
+        masses = _span_sums(marked, g_spans)
         amp_dev = [None] * len(ms)
         if interior:
-            pred = analytic._closed_form_into(
-                c0_in, gmask_in, ms_in, n0, _carve(sectors, (size,) + c0_in.shape)
-            )
-            pred -= c[:, pick]
-            abs_dev = np.abs(pred, out=_carve(work, pred.shape, np.float64))
-            for i, dev in zip(interior, np.max(abs_dev, axis=(2, 3)).T):
+            offsets = analytic._closed_form_offsets(ms_in, n0, size)
+            peaks = []
+            for half in halves:
+                pred = analytic._closed_form_into(
+                    c0_in[:, half], gmask_in[:, half], offsets, n0,
+                    _carve(work, (size, len(ms_in), half.stop - half.start, d)))
+                with grover.small_buffer():  # a half's rows are strided
+                    pred -= c[:, pick, half]
+                abs_dev = np.abs(pred, out=_carve(work, pred.shape, np.float64, 2 * pred.size))
+                peaks.append(np.max(abs_dev, axis=(2, 3)))
+            for i, dev in zip(interior, np.maximum(*peaks).T):
                 amp_dev[i] = dev
-        flat = sectors.reshape(size, -1, d)
+        flat = work.reshape(size, -1, d)
         np.take(c.reshape(size, -1, d), rows, axis=1, out=flat, mode="clip")
         good, bad = flat[:, :n_good_rows], flat[:, n_good_rows:]
-        masses = _span_sums(_abs2(good, work), g_spans)
         for sector, spans in ((good, g_spans), (bad, b_spans)):
             _span_means(sector, spans, avg[:size])
             with grover.small_buffer():
                 for i, span in enumerate(spans):
                     sector[:, span] -= avg[:size, i, None]
-        var_g = _span_sums(_abs2(good, work), g_spans)
-        var_b = _span_sums(_abs2(bad, work), b_spans)
+        # Squared on the whole gather: on a sector's slice numpy copies the operands.
+        squares = qstate._abs2_into_real(flat)
+        var_g = _span_sums(squares[:, :n_good_rows], g_spans)
+        var_b = _span_sums(squares[:, n_good_rows:], b_spans)
         drift = np.maximum(np.abs(var_g / t_rows - var0[0]), np.abs(var_b / b_rows - var0[1]))
         return zip(masses / n_big, amp_dev, drift, np.abs(np.sqrt(norms / n_big) - 1.0))
 
@@ -254,8 +271,8 @@ def _audit_stack(
     for n0 in range(0, last + 1, k):
         size = min(k, last + 1 - n0)
         for j in range(1, size):
-            grover._step_rows(tables[j - 1], gmask, tables[j], sectors[0])
-        for i, reading in enumerate(read(n0, steps[:size], sectors[:size], work[:size])):
+            grover._step_rows(tables[j - 1], gmask, tables[j], work[0])
+        for i, reading in enumerate(read(n0, steps[:size], work[:size])):
             count = max(0, min(size, horizons[i] + 1 - n0))
             for series, values in zip(readings[i], reading):
                 if values is not None:
@@ -328,8 +345,9 @@ def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResu
     """The two-block recurrence's offsets -(2/N) X_n and -(2/N) Y_n equal the
     closed form's marked and unmarked offsets, for n up to max_steps.  One
     recurrence pass runs over the whole corpus, its averages zero-padded to
-    the widest D, and is compared a chunk of steps at a time (at most
-    ``memory._CHUNK_BYTES`` of offsets), each state with its own bits."""
+    the widest D, and is compared a chunk of steps at a time
+    (``memory.recurrence_steps``: at most ``memory._CHUNK_BYTES`` with its
+    temporaries), each state with its own bits."""
     tol = cfg.tolerances.amplitude
     worst = 0.0
     ms = [m for _, _, stack in corpus.stacks for m in stack]
@@ -337,7 +355,7 @@ def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResu
         scale = np.array([[-2.0 / m.n_states] for m in ms])
         steps = analytic.recurrence_sequence(ms, cfg.max_steps)
         widest = max(c0.shape[2] for c0, _, _ in corpus.stacks)
-        k = max(1, memory._CHUNK_BYTES // (64 * len(ms) * widest))
+        k = memory.recurrence_steps(len(ms), widest, cfg.max_steps)
         for n0 in range(1, cfg.max_steps + 1, k):
             size = min(k, cfg.max_steps + 1 - n0)
             xy = np.array([(x, y) for _, x, y in itertools.islice(steps, size)])

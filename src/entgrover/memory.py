@@ -14,9 +14,7 @@ constructor and ``new_flat``, ``checks.corpus_states``,
 ``counting.circuit_distributions`` and ``counting.run_count``) check their
 own term here, and the battery's and the audit's chunking read the same
 formulas and chunk size, so each is stated once.  The constants are peaks
-that tracemalloc read, each written beside its reading.  The terms charge
-what a run holds; the few tables a state's construction and ``moments`` hold
-for a moment are left out.
+that tracemalloc read, each written beside its reading.
 """
 from __future__ import annotations
 
@@ -32,11 +30,32 @@ from . import qstate
 # a call; a table this size or larger is read one step at a time.
 _CHUNK_BYTES = 1 << 18
 
+# Peak bytes of building a state with its marked set and reading its moments
+# (``harness._setup``, then ``qstate.moments``): ``_BUILD_TABLES`` tables (the
+# state, a random state's sector draw and its squares; a flat state holds two,
+# and moments a sector's copy beside the state), ``_ROW_BYTES`` a row (the
+# marked-row masks) and ``_MARK_BYTES`` a marked index (the marked set's tuple
+# of ints and the sorted list it is checked on, 61-65 read).  Over N = 2^5 to
+# 2^18, D = 1 to 64 and t from 0 to N, flat and random states, tracemalloc read
+# at most 4.8 KB over the sum at N*D <= 2^8, where fixed objects dominate, and
+# nothing over it from N*D = 2^10 on (CPython 3.11, numpy 2.4.6).
+_BUILD_TABLES = 3
+_ROW_BYTES = 4
+_MARK_BYTES = 64
+
 # Peak bytes of a find's readings a step (the audit's series, the report's row
 # and its JSON text), and of the corpus's a state and step: tracemalloc read
 # 1,244-1,274 and 125-130 over 10^4 to 4 x 10^4 steps (CPython 3.11, numpy 2.4.6).
 _STEP_BYTES = 1280
 _CORPUS_STEP_BYTES = 160
+
+# Peak bytes of criterion 2's comparison a step, state and column of its chunk,
+# the recurrence's own state charged as one step more: the recurrence's pairs,
+# the closed form's offsets, their angles as floats and the deviations.
+# tracemalloc read 184-212 at 10 to 40 steps a chunk and up to 412 at one or two
+# (the fixed objects), over 100 and 300 states of D = 1 and 4 (CPython 3.11,
+# numpy 2.4.6).
+_RECURRENCE_BYTES = 256
 
 # Bytes an audit chunk holds a step beyond its tables, for each of the stack's
 # B x D columns: the sector averages and the closed form's two offsets, with
@@ -102,13 +121,22 @@ def table(n_states: int, data_dim: int, field: str | None = None) -> Term:
     return Term(16 * n, f"state of {n} amplitudes", field)
 
 
+def build(n_states: int, data_dim: int, t: int, field: str | None = None) -> Term:
+    """Building an N x D state and its marked set of t indices, and reading its
+    moments."""
+    needed = (16 * _BUILD_TABLES * n_states * data_dim + _ROW_BYTES * n_states
+              + _MARK_BYTES * t)
+    return Term(needed, f"building a state of {n_states * data_dim} amplitudes (t = {t}) "
+                        f"and reading its moments", field)
+
+
 def _audit_bytes(shape: tuple[int, int, int], k: int) -> int:
     """Bytes a (B, N, D) stack of states and its audit hold at k steps a chunk:
-    the states' tables, three chunks of k stacks, ``_OFFSET_BYTES`` a step and
-    column, the sector row index (8 bytes a row) and the marked-row mask (1 byte
-    a row)."""
+    the states' tables, two chunks of k stacks (the steps and their work),
+    ``_OFFSET_BYTES`` a step and column, the sector row index (8 bytes a row) and
+    the marked-row mask (1 byte a row)."""
     b, n, d = shape
-    return 16 * b * n * d * (1 + 3 * k) + _OFFSET_BYTES * b * d * k + 9 * b * n
+    return 16 * b * n * d * (1 + 2 * k) + _OFFSET_BYTES * b * d * k + 9 * b * n
 
 
 def audit(n_states: int, data_dim: int, readings: int, field: str | None = None) -> Term:
@@ -148,12 +176,21 @@ def report(p_size: int, repetitions: int, field: str | None = None) -> Term:
                 f"count report of {p_size} outcomes and {repetitions} samples", field)
 
 
+def recurrence_steps(n_states: int, data_dim: int, max_steps: int) -> int:
+    """Steps a chunk of criterion 2's comparison holds for ``n_states`` states of
+    width ``data_dim``: as many as ``_CHUNK_BYTES`` holds, at least one."""
+    return max(1, min(max_steps, _CHUNK_BYTES // (_RECURRENCE_BYTES * n_states * data_dim)))
+
+
 def corpus(cfg, field: str | None = None) -> Term:
-    """The battery's corpus (``checks.VerifyConfig`` ``cfg``): every corpus table,
-    held as a state and in its shape's (B, N, D) stack, the audit of the largest
-    stack at as many steps a chunk as ``_CHUNK_BYTES`` holds, and each state's
+    """The battery's corpus (``checks.VerifyConfig`` ``cfg``): each state's
     readings of steps 0 .. max(max_steps, law horizon), the law horizon charged
-    at t = 1, where it is longest."""
+    at t = 1, where it is longest; every table in its shape's (B, N, D) stack;
+    and the larger of two working sets beside them.  While the corpus is built
+    each table is held as a state too, with the audit of the largest stack at
+    as many steps a chunk as ``_CHUNK_BYTES`` holds; criterion 2 then holds a
+    chunk of its comparison (``recurrence_steps``) over every state at the
+    widest D."""
     combos = [(1 << nq, d) for nq in cfg.n_qubits_list for d in cfg.data_dims]
     rounds, rest = divmod(cfg.corpus_count, len(combos))
     counts = Counter(combos[:rest]) + Counter({c: rounds * combos.count(c) for c in combos})
@@ -161,7 +198,11 @@ def corpus(cfg, field: str | None = None) -> Term:
     steps = {shape: max(cfg.max_steps, law_horizon(1, shape[1])) + 1 for shape in stacks}
     largest = max(stacks, key=stacks.get)
     k = max(1, min(steps[largest], _CHUNK_BYTES // stacks[largest]))
-    needed = (2 * sum(stacks.values()) - stacks[largest] + _audit_bytes(largest, k)
+    widest = max(d for _, d in combos)
+    k2 = recurrence_steps(cfg.corpus_count, widest, cfg.max_steps)
+    working = max(sum(stacks.values()) - stacks[largest] + _audit_bytes(largest, k),
+                  _RECURRENCE_BYTES * cfg.corpus_count * widest * (k2 + 1))
+    needed = (sum(stacks.values()) + working
               + sum(shape[0] * steps[shape] for shape in stacks) * _CORPUS_STEP_BYTES)
     b, n, d = largest
     return Term(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes and "
@@ -195,8 +236,9 @@ def plan(s, cfg=None) -> list[Term]:
     """The plan of the parsed scenario ``s`` (``cfg``, a verify's battery), or of
     one sweep cell, a scenario of kind ``sweep`` holding the cell's sizes.
 
-    A find holds its table, then its audit, then the audit with its readings;
-    a count its table, its circuit pass, its samples and its report; a sweep
+    A find builds its state, then holds its audit, then the audit with its
+    readings; a count builds its state, then holds its circuit pass, its
+    samples and its report; a sweep
     cell is the find of its cell, audited only at 0 < t < N, with the circuit
     pass first when P >= 4 there too.  A state file comes last: it is read
     once those fit.  t is read off the ``good`` spec, so no marked set is
@@ -208,7 +250,7 @@ def plan(s, cfg=None) -> list[Term]:
     size = f"field 'n_qubits' = {s.n_qubits} (with data_dim = {d})"
     t = len(s.good["indices"]) if "indices" in s.good else s.good["t"]
     audited = s.kind == "find" or (s.kind == "sweep" and 0 < t < n)
-    terms = [table(n, d, size)]
+    terms = [build(n, d, t, size)]
     if s.kind == "count" or (audited and s.kind == "sweep" and (s.p_size or 0) >= 4):
         terms.append(circuit(n, d, s.p_size, field=f"field 'P' = {s.p_size} (with n_qubits = "
                                                     f"{s.n_qubits}, data_dim = {d})"))

@@ -22,6 +22,7 @@ file's format.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -76,7 +77,16 @@ def _norm_sq(coeffs: np.ndarray) -> float:
     Its error, O(log(N*D) * u) relative, sits far inside the 1e-9 norm gate
     and costs a fraction of the exactly-rounded ``_norm_sq_total``.
     """
-    return float(np.sum(np.square(coeffs.real) + np.square(coeffs.imag)))
+    return float(np.sum(_squares(coeffs)))
+
+
+def _squares(z: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array as a new float array, the sum added in
+    place, so that one temporary of its size is held whether or not numpy
+    elides the temporaries of ``a + b`` (it does above 256 KiB only)."""
+    sq = np.square(z.real)
+    sq += np.square(z.imag)
+    return sq
 
 
 @dataclass(frozen=True)
@@ -88,22 +98,18 @@ class EntangledState:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        if self.data_dim < 1:
-            raise ValueError(f"data_dim must be >= 1, got {self.data_dim}")
-        n = 1 << self.n_qubits
-        memory.check([memory.table(n, self.data_dim)])
+        n = _dims(self.n_qubits, self.data_dim)
         c = np.array(self.coeffs, dtype=np.complex128, copy=True)
-        if c.shape != (n, self.data_dim):
-            raise ValueError(f"coefficient table must be {n}x{self.data_dim}, got {c.shape}")
-        total = _norm_sq(c)
-        if not math.isfinite(total) or abs(total - n) > NORM_ATOL:
-            raise ValueError(
-                f"total squared norm must equal N={n} within {NORM_ATOL}, got {total!r}"
-            )
+        _gate(c, n, self.data_dim)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _owned(cls, n_qubits: int, data_dim: int, coeffs: np.ndarray) -> "EntangledState":
+        """A state of a complex128 table built in this module and handed over:
+        the public constructor's checks, without its copy."""
+        _gate(coeffs, _dims(n_qubits, data_dim), data_dim)
+        return cls._trusted(n_qubits, data_dim, coeffs)
 
     @classmethod
     def _trusted(cls, n_qubits: int, data_dim: int, coeffs: np.ndarray) -> "EntangledState":
@@ -134,6 +140,26 @@ class EntangledState:
         return {"n_qubits": self.n_qubits, "data_dim": self.data_dim, "rows": rows}
 
 
+def _dims(n_qubits: int, data_dim: int) -> int:
+    """N, once the dimensions are valid and a table of them fits the memory cap."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    if data_dim < 1:
+        raise ValueError(f"data_dim must be >= 1, got {data_dim}")
+    n = 1 << n_qubits
+    memory.check([memory.table(n, data_dim)])
+    return n
+
+
+def _gate(c: np.ndarray, n: int, data_dim: int) -> None:
+    """The norm gate: ``c`` is N x D with sum ||f_a||^2 = N within ``NORM_ATOL``."""
+    if c.shape != (n, data_dim):
+        raise ValueError(f"coefficient table must be {n}x{data_dim}, got {c.shape}")
+    total = _norm_sq(c)
+    if not math.isfinite(total) or abs(total - n) > NORM_ATOL:
+        raise ValueError(f"total squared norm must equal N={n} within {NORM_ATOL}, got {total!r}")
+
+
 @dataclass(frozen=True)
 class GoodSet:
     """The marked search indices, kept strictly increasing."""
@@ -141,12 +167,14 @@ class GoodSet:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
+        # Checked on the sorted list, without a set: a large marked set then
+        # costs its tuple and one list beside it.
+        idx = sorted(int(i) for i in self.indices)
+        if idx and idx[0] < 0:
             raise ValueError("marked indices must be non-negative")
-        if len(set(idx)) != len(idx):
+        if any(a == b for a, b in itertools.pairwise(idx)):
             raise ValueError("marked indices must be unique")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        object.__setattr__(self, "indices", tuple(idx))
 
     @property
     def t(self) -> int:
@@ -202,10 +230,24 @@ class MomentSummary:
             raise ValueError("sector variances cannot be negative")
 
 
+def _abs2_into_real(z: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a C-contiguous complex array, written over its real parts
+    and returned as that strided view.  Each part is squared in place and the
+    sum added into the real parts: an array and its own view are one operand,
+    and the real and imaginary parts share no byte, so numpy makes no
+    temporary copy (it does copy the operands of a strided slice's parts)."""
+    re, im = z.real, z.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    return np.add(re, im, out=re)
+
+
 def _sector_stats(rows: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Mean, its squared norm and the sample variance of a sector's rows, a copy
+    the caller hands over: it is centred and squared in place."""
     avg = rows.mean(axis=0)
-    dev = rows - avg
-    var = float(np.sum(np.square(dev.real) + np.square(dev.imag))) / rows.shape[0]
+    rows -= avg
+    var = float(np.sum(_abs2_into_real(rows))) / rows.shape[0]
     norm2 = float(np.vdot(avg, avg).real)
     return avg, norm2, var
 
@@ -232,7 +274,7 @@ def moments(state: EntangledState, good: GoodSet) -> MomentSummary:
     if t < n:
         b_avg, b_norm2, var_b = _sector_stats(c[~gmask])
     cross = complex(np.vdot(g_avg, b_avg)) if t > 0 and t < n else 0j
-    n_good_mass = float(np.sum(np.square(c[gmask].real) + np.square(c[gmask].imag)))
+    n_good_mass = float(np.sum(_abs2_into_real(c[gmask])))
     return MomentSummary(
         n_states=n,
         t=t,
@@ -256,7 +298,7 @@ def new_flat(n_qubits: int, data_dim: int) -> EntangledState:
     memory.check([memory.table(n, data_dim)])
     c = np.zeros((n, data_dim), dtype=np.complex128)
     c[:, 0] = 1.0
-    return EntangledState(n_qubits=n_qubits, data_dim=data_dim, coeffs=c)
+    return EntangledState._owned(n_qubits, data_dim, c)
 
 
 def from_amplitudes(coeffs: Sequence | np.ndarray, renormalize: bool = False) -> EntangledState:
@@ -278,8 +320,8 @@ def from_amplitudes(coeffs: Sequence | np.ndarray, renormalize: bool = False) ->
         total = _norm_sq_total(c)
         if total <= 0.0:
             raise ValueError("cannot renormalize a zero table")
-        c = c * math.sqrt(n / total)
-    return EntangledState(n_qubits=n_qubits, data_dim=d, coeffs=c)
+        c *= math.sqrt(n / total)
+    return EntangledState._owned(n_qubits, d, c)
 
 
 def _zero_sum_perturbations(
@@ -290,12 +332,15 @@ def _zero_sum_perturbations(
         return np.zeros((count, dim), dtype=np.complex128)
     if count < 2:
         raise ValueError("a single-row sector has zero sample variance; target must be 0")
-    d = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    d = np.empty((count, dim), dtype=np.complex128)
+    d.real = rng.standard_normal((count, dim))
+    d.imag = rng.standard_normal((count, dim))
     d -= d.mean(axis=0)
-    s2 = float(np.sum(np.square(d.real) + np.square(d.imag))) / count
+    s2 = float(np.sum(_squares(d))) / count
     if s2 <= 0.0:
         raise ValueError("degenerate perturbation draw")
-    return d * math.sqrt(target_var / s2)
+    d *= math.sqrt(target_var / s2)
+    return d
 
 
 def random_with_moments(
@@ -347,11 +392,15 @@ def random_with_moments(
     rng = np.random.default_rng(seed)
     c = np.zeros((n, data_dim), dtype=np.complex128)
     gmask = good.mask(n)
-    if t > 0:
-        c[gmask] = scale * (ga + _zero_sum_perturbations(rng, t, data_dim, target_var_g))
-    if t < n:
-        c[~gmask] = scale * (ba + _zero_sum_perturbations(rng, n - t, data_dim, target_var_b))
-    return EntangledState(n_qubits=n_qubits, data_dim=data_dim, coeffs=c)
+    for rows, count, avg, target in ((gmask, t, ga, target_var_g),
+                                     (~gmask, n - t, ba, target_var_b)):
+        if count:  # scale * (avg + perturbation), formed in place
+            d = _zero_sum_perturbations(rng, count, data_dim, target)
+            d += avg
+            d *= scale
+            c[rows] = d
+            del d
+    return EntangledState._owned(n_qubits, data_dim, c)
 
 
 def search_distribution(state: EntangledState) -> np.ndarray:
@@ -365,5 +414,4 @@ def search_distribution(state: EntangledState) -> np.ndarray:
 def good_mass(state: EntangledState, good: GoodSet) -> float:
     """Probability of measuring a marked index."""
     gmask = good.mask(state.n_states)
-    c = state.coeffs[gmask]
-    return float(np.sum(np.square(c.real) + np.square(c.imag))) / state.n_states
+    return float(np.sum(_abs2_into_real(state.coeffs[gmask]))) / state.n_states

@@ -111,12 +111,11 @@ def planted(fn, old: str, new: str):
     return namespace[fn.__name__]
 
 
-# What a run holds beyond its plan: interpreter objects (the scenario, the
-# report's fixed part, the audit's series as lists), numpy's small arrays and
-# ufunc buffers, and the temporaries of building a state and reading its
-# moments, which the plan leaves out (a few tables at these sizes).  Over 1,500
-# draws tracemalloc read at most 70.4 KB over the plan (CPython 3.11, numpy 2.4.6).
-SLACK = 96 << 10
+# What a run holds beyond its plan: fixed objects, that is interpreter objects
+# (the scenario, the report's fixed part) and numpy's small arrays and ufunc
+# buffers.  Over 1,500 draws tracemalloc read at most 32.4 KB over the plan, and
+# the verify battery 24 KB (CPython 3.11, numpy 2.4.6).
+SLACK = 64 << 10
 # A csv report's writer holds a record buffer of 32,768 characters from its
 # first row (the csv module's MEM_INCR), 128 KiB of UCS-4.
 CSV_WRITER = 128 << 10

@@ -212,15 +212,15 @@ class TestSweep:
         assert "10001 readings" in row["error"] and "max_amp_dev" not in row
 
     def test_circuit_over_the_cap_leaves_no_readings(self, monkeypatch):
-        # the 2^12-row table fits one byte under the circuit's working set at P = 1024
-        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(memory.circuit(1 << 12, 1, 1024).bytes - 1))
-        grid = {"n_qubits": [12], "t": [100], "P": [1024], "seeds": [3]}
+        # the 2^12-row state's build fits one byte under the circuit's working set at P = 2048
+        monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(memory.circuit(1 << 12, 1, 2048).bytes - 1))
+        grid = {"n_qubits": [12], "t": [100], "P": [2048], "seeds": [3]}
         (row,) = run_sweep(parse_scenario({"kind": "sweep", "grid": grid})).payload["rows"]
         big = dict(grid, n_qubits=[17])
         (table_row,) = run_sweep(parse_scenario({"kind": "sweep", "grid": big})).payload["rows"]
         assert (row["status"], row["passed"]) == ("skipped", None)
         assert tuple(row) == tuple(table_row)
-        assert "counting circuit" in row["error"] and "P = 1024" in row["error"]
+        assert "counting circuit" in row["error"] and "P = 2048" in row["error"]
 
     def test_workers_do_not_change_output(self):
         base = {"kind": "sweep",

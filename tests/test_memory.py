@@ -104,8 +104,8 @@ def test_a_run_fits_its_plan(tmp_path_factory, scenario):
          "audit(n, d, 0, size)", {"kind": "find", "n_qubits": 1, "good": {"t": 1, "seed": 0},
                                   "iterations": 500}),
         # one more table a step of the audit's chunks
-        (checks._audit_stack, "steps, sectors, work = _arena((k,) + c0.shape, 3)",
-         "steps, sectors, work, spare = _arena((k,) + c0.shape, 4)", WIDE),
+        (checks._audit_stack, "steps, work = _arena((k,) + c0.shape, 2)",
+         "steps, work, spare = _arena((k,) + c0.shape, 3)", WIDE),
     ],
     ids=["dropped-term", "extra-table"],
 )
@@ -135,17 +135,63 @@ def test_a_state_file_is_charged_before_it_is_parsed(tmp_path, monkeypatch):
     assert peak < 1 << 20
 
 
-def test_a_written_2_16_by_4_state_reads_under_the_default_cap(tmp_path):
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A random 2^16 x 4 state and the file it is written to."""
     rng = np.random.default_rng(5)
     shape = (1 << 16, 4)
     state = from_amplitudes(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                             renormalize=True)
-    path = tmp_path / "state.json"
+    path = tmp_path_factory.mktemp("written") / "state.json"
     path.write_text(json.dumps(state.to_json_obj()))
+    return state, path
+
+
+def test_a_written_2_16_by_4_state_reads_under_the_default_cap(written):
+    state, path = written
     s = parse_scenario({"kind": "find", "n_qubits": 16, "data_dim": 4, "iterations": 0,
                         "good": {"t": 1, "seed": 0}, "state": {"type": "file", "path": str(path)}})
     _, back, _ = harness._setup(s)
     assert np.array_equal(back.coeffs, state.coeffs)
+
+
+@pytest.mark.parametrize("kind", ["flat", "random", "file"])
+def test_building_a_state_and_its_moments_fits_the_build_term(written, kind):
+    """At 2^16 x 4, ``_setup`` and ``moments`` peak within the plan's build term;
+    a file state's parse within its own term (``memory.state_file``).  Before the
+    construction was charged, a flat state read 3.0 tables to build and a random
+    one 3.1-4.1, with 3.0-3.5 more for its moments, against one table."""
+    state = {"type": kind}
+    if kind == "random":
+        state.update(seed=1, var_b=0.05)
+    if kind == "file":
+        state = {"type": "file", "path": str(written[1])}
+    s = parse_scenario({"kind": "count", "n_qubits": 16, "data_dim": 4, "P": 4, "seed": 1,
+                        "state": state, "good": {"t": 1, "seed": 0}})
+    build, *terms = memory.plan(s)
+    if kind != "file":  # a parse dwarfs the first call's caches
+        harness._setup(s)
+    tracemalloc.start()
+    try:
+        good, built, _ = harness._setup(s)
+        setup = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        memory.qstate.moments(built, good)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build.what.startswith("building a state of 262144 amplitudes")
+    assert setup <= (terms[-1].bytes if kind == "file" else build.bytes)
+    assert read <= build.bytes
+
+
+def test_a_flat_2_24_find_fits_the_default_cap(monkeypatch):
+    """The plan alone (nothing is run): a flat find at N = 2^24, D = 1, t = 1, its
+    default horizon the longest, holds its state and two tables of the audit
+    (943 MiB).  Charged three, the audit asked for 1,224,736,864 bytes."""
+    monkeypatch.delenv("ENTGROVER_MEMORY_CAP", raising=False)
+    s = parse_scenario({"kind": "find", "n_qubits": 24, "good": {"t": 1, "seed": 0}})
+    assert memory.check(memory.plan(s)) <= memory.qstate.memory_cap_bytes()
 
 
 def test_the_verdict_line_carries_the_planned_peak(tmp_path):
