@@ -37,8 +37,8 @@ _CHUNK_BYTES = 1 << 18
 # marked-row masks) and ``_MARK_BYTES`` a marked index (the marked set's tuple
 # of ints and the sorted list it is checked on, 61-65 read).  Over N = 2^5 to
 # 2^18, D = 1 to 64 and t from 0 to N, flat and random states, tracemalloc read
-# at most 4.8 KB over the sum at N*D <= 2^8, where fixed objects dominate, and
-# nothing over it from N*D = 2^10 on (CPython 3.11, numpy 2.4.6).
+# at most 4.8 KB over the sum at N*D <= 2^10, where fixed objects dominate, and
+# under it from N*D = 2^12 on (CPython 3.11, numpy 2.4.6).
 _BUILD_TABLES = 3
 _ROW_BYTES = 4
 _MARK_BYTES = 64
@@ -238,9 +238,8 @@ def plan(s, cfg=None) -> list[Term]:
 
     A find builds its state, then holds its audit, then the audit with its
     readings; a count builds its state, then holds its circuit pass, its
-    samples and its report; a sweep
-    cell is the find of its cell, audited only at 0 < t < N, with the circuit
-    pass first when P >= 4 there too.  A state file comes last: it is read
+    samples and its report; a sweep cell is the find of its cell, audited
+    only at 0 < t < N, with the circuit pass first when P >= 4 there too.  A state file comes last: it is read
     once those fit.  t is read off the ``good`` spec, so no marked set is
     built before the plan passes."""
     if s.kind == "verify":
