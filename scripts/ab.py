@@ -140,11 +140,12 @@ def main(argv: list[str] | None = None) -> int:
                 env = env or runs[name][-1]["env"]
                 print(f"ab: {workload} seed {seed} {name}: "
                       f"{runs[name][-1]['metrics'] or runs[name][-1]['error']}", file=sys.stderr)
-        metrics = {
-            spec["name"]: summarize(spec, *([r["metrics"].get(spec["name"]) if r["ok"] else None
-                                              for r in runs[name]] for name in ("parent", "change")))
-            for spec in bench["end_to_end"]
-        }
+        def values(name: str, metric: str) -> list:
+            return [r["metrics"].get(metric) if r["ok"] else None for r in runs[name]]
+
+        metrics = {spec["name"]: summarize(spec, values("parent", spec["name"]),
+                                           values("change", spec["name"]))
+                   for spec in bench["end_to_end"]}
         reports = [{"seed": seed, "parent": p["sha256"], "change": c["sha256"],
                     "same": p["sha256"] is not None and p["sha256"] == c["sha256"]}
                    for seed, p, c in zip(seeds, runs["parent"], runs["change"])]

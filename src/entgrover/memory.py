@@ -239,9 +239,9 @@ def plan(s, cfg=None) -> list[Term]:
     A find builds its state, then holds its audit, then the audit with its
     readings; a count builds its state, then holds its circuit pass, its
     samples and its report; a sweep cell is the find of its cell, audited
-    only at 0 < t < N, with the circuit pass first when P >= 4 there too.  A state file comes last: it is read
-    once those fit.  t is read off the ``good`` spec, so no marked set is
-    built before the plan passes."""
+    only at 0 < t < N, with the circuit pass first when P >= 4 there too.  A
+    state file comes last: it is read once those fit.  t is read off the
+    ``good`` spec, so no marked set is built before the plan passes."""
     if s.kind == "verify":
         kind = "field 'kind' = 'verify' (a battery of fixed sizes)"
         return [samples(cfg.majority_repetitions, kind), corpus(cfg, kind)]

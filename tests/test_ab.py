@@ -34,4 +34,5 @@ def test_ab_writes_a_bench_file_of_its_schema(tmp_path):
         assert set(metric["median"]) == set(metric["quartiles"]) == {"parent", "change"}
         assert sum(metric["pairs_won"].values()) == 1
         assert metric["verdict"] in {"better", "within bound", "worse", "unresolved"}
-    assert workload["metrics"]["min_margin"]["parent"] == workload["metrics"]["min_margin"]["change"]
+    margin = workload["metrics"]["min_margin"]
+    assert margin["parent"] == margin["change"]

@@ -22,8 +22,8 @@ from entgrover import (
     grover_trajectory,
     memory,
     moments,
-    qstate,
     new_flat,
+    qstate,
     random_good_set,
 )
 from entgrover.checks import VerifyConfig, audit_trajectory, build_corpus, corpus_states
