@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .grover import small_buffer
-from .qstate import EntangledState, GoodSet, MomentSummary, moments
+from .qstate import EntangledState, GoodSet, MomentSummary, _norm_sq, moments
 
 DEGENERATE_RTOL = 1e-12
 
@@ -330,7 +330,6 @@ def state_at_optimal(state0: EntangledState, good: GoodSet, j: int = 0) -> Optim
             f"optimal time n_{j} = {n_j!r} is not a non-negative integer"
         )
     predicted = closed_form_rows(state0, good, n_int)
-    gmask = good.mask(state0.n_states)
-    bad = predicted.coeffs[~gmask]
-    bad_mass = float(np.sum(np.square(bad.real) + np.square(bad.imag))) / state0.n_states
+    bad = predicted.coeffs[~good.mask(state0.n_states)]
+    bad_mass = _norm_sq(bad) / state0.n_states
     return OptimalState(n=n_int, state=predicted, bad_sector_mass=bad_mass)

@@ -49,7 +49,7 @@ import numpy as np
 from . import memory
 from .analytic import DegenerateCaseError
 from .grover import small_buffer
-from .qstate import EntangledState, GoodSet, MomentSummary, moments
+from .qstate import EntangledState, GoodSet, MomentSummary, _norm_sq, _squares, moments
 
 SIGMA_LOWER_BOUND = 8.0 / math.pi**2
 
@@ -164,17 +164,9 @@ def _spectrum(lines: np.ndarray, sectors: list) -> np.ndarray:
     p_size = lines.shape[1]
     out = np.zeros(p_size)
     for k, line, (rows, total, norm2) in zip((0, p_size // 2), lines, sectors):
-        norm = _norm2(line, axis=1)
-        norm *= rows
-        out += norm
+        out += rows * np.sum(_squares(line), axis=1)
         out[k] += p_size * norm2 + 2.0 * math.sqrt(p_size) * np.vdot(total, line[k]).real
     return out
-
-
-def _norm2(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    sq = np.square(a.real)
-    sq += np.square(a.imag)
-    return np.sum(sq, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ class CountState:
                 f"amplitude tensor must be {self.p_size}x{self.n_states}x{self.data_dim}, "
                 f"got {a.shape}"
             )
-        total = float(np.sum(np.square(a.real) + np.square(a.imag)))
+        total = _norm_sq(a)
         if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
             raise ValueError(f"total squared norm must be 1 within 1e-9, got {total!r}")
         a.setflags(write=False)
@@ -243,7 +235,7 @@ def build_count_state(state: EntangledState, good: GoodSet, p_size: int) -> Coun
 
 def ancilla_distribution(cs: CountState) -> np.ndarray:
     """Measurement distribution of the ancilla register of a referee tensor; sums to 1."""
-    return np.sum(np.square(cs.amps.real) + np.square(cs.amps.imag), axis=(1, 2))
+    return np.sum(_squares(cs.amps), axis=(1, 2))
 
 
 def kernel_s(m: int, f: float, p_size: int, sign: int = 1) -> float:

@@ -45,7 +45,7 @@ output buffer its caller passes, using a second as scratch, and allocates no
 table.  The public functions pass a fresh C-ordered output table for every
 step, whatever the input's layout, and one scratch table for the whole
 trajectory, so each table they return is new and never written again.  The
-trajectory audit (``checks._audit_stack``) steps through ``_step_rows``
+trajectory audit (``audit._audit_stack``) steps through ``_step_rows``
 directly, into chunks of tables it allocates once per call.
 
 Everything here acts on the search index only; the data register rides
@@ -54,7 +54,7 @@ to double rounding (no N x N matrix is ever materialized).  Their inputs were
 validated where they entered the package, and each operator is unitary, so
 results are wrapped through ``EntangledState._trusted`` without a copy or a
 second norm check; the accumulated drift of the norm is what the trajectory
-audit (``checks.audit_trajectory``) measures instead.
+audit (``audit.audit_trajectory``) measures instead.
 """
 from __future__ import annotations
 

@@ -9,9 +9,10 @@ report: the CLI times the run and prints it to stderr.
 cell, build their marked set and state through one setup step, once the
 run's memory plan (``memory.plan``) fits the cap; ``verify`` checks its plan
 before the battery.  ``find`` and each cell read the oscillation law against
-one trajectory audit, and make the same checks on it, through one shared
-step.  The scenario key ``workers`` is accepted and checked but selects
-nothing: every run is sequential.
+one trajectory audit (``audit``), and make the same checks on it, through
+one shared step.  Only ``run_verify`` imports the battery (``checks``), when
+it runs, so no other command loads it.  The scenario key ``workers`` is
+accepted and checked but selects nothing: every run is sequential.
 
 The scenario format and the state file's format have one source, the tables
 of ``_Key`` records below: the top-level keys of each kind (``KEYS``),
@@ -38,7 +39,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import analytic, counting, memory, qstate
-from .checks import Tolerances, VerifyConfig, audit_trajectory, run_checks
+from .audit import audit_trajectory
 
 SCHEMA_VERSION = 1
 
@@ -153,6 +154,18 @@ KEYS = {
               "grid": _Key(dict, required=True), "state": _SETUP["state"],
               "iterations": _Key(int, 0)},
 }
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerances a scenario may set, its ``tolerances`` block; the block's
+    table, ``_TOLERANCES``, is generated from the defaults."""
+
+    amplitude: float = 1e-9
+    probability: float = 1e-9
+    unitarity: float = 1e-12
+
+
 _TOLERANCES = {name: _Key(float, _POSITIVE, default=value)
                for name, value in asdict(Tolerances()).items()}
 _GRID = {
@@ -325,7 +338,7 @@ def load_scenario(path: str) -> Scenario:
 def _read_state_file(path: str, n_qubits: int, data_dim: int) -> qstate.EntangledState:
     """The state in the file at ``path``, read by ``_STATE_FILE``: its dimensions
     must be the scenario's, each entry a finite number or [re, im] pair, and the
-    table must pass the state's norm gate."""
+    table, filled row by row, must pass the state's norm gate."""
     obj = _load_json(path, "field 'state.path'")
     if not isinstance(obj, dict):
         raise ScenarioError(f"field 'state.path' must hold a JSON object, got {type(obj).__name__}")
@@ -339,15 +352,15 @@ def _read_state_file(path: str, n_qubits: int, data_dim: int) -> qstate.Entangle
     if len(rows) != 1 << n_qubits:
         raise ScenarioError(f"field '{where}rows' must hold N = {1 << n_qubits} rows, "
                             f"got {len(rows)}")
-    table = []
+    table = np.empty((len(rows), data_dim), dtype=np.complex128)  # the state's own table
     for a, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != data_dim:
             raise ScenarioError(f"field '{where}rows[{a}]' must be a list of data_dim = "
                                 f"{data_dim} entries")
-        table.append([_value(z, _ENTRY, f"{where}rows[{a}][{d}]") for d, z in enumerate(row)])
+        table[a] = [_value(z, _ENTRY, f"{where}rows[{a}][{d}]") for d, z in enumerate(row)]
     try:  # entries whose squares overflow fail the gate, named below
         with np.errstate(over="ignore"):
-            return qstate.EntangledState(n_qubits, data_dim, np.array(table, dtype=np.complex128))
+            return qstate.EntangledState._owned(n_qubits, data_dim, table)
     except ValueError as exc:
         raise ScenarioError(f"field '{where}rows': {exc}") from exc
 
@@ -507,6 +520,8 @@ def run_count(s: Scenario) -> Report:
 
 
 def run_verify(s: Scenario) -> Report:
+    from .checks import VerifyConfig, run_checks  # the battery, which only verify loads
+
     cfg = VerifyConfig(tolerances=s.tolerances)
     if s.seed is not None:  # verdicts must not depend on the corpus seed; --seed exercises that
         cfg = replace(cfg, base_seed=s.seed)

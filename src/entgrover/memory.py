@@ -12,9 +12,10 @@ which the run would reach them.
 The library entries a script may call directly (the ``EntangledState``
 constructor and ``new_flat``, ``checks.corpus_states``,
 ``counting.circuit_distributions`` and ``counting.run_count``) check their
-own term here, and the battery's and the audit's chunking read the same
-formulas and chunk size, so each is stated once.  The constants are peaks
-that tracemalloc read, each written beside its reading.
+own term here.  Every chunk count the audit and the battery take is worked
+out here too (``_chunk``), from the same formulas, so each is stated once.
+The constants are peaks that tracemalloc read, each written beside its
+reading.
 """
 from __future__ import annotations
 
@@ -86,11 +87,12 @@ _OUTCOME_BYTES = 160
 _TABLE_BYTES = 512
 _PASS_BYTES = 8192
 
-# Peak bytes of reading a state file, per byte of the file: the parsed JSON, the
-# entries read as numbers and the state's table.  tracemalloc read at most 70.1
-# over files of 2^8 to 2^18 rows and D = 1 to 64, at one bare integer a row, the
-# densest text that parses to the most objects; the files that
-# ``EntangledState.to_json_obj`` writes read 5.2-9.2 (CPython 3.11, numpy 2.4.6).
+# Peak bytes of reading a state file, per byte of the file: the parsed JSON and
+# the state's table, filled row by row.  tracemalloc read at most 70.1 over files
+# of 2^8 to 2^18 rows and D = 1 to 64, at one bare integer a row, the densest
+# text that parses to the most objects, while the read also held a list of its
+# entries and a copy of the table; the files that ``EntangledState.to_json_obj``
+# writes read 5.2-9.2 (CPython 3.11, numpy 2.4.6).
 _FILE_BYTES = 80
 
 
@@ -141,8 +143,8 @@ def _audit_bytes(shape: tuple[int, int, int], k: int) -> int:
 
 def audit(n_states: int, data_dim: int, readings: int, field: str | None = None) -> Term:
     """A state, its trajectory audit at one step a chunk and ``readings`` readings
-    (one a step, steps 0 .. horizon); ``checks._chunk_steps`` takes longer
-    chunks where the cap leaves room."""
+    (one a step, steps 0 .. horizon); ``audit_steps`` takes longer chunks where
+    the cap leaves room."""
     needed = _audit_bytes((1, n_states, data_dim), 1) + readings * _STEP_BYTES
     return Term(needed, f"trajectory audit working set ({n_states} x {data_dim}, "
                         f"{readings} readings)", field)
@@ -176,14 +178,39 @@ def report(p_size: int, repetitions: int, field: str | None = None) -> Term:
                 f"count report of {p_size} outcomes and {repetitions} samples", field)
 
 
+def _chunk(most: int, item_bytes: int) -> int:
+    """Items of ``item_bytes`` a chunk holds: as many as ``_CHUNK_BYTES`` holds,
+    at most ``most`` and at least one."""
+    return max(1, min(most, _CHUNK_BYTES // item_bytes))
+
+
+def audit_steps(shape: tuple[int, int, int], steps: int) -> int:
+    """Steps the audit of a (B, N, D) stack holds at once, at most ``steps``: as
+    many as the cap leaves room for beside the audit's readings (``_STEP_BYTES``
+    a state and step)."""
+    step = _audit_bytes(shape, 1) - _audit_bytes(shape, 0)
+    room = qstate.memory_cap_bytes() - _audit_bytes(shape, 0) - shape[0] * steps * _STEP_BYTES
+    return _chunk(min(steps, room // step), 16 * math.prod(shape))
+
+
 def recurrence_steps(n_states: int, data_dim: int, max_steps: int) -> int:
     """Steps a chunk of criterion 2's comparison holds for ``n_states`` states of
-    width ``data_dim``: as many as ``_CHUNK_BYTES`` holds, at least one."""
-    return max(1, min(max_steps, _CHUNK_BYTES // (_RECURRENCE_BYTES * n_states * data_dim)))
+    width ``data_dim``."""
+    return _chunk(max_steps, _RECURRENCE_BYTES * n_states * data_dim)
+
+
+def kernel_samples(samples: int) -> int:
+    """Samples a chunk of criterion 8's kernel sums holds."""
+    return _chunk(samples, _SIGMA_SAMPLE_BYTES)
+
+
+def circuit_tables(n_states: int, data_dim: int, p_size: int, tables: int) -> int:
+    """Tables a chunk of criterion 10's circuit passes stacks, at ``p_size``."""
+    return _chunk(tables, _table_bytes(n_states, data_dim, p_size))
 
 
 def corpus(cfg, field: str | None = None) -> Term:
-    """The battery's corpus (``checks.VerifyConfig`` ``cfg``): each state's
+    """The battery's corpus (``cfg``, a ``checks.VerifyConfig``): each state's
     readings of steps 0 .. max(max_steps, law horizon), the law horizon charged
     at t = 1, where it is longest; every table in its shape's (B, N, D) stack;
     and the larger of two working sets beside them.  While the corpus is built
@@ -197,7 +224,7 @@ def corpus(cfg, field: str | None = None) -> Term:
     stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
     steps = {shape: max(cfg.max_steps, law_horizon(1, shape[1])) + 1 for shape in stacks}
     largest = max(stacks, key=stacks.get)
-    k = max(1, min(steps[largest], _CHUNK_BYTES // stacks[largest]))
+    k = _chunk(steps[largest], stacks[largest])
     widest = max(d for _, d in combos)
     k2 = recurrence_steps(cfg.corpus_count, widest, cfg.max_steps)
     working = max(sum(stacks.values()) - stacks[largest] + _audit_bytes(largest, k),

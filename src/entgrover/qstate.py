@@ -13,9 +13,10 @@ not be unit vectors, orthogonal, or distinct: the mapping from search
 index to data vector is arbitrary.
 
 States are immutable; every operation returns a fresh value.  A table is
-validated once, where it enters the package: the public constructor
-(through which ``harness`` reads a state file), ``from_amplitudes``,
-``new_flat`` and ``random_with_moments``.  The simulator's own unitary
+validated once, where it enters the package: the public constructor,
+``from_amplitudes``, ``new_flat``, ``random_with_moments`` and the state
+file's reader (``harness``), the last four through
+``EntangledState._owned``.  The simulator's own unitary
 steps wrap their output through ``EntangledState._trusted``, which neither
 copies nor re-checks it.  ``EntangledState.to_json_obj`` writes the state
 file's format.
@@ -67,8 +68,7 @@ def _norm_sq_total(coeffs: np.ndarray) -> float:
     The construction gate uses ``_norm_sq`` instead, and the trajectory audit
     sums the same way.
     """
-    mag2 = np.square(coeffs.real) + np.square(coeffs.imag)
-    return math.fsum(mag2.ravel().tolist())
+    return math.fsum(_squares(coeffs).ravel().tolist())
 
 
 def _norm_sq(coeffs: np.ndarray) -> float:
@@ -106,7 +106,7 @@ class EntangledState:
 
     @classmethod
     def _owned(cls, n_qubits: int, data_dim: int, coeffs: np.ndarray) -> "EntangledState":
-        """A state of a complex128 table built in this module and handed over:
+        """A state of a complex128 table built in the package and handed over:
         the public constructor's checks, without its copy."""
         _gate(coeffs, _dims(n_qubits, data_dim), data_dim)
         return cls._trusted(n_qubits, data_dim, coeffs)
@@ -405,10 +405,7 @@ def random_with_moments(
 
 def search_distribution(state: EntangledState) -> np.ndarray:
     """Probability of measuring each search index: ||f_a||^2 / N."""
-    c = state.coeffs
-    return (np.sum(np.square(c.real) + np.square(c.imag), axis=1) / state.n_states).astype(
-        np.float64
-    )
+    return np.sum(_squares(state.coeffs), axis=1) / state.n_states
 
 
 def good_mass(state: EntangledState, good: GoodSet) -> float:

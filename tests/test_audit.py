@@ -12,6 +12,7 @@ from entgrover import (
     EntangledState,
     GoodSet,
     analytic,
+    audit,
     checks,
     cli,
     closed_form_rows,
@@ -26,7 +27,8 @@ from entgrover import (
     qstate,
     random_good_set,
 )
-from entgrover.checks import VerifyConfig, audit_trajectory, build_corpus, corpus_states
+from entgrover.audit import audit_trajectory
+from entgrover.checks import VerifyConfig, build_corpus, corpus_states
 from entgrover.harness import parse_scenario, run_find
 
 SMALL = replace(
@@ -91,7 +93,8 @@ def test_batched_corpus_audits_equal_single_state_audits(count):
     alone = []
     for state, good in corpus_states(cfg):
         m = moments(state, good)
-        alone.append(audit_trajectory(state, good, max(cfg.max_steps, checks._law_horizon(m)), m))
+        horizon = max(cfg.max_steps, memory.law_horizon(m.t, m.n_states))
+        alone.append(audit_trajectory(state, good, horizon, m))
     assert (len(batched[0].p_sim), len(batched[6].p_sim)) == (5, 8)
     assert [readings(a) for a in batched] == [readings(a) for a in alone]
 
@@ -108,7 +111,7 @@ def test_batch_with_empty_sectors_equals_single_state_audits():
     ms = [moments(s, g) for s, g in zip(states, goods)]
     stack = np.stack([s.coeffs for s in states])
     masks = np.stack([g.mask(16) for g in goods])
-    batched = checks._audit_stack(stack, masks, ms, horizons)
+    batched = audit._audit_stack(stack, masks, ms, horizons)
     for a, state, good, h in zip(batched, states, goods, horizons):
         assert readings(a) == readings(audit_trajectory(state, good, h))
     assert [len(a.amp_dev) for a in batched] == [10, 0, 0, 8]
@@ -138,8 +141,8 @@ def masked_audit_stack(c0, gmask, ms, horizons):
     """
     n_big = c0.shape[1]
     ts = [m.t for m in ms]
-    g_spans = checks._spans(ts)
-    b_spans = checks._spans([n_big - t for t in ts])
+    g_spans = audit._spans(ts)
+    b_spans = audit._spans([n_big - t for t in ts])
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
     pick = slice(None) if len(interior) == len(ms) else interior
     ms_in = [ms[i] for i in interior]
@@ -149,21 +152,21 @@ def masked_audit_stack(c0, gmask, ms, horizons):
     for n, c in grover.trajectory_tables(c0, gmask, max(horizons)):
         sq = abs2(c)
         norms = np.add.reduce(sq, axis=(1, 2)).tolist()
-        masses = checks._span_sums(sq[gmask], g_spans)
+        masses = audit._span_sums(sq[gmask], g_spans)
         amp_dev = [None] * len(ms)
         if interior:
             pred = masked_closed_form_table(c0[pick], gmask[pick], ms_in, n)
             devs = np.max(np.abs(pred - c[pick]), axis=(1, 2)).tolist()
             for i, dev in zip(interior, devs):
                 amp_dev[i] = dev
-        checks._span_means(c[gmask], g_spans, avg[0])
-        checks._span_means(c[~gmask], b_spans, avg[1])
+        audit._span_means(c[gmask], g_spans, avg[0])
+        audit._span_means(c[~gmask], b_spans, avg[1])
         diff = np.empty_like(c)
         np.subtract(c, avg[0][:, None], out=diff, where=good)
         np.subtract(c, avg[1][:, None], out=diff, where=~good)
         spread = abs2(diff)
-        var_g = checks._span_sums(spread[gmask], g_spans)
-        var_b = checks._span_sums(spread[~gmask], b_spans)
+        var_g = audit._span_sums(spread[gmask], g_spans)
+        var_b = audit._span_sums(spread[~gmask], b_spans)
         for i, m in enumerate(ms):
             if n > horizons[i]:
                 continue
@@ -174,7 +177,7 @@ def masked_audit_stack(c0, gmask, ms, horizons):
             for series, value in zip(readings[i], reading):
                 if value is not None:
                     series.append(value)
-    return [checks.TrajectoryAudit(m, *map(tuple, r)) for m, r in zip(ms, readings)]
+    return [audit.TrajectoryAudit(m, *map(tuple, r)) for m, r in zip(ms, readings)]
 
 
 def _stack_audits(states, goods, horizons, audit):
@@ -200,7 +203,7 @@ def test_gathered_read_equals_the_masked_read(n, d, ts, horizons):
     states = [from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
               for _ in ts]
     goods = [random_good_set(n, t, seed=i) for i, t in enumerate(ts)]
-    new = _stack_audits(states, goods, horizons, checks._audit_stack)
+    new = _stack_audits(states, goods, horizons, audit._audit_stack)
     old = _stack_audits(states, goods, horizons, masked_audit_stack)
     assert [len(a.p_sim) for a in new] == [h + 1 for h in horizons]
     assert [readings(a) for a in new] == [readings(a) for a in old]
@@ -211,7 +214,8 @@ def _chunk_stacks(case):
     if case == "corpus":
         cfg = SMALL
         for c0, gmask, ms in build_corpus(cfg).stacks:
-            yield c0, gmask, ms, [max(cfg.max_steps, checks._law_horizon(m)) for m in ms]
+            yield c0, gmask, ms, [max(cfg.max_steps, memory.law_horizon(m.t, m.n_states))
+                                  for m in ms]
         return
     n, d, ts, horizons = {
         "mixed": (16, 2, [5, 0, 16, 1, 15], [9, 4, 12, 7, 10]),
@@ -235,8 +239,8 @@ def test_every_chunk_size_keeps_the_per_step_bits(case, monkeypatch):
         want = [readings(a) for a in masked_audit_stack(c0, gmask, ms, horizons)]
         for steps in (1, 2, 3, max(horizons) + 1):
             monkeypatch.setattr(memory, "_CHUNK_BYTES", steps * c0.nbytes)
-            assert checks._chunk_steps(c0.shape, max(horizons) + 1) == steps
-            got = checks._audit_stack(c0, gmask, ms, horizons)
+            assert memory.audit_steps(c0.shape, max(horizons) + 1) == steps
+            got = audit._audit_stack(c0, gmask, ms, horizons)
             assert [readings(a) for a in got] == want
 
 
@@ -284,9 +288,9 @@ def test_find_sized_audit_allocates_no_more_than_before():
 def test_audit_chunks_start_on_a_cache_line(shape):
     """Wherever malloc puts them, the step's chunks start on a cache line, so
     the step runs alike in every process."""
-    chunks = checks._arena(shape, 3)
+    chunks = audit._arena(shape, 3)
     assert all(c.shape == shape and c.flags.c_contiguous for c in chunks)
-    assert [c.ctypes.data % checks._ALIGN for c in chunks] == [0, 0, 0]
+    assert [c.ctypes.data % audit._ALIGN for c in chunks] == [0, 0, 0]
     assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
 
 
@@ -329,7 +333,7 @@ def test_audit_charge_covers_a_finds_traced_peak(nq, d, t, iterations):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    k = checks._chunk_steps((1, 1 << nq, d), steps)
+    k = memory.audit_steps((1, 1 << nq, d), steps)
     assert k == (1 if nq == 12 else steps)
     assert peak <= memory._audit_bytes((1, 1 << nq, d), k) + UNCHARGED
 
@@ -347,7 +351,7 @@ def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(tmp_path, monkeypat
     caller = np.getbufsize()
     assert "5 readings" in holds_at_its_plan(scenario, tmp_path)
     monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(run_find(parse_scenario(scenario)).planned))
-    assert checks._chunk_steps((1, 1 << 12, 64), 5) == 1
+    assert memory.audit_steps((1, 1 << 12, 64), 5) == 1
     assert np.getbufsize() == caller
 
 
@@ -362,7 +366,7 @@ def test_chunks_leave_the_readings_their_room(tmp_path, monkeypatch):
     s = parse_scenario(scenario)
     monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(run_find(s).planned))
     shape, steps = (1, 1 << 10, 1), 203
-    k = checks._chunk_steps(shape, steps)
+    k = memory.audit_steps(shape, steps)
     assert memory._audit_bytes(shape, k) + steps * memory._STEP_BYTES <= run_find(s).planned
 
 
@@ -396,15 +400,15 @@ def test_audit_charge_covers_a_verify_stacks_traced_peak():
     """The battery's largest stack (64 x 4) audited over its horizons."""
     corpus = build_corpus(VerifyConfig())
     c0, gmask, ms = max(corpus.stacks, key=lambda stack: stack[0].nbytes)
-    horizons = [max(VerifyConfig().max_steps, checks._law_horizon(m)) for m in ms]
-    checks._audit_stack(c0, gmask, ms, horizons)
+    horizons = [max(VerifyConfig().max_steps, memory.law_horizon(m.t, m.n_states)) for m in ms]
+    audit._audit_stack(c0, gmask, ms, horizons)
     tracemalloc.start()
     try:
-        checks._audit_stack(c0, gmask, ms, horizons)
+        audit._audit_stack(c0, gmask, ms, horizons)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    k = checks._chunk_steps(c0.shape, max(horizons) + 1)
+    k = memory.audit_steps(c0.shape, max(horizons) + 1)
     assert c0.shape[1:] == (64, 4) and k > 1
     assert peak <= memory._audit_bytes(c0.shape, k) + UNCHARGED
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from entgrover import analytic, checks, counting, memory
+from entgrover import analytic, audit, checks, counting, memory
 from entgrover.checks import VerifyConfig, build_corpus
 
 FULL = VerifyConfig()
@@ -85,7 +85,7 @@ class TestRecurrenceConsistency:
 
 
 def test_p_max_claim_audits_one_stack(monkeypatch):
-    calls = _counted(monkeypatch, checks, "_audit_stack")
+    calls = _counted(monkeypatch, audit, "_audit_stack")
     assert checks.check_p_max_claim(FULL).passed
     (call,) = calls
     c0, gmask, ms, horizons = call

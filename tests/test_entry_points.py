@@ -49,6 +49,34 @@ def test_cli_process_exits_without_a_traceback(deep, code, tmp_path):
     assert deep == ("field 'config'" in run.stderr)
 
 
+# Runs each shipped config named on its command line through ``cli.main``, in
+# order, and prints whether the battery's module was loaded after each.
+_BATTERY_PROBE = """
+import sys
+from entgrover import cli
+configs, out = sys.argv[1], sys.argv[2]
+for name in sys.argv[3:]:
+    assert cli.main([name.split("_")[0], "--config", f"{configs}/{name}.json", "--out", out]) == 0
+    print(name, "entgrover.checks" in sys.modules)
+"""
+
+
+def test_only_verify_loads_the_battery(tmp_path):
+    """A fresh interpreter runs find, count and sweep without loading
+    ``entgrover.checks``; a verify run then loads it."""
+    names = ["find_flat", "count_flat", "sweep_small", "verify_default"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run(
+        [sys.executable, "-c", _BATTERY_PROBE, str(SCRIPTS / "configs"),
+         str(tmp_path / "report"), *names],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [word for name in names
+                                  for word in (name, str(name == "verify_default"))]
+
+
 @pytest.mark.parametrize("script", ["demo_find.py", "demo_count.py"])
 def test_demo_script_runs(script, capsys):
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")

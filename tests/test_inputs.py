@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import holds_at_its_plan
-from entgrover import cli, harness, memory, new_flat
+from entgrover import checks, cli, harness, memory, new_flat
 from entgrover.checks import VerifyConfig
 from entgrover.harness import ScenarioError, parse_scenario
 from entgrover.qstate import MemoryLimitError
@@ -105,7 +105,7 @@ class TestRegressions:
         # the default battery's corpus, its samples aside; its traced peak is held
         # to this plan in tests/test_memory.py
         charge = memory.corpus(VerifyConfig()).bytes
-        monkeypatch.setattr(harness, "run_checks", lambda cfg: [])
+        monkeypatch.setattr(checks, "run_checks", lambda cfg: [])
         cfg = write_json(tmp_path / "c.json", {"kind": "verify"})
         monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(charge - 1))
         code, err = run_cli(["verify", "--config", cfg])

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import holds_at_its_plan, planted, run_cli
-from entgrover import checks, from_amplitudes, harness, memory
+from entgrover import audit, from_amplitudes, harness, memory
 from entgrover.harness import parse_scenario, run_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "entgrover"
@@ -104,13 +104,13 @@ def test_a_run_fits_its_plan(tmp_path_factory, scenario):
          "audit(n, d, 0, size)", {"kind": "find", "n_qubits": 1, "good": {"t": 1, "seed": 0},
                                   "iterations": 500}),
         # one more table a step of the audit's chunks
-        (checks._audit_stack, "steps, work = _arena((k,) + c0.shape, 2)",
+        (audit._audit_stack, "steps, work = _arena((k,) + c0.shape, 2)",
          "steps, work, spare = _arena((k,) + c0.shape, 3)", WIDE),
     ],
     ids=["dropped-term", "extra-table"],
 )
 def test_the_property_fails_on_a_planted_fault(tmp_path, monkeypatch, fn, old, new, scenario):
-    monkeypatch.setattr(memory if fn is memory.plan else checks, fn.__name__,
+    monkeypatch.setattr(memory if fn is memory.plan else audit, fn.__name__,
                         planted(fn, old, new))
     with pytest.raises(AssertionError, match="bytes over the plan"):
         holds_at_its_plan(scenario, tmp_path)
@@ -153,6 +153,22 @@ def test_a_written_2_16_by_4_state_reads_under_the_default_cap(written):
                         "good": {"t": 1, "seed": 0}, "state": {"type": "file", "path": str(path)}})
     _, back, _ = harness._setup(s)
     assert np.array_equal(back.coeffs, state.coeffs)
+
+
+def test_a_state_file_is_read_into_the_states_own_table(written):
+    """The read holds the parsed file and one table, filled row by row and handed
+    to the norm gate: at 2^16 x 4 tracemalloc read 12.80 tables.  Read into a
+    list of rows, then an array and the constructor's copy of it, the read peaked
+    at 16.52 tables (CPython 3.11, numpy 2.4.6)."""
+    state, path = written
+    tracemalloc.start()
+    try:
+        back = harness._read_state_file(str(path), 16, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.coeffs, state.coeffs)
+    assert peak <= 14 * state.coeffs.nbytes
 
 
 @pytest.mark.parametrize("kind", ["flat", "random", "file"])
