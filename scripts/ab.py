@@ -3,6 +3,7 @@
 
     python3 scripts/ab.py PARENT_REF --out BENCH_N.json
         [--workloads find-wide count verify] [--pairs 10] [--seconds 25]
+    python3 scripts/ab.py --series [BENCH_N.json ...]
 
 PARENT_REF and HEAD are exported with ``git archive`` into
 ``.perfbench-out/ab/``, so each side runs its own committed files.  For every
@@ -22,6 +23,11 @@ relative bound:
 - ``better`` when the change won at least 90% of the pairs and its median
   is better by more than the parent's interquartile spread;
 - ``within bound`` otherwise.
+
+``--series`` reads BENCH files of this schema instead (by default every
+``BENCH_*.json`` at the root of the checkout, in PR order; files of older
+layouts are skipped) and prints one line per workload and metric: each
+file's parent and change medians and its verdict, in file order.
 """
 from __future__ import annotations
 
@@ -112,14 +118,41 @@ def summarize(spec: dict, parent: list, change: list) -> dict:
                 verdict=verdict)
 
 
+def series(paths: list[Path]) -> list[str]:
+    """One line per workload and metric of the ``entgrover-ab/1`` files among
+    ``paths``: each file's parent and change medians and verdict, in order."""
+    lines: dict[tuple[str, str], list[str]] = {}
+    for path in paths:
+        bench = json.loads(path.read_text())
+        if bench.get("schema") != "entgrover-ab/1":
+            continue
+        for workload, entry in bench["workloads"].items():
+            for name, m in entry["metrics"].items():
+                median = m.get("median")
+                cell = (f"{median['parent']:.4g} -> {median['change']:.4g}" if median
+                        else "no pairs")
+                lines.setdefault((workload, name), []).append(
+                    f"{path.stem} {cell} ({m['verdict']})")
+    return [f"{workload} {name}: " + "; ".join(cells)
+            for (workload, name), cells in lines.items()]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", metavar="PARENT_REF")
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("parent", metavar="PARENT_REF", nargs="?")
+    parser.add_argument("--out", type=Path)
     parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--series", nargs="*", type=Path, metavar="BENCH_FILE")
     args = parser.parse_args(argv)
+    if args.series is not None:
+        paths = args.series or sorted(ROOT.glob("BENCH_*.json"),
+                                      key=lambda p: int(p.stem.split("_")[1]))
+        print("\n".join(series(paths)))
+        return 0
+    if args.parent is None or args.out is None:
+        parser.error("PARENT_REF and --out are required unless --series is given")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]

@@ -42,5 +42,3 @@ from .qstate import (
     random_with_moments,
     search_distribution,
 )
-
-__version__ = "0.1.0"

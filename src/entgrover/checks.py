@@ -8,17 +8,18 @@ and the acceptance test suite, so a criterion is stated exactly once.  Only
 runs); ``find``, ``count`` and ``sweep`` never do.  The criteria that
 simulate a trajectory read it through the trajectory audit (``audit``).
 
-The battery builds its corpus once (``build_corpus``) for criteria 1-4, as
-one stack per table shape: each stack is audited in lock step
-(``audit._audit_stack``), and criterion 2 runs the recurrence once over
-the whole corpus, its averages zero-padded to the widest D, and compares
-its offsets with the closed form's a chunk of steps at a time, without a
-table.  Criterion 7 audits its three states as one stack, criterion 8 reads
-its kernel sums as arrays, and criterion 10 makes one circuit pass per
-(N, P) over every t; ``memory`` sizes every chunk.  Every reading stays bit
-for bit what the state gives alone: elementwise work, the norms and the
-per-state maxima run on whole chunks or on their gathered sectors, while
-sums over a state's rows are formed one state at a time over all k steps.
+The battery audits its trajectories once (``build_corpus``) for criteria
+1-7: the corpus and criteria 4-7's fixed trajectories in one call
+(``audit.audit_trajectories``), which steps one wide table per N, each
+state a column block of it.  Criterion 2 runs the recurrence once over the
+whole corpus, its averages zero-padded to the widest D, and compares its
+offsets with the closed form's a chunk of steps at a time, without a table.
+Criterion 8 reads its kernel sums as arrays, and criterion 10 makes one
+circuit pass per (N, P) over every t; ``memory`` sizes every chunk.  Every
+reading stays bit for bit what the state gives alone: elementwise work, the
+norms and the per-state maxima run on whole chunks or on their gathered
+sectors, while sums over a state's rows are formed one state at a time over
+all k steps.
 The battery runs sequentially: its work is small arrays under the
 interpreter lock.
 """
@@ -31,11 +32,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import analytic, audit, counting, memory, qstate
+from . import analytic, audit, counting, grover, memory, qstate
 from .harness import Tolerances
 
 SIGMA_LOW = counting.SIGMA_LOWER_BOUND
 AVG_THRESHOLD = math.pi**2 / (8.0 * math.sqrt(2.0))
+# Criterion 7's bad-sector variances.
+P_MAX_EPSILONS = (0.01, 0.05, 0.1)
 
 
 @dataclass(frozen=True)
@@ -83,30 +86,69 @@ def corpus_states(cfg: VerifyConfig) -> list[tuple[qstate.EntangledState, qstate
 
 @dataclass(frozen=True)
 class Corpus:
-    """The battery's corpus, built once for criteria 1-4: ``stacks`` holds the
-    (B, N, D) initial tables, (B, N) marked-row masks and B moment summaries
-    of each table shape, and ``audits`` one audit per state, in corpus order."""
+    """The battery's trajectories, audited once for criteria 1-7: ``stacks``
+    holds the corpus's (B, N, D) initial tables, (B, N) marked-row masks and B
+    moment summaries of each table shape, ``audits`` one audit per corpus
+    state, in corpus order, and ``fixed`` the audits of criteria 4-7's fixed
+    trajectories (``_fixed_trajectories``), by criterion."""
 
     stacks: tuple[tuple[np.ndarray, np.ndarray, tuple[qstate.MomentSummary, ...]], ...]
     audits: tuple[audit.TrajectoryAudit, ...]
+    fixed: dict[str, tuple[audit.TrajectoryAudit, ...]]
 
 
 def build_corpus(cfg: VerifyConfig) -> Corpus:
-    """Stack the corpus by shape; step each stack to its longest horizon, each audit to its own."""
+    """Audit the corpus, each state to its own horizon, and criteria 4-7's fixed
+    trajectories in one call: the states of each N step as one wide table."""
     states = corpus_states(cfg)
+    ms = [qstate.moments(*case) for case in states]
+    cases = [(state, good, m, max(cfg.max_steps, memory.law_horizon(m.t, m.n_states)))
+             for (state, good), m in zip(states, ms)]
+    fixed = _fixed_trajectories(cfg)
+    audits = audit.audit_trajectories(cases + [case for named in fixed.values() for case in named])
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, (state, _) in enumerate(states):
         groups.setdefault(state.coeffs.shape, []).append(i)
-    stacks = []
-    audits: dict[int, audit.TrajectoryAudit] = {}
-    for idx in groups.values():
-        c0 = np.stack([states[i][0].coeffs for i in idx])
-        gmask = np.stack([states[i][1].mask(c0.shape[1]) for i in idx])
-        ms = tuple(qstate.moments(*states[i]) for i in idx)
-        horizons = [max(cfg.max_steps, memory.law_horizon(m.t, m.n_states)) for m in ms]
-        audits.update(zip(idx, audit._audit_stack(c0, gmask, ms, horizons)))
-        stacks.append((c0, gmask, ms))
-    return Corpus(tuple(stacks), tuple(audits[i] for i in range(len(states))))
+    stacks = tuple((np.stack([states[i][0].coeffs for i in idx]),
+                    np.stack([states[i][1].mask(states[i][0].n_states) for i in idx]),
+                    tuple(ms[i] for i in idx)) for idx in groups.values())
+    rest = iter(audits[len(cases):])
+    return Corpus(stacks, tuple(audits[: len(cases)]),
+                  {name: tuple(itertools.islice(rest, len(named)))
+                   for name, named in fixed.items()})
+
+
+def _fixed_trajectories(cfg: VerifyConfig) -> dict[str, list[tuple]]:
+    """Criteria 4-7's trajectories, by criterion, each as (state, good, moments,
+    last step audited): criterion 4's N = 4 control, criterion 5's four flat
+    states over two periods of the law, criterion 6's two one-to-one states
+    and its fine-tuned zero-mean state over 30 steps, and criterion 7's three
+    states of set bad-sector variance to their best integer times.
+    ``memory.FIXED_TRAJECTORIES`` charges their shapes."""
+    def case(state, good, horizon=None):
+        m = qstate.moments(state, good)
+        if horizon is None:
+            horizon = analytic.best_integer_time(analytic.oscillation_params(m))
+        return state, good, m, horizon
+
+    flats = [(qstate.new_flat(nq, 1), qstate.GoodSet(tuple(range(t))))
+             for nq, t in ((2, 1), (3, 1), (4, 3), (6, 1))]
+    # marked rows all zero, unmarked rows zero-mean: the iteration never
+    # moves any mass onto the marked sector
+    fine_tuned = np.array([[0.0], [0.0], [math.sqrt(2.0)], [-math.sqrt(2.0)]],
+                          dtype=np.complex128)
+    return {
+        "probability_law": [case(qstate.new_flat(2, 1), qstate.GoodSet((0,)), 6)],
+        "grover_reduction": [case(flat, good, memory.law_horizon(good.t, flat.n_states))
+                             for flat, good in flats],
+        "degenerate_cases": [
+            *(case(qstate.from_amplitudes(np.eye(1 << nq, dtype=np.complex128)),
+                   qstate.GoodSet(tuple(range(t))), 30) for nq, t in ((2, 1), (3, 3))),
+            case(qstate.from_amplitudes(fine_tuned), qstate.GoodSet((0, 1)), 30),
+        ],
+        "p_max_claim": [case(*_state_with_bad_variance(eps, seed=cfg.base_seed + 777 + i))
+                        for i, eps in enumerate(P_MAX_EPSILONS)],
+    }
 
 
 def check_closed_form_fidelity(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
@@ -135,7 +177,9 @@ def check_recurrence_consistency(cfg: VerifyConfig, corpus: Corpus) -> CheckResu
             xy = np.array([(x, y) for _, x, y in itertools.islice(steps, size)])
             offsets = analytic._closed_form_offsets(ms, n0, size)
             for z, offset in zip(np.moveaxis(xy, 1, 0), offsets):  # X_n, then Y_n
-                worst = max(worst, float(np.max(np.abs(scale * z - offset))))
+                with grover.small_buffer():  # z is strided and scale broadcast
+                    dev = np.abs(scale * z - offset)
+                worst = max(worst, float(np.max(dev)))
     return CheckResult("recurrence_consistency", worst < tol, worst, tol)
 
 
@@ -157,16 +201,15 @@ def check_probability_law(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
             worst = max(worst, abs(analytic.success_probability(p, n) - a.p_sim[n]))
 
     # negative control: coefficients scaled by N/2 and N overshoot immediately
-    flat = qstate.new_flat(2, 1)
-    good = qstate.GoodSet((0,))
-    m = qstate.moments(flat, good)
+    (control,) = corpus.fixed["probability_law"]
+    m = control.moments
     n_big = m.n_states
     cos2 = math.cos(m.theta) ** 2
     tan2 = math.tan(m.theta) ** 2
     dp_scaled = (n_big / 2.0) * cos2 * (m.b_norm2 + tan2 * m.g_norm2)
     pav_scaled = 1.0 - dp_scaled - n_big * m.var_b * cos2
     control_dev = 0.0
-    for n, p_sim in enumerate(audit.audit_trajectory(flat, good, 6, m).p_sim):
+    for n, p_sim in enumerate(control.p_sim):
         scaled = pav_scaled - dp_scaled * math.cos(2.0 * (2.0 * n * m.theta + m.theta))
         control_dev = max(control_dev, abs(scaled - p_sim))
     passed = worst < tol and control_dev > 0.5
@@ -179,59 +222,47 @@ def check_probability_law(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     )
 
 
-def check_grover_reduction(cfg: VerifyConfig) -> CheckResult:
+def check_grover_reduction(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     """Uniform states give P(n) = sin^2((2n+1) theta); N=4, t=1 peaks at n0 = 1."""
     tol = 1e-12
     worst = 0.0
-    for nq, t in ((2, 1), (3, 1), (4, 3), (6, 1)):
-        flat = qstate.new_flat(nq, 1)
-        good = qstate.GoodSet(tuple(range(t)))
-        m = qstate.moments(flat, good)
+    for a in corpus.fixed["grover_reduction"]:
+        m = a.moments
         p = analytic.oscillation_params(m)
-        horizon = memory.law_horizon(t, m.n_states)
-        for n, p_sim in enumerate(audit.audit_trajectory(flat, good, horizon, m).p_sim):
+        for n, p_sim in enumerate(a.p_sim):
             expected = math.sin((2 * n + 1) * m.theta) ** 2
             worst = max(
                 worst,
                 abs(analytic.success_probability(p, n) - expected),
                 abs(p_sim - expected),
             )
-    flat = qstate.new_flat(2, 1)
-    good = qstate.GoodSet((0,))
-    p = analytic.oscillation_params(qstate.moments(flat, good))
+    # the first flat state is N=4, t=1
+    p = analytic.oscillation_params(corpus.fixed["grover_reduction"][0].moments)
     worst = max(worst, abs(analytic.success_probability(p, 1) - 1.0))
     worst = max(worst, abs(analytic.optimal_times(p, 0) - 1.0))
     return CheckResult("grover_reduction", worst < tol, worst, tol)
 
 
-def check_degenerate_cases(cfg: VerifyConfig) -> CheckResult:
+def check_degenerate_cases(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     """One-to-one data maps give constant P = t/N; the fine-tuned zero-mean
     construction gives P identically zero."""
     tol = cfg.tolerances.probability
     worst = 0.0
-    for nq, t in ((2, 1), (3, 3)):
-        n_big = 1 << nq
-        state = qstate.from_amplitudes(np.eye(n_big, dtype=np.complex128))
-        good = qstate.GoodSet(tuple(range(t)))
-        m = qstate.moments(state, good)
+    *one_to_one, fine_tuned = corpus.fixed["degenerate_cases"]
+    for a in one_to_one:
+        m = a.moments
         p = analytic.oscillation_params(m)
         if not p.degenerate:
             return CheckResult(
                 "degenerate_cases", False, math.inf, tol, detail="one-to-one not flagged"
             )
-        for n, p_sim in enumerate(audit.audit_trajectory(state, good, 30, m).p_sim):
-            worst = max(worst, abs(p_sim - t / n_big))
-            worst = max(worst, abs(analytic.success_probability(p, n) - t / n_big))
+        for n, p_sim in enumerate(a.p_sim):
+            worst = max(worst, abs(p_sim - m.t / m.n_states))
+            worst = max(worst, abs(analytic.success_probability(p, n) - m.t / m.n_states))
 
-    # marked rows all zero, unmarked rows zero-mean: the iteration never
-    # moves any mass onto the marked sector
-    table = np.array([[0.0], [0.0], [math.sqrt(2.0)], [-math.sqrt(2.0)]], dtype=np.complex128)
-    state = qstate.from_amplitudes(table)
-    good = qstate.GoodSet((0, 1))
-    m = qstate.moments(state, good)
-    p = analytic.oscillation_params(m)
+    p = analytic.oscillation_params(fine_tuned.moments)
     worst = max(worst, abs(analytic.success_probability(p, 0) - 0.0))
-    worst = max(worst, *audit.audit_trajectory(state, good, 30, m).p_sim)
+    worst = max(worst, *fine_tuned.p_sim)
     return CheckResult("degenerate_cases", worst < tol, worst, tol)
 
 
@@ -254,22 +285,15 @@ def _state_with_bad_variance(epsilon: float, seed: int) -> tuple[qstate.Entangle
     return state, good
 
 
-def check_p_max_claim(cfg: VerifyConfig) -> CheckResult:
+def check_p_max_claim(cfg: VerifyConfig, corpus: Corpus) -> CheckResult:
     """With bad-sector variance epsilon (and no damping) the peak probability is 1 - epsilon;
-    the three states are audited as one stack, each to its best integer time."""
+    each of the three states is audited to its best integer time."""
     tol = 1e-6
-    epsilons = (0.01, 0.05, 0.1)
-    cases = [_state_with_bad_variance(eps, seed=cfg.base_seed + 777 + i)
-             for i, eps in enumerate(epsilons)]
-    ms = [qstate.moments(state, good) for state, good in cases]
-    params = [analytic.oscillation_params(m) for m in ms]
-    worst = max(abs(analytic.p_max(p) - (1.0 - eps)) for p, eps in zip(params, epsilons))
-    n_stars = [analytic.best_integer_time(p) for p in params]
-    c0 = np.stack([state.coeffs for state, _ in cases])
-    gmask = np.stack([good.mask(state.n_states) for state, good in cases])
-    audits = audit._audit_stack(c0, gmask, ms, n_stars)
-    sim_dev = max(abs(a.p_sim[n] - analytic.success_probability(p, n))
-                  for a, p, n in zip(audits, params, n_stars))
+    audits = corpus.fixed["p_max_claim"]
+    params = [analytic.oscillation_params(a.moments) for a in audits]
+    worst = max(abs(analytic.p_max(p) - (1.0 - eps)) for p, eps in zip(params, P_MAX_EPSILONS))
+    sim_dev = max(abs(a.p_sim[-1] - analytic.success_probability(p, len(a.p_sim) - 1))
+                  for a, p in zip(audits, params))
     passed = worst < tol and sim_dev < cfg.tolerances.probability
     return CheckResult(
         "p_max_claim",
@@ -478,9 +502,9 @@ CHECKS = (
 
 
 def run_checks(cfg: VerifyConfig, include_determinism: bool = True) -> list[CheckResult]:
-    """Run the battery in declaration order; criteria 1-4 read one shared corpus."""
+    """Run the battery in declaration order; criteria 1-7 read one shared corpus."""
     corpus = build_corpus(cfg)
-    results = [fn(cfg, corpus) for fn in CHECKS[:4]] + [fn(cfg) for fn in CHECKS[4:]]
+    results = [fn(cfg, corpus) for fn in CHECKS[:7]] + [fn(cfg) for fn in CHECKS[7:]]
     if include_determinism:
         results.append(check_determinism(cfg))
     return results

@@ -26,17 +26,21 @@ copies such strided operands through its ufunc buffer.  At the default 8192
 elements that is 3 x 64 KiB per call, more than a 48 KiB L1 data cache, and
 memory the cap does not charge.  So the block loop runs with the buffer at
 ``_PASS_BUFFER`` = 256 elements (``small_buffer``, which gives the caller's
-size back on the way out), and so do the trajectory audit's broadcast
-elementwise ops.  The step's signs (the phase flip, S0 and the global sign)
-negate the table's float64 view: numpy's complex negative is an
-unvectorized loop, 0.87 ms per 4 MiB table against 0.18 ms.  Both are
-elementwise, so every amplitude gets the same operations in the same order
-and no bit changes (timings in ``BENCH_14.json``).
+size back on the way out), and so do all the passes of a table within one
+block and the trajectory audit's broadcast elementwise ops.  The step's
+signs (the phase flip, S0 and the global sign) negate the table's float64
+view: numpy's complex negative is an unvectorized loop, 0.87 ms per 4 MiB
+table against 0.18 ms.  Both are elementwise, so every amplitude gets the
+same operations in the same order and no bit changes (timings in
+``BENCH_14.json``).
 
-The row operators act on the rows axis (-2) of any leading batch shape.
-``trajectory_tables`` steps a stack of same-shape tables (B, N, D), with
-marked-row masks (B, N), in lock step; every operation is elementwise, so
-each table gets the bits it gets alone.  ``grover_trajectory`` wraps the same
+The row operators act on the rows axis (-2) of any leading batch shape,
+and on each column alike.  ``trajectory_tables`` steps a stack of
+same-shape tables (B, N, D), with marked-row masks (B, N), in lock step;
+the trajectory audit steps every state of one N as a column block of one
+wide (N, W) table, each block flipped by its own marked rows.  Every
+operation is elementwise per column, so each table gets the bits it gets
+alone.  ``grover_trajectory`` wraps the same
 generator for one state, without stacking it, and ``grover_iterate`` keeps
 its last table.
 
@@ -45,8 +49,8 @@ output buffer its caller passes, using a second as scratch, and allocates no
 table.  The public functions pass a fresh C-ordered output table for every
 step, whatever the input's layout, and one scratch table for the whole
 trajectory, so each table they return is new and never written again.  The
-trajectory audit (``audit._audit_stack``) steps through ``_step_rows``
-directly, into chunks of tables it allocates once per call.
+trajectory audit (``audit._audit_n``) steps through ``_step_rows``
+directly, into chunks of wide tables it allocates once per N.
 
 Everything here acts on the search index only; the data register rides
 along untouched.  The public functions are pure and numerically exact up
@@ -109,7 +113,8 @@ def _hadamard_rows(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nda
     Every element still gets (a +- b) * (1/sqrt(2)) in the same pass order.
     """
     if src.nbytes <= _BLOCK_BYTES:
-        return _passes(src, dst, 1, src.shape[-2])
+        with small_buffer():
+            return _passes(src, dst, 1, src.shape[-2])
     *_, n, d = src.shape
     block = 1 << max(0, (_BLOCK_BYTES // (16 * d)).bit_length() - 1)
     low = min(block, n)
@@ -147,11 +152,14 @@ def _passes(src: np.ndarray, dst: np.ndarray, h: int, stop: int) -> tuple[np.nda
 
 
 def _step_rows(
-    src: np.ndarray, gmask: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    src: np.ndarray, flip: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """-W S0 W S_H on the rows, composed operator by operator, written into ``out``.
 
-    ``src`` is (..., N, D) and ``gmask`` the matching (..., N) marked-row mask.
+    ``src`` is (..., N, D) and ``flip`` the marked-row mask as it broadcasts to
+    the float64 view (..., N, 2D): (..., N, 1) when every column of a table
+    shares its marked rows, or (N, 2D) when the columns are blocks of states
+    with marked rows of their own (the audit's wide tables).
     The phase flip writes into ``out`` (``src`` itself flips in place) and both
     transforms run in ``out`` and ``scratch``, two C-contiguous tables of
     ``src``'s shape.  The two transforms make 2*log2(N) butterfly passes, an
@@ -163,7 +171,7 @@ def _step_rows(
     # The signs go on the float64 view, which negates both parts as the
     # complex negative does, bit for bit, but in a vectorized loop.
     parts = out.view(np.float64)
-    np.negative(parts, out=parts, where=gmask[..., None])
+    np.negative(parts, out=parts, where=flip)
     out, scratch = _hadamard_rows(out, scratch)
     row0 = out.view(np.float64)[..., 0, :]
     np.negative(row0, out=row0)
@@ -200,9 +208,9 @@ def trajectory_tables(table: np.ndarray, gmask: np.ndarray, n_max: int):
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     yield 0, table
-    c, scratch = table, np.empty_like(table, order="C")
+    c, scratch, flip = table, np.empty_like(table, order="C"), gmask[..., None]
     for n in range(1, n_max + 1):
-        c = _step_rows(c, gmask, np.empty_like(c, order="C"), scratch)
+        c = _step_rows(c, flip, np.empty_like(c, order="C"), scratch)
         yield n, c
 
 

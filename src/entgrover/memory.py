@@ -64,6 +64,12 @@ _RECURRENCE_BYTES = 256
 # at 16 steps a chunk (N = 2 to 8, D = 128 to 512; CPython 3.11, numpy 2.4.6).
 _OFFSET_BYTES = 96
 
+# Criteria 4-7's fixed trajectories, which the battery audits with its corpus
+# (``checks._fixed_trajectories``, held to this by a test): (N, D, last step) of
+# each.
+FIXED_TRAJECTORIES = ((4, 1, 6), (4, 1, 7), (8, 1, 10), (16, 1, 9), (64, 1, 27), (4, 4, 30),
+                      (8, 8, 30), (4, 1, 30), (16, 1, 1), (16, 1, 1), (16, 1, 1))
+
 # Peak bytes of one of criterion 8's kernel-sum samples, its draws and the squared
 # kernels of its ten outcomes: tracemalloc read 277-283 a sample over 10^4 to
 # 4 x 10^4 samples (CPython 3.11, numpy 2.4.6).
@@ -88,12 +94,13 @@ _TABLE_BYTES = 512
 _PASS_BYTES = 8192
 
 # Peak bytes of reading a state file, per byte of the file: the parsed JSON and
-# the state's table, filled row by row.  tracemalloc read at most 70.1 over files
-# of 2^8 to 2^18 rows and D = 1 to 64, at one bare integer a row, the densest
-# text that parses to the most objects, while the read also held a list of its
-# entries and a copy of the table; the files that ``EntangledState.to_json_obj``
-# writes read 5.2-9.2 (CPython 3.11, numpy 2.4.6).
-_FILE_BYTES = 80
+# the state's table, filled row by row.  tracemalloc read at most 32.2 over files
+# of 2^8 to 2^18 rows and D = 1, 2, 4 and 64, at one bare integer a row without
+# spaces (``[1],``), the densest text that parses to the most objects; 25.8 with
+# json's default separators, and 4.2-6.1 for the files that
+# ``EntangledState.to_json_obj`` writes (CPython 3.11, numpy 2.4.6).  40 leaves
+# that worst case 24%.
+_FILE_BYTES = 40
 
 
 class Term(NamedTuple):
@@ -132,20 +139,29 @@ def build(n_states: int, data_dim: int, t: int, field: str | None = None) -> Ter
                         f"and reading its moments", field)
 
 
-def _audit_bytes(shape: tuple[int, int, int], k: int) -> int:
-    """Bytes a (B, N, D) stack of states and its audit hold at k steps a chunk:
-    the states' tables, two chunks of k stacks (the steps and their work),
-    ``_OFFSET_BYTES`` a step and column, the sector row index (8 bytes a row) and
-    the marked-row mask (1 byte a row)."""
-    b, n, d = shape
-    return 16 * b * n * d * (1 + 2 * k) + _OFFSET_BYTES * b * d * k + 9 * b * n
+def _audit_bytes(groups: list[tuple[int, int, int]], k: int) -> int:
+    """Bytes the audit of one N holds at k steps a chunk, its states in the
+    (B, N, D) ``groups``, of W columns in all: the groups' stacks of initial
+    tables and a chunk of k wide (N, W) tables, a work chunk of k stacks of the
+    group of most columns and ``_OFFSET_BYTES`` a step and column of it, and
+    each state's sector row index (8 bytes a row) and marked-row mask (1 byte a
+    row).  More than one state also holds a copy chunk of that group's stacks,
+    the wide table's scratch and its flip mask (2 bytes a row and column)."""
+    b, n, d = max(groups, key=lambda group: group[0] * group[2])
+    width = sum(group[0] * group[2] for group in groups)
+    states = sum(group[0] for group in groups)
+    fixed = 16 * n * width + 9 * states * n
+    step = 16 * n * width + 16 * b * n * d + _OFFSET_BYTES * b * d
+    if states > 1:
+        fixed, step = fixed + 18 * n * width, step + 16 * b * n * d
+    return fixed + k * step
 
 
 def audit(n_states: int, data_dim: int, readings: int, field: str | None = None) -> Term:
     """A state, its trajectory audit at one step a chunk and ``readings`` readings
     (one a step, steps 0 .. horizon); ``audit_steps`` takes longer chunks where
     the cap leaves room."""
-    needed = _audit_bytes((1, n_states, data_dim), 1) + readings * _STEP_BYTES
+    needed = _audit_bytes([(1, n_states, data_dim)], 1) + readings * _STEP_BYTES
     return Term(needed, f"trajectory audit working set ({n_states} x {data_dim}, "
                         f"{readings} readings)", field)
 
@@ -184,13 +200,16 @@ def _chunk(most: int, item_bytes: int) -> int:
     return max(1, min(most, _CHUNK_BYTES // item_bytes))
 
 
-def audit_steps(shape: tuple[int, int, int], steps: int) -> int:
-    """Steps the audit of a (B, N, D) stack holds at once, at most ``steps``: as
-    many as the cap leaves room for beside the audit's readings (``_STEP_BYTES``
-    a state and step)."""
-    step = _audit_bytes(shape, 1) - _audit_bytes(shape, 0)
-    room = qstate.memory_cap_bytes() - _audit_bytes(shape, 0) - shape[0] * steps * _STEP_BYTES
-    return _chunk(min(steps, room // step), 16 * math.prod(shape))
+def audit_steps(groups: list[tuple[int, int, int]], steps: int) -> int:
+    """Steps the audit of one N's (B, N, D) ``groups`` holds at once, at most
+    ``steps``: as many as the cap leaves room for beside the audit's readings
+    (``_STEP_BYTES`` a state and step), and as many stacks of the group of most
+    columns as a chunk holds."""
+    fixed = _audit_bytes(groups, 0)
+    room = (qstate.memory_cap_bytes() - fixed
+            - sum(group[0] for group in groups) * steps * _STEP_BYTES)
+    b, n, d = max(groups, key=lambda group: group[0] * group[2])
+    return _chunk(min(steps, room // (_audit_bytes(groups, 1) - fixed)), 16 * b * n * d)
 
 
 def recurrence_steps(n_states: int, data_dim: int, max_steps: int) -> int:
@@ -210,29 +229,45 @@ def circuit_tables(n_states: int, data_dim: int, p_size: int, tables: int) -> in
 
 
 def corpus(cfg, field: str | None = None) -> Term:
-    """The battery's corpus (``cfg``, a ``checks.VerifyConfig``): each state's
-    readings of steps 0 .. max(max_steps, law horizon), the law horizon charged
-    at t = 1, where it is longest; every table in its shape's (B, N, D) stack;
-    and the larger of two working sets beside them.  While the corpus is built
-    each table is held as a state too, with the audit of the largest stack at
-    as many steps a chunk as ``_CHUNK_BYTES`` holds; criterion 2 then holds a
-    chunk of its comparison (``recurrence_steps``) over every state at the
-    widest D."""
+    """The battery's trajectories (``cfg``, a ``checks.VerifyConfig``): the
+    corpus's states, each read over steps 0 .. max(max_steps, law horizon), the
+    law horizon charged at t = 1, where it is longest, and criteria 4-7's
+    ``FIXED_TRAJECTORIES``; every corpus table in its shape's (B, N, D) stack;
+    and the larger of two working sets beside them.  While the trajectories are
+    audited each table is held as a state too, with the audit of one N at a
+    time (``_audit_bytes``), at as many steps a chunk as ``_CHUNK_BYTES`` holds
+    stacks of its group of most columns; criterion 2 then holds a chunk of its
+    comparison (``recurrence_steps``) over every state at the widest D."""
     combos = [(1 << nq, d) for nq in cfg.n_qubits_list for d in cfg.data_dims]
     rounds, rest = divmod(cfg.corpus_count, len(combos))
     counts = Counter(combos[:rest]) + Counter({c: rounds * combos.count(c) for c in combos})
     stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
     steps = {shape: max(cfg.max_steps, law_horizon(1, shape[1])) + 1 for shape in stacks}
-    largest = max(stacks, key=stacks.get)
-    k = _chunk(steps[largest], stacks[largest])
+    # Each N's states by D, and the steps its wide table takes.
+    by_n: dict[int, Counter] = {}
+    last: Counter = Counter()
+    for (b, n, d), count in steps.items():
+        by_n.setdefault(n, Counter())[d] += b
+        last[n] = max(last[n], count)
+    for n, d, horizon in FIXED_TRAJECTORIES:
+        by_n.setdefault(n, Counter())[d] += 1
+        last[n] = max(last[n], horizon + 1)
+    audits = {}
+    for n, columns in by_n.items():
+        groups = [(b, n, d) for d, b in columns.items()]
+        b, _, d = max(groups, key=lambda group: group[0] * group[2])
+        audits[n] = _audit_bytes(groups, _chunk(last[n], 16 * b * n * d))
+    tables = sum(stacks.values()) + sum(16 * n * d for n, d, _ in FIXED_TRAJECTORIES)
     widest = max(d for _, d in combos)
     k2 = recurrence_steps(cfg.corpus_count, widest, cfg.max_steps)
-    working = max(sum(stacks.values()) - stacks[largest] + _audit_bytes(largest, k),
+    working = max(tables + max(audits.values()),
                   _RECURRENCE_BYTES * cfg.corpus_count * widest * (k2 + 1))
-    needed = (sum(stacks.values()) + working
-              + sum(shape[0] * steps[shape] for shape in stacks) * _CORPUS_STEP_BYTES)
-    b, n, d = largest
-    return Term(needed, f"corpus with a stack of {b} x {n} x {d} amplitudes and "
+    readings = (sum(shape[0] * steps[shape] for shape in stacks)
+                + sum(horizon + 1 for *_, horizon in FIXED_TRAJECTORIES))
+    needed = sum(stacks.values()) + working + readings * _CORPUS_STEP_BYTES
+    n = max(audits, key=audits.get)
+    width = sum(b * d for d, b in by_n[n].items())
+    return Term(needed, f"corpus with a wide table of {n} x {width} amplitudes and "
                         f"{cfg.max_steps} steps", field)
 
 

@@ -30,7 +30,7 @@ FULL = VerifyConfig()
 
 @functools.cache
 def full_corpus():
-    """The corpus built once and shared by criteria 1-4, as in ``run_checks``."""
+    """The corpus built once and shared by criteria 1-7, as in ``run_checks``."""
     return build_corpus(FULL)
 
 
@@ -65,15 +65,15 @@ def test_criterion_04_probability_law_with_negative_control():
 
 
 def test_criterion_05_grover_reduction():
-    report("5 uniform-state reduction", check_grover_reduction(FULL))
+    report("5 uniform-state reduction", check_grover_reduction(FULL, full_corpus()))
 
 
 def test_criterion_06_degenerate_cases():
-    report("6 degenerate cases", check_degenerate_cases(FULL))
+    report("6 degenerate cases", check_degenerate_cases(FULL, full_corpus()))
 
 
 def test_criterion_07_p_max_claim():
-    report("7 peak probability vs bad-sector variance", check_p_max_claim(FULL))
+    report("7 peak probability vs bad-sector variance", check_p_max_claim(FULL, full_corpus()))
 
 
 def test_criterion_08_counting_window():

@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_batch_with_empty_sectors_equals_single_state_audits():
     ms = [moments(s, g) for s, g in zip(states, goods)]
     stack = np.stack([s.coeffs for s in states])
     masks = np.stack([g.mask(16) for g in goods])
-    batched = audit._audit_stack(stack, masks, ms, horizons)
+    batched = stack_audit(stack, masks, ms, horizons)
     for a, state, good, h in zip(batched, states, goods, horizons):
         assert readings(a) == readings(audit_trajectory(state, good, h))
     assert [len(a.amp_dev) for a in batched] == [10, 0, 0, 8]
@@ -125,6 +126,61 @@ def test_fortran_ordered_state_audits_like_the_c_ordered_one(nq, d):
     assert fortran.coeffs.flags.f_contiguous and not fortran.coeffs.flags.c_contiguous
     good = random_good_set(1 << nq, 5, seed=nq)
     assert readings(audit_trajectory(fortran, good, 6)) == readings(audit_trajectory(state, good, 6))
+
+
+def stack_audit(c0, gmask, ms, horizons):
+    """The audit of a (B, N, D) stack of initial tables with (B, N) marked-row
+    masks, its states the column blocks of one wide table."""
+    return audit._audit_n(list(c0), list(gmask), ms, horizons)
+
+
+def wide_cases():
+    """(state, good, moments, horizon) of mixed N, D, t (0 and N among them) and
+    horizons; every third table is Fortran-ordered."""
+    rng = np.random.default_rng(11)
+    spec = [(16, 2, 5, 9), (16, 1, 0, 4), (16, 3, 16, 12), (16, 2, 1, 7), (16, 1, 15, 10),
+            (8, 4, 3, 6), (8, 1, 1, 11), (8, 4, 8, 3), (4, 2, 2, 30), (64, 1, 20, 5)]
+    cases = []
+    for i, (n, d, t, horizon) in enumerate(spec):
+        state = from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
+        if i % 3 == 0:
+            state = from_amplitudes(np.asfortranarray(state.coeffs))
+            assert d == 1 or not state.coeffs.flags.c_contiguous
+        good = random_good_set(n, t, seed=i)
+        cases.append((state, good, moments(state, good), horizon))
+    return cases
+
+
+def assert_wide_equals_lone(cases):
+    """The audits of ``cases`` in one call equal each state's lone
+    ``audit_trajectory`` and the per-step referee, bit for bit.  The referee
+    reads a C-ordered copy: it sums the norm of step 0 over the table as given."""
+    got = [readings(a) for a in audit.audit_trajectories(cases)]
+    lone = [readings(audit_trajectory(state, good, horizon, m))
+            for state, good, m, horizon in cases]
+    referee = [readings(masked_audit_stack(np.ascontiguousarray(state.coeffs)[None],
+                                           good.mask(state.n_states)[None], [m], [horizon])[0])
+               for state, good, m, horizon in cases]
+    assert [len(p_sim) for p_sim, *_ in got] == [horizon + 1 for *_, horizon in cases]
+    assert got == lone == referee
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2048], ids=["default", "one-step", "two-steps"])
+def test_wide_tables_give_every_state_its_lone_audit(monkeypatch, chunk):
+    """States of each N step as column blocks of one wide table, and each (N, D)
+    group is read from its copied columns; at 2048 chunk bytes N = 16 reads two
+    steps a chunk, so chunks start on odd steps."""
+    if chunk is not None:
+        monkeypatch.setattr(memory, "_CHUNK_BYTES", chunk)
+    assert_wide_equals_lone(wide_cases())
+
+
+def test_a_column_block_flipped_with_its_neighbours_mask_fails(monkeypatch):
+    planted_audit = planted(audit._audit_n, "np.stack([masks[i] for i in order], axis=1)",
+                            "np.stack([masks[order[1]]] + [masks[i] for i in order[1:]], axis=1)")
+    monkeypatch.setattr(audit, "_audit_n", planted_audit)
+    with pytest.raises(AssertionError):
+        assert_wide_equals_lone(wide_cases())
 
 
 def abs2(z):
@@ -203,7 +259,7 @@ def test_gathered_read_equals_the_masked_read(n, d, ts, horizons):
     states = [from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
               for _ in ts]
     goods = [random_good_set(n, t, seed=i) for i, t in enumerate(ts)]
-    new = _stack_audits(states, goods, horizons, audit._audit_stack)
+    new = _stack_audits(states, goods, horizons, stack_audit)
     old = _stack_audits(states, goods, horizons, masked_audit_stack)
     assert [len(a.p_sim) for a in new] == [h + 1 for h in horizons]
     assert [readings(a) for a in new] == [readings(a) for a in old]
@@ -239,8 +295,8 @@ def test_every_chunk_size_keeps_the_per_step_bits(case, monkeypatch):
         want = [readings(a) for a in masked_audit_stack(c0, gmask, ms, horizons)]
         for steps in (1, 2, 3, max(horizons) + 1):
             monkeypatch.setattr(memory, "_CHUNK_BYTES", steps * c0.nbytes)
-            assert memory.audit_steps(c0.shape, max(horizons) + 1) == steps
-            got = audit._audit_stack(c0, gmask, ms, horizons)
+            assert memory.audit_steps([c0.shape], max(horizons) + 1) == steps
+            got = stack_audit(c0, gmask, ms, horizons)
             assert [readings(a) for a in got] == want
 
 
@@ -288,7 +344,7 @@ def test_find_sized_audit_allocates_no_more_than_before():
 def test_audit_chunks_start_on_a_cache_line(shape):
     """Wherever malloc puts them, the step's chunks start on a cache line, so
     the step runs alike in every process."""
-    chunks = audit._arena(shape, 3)
+    chunks = audit._arena([shape] * 3)
     assert all(c.shape == shape and c.flags.c_contiguous for c in chunks)
     assert [c.ctypes.data % audit._ALIGN for c in chunks] == [0, 0, 0]
     assert not any(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
@@ -333,9 +389,9 @@ def test_audit_charge_covers_a_finds_traced_peak(nq, d, t, iterations):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    k = memory.audit_steps((1, 1 << nq, d), steps)
+    k = memory.audit_steps([(1, 1 << nq, d)], steps)
     assert k == (1 if nq == 12 else steps)
-    assert peak <= memory._audit_bytes((1, 1 << nq, d), k) + UNCHARGED
+    assert peak <= memory._audit_bytes([(1, 1 << nq, d)], k) + UNCHARGED
 
 
 def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(tmp_path, monkeypatch):
@@ -351,7 +407,7 @@ def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(tmp_path, monkeypat
     caller = np.getbufsize()
     assert "5 readings" in holds_at_its_plan(scenario, tmp_path)
     monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(run_find(parse_scenario(scenario)).planned))
-    assert memory.audit_steps((1, 1 << 12, 64), 5) == 1
+    assert memory.audit_steps([(1, 1 << 12, 64)], 5) == 1
     assert np.getbufsize() == caller
 
 
@@ -365,9 +421,9 @@ def test_chunks_leave_the_readings_their_room(tmp_path, monkeypatch):
     assert "203 readings" in holds_at_its_plan(scenario, tmp_path)
     s = parse_scenario(scenario)
     monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(run_find(s).planned))
-    shape, steps = (1, 1 << 10, 1), 203
-    k = memory.audit_steps(shape, steps)
-    assert memory._audit_bytes(shape, k) + steps * memory._STEP_BYTES <= run_find(s).planned
+    groups, steps = [(1, 1 << 10, 1)], 203
+    k = memory.audit_steps(groups, steps)
+    assert memory._audit_bytes(groups, k) + steps * memory._STEP_BYTES <= run_find(s).planned
 
 
 @pytest.mark.parametrize("shape", [(3796, 64), (1 << 18, 4), (1 << 20, 1), (50, 2)])
@@ -396,21 +452,35 @@ def test_squares_in_place_allocate_no_table(shape):
                       for span in (slice(0, shape[1] // 2), slice(shape[1] // 2, None))]
 
 
+def battery_cases(cfg):
+    """(state, good, moments, horizon) of every trajectory ``build_corpus`` audits."""
+    cases = []
+    for state, good in corpus_states(cfg):
+        m = moments(state, good)
+        cases.append((state, good, m, max(cfg.max_steps, memory.law_horizon(m.t, m.n_states))))
+    return cases + [case for named in checks._fixed_trajectories(cfg).values() for case in named]
+
+
 def test_audit_charge_covers_a_verify_stacks_traced_peak():
-    """The battery's largest stack (64 x 4) audited over its horizons."""
-    corpus = build_corpus(VerifyConfig())
-    c0, gmask, ms = max(corpus.stacks, key=lambda stack: stack[0].nbytes)
-    horizons = [max(VerifyConfig().max_steps, memory.law_horizon(m.t, m.n_states)) for m in ms]
-    audit._audit_stack(c0, gmask, ms, horizons)
+    """The battery's widest N, 64, audited over its horizons: the corpus's 8 x 64
+    x D stacks for D = 1, 2 and 4 and criterion 5's flat state, as one wide table
+    of 57 columns, each group's stack read a chunk of 8 steps at a time."""
+    cases = [case for case in battery_cases(VerifyConfig()) if case[0].n_states == 64]
+    tables = [state.coeffs for state, *_ in cases]
+    masks = [good.mask(64) for _, good, *_ in cases]
+    ms, horizons = [m for *_, m, _ in cases], [h for *_, h in cases]
+    audit._audit_n(tables, masks, ms, horizons)
     tracemalloc.start()
     try:
-        audit._audit_stack(c0, gmask, ms, horizons)
+        audit._audit_n(tables, masks, ms, horizons)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    k = memory.audit_steps(c0.shape, max(horizons) + 1)
-    assert c0.shape[1:] == (64, 4) and k > 1
-    assert peak <= memory._audit_bytes(c0.shape, k) + UNCHARGED
+    groups = [(9, 64, 1), (8, 64, 2), (8, 64, 4)]
+    assert sorted(Counter(t.shape[1] for t in tables).items()) == [(1, 9), (2, 8), (4, 8)]
+    k = memory.audit_steps(groups, max(horizons) + 1)
+    assert k == 8
+    assert peak <= memory._audit_bytes(groups, k) + UNCHARGED
 
 
 @pytest.mark.slow
@@ -429,12 +499,17 @@ def test_closed_form_drift_stays_far_below_the_tolerance_as_n_grows(n_qubits):
 
 
 def test_run_checks_builds_the_corpus_once(monkeypatch):
-    calls = []
-    states = checks.corpus_states
+    """Each battery, the main one and criterion 11's three reduced ones, builds
+    its corpus once and makes one audit call per N: the corpus's N = 4, 8 and 16
+    (and 64 in the main one) and criterion 5's flat N = 64 state."""
+    calls, audited = [], []
+    states, audit_n = checks.corpus_states, audit._audit_n
     monkeypatch.setattr(checks, "corpus_states", lambda cfg: calls.append(1) or states(cfg))
-    results = checks.run_checks(SMALL, include_determinism=False)
-    assert calls == [1]
-    assert len(results) == len(checks.CHECKS)
+    monkeypatch.setattr(audit, "_audit_n", lambda *a: audited.append(len(a[1][0])) or audit_n(*a))
+    results = checks.run_checks(SMALL)
+    assert calls == [1] * 4
+    assert audited == [4, 8, 16, 64] * 4
+    assert len(results) == len(checks.CHECKS) + 1 and all(r.passed for r in results)
 
 
 def test_recurrence_check_is_bit_identical_to_wrapped_closed_forms():

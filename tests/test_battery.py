@@ -48,7 +48,8 @@ def corpora():
 def _run(criterion, name, corpora):
     fn = getattr(checks, f"check_{criterion}")
     cfg = CONFIGS[name]
-    return fn(cfg, corpora[name]) if criterion == "recurrence_consistency" else fn(cfg)
+    corpus_read = criterion in {"recurrence_consistency", "p_max_claim"}
+    return fn(cfg, corpora[name]) if corpus_read else fn(cfg)
 
 
 @pytest.mark.parametrize("criterion,name", sorted(PINNED))
@@ -84,13 +85,14 @@ class TestRecurrenceConsistency:
         assert (result.passed, result.max_deviation) == (True, 0.0)
 
 
-def test_p_max_claim_audits_one_stack(monkeypatch):
-    calls = _counted(monkeypatch, audit, "_audit_stack")
-    assert checks.check_p_max_claim(FULL).passed
-    (call,) = calls
-    c0, gmask, ms, horizons = call
-    assert c0.shape == (3, 16, 1) and gmask.shape == (3, 16)
-    assert horizons == [analytic.best_integer_time(analytic.oscillation_params(m)) for m in ms]
+def test_p_max_claim_reads_its_audits_from_the_corpus(monkeypatch, corpora):
+    calls = _counted(monkeypatch, audit, "_audit_n")
+    assert checks.check_p_max_claim(FULL, corpora["full"]).passed
+    assert calls == []
+    audits = corpora["full"].fixed["p_max_claim"]
+    params = [analytic.oscillation_params(a.moments) for a in audits]
+    assert [(a.moments.n_states, len(a.p_sim) - 1) for a in audits] == [
+        (16, analytic.best_integer_time(p)) for p in params]
 
 
 class TestCountingWindow:
@@ -163,3 +165,11 @@ class TestEstimatorBound:
         assert [p[3] for p in passes] == [1] * 4
         alone = circuit(16, 1, 1 << 13).bytes
         assert max(circuit(*p).bytes for p in passes) <= memory._CHUNK_BYTES + alone
+
+
+@pytest.mark.parametrize("name", ["full", "reduced"])
+def test_the_plan_charges_the_fixed_trajectories_the_battery_audits(name, corpora):
+    fixed = checks._fixed_trajectories(CONFIGS[name])
+    assert tuple((state.n_states, state.data_dim, horizon) for named in fixed.values()
+                 for state, _, _, horizon in named) == memory.FIXED_TRAJECTORIES
+    assert [len(corpora[name].fixed[key]) for key in fixed] == [len(named) for named in fixed.values()]

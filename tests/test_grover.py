@@ -131,10 +131,10 @@ def _reference_step(table, gmask):
 
 
 class TestStepSignsAndBuffer:
-    """The step negates on the float64 view and runs the low passes of tables
-    over a block in a ``_PASS_BUFFER``-element ufunc buffer; neither changes
-    a bit, down to the sign of a zero, and the caller's buffer size is back
-    after every call."""
+    """The step negates on the float64 view and runs the low passes, those
+    within a block, in a ``_PASS_BUFFER``-element ufunc buffer; neither
+    changes a bit, down to the sign of a zero, and the caller's buffer size is
+    back after every call."""
 
     @pytest.mark.parametrize("shape", [(8, 3), (4, 16, 3), (4096, 64)])
     @pytest.mark.parametrize("in_place", [False, True])
@@ -144,7 +144,7 @@ class TestStepSignsAndBuffer:
         gmask[..., :2] = True  # rows of zeros among the marked rows
         src = table.copy()
         out = src if in_place else np.empty_like(src)
-        result = grover._step_rows(src, gmask, out, np.empty_like(src))
+        result = grover._step_rows(src, gmask[..., None], out, np.empty_like(src))
         assert result is out
         assert np.array_equal(_bits(result), _bits(_reference_step(table, gmask)))
         assert (result.view(np.float64) == 0).any()  # whose sign the bits compare
@@ -168,8 +168,9 @@ class TestStepSignsAndBuffer:
         _kernel(_table((64, 4), seed=2))
         *low, high, small = seen  # eight blocks of 512 rows, then the high passes
         assert [h for h, _ in low] == [1] * 8 and high[0] == 512
-        assert all(size == grover._PASS_BUFFER for _, size in low)
-        assert high[1] == small[1] == caller_buffer
+        # a table within one block makes low passes only, all in the small buffer
+        assert all(size == grover._PASS_BUFFER for _, size in low + [small])
+        assert high[1] == caller_buffer
         assert np.getbufsize() == caller_buffer
 
     def test_caller_buffer_restored_when_a_pass_raises(self, caller_buffer):

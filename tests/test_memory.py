@@ -104,8 +104,8 @@ def test_a_run_fits_its_plan(tmp_path_factory, scenario):
          "audit(n, d, 0, size)", {"kind": "find", "n_qubits": 1, "good": {"t": 1, "seed": 0},
                                   "iterations": 500}),
         # one more table a step of the audit's chunks
-        (audit._audit_stack, "steps, work = _arena((k,) + c0.shape, 2)",
-         "steps, work, spare = _arena((k,) + c0.shape, 3)", WIDE),
+        (audit._audit_n, "chunks = [(k, n_big, width), (k, b, n_big, d)]",
+         "chunks = [(k, n_big, width), (k, b, n_big, d), (k, n_big, width)]", WIDE),
     ],
     ids=["dropped-term", "extra-table"],
 )
@@ -133,6 +133,25 @@ def test_a_state_file_is_charged_before_it_is_parsed(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_the_densest_state_file_reads_within_its_charge(tmp_path):
+    """One bare integer a row, without spaces, is the densest text that parses to
+    the most objects: at 2^14 x 1 tracemalloc read 32.1 bytes a file byte, and
+    the charge (``_FILE_BYTES`` a byte) holds it with at most 30% to spare."""
+    nq = 14
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"n_qubits": nq, "data_dim": 1, "rows": [[1]] * (1 << nq)},
+                               separators=(",", ":")))
+    harness._read_state_file(str(path), nq, 1)
+    tracemalloc.start()
+    try:
+        harness._read_state_file(str(path), nq, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = memory.state_file(str(path)).bytes
+    assert peak <= charge <= 1.3 * peak
 
 
 @pytest.fixture(scope="module")
