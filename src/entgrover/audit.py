@@ -266,14 +266,14 @@ def audit_trajectories(
     by_n: dict[int, list[int]] = {}
     for i, (state, *_) in enumerate(cases):
         by_n.setdefault(state.n_states, []).append(i)
-    audits = {}
+    audits = [None] * len(cases)
     for idx in by_n.values():
-        picked = [cases[i] for i in idx]
-        audits.update(zip(idx, _audit_n([state.coeffs for state, *_ in picked],
-                                        [good.mask(state.n_states) for state, good, *_ in picked],
-                                        [m for _, _, m, _ in picked],
-                                        [horizon for *_, horizon in picked])))
-    return [audits[i] for i in range(len(cases))]
+        states, goods, ms, horizons = zip(*(cases[i] for i in idx))
+        tables = [state.coeffs for state in states]
+        masks = [good.mask(state.n_states) for state, good in zip(states, goods)]
+        for i, trajectory in zip(idx, _audit_n(tables, masks, ms, horizons)):
+            audits[i] = trajectory
+    return audits
 
 
 def audit_trajectory(

@@ -139,6 +139,11 @@ def build(n_states: int, data_dim: int, t: int, field: str | None = None) -> Ter
                         f"and reading its moments", field)
 
 
+def _widest(groups: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The (B, N, D) group of most columns, B*D."""
+    return max(groups, key=lambda group: group[0] * group[2])
+
+
 def _audit_bytes(groups: list[tuple[int, int, int]], k: int) -> int:
     """Bytes the audit of one N holds at k steps a chunk, its states in the
     (B, N, D) ``groups``, of W columns in all: the groups' stacks of initial
@@ -147,7 +152,7 @@ def _audit_bytes(groups: list[tuple[int, int, int]], k: int) -> int:
     each state's sector row index (8 bytes a row) and marked-row mask (1 byte a
     row).  More than one state also holds a copy chunk of that group's stacks,
     the wide table's scratch and its flip mask (2 bytes a row and column)."""
-    b, n, d = max(groups, key=lambda group: group[0] * group[2])
+    b, n, d = _widest(groups)
     width = sum(group[0] * group[2] for group in groups)
     states = sum(group[0] for group in groups)
     fixed = 16 * n * width + 9 * states * n
@@ -208,7 +213,7 @@ def audit_steps(groups: list[tuple[int, int, int]], steps: int) -> int:
     fixed = _audit_bytes(groups, 0)
     room = (qstate.memory_cap_bytes() - fixed
             - sum(group[0] for group in groups) * steps * _STEP_BYTES)
-    b, n, d = max(groups, key=lambda group: group[0] * group[2])
+    b, n, d = _widest(groups)
     return _chunk(min(steps, room // (_audit_bytes(groups, 1) - fixed)), 16 * b * n * d)
 
 
@@ -241,34 +246,29 @@ def corpus(cfg, field: str | None = None) -> Term:
     combos = [(1 << nq, d) for nq in cfg.n_qubits_list for d in cfg.data_dims]
     rounds, rest = divmod(cfg.corpus_count, len(combos))
     counts = Counter(combos[:rest]) + Counter({c: rounds * combos.count(c) for c in combos})
-    stacks = {(b, n, d): 16 * b * n * d for (n, d), b in counts.items()}
-    steps = {shape: max(cfg.max_steps, law_horizon(1, shape[1])) + 1 for shape in stacks}
-    # Each N's states by D, and the steps its wide table takes.
-    by_n: dict[int, Counter] = {}
-    last: Counter = Counter()
-    for (b, n, d), count in steps.items():
-        by_n.setdefault(n, Counter())[d] += b
-        last[n] = max(last[n], count)
-    for n, d, horizon in FIXED_TRAJECTORIES:
-        by_n.setdefault(n, Counter())[d] += 1
-        last[n] = max(last[n], horizon + 1)
+    stacks = sum(16 * b * n * d for (n, d), b in counts.items())
+    # (N, D, states, readings) of the corpus's stacks and the fixed trajectories
+    trajectories = [(n, d, b, max(cfg.max_steps, law_horizon(1, n)) + 1)
+                    for (n, d), b in counts.items()]
+    trajectories += [(n, d, 1, horizon + 1) for n, d, horizon in FIXED_TRAJECTORIES]
     audits = {}
-    for n, columns in by_n.items():
+    for n in {n for n, *_ in trajectories}:
+        columns = Counter()
+        for _, d, b, _ in (t for t in trajectories if t[0] == n):
+            columns[d] += b
         groups = [(b, n, d) for d, b in columns.items()]
-        b, _, d = max(groups, key=lambda group: group[0] * group[2])
-        audits[n] = _audit_bytes(groups, _chunk(last[n], 16 * b * n * d))
-    tables = sum(stacks.values()) + sum(16 * n * d for n, d, _ in FIXED_TRAJECTORIES)
+        b, _, d = _widest(groups)
+        readings = max(r for m, *_, r in trajectories if m == n)
+        audits[n] = _audit_bytes(groups, _chunk(readings, 16 * b * n * d))
     widest = max(d for _, d in combos)
     k2 = recurrence_steps(cfg.corpus_count, widest, cfg.max_steps)
-    working = max(tables + max(audits.values()),
+    working = max(sum(16 * b * n * d for n, d, b, _ in trajectories) + max(audits.values()),
                   _RECURRENCE_BYTES * cfg.corpus_count * widest * (k2 + 1))
-    readings = (sum(shape[0] * steps[shape] for shape in stacks)
-                + sum(horizon + 1 for *_, horizon in FIXED_TRAJECTORIES))
-    needed = sum(stacks.values()) + working + readings * _CORPUS_STEP_BYTES
+    readings = sum(b * r for *_, b, r in trajectories)
+    needed = stacks + working + readings * _CORPUS_STEP_BYTES
     n = max(audits, key=audits.get)
-    width = sum(b * d for d, b in by_n[n].items())
-    return Term(needed, f"corpus with a wide table of {n} x {width} amplitudes and "
-                        f"{cfg.max_steps} steps", field)
+    return Term(needed, f"corpus with the wide tables of N = {n} and {cfg.max_steps} steps",
+                field)
 
 
 def state_file(path: str) -> Term:
