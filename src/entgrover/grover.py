@@ -1,38 +1,26 @@
 """Exact application of the search-register operators to an entangled state.
 
-The iteration operator is the composition  -W S0 W S_H : the marked-row
-phase flip S_H, the Walsh-Hadamard transform W on the search register,
-the |0> reflection S0, W again, and a global sign.  The global sign is
-kept (not dropped as an unobservable phase) so iterated rows can be
+The iteration operator is -W S0 W S_H: the marked-row phase flip S_H, then
+the Walsh-Hadamard transform W on the search register, the |0> reflection
+S0, W again, and a global sign.  Since W|0> is the uniform vector |u>, the
+diffusion -W S0 W is 2|u><u| - I, the inversion about the average: each
+column of the table is reflected about its own mean, row a becoming
+2*mu - x_a.  That is the form the step takes here, as the counting circuit
+does (``counting._doubled_means``); W itself is never applied.  The global
+sign is kept (not dropped as an unobservable phase) so iterated rows can be
 compared amplitude-by-amplitude, including the (-1)^n alternation of the
 unmarked rows, against closed-form predictions.
 
-W is log2(N) butterfly passes.  Since W|0> is the uniform vector |u>, the
-diffusion -W S0 W also equals 2|u><u| - I, each row x_a becoming
-2*mean(x) - x_a; the counting circuit steps in that form
-(``counting._doubled_means``).  Every butterfly pass scales by the rounded
-1/sqrt(2), so this gate form drifts the norm by the same few 1e-14 for
-every state of a given shape, and the unitarity headroom of a find report
-depends on the shape only, not on the random state.
-
-W's butterfly passes run on cache-sized blocks of rows (``_BLOCK_BYTES``)
-while a pass pairs rows inside a block, and over the whole table after
-that.  Only the order in which elements are visited changes: every element
-gets (a +- b) * (1/sqrt(2)) in the same pass order, so the bits are those
-of unblocked passes, which the tests keep as a reference.
-
-A low pass h pairs runs of only 2hD floats (128 at h = 1, D = 64), and numpy
-copies such strided operands through its ufunc buffer.  At the default 8192
-elements that is 3 x 64 KiB per call, more than a 48 KiB L1 data cache, and
-memory the cap does not charge.  So the block loop runs with the buffer at
-``_PASS_BUFFER`` = 256 elements (``small_buffer``, which gives the caller's
-size back on the way out), and so do all the passes of a table within one
-block and the trajectory audit's broadcast elementwise ops.  The step's
-signs (the phase flip, S0 and the global sign) negate the table's float64
-view: numpy's complex negative is an unvectorized loop, 0.87 ms per 4 MiB
-table against 0.18 ms.  Both are elementwise, so every amplitude gets the
-same operations in the same order and no bit changes (timings in
-``BENCH_14.json``).
+A step is four elementwise passes inside one ``small_buffer``: the phase
+flip, which negates the marked rows of the table's float64 view (numpy's
+complex negative is an unvectorized loop, and both negate both parts bit
+for bit); the column sums, by halving the rows log2(N) times into the
+scratch table, each half added onto the other; the sums times 2/N, exact
+for N a power of two; and 2*mu minus the table, in place.  The column sums
+halve the rows rather than call ``np.add.reduce``: numpy sums an (N, 1)
+column pairwise but a wide (N, W) table row by row, while the halving makes
+the same adds in the same order whatever the layout, so every column gets
+the bits it gets alone.
 
 The row operators act on the rows axis (-2) of any leading batch shape,
 and on each column alike.  ``trajectory_tables`` steps a stack of
@@ -40,9 +28,8 @@ same-shape tables (B, N, D), with marked-row masks (B, N), in lock step;
 the trajectory audit steps every state of one N as a column block of one
 wide (N, W) table, each block flipped by its own marked rows.  Every
 operation is elementwise per column, so each table gets the bits it gets
-alone.  ``grover_trajectory`` wraps the same
-generator for one state, without stacking it, and ``grover_iterate`` keeps
-its last table.
+alone.  ``grover_trajectory`` wraps the same generator for one state,
+without stacking it, and ``grover_iterate`` keeps its last table.
 
 There is one step code path, ``_step_rows``, which writes the step into the
 output buffer its caller passes, using a second as scratch, and allocates no
@@ -63,26 +50,18 @@ audit (``audit.audit_trajectory``) measures instead.
 from __future__ import annotations
 
 import contextlib
-import math
 
 import numpy as np
 
 from .qstate import EntangledState, GoodSet
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Bytes of one cache block of rows: the low passes run block by block, so a
-# block and its partner buffer (1 MiB) stay in a 2 MiB L2 cache.  Over 4096 x 64,
-# 2^16 x 4, 2^18 x 4 and 2^20 x 1, 256 KiB and 512 KiB blocks were fastest;
-# 1 MiB and 2 MiB were up to 40% slower at 2^18 x 4 and 2^20 x 1 (2 cores,
-# 2 MiB L2 each, numpy 2.4.6).
-_BLOCK_BYTES = 1 << 19
-
-# Elements of numpy's ufunc buffer in ``small_buffer``.  Of 16, 64, 256, 1024
-# and 8192, 256 was the fastest or within noise of it for one step at each of
-# 4096 x 64, 2^16 x 4, 2^18 x 1, 2^18 x 4 and 2^20 x 1; 16 slowed 2^20 x 1 by
-# 8-25% against 8192, and 1024 lost up to half the gain at 4096 x 64 (best of
-# 7, two processes each, same machine).
+# Elements of numpy's ufunc buffer in ``small_buffer``.  A broadcast or masked
+# elementwise op over short rows copies an operand through the buffer: at the
+# default 8192 elements that is 64 KiB for the step's subtract, memory the cap
+# does not charge, and 2 KiB at 256.  One step in it took 2.99 ms against 2.76
+# ms in the default buffer at 4096 x 64, 5.7 against 3.7 ms at 2^16 x 4, 23.2
+# against 21.0 ms at 2^18 x 4 and 37.8 against 35.2 ms at 2^20 x 1 (best of 7,
+# 2 cores, numpy 2.4.6).
 _PASS_BUFFER = 256
 
 
@@ -99,85 +78,35 @@ def small_buffer():
         np.setbufsize(caller)
 
 
-def _hadamard_rows(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n-qubit Hadamard along the rows axis (-2) via log2(N) butterfly passes.
-
-    ``src`` and ``dst`` are two C-contiguous complex tables of one shape, and
-    both are overwritten; returns (result, the other buffer).  Leading axes are
-    a batch of independent tables; each entry sees the same elementwise
-    operations as it would alone, so the bits do not depend on the batch.
-
-    Pass h pairs rows h apart, so the passes with h below a block of
-    ``_BLOCK_BYTES`` run one cache block at a time (a block of whole tables
-    when a table is smaller), and the remaining passes over the whole stack.
-    Every element still gets (a +- b) * (1/sqrt(2)) in the same pass order.
-    """
-    if src.nbytes <= _BLOCK_BYTES:
-        with small_buffer():
-            return _passes(src, dst, 1, src.shape[-2])
-    *_, n, d = src.shape
-    block = 1 << max(0, (_BLOCK_BYTES // (16 * d)).bit_length() - 1)
-    low = min(block, n)
-    src_blocks, dst_blocks = src.reshape(-1, low, d), dst.reshape(-1, low, d)
-    per = block // low
-    with small_buffer():
-        for i in range(0, len(src_blocks), per):
-            _passes(src_blocks[i : i + per], dst_blocks[i : i + per], 1, low)
-    if (low.bit_length() - 1) % 2:
-        src, dst = dst, src
-    return _passes(src, dst, low, n)
-
-
-def _passes(src: np.ndarray, dst: np.ndarray, h: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The butterfly passes h, 2h, ... below ``stop`` of ``_hadamard_rows``."""
-    d = src.shape[-1]
-    # A pass pairs runs of h*d amplitudes, 2h rows to a group; groups never
-    # straddle two tables of a stack.  Sums and differences are the same on
-    # the float64 view, whose longer runs add faster; a run of one amplitude
-    # is faster as one strided loop over the complex entries.  The scaling
-    # stays complex, which keeps the sign of a zero part.
-    src_f, dst_f = src.view(np.float64), dst.view(np.float64)
-    while h < stop:
-        if h * d == 1:
-            a, b = src.reshape(-1, 2, 1), dst.reshape(-1, 2, 1)
-        else:
-            a, b = src_f.reshape(-1, 2, 2 * h * d), dst_f.reshape(-1, 2, 2 * h * d)
-        a0, a1 = a[:, 0], a[:, 1]
-        np.add(a0, a1, out=b[:, 0])
-        np.subtract(a0, a1, out=b[:, 1])
-        dst *= _INV_SQRT2
-        src, dst, src_f, dst_f = dst, src, dst_f, src_f
-        h *= 2
-    return src, dst
-
-
 def _step_rows(
     src: np.ndarray, flip: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """-W S0 W S_H on the rows, composed operator by operator, written into ``out``.
+    """(2|u><u| - I) S_H on the rows, the step -W S0 W S_H, written into ``out``.
 
     ``src`` is (..., N, D) and ``flip`` the marked-row mask as it broadcasts to
     the float64 view (..., N, 2D): (..., N, 1) when every column of a table
     shares its marked rows, or (N, 2D) when the columns are blocks of states
     with marked rows of their own (the audit's wide tables).
-    The phase flip writes into ``out`` (``src`` itself flips in place) and both
-    transforms run in ``out`` and ``scratch``, two C-contiguous tables of
-    ``src``'s shape.  The two transforms make 2*log2(N) butterfly passes, an
-    even count, so the step ends in ``out``, which is returned; ``scratch`` is
-    left overwritten.  Nothing the size of a table is allocated.
+    The phase flip writes into ``out`` (``src`` itself flips in place), and
+    the column sums halve its rows into the first half of ``scratch``; both
+    are C-contiguous tables of ``src``'s shape.  Each column becomes twice its
+    mean minus itself in ``out``, which is returned; ``scratch`` is left
+    overwritten.  Nothing the size of a table is allocated.
     """
     if out is not src:
         np.copyto(out, src)
-    # The signs go on the float64 view, which negates both parts as the
-    # complex negative does, bit for bit, but in a vectorized loop.
-    parts = out.view(np.float64)
-    np.negative(parts, out=parts, where=flip)
-    out, scratch = _hadamard_rows(out, scratch)
-    row0 = out.view(np.float64)[..., 0, :]
-    np.negative(row0, out=row0)
-    out, scratch = _hadamard_rows(out, scratch)
-    parts = out.view(np.float64)
-    np.negative(parts, out=parts)
+    n = out.shape[-2]
+    half = n // 2
+    parts, sums = out.view(np.float64), scratch.view(np.float64)
+    with small_buffer():
+        np.negative(parts, out=parts, where=flip)
+        np.add(parts[..., :half, :], parts[..., half:, :], out=sums[..., :half, :])
+        while half > 1:
+            half //= 2
+            np.add(sums[..., :half, :], sums[..., half : 2 * half, :], out=sums[..., :half, :])
+        two_mu = scratch[..., :1, :]
+        two_mu *= 2.0 / n
+        np.subtract(two_mu.view(np.float64), parts, out=parts)
     return out
 
 

@@ -207,12 +207,15 @@ def _chunk(most: int, item_bytes: int) -> int:
 
 def audit_steps(groups: list[tuple[int, int, int]], steps: int) -> int:
     """Steps the audit of one N's (B, N, D) ``groups`` holds at once, at most
-    ``steps``: as many as the cap leaves room for beside the audit's readings
-    (``_STEP_BYTES`` a state and step), and as many stacks of the group of most
-    columns as a chunk holds."""
+    ``steps``: as many as the cap leaves room for beside the audit's readings,
+    and as many stacks of the group of most columns as a chunk holds.  A lone
+    state's readings are charged at a find's ``_STEP_BYTES`` a step, as
+    ``audit`` charges them; more states are the battery's, at its
+    ``_CORPUS_STEP_BYTES`` a state and step, as ``corpus`` charges them."""
     fixed = _audit_bytes(groups, 0)
-    room = (qstate.memory_cap_bytes() - fixed
-            - sum(group[0] for group in groups) * steps * _STEP_BYTES)
+    states = sum(group[0] for group in groups)
+    reading = _STEP_BYTES if states == 1 else _CORPUS_STEP_BYTES
+    room = qstate.memory_cap_bytes() - fixed - states * steps * reading
     b, n, d = _widest(groups)
     return _chunk(min(steps, room // (_audit_bytes(groups, 1) - fixed)), 16 * b * n * d)
 

@@ -2,12 +2,13 @@
 holds a run to its memory plan (``holds_at_its_plan``).
 
 The oracles here deliberately avoid the package's fast code paths (the
-reflection about the mean, numpy's FFT, the Hadamard butterflies):
-operators are materialized as explicit (N*D x N*D) matrices built from
-Kronecker products, and transforms as explicit DFT matrices, so every fast
-implementation is checked against a slow, obviously-correct one.  Where a
-fast path must keep the bits of a simpler one (the cache-blocked butterflies,
-the closed form's masked evaluation), the simpler one is kept here as well.
+reflection about the mean, numpy's FFT): operators are materialized as
+explicit (N*D x N*D) matrices built from Kronecker products, and transforms
+as explicit DFT matrices, so every fast implementation is checked against a
+slow, obviously-correct one.  The gate form of the step, -W S0 W S_H with W
+as butterfly passes, is kept here too, for the step to be held to.  Where a
+fast path must keep the bits of a simpler one (the closed form's masked
+evaluation), the simpler one is kept here as well.
 The exact referee computes the trajectory and the closed form in rational
 arithmetic, and the counting circuit's transforms at 50 digits, so a float
 path's own error can be measured.
@@ -44,12 +45,10 @@ def hadamard_matrix(n_qubits: int) -> np.ndarray:
 
 
 def butterfly_hadamard(table: np.ndarray) -> np.ndarray:
-    """Hadamard along the rows axis (-2) by unblocked butterfly passes.
-
-    The pass loop ``grover._hadamard_rows`` ran before it was cache-blocked:
-    pass h = 1, 2, 4, ... turns each row pair (a, b), h rows apart, into
-    ((a + b) / sqrt(2), (a - b) / sqrt(2)), over the whole table and in
-    complex arithmetic.  The blocked kernel must give its bits.
+    """Hadamard along the rows axis (-2) by butterfly passes: the W of the
+    step's gate form.  Pass h = 1, 2, 4, ... turns each row pair (a, b), h
+    rows apart, into ((a + b) / sqrt(2), (a - b) / sqrt(2)), over the whole
+    table and in complex arithmetic.
     """
     src = np.array(table, dtype=np.complex128)
     dst = np.empty_like(src)

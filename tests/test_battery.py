@@ -3,7 +3,10 @@ per-state loops they replaced did, pass for pass.
 
 The pinned readings were taken from the per-state loops (one recurrence pass
 per corpus stack, one audit per state, scalar kernel sums and one circuit per
-cell) before those loops were replaced; every reading keeps its bits.
+cell) before those loops were replaced; every reading keeps its bits.  The
+step's reflection about the column mean replaced the Walsh-Hadamard
+composition after that, and moved criterion 7's detail from 1.44e-15 to
+2.22e-16 (the rounded 1/sqrt(2) no longer biases the simulated P).
 """
 import tracemalloc
 from dataclasses import replace
@@ -23,9 +26,9 @@ PINNED = {
     ("recurrence_consistency", "full"): (1.737064466987443e-14, ""),
     ("recurrence_consistency", "reduced"): (2.0380985511143445e-15, ""),
     ("p_max_claim", "full"): (
-        1.1102230246251565e-16, "simulated P at best integer time within 1.44e-15 of analytic"),
+        1.1102230246251565e-16, "simulated P at best integer time within 2.22e-16 of analytic"),
     ("p_max_claim", "reduced"): (
-        1.1102230246251565e-16, "simulated P at best integer time within 1.44e-15 of analytic"),
+        1.1102230246251565e-16, "simulated P at best integer time within 2.22e-16 of analytic"),
     ("counting_window", "full"): (
         1.5543122344752192e-15,
         "W1=0.865152 on (2, 3, 13, 14); kernel-sum bounds held over 1000 samples/case"),

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import planted
 from entgrover import cli, grover
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,17 +109,37 @@ def test_benchmark_tracer_rebinds_and_restores_the_package():
     assert _namespaces() == before
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, imported by name and gone again after."""
+    for module in ("workloads", "tracer"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("workloads")
+
+
 @pytest.mark.parametrize("name", ["count", "find-wide", "verify"])
-def test_benchmark_workload_passes_the_benchmarks_check(name, monkeypatch, tmp_path):
+def test_benchmark_workload_passes_the_benchmarks_check(name, workloads, tmp_path):
     """Seed 1 of a benchmark workload, run through ``cli.main`` in process, passes
     ``perfbench/workloads.py``'s own check: its referee simulation and report
     fields.  A report the benchmark would call incorrect fails here first."""
-    for module in ("workloads", "tracer"):  # imported by name below; gone again after
-        monkeypatch.delitem(sys.modules, module, raising=False)
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
     workload = workloads.WORKLOADS[name]
     argv, scenario = workload.make(1, ROOT, tmp_path)
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert workload.check(json.loads(out.read_text()), scenario, 1) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_find_wide_exits_2_on_a_step_scaled_by_1e_13(seed, workloads, monkeypatch, tmp_path):
+    """The benchmark's find-wide run (N = 2^12, D = 64, t = 300, a random
+    state) exits 0, and exits 2 once every step is scaled by (1 + 1e-13).
+    With an accurate step its ``min_margin`` reads thousands, by seed, so
+    an A/B of that metric cannot see such a drift; the planted step reads a
+    margin of 0.435 on every seed."""
+    argv, _ = workloads.WORKLOADS["find-wide"].make(seed, ROOT, tmp_path)
+    argv += ["--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    step = planted(grover._step_rows, "    return out", "    out *= 1.0 + 1e-13\n    return out")
+    monkeypatch.setattr(grover, "_step_rows", step)
+    assert cli.main(argv) == 2

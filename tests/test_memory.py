@@ -242,9 +242,8 @@ def test_the_verdict_line_carries_the_planned_peak(tmp_path):
 
 def test_charges_live_in_the_plan_module_only():
     """No module but ``memory`` defines a charge constant (a module-level
-    ``*_BYTES`` name; ``grover._BLOCK_BYTES`` sizes a cache block and charges
-    nothing) or a ``Term``, and no module defines or calls ``check_bytes`` or a
-    ``check_*_memory``: elsewhere ``memory.check`` is handed ``memory.plan`` or
+    ``*_BYTES`` name) or a ``Term``, and no module defines or calls
+    ``check_bytes`` or a ``check_*_memory``: elsewhere ``memory.check`` is handed ``memory.plan`` or
     a list of memory's own terms, so each formula is stated once."""
     for path in SRC.glob("*.py"):
         module = path.stem
@@ -258,7 +257,7 @@ def test_charges_live_in_the_plan_module_only():
         assert not {n for n in names if n == "check_bytes" or re.fullmatch(r"check_\w*memory", n)}
         if module == "memory":
             continue
-        assert constants <= ({"_BLOCK_BYTES"} if module == "grover" else set()), module
+        assert not constants, module
         assert "Term" not in names, module
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
