@@ -71,8 +71,8 @@ class TestWalshHadamard:
 
 
 class TestHadamardKernel:
-    """The oracle's butterflies against the dense Kronecker product at the
-    sizes the step tests compose them at."""
+    """The oracle's butterflies against the dense Kronecker product, up to
+    N = 2^10 and D = 64."""
 
     @pytest.mark.parametrize("nq,d", [(1, 1), (6, 64), (9, 4), (10, 1)])
     def test_matches_the_dense_kronecker_product(self, nq, d):
