@@ -85,6 +85,16 @@ class TestRunFind:
         report = run_find(s)
         assert report.passed
 
+    def test_unitarity_reads_the_norm_rounding_on_every_seed(self):
+        # Below eps*log2(N*D) the norm's deviation reads 0 or an ulp by seed.
+        floor = np.finfo(np.float64).eps * 8  # N*D = 2^8
+        for seed in range(8):
+            s = parse_scenario({"kind": "find", "n_qubits": 6, "data_dim": 4,
+                                "state": {"type": "random", "seed": seed, "var_b": 0.05},
+                                "good": {"t": 3, "seed": seed + 1}})
+            checks = {c["name"]: c for c in run_find(s).payload["checks"]}
+            assert checks["unitarity"]["value"] == floor
+
     def test_degenerate_sector_t0(self):
         s = parse_scenario({"kind": "find", "n_qubits": 2, "good": {"indices": []},
                             "iterations": 5})
