@@ -15,7 +15,6 @@ from .analytic import (
     p_max,
     recurrence_sequence,
     recurrence_vectors,
-    state_at_optimal,
     success_probability,
 )
 from .counting import (

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .grover import small_buffer
-from .qstate import EntangledState, GoodSet, MomentSummary, _norm_sq, moments
+from .qstate import EntangledState, GoodSet, MomentSummary, moments
 
 DEGENERATE_RTOL = 1e-12
 
@@ -81,15 +81,6 @@ class OscillationParams:
                 raise ValueError("phi_i must be >= 0")
             if not (-math.pi / 2 < self.phi_r <= math.pi / 2):
                 raise ValueError("phi_r must lie in (-pi/2, pi/2]")
-
-
-@dataclass(frozen=True)
-class OptimalState:
-    """Closed-form state at an optimal measurement time, with its leftover bad mass."""
-
-    n: int
-    state: EntangledState
-    bad_sector_mass: float
 
 
 def _require_interior(m: MomentSummary) -> None:
@@ -249,13 +240,18 @@ def _closed_form_into(
     the sign of a zero), from their ``_closed_form_offsets`` (o_g, o_b): every
     row gets c0 + o_b on even steps and o_b - c0 on odd ones, then the marked
     rows c0 + o_g through a ``where=`` mask.  Any rows of the states may be
-    passed, as ``c0``, ``gmask`` and ``out`` of fewer than N rows."""
+    passed, as ``c0``, ``gmask`` and ``out`` of fewer than N rows; ``gmask``
+    True or False marks all of them or none, and then no mask is applied (a
+    block of sector-sorted tables, ``audit._reader``)."""
     good, bad = (o[:, :, None] for o in offsets)
     even, odd = slice(n0 % 2, None, 2), slice(1 - n0 % 2, None, 2)
     with small_buffer():  # the broadcast operands go through numpy's ufunc buffer
+        if gmask is True:
+            return np.add(c0, good, out=out)
         np.add(c0, bad[even], out=out[even])
         np.subtract(bad[odd], c0, out=out[odd])
-        np.add(c0, good, out=out, where=gmask[..., None])
+        if gmask is not False:
+            np.add(c0, good, out=out, where=gmask[..., None])
     return out
 
 
@@ -312,24 +308,3 @@ def recurrence_vectors(m: MomentSummary, n: int) -> tuple[np.ndarray, np.ndarray
     for _, x, y in recurrence_sequence([m], n):
         pass
     return x[0], y[0]
-
-
-def state_at_optimal(state0: EntangledState, good: GoodSet, j: int = 0) -> OptimalState:
-    """Closed-form state at the exact optimal time n_j, which must be an integer.
-
-    Also reports the residual probability mass left on the unmarked sector;
-    it vanishes when the bad-sector variance is zero and the oscillation is
-    undamped (phi_i = 0).
-    """
-    m = moments(state0, good)
-    p = oscillation_params(m)
-    n_j = optimal_times(p, j)
-    n_int = round(n_j)
-    if abs(n_j - n_int) > 1e-9 or n_int < 0:
-        raise DegenerateCaseError(
-            f"optimal time n_{j} = {n_j!r} is not a non-negative integer"
-        )
-    predicted = closed_form_rows(state0, good, n_int)
-    bad = predicted.coeffs[~good.mask(state0.n_states)]
-    bad_mass = _norm_sq(bad) / state0.n_states
-    return OptimalState(n=n_int, state=predicted, bad_sector_mass=bad_mass)

@@ -5,13 +5,16 @@ step by step, the marked-sector mass, the amplitude deviation from the
 closed form, and the drift of the sector variances and of the norm; ``find``
 and ``sweep`` read one state's (``audit_trajectory``, the list of one), and
 the verify battery reads its corpus and criteria 4-7's trajectories in one
-call.  The iteration acts on the search index only, so every state of one N,
-whatever its D or marked set, steps as a column block of one wide (N, W)
-table (``_audit_n``), one step for all.  The wide table is stepped and read
-a chunk of k steps at a time (``memory.audit_steps``): each (N, D) group of
-states copies its columns out of the chunk into a (k, B, N, D) stack and is
-read there (``_reader``), so every reading keeps the bits the state gives
-alone; a lone state is read in place.  ``memory.audit`` and
+call.  The iteration depends on the search index only through the marked
+split, so each state is held with its rows in sector order, marked rows
+first (``counting._sector_order``), and every state of one N steps as a
+column block of one wide (N, W) table (``_audit_n``), one step for all.  The
+wide table is stepped and read a chunk of k steps at a time
+(``memory.audit_steps``): each (N, D) group of states copies its columns out
+of the chunk into a (k, B, N, D) stack and is read there (``_reader``); a
+lone state is read in place.  A state's sectors are the row spans [0, t) and
+[t, N) of its block, so a read sums spans, masks and gathers no whole table,
+and takes the norm from the sector sums.  ``memory.audit`` and
 ``memory.corpus`` charge the chunks.
 """
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, grover, memory, qstate
+from . import analytic, counting, grover, memory, qstate
 
 # The audit's chunks start on a cache line: malloc aligns to 16 bytes only,
 # and a 4096 x 64 step between tables off a cache-line boundary ran 8-10%
@@ -44,14 +47,13 @@ class TrajectoryAudit:
     norm_dev: tuple[float, ...]
 
 
-def _abs2(z: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """re^2 + im^2 of a complex array, formed in the float view of a free
-    C-contiguous buffer of at least ``z.size`` amplitudes and returned as a
-    contiguous array of ``z``'s shape in its first half."""
-    sq, im = _carve(buf, z.shape, np.float64), _carve(buf, z.shape, np.float64, z.size)
-    np.square(z.real, out=sq)
-    np.square(z.imag, out=im)
-    return np.add(sq, im, out=sq)
+def _abs2_into(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array into the float array ``out`` of its shape,
+    the imaginary squares formed in ``tmp`` (``z.imag`` itself may be it): the
+    roundings ``qstate._abs2_into_real`` makes."""
+    np.square(z.real, out=out)
+    np.square(z.imag, out=tmp)
+    return np.add(out, tmp, out=out)
 
 
 def _carve(
@@ -81,97 +83,108 @@ def _spans(sizes: list[int]) -> list[slice]:
     return [slice(end - size, end) for end, size in zip(ends, sizes)]
 
 
-def _span_sums(rows: np.ndarray, spans: list[slice]) -> np.ndarray:
-    """Pairwise sum of each state's rows (axis -2) of a stack-wide gather, as
-    ``np.sum`` forms it: (B,) for a (rows, D) gather, (B, k) for k of them."""
-    return np.array([np.add.reduce(rows[..., span, :], axis=(-2, -1)) for span in spans])
+def _blocks(ts: list[int], n_big: int, rows: int) -> list[tuple[slice, object]]:
+    """(rows, marked) of the read blocks of tables in sector order with ``ts``
+    marked rows: slices of at most ``rows`` rows over [0, N), none across
+    min(ts) or max(ts).  ``marked`` is True below min(ts), False from max(ts),
+    and between them a (B, rows) mask of each state's marked rows."""
+    lo, hi = min(ts), max(ts)
+    blocks = []
+    for start, stop, marked in ((0, lo, True), (lo, hi, None), (hi, n_big, False)):
+        for r0 in range(start, stop, rows):
+            span = slice(r0, min(stop, r0 + rows))
+            if marked is None:
+                blocks.append((span, np.arange(span.start, span.stop) < np.array(ts)[:, None]))
+            else:
+                blocks.append((span, marked))
+    return blocks
 
 
-def _span_means(rows: np.ndarray, spans: list[slice], out: np.ndarray) -> None:
-    """Row mean (axis -2) of each non-empty span into ``out[..., i, :]``, as
-    ``np.mean(rows, axis=0)`` forms it."""
-    for i, span in enumerate(spans):
-        if span.start < span.stop:
-            out[..., i, :] = np.add.reduce(rows[..., span, :], -2) / (span.stop - span.start)
-
-
-def _reader(c0: np.ndarray, gmask: np.ndarray, ms: list[qstate.MomentSummary]):
+def _reader(c0: np.ndarray, rows: np.ndarray, ms: list[qstate.MomentSummary], block_rows: int):
     """The read of one (N, D) group of B states: ``c0`` their (B, N, D) initial
-    tables, ``gmask`` their (B, N) marked-row masks and ``ms`` their moments.
+    tables in row order, ``rows`` the (B, N) index of each state's rows in
+    sector order into c0's (B*N, D) rows, ``ms`` their moments and
+    ``block_rows`` the rows of a read block (``_blocks``).
 
-    The returned ``read(n0, c, work)`` takes the group's (size, B, N, D) tables
-    at the steps from n0, C-ordered, and a free C-contiguous ``work`` buffer of
-    as many amplitudes, its only buffer:
-    - the tables' |z|^2 go into its float view and are reduced to the norms,
-      and their marked rows are gathered into the rest of it and summed to the
-      masses;
-    - the closed-form predictions (``analytic._closed_form_into``) are written
-      into it for one half of the rows at a time, the steps subtracted and each
-      state's largest absolute value taken;
-    - the two sectors, ``c[gmask]`` then ``c[~gmask]``, are gathered into it
-      with one ``np.take``, centred, and squared in place into their real
-      parts, whose sums give the sector variances.
+    The returned ``read(n0, c, sq, buf)`` takes the group's (size, B, N, D)
+    tables at the steps from n0, each state's rows in sector order, a free
+    float buffer ``sq`` of their shape and a free complex ``buf`` of size + 1
+    blocks of B x block_rows x D:
+    - the squares of the marked rows go into ``sq``, whose sums over each
+      state's span [0, t) are the masses, and the spans' means are taken;
+    - block by block, the closed form (``analytic._closed_form_into``) of
+      c0's rows, taken through ``rows`` into the last block of ``buf``, is
+      written into ``buf``, the steps subtracted and each state's largest
+      absolute value taken; then the block is centred into ``buf``, and its
+      squares written into ``sq``, whose sums over the spans give the sector
+      variances;
+    - the norm is the sum over the sectors of sum |x - mean|^2 + n |mean|^2.
     Sums over a state's rows are reduced state by state, with the reductions
-    ``qstate.good_mass`` and ``qstate.moments`` make, so every reading stays
-    bit for bit what the state gives alone, whatever the group and k are.
-    It returns (p_sim, amp_dev or None, var_drift, norm_dev) of each state,
-    each a length-size array.
+    ``qstate.good_mass`` and ``qstate.moments`` make, so every reading but the
+    norm is bit for bit what the state in sector order gives alone, whatever
+    the group and k are.  It returns (p_sim, amp_dev or None, var_drift,
+    norm_dev) of each state, each a length-size array.
     """
-    n_big, d = c0.shape[1:]
+    b, n_big, d = c0.shape
+    flat = c0.reshape(-1, d)
     ts = [m.t for m in ms]
-    n_bad = [n_big - t for t in ts]
-    n_good_rows = sum(ts)
-    # The flat rows, in a (B*N, D) view, of the gathers c[gmask] then
-    # c[~gmask], and each state's rows in them.
-    rows = np.concatenate([np.flatnonzero(gmask), np.flatnonzero(~gmask)])
-    g_spans = _spans(ts)
-    b_spans = _spans(n_bad)
-    # The closed form is singular at t in {0, N}: predict the others only.
-    # Only a group mixing both copies its interior tables.
+    spans = [(slice(0, t), slice(t, n_big)) for t in ts]
+    sizes = np.array([[t, n_big - t] for t in ts])
+    blocks = _blocks(ts, n_big, block_rows)
+    marked_rows = max(ts)
+    # The closed form is singular at t in {0, N}: predict the others only, and
+    # in a group mixing both step the singular ones with zero offsets.
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
-    pick = slice(None) if len(interior) == len(ms) else interior
-    c0_in, gmask_in, ms_in = c0[pick], gmask[pick], [ms[i] for i in interior]
-    halves = (slice(0, n_big // 2), slice(n_big // 2, n_big))
+    ms_in = [ms[i] for i in interior]
     # Empty sectors sum to 0 over one row, so their drift reads 0.
-    t_rows = np.maximum(ts, 1)[:, None]
-    b_rows = np.maximum(n_bad, 1)[:, None]
-    var0 = np.array([[m.var_g, m.var_b] for m in ms]).T[..., None]
+    var0 = np.array([[m.var_g, m.var_b] for m in ms])[..., None]
 
-    def read(n0: int, c: np.ndarray, work: np.ndarray):
+    def read(n0: int, c: np.ndarray, sq: np.ndarray, buf: np.ndarray):
         size = len(c)
-        abs2 = _abs2(c, work)
-        norms = np.add.reduce(abs2, axis=(2, 3)).T
-        marked = _carve(work, (size, n_good_rows, d), np.float64, abs2.size)
-        np.take(abs2.reshape(size, -1, d), rows[:n_good_rows], axis=1, out=marked, mode="clip")
-        masses = _span_sums(marked, g_spans)
-        amp_dev = [None] * len(ms)
+        tmp_at = size * b * block_rows * d
+        for span, _ in blocks:
+            if span.start >= marked_rows:
+                break
+            _abs2_into(c[:, :, span], sq[:, :, span],
+                       _carve(buf, sq[:, :, span].shape, np.float64))
+        masses = np.array([np.add.reduce(sq[:, i, good], axis=(-2, -1))
+                           for i, (good, _) in enumerate(spans)])
+        avg = np.zeros((size, b, 2, d), dtype=np.complex128)
+        for i, sectors in enumerate(spans):
+            for j, span in enumerate(sectors):
+                if span.start < span.stop:
+                    avg[:, i, j] = np.add.reduce(c[:, i, span], -2) / (span.stop - span.start)
         if interior:
             offsets = analytic._closed_form_offsets(ms_in, n0, size)
-            peaks = []
-            for half in halves:
-                pred = analytic._closed_form_into(
-                    c0_in[:, half], gmask_in[:, half], offsets, n0,
-                    _carve(work, (size, len(ms_in), half.stop - half.start, d)))
-                with grover.small_buffer():  # a half's rows are strided
-                    pred -= c[:, pick, half]
-                abs_dev = np.abs(pred, out=_carve(work, pred.shape, np.float64, 2 * pred.size))
-                peaks.append(np.max(abs_dev, axis=(2, 3)))
-            for i, dev in zip(interior, np.maximum(*peaks).T):
-                amp_dev[i] = dev
-        flat = work.reshape(size, -1, d)
-        np.take(c.reshape(size, -1, d), rows, axis=1, out=flat, mode="clip")
-        good, bad = flat[:, :n_good_rows], flat[:, n_good_rows:]
-        avg = np.empty((size,) + c0.shape[::2], dtype=np.complex128)
-        for sector, spans in ((good, g_spans), (bad, b_spans)):
-            _span_means(sector, spans, avg)
-            with grover.small_buffer():
-                for i, span in enumerate(spans):
-                    sector[:, span] -= avg[:, i, None]
-        # Squared on the whole gather: on a sector's slice numpy copies the operands.
-        squares = qstate._abs2_into_real(flat)
-        var_g = _span_sums(squares[:, :n_good_rows], g_spans)
-        var_b = _span_sums(squares[:, n_good_rows:], b_spans)
-        drift = np.maximum(np.abs(var_g / t_rows - var0[0]), np.abs(var_b / b_rows - var0[1]))
+            if len(interior) < b:
+                padded = np.zeros((2, size, b, d), dtype=np.complex128)
+                padded[:, :, interior] = offsets
+                offsets = tuple(padded)
+        peaks = np.zeros((size, b))
+        g_avg, b_avg = avg[:, :, :1], avg[:, :, 1:]
+        with grover.small_buffer():
+            for span, marked in blocks:
+                block, sq_block = c[:, :, span], sq[:, :, span]
+                work = _carve(buf, block.shape)
+                if interior:
+                    c0_rows = np.take(flat, rows[:, span], axis=0, mode="clip",
+                                      out=_carve(buf, block.shape[1:], skip=tmp_at))
+                    pred = analytic._closed_form_into(c0_rows, marked, offsets, n0, work)
+                    pred -= block
+                    # the largest value is exact, whatever the buffer
+                    np.maximum(peaks, np.max(np.abs(pred, out=sq_block), axis=(2, 3)), out=peaks)
+                if isinstance(marked, bool):
+                    np.subtract(block, g_avg if marked else b_avg, out=work)
+                else:
+                    np.subtract(block, g_avg, out=work, where=marked[..., None])
+                    np.subtract(block, b_avg, out=work, where=~marked[..., None])
+                _abs2_into(work, sq_block, work.imag)
+        sums = np.array([[np.add.reduce(sq[:, i, span], axis=(-2, -1)) for span in sectors]
+                         for i, sectors in enumerate(spans)])
+        drift = np.max(np.abs(sums / np.maximum(sizes, 1)[..., None] - var0), axis=1)
+        mean2 = np.add.reduce(np.square(avg.real) + np.square(avg.imag), axis=-1)
+        norms = np.add.reduce(sums + sizes[..., None] * mean2.transpose(1, 2, 0), axis=1)
+        amp_dev = [peaks[:, i] if 0 < t < n_big else None for i, t in enumerate(ts)]
         return zip(masses / n_big, amp_dev, drift, np.abs(np.sqrt(norms / n_big) - 1.0))
 
     return read
@@ -190,20 +203,22 @@ def _audit_n(
     ``masks`` their (N,) marked-row masks, ``ms`` their moments and
     ``horizons`` the last step audited for each; the wide table is stepped to
     max(horizons).  The states are grouped by D, and each group's B states
-    take B*D consecutive columns, state by state, of the (N, W) wide table.
+    take B*D consecutive columns, state by state, of the (N, W) wide table,
+    each filled from its state's rows in sector order, so the flip negates
+    the leading t rows of every block: a slice when every block has the same
+    t, else a mask over the leading max(t) rows.
 
     The call owns C-ordered chunks on a cache line (``_arena``), k steps long
     (``memory.audit_steps``, sized by the group of most columns): ``steps``,
-    k wide tables, and ``work``, k of that group's (B, N, D) stacks.  The
-    steps of a chunk are written into ``steps`` with one step of the whole
-    wide table each; then each group still within its horizons copies its
-    columns out of the chunk into ``copy``, a (size, B, N, D) stack, and
-    reads them there (``_reader``) with ``work`` as its buffer; the last step
-    is stepped into the first table for the next chunk.  A lone state is its
-    own wide table: it is read in ``steps`` without a copy, and steps with a
-    table of ``work`` as scratch, where a wide table has ``scratch`` of its
-    own.  Each column gets the operations it gets alone, so every reading
-    keeps its bits.
+    k wide tables, ``squares``, k of that group's (B, N, D) stacks of floats,
+    and ``blocks``, k + 1 of its read blocks (``memory.audit_block_rows``).
+    Each step of a chunk is one step of the whole wide table into ``steps``;
+    then each group still within its horizons copies its columns out of the
+    chunk into ``copy``, a (size, B, N, D) stack, and reads them there
+    (``_reader``); the last step is stepped into the first table for the next
+    chunk.  A lone state is its own wide table, read in ``steps`` without a
+    copy, and its steps' half-table scratch is carved from ``squares``.  Each
+    column gets the operations it gets alone, so every reading keeps its bits.
     """
     n_big = len(masks[0])
     by_d: dict[int, list[int]] = {}
@@ -212,26 +227,34 @@ def _audit_n(
     shapes = [(len(idx), n_big, d) for d, idx in by_d.items()]
     width = sum(b * d for b, _, d in shapes)
     b, _, d = max(shapes, key=lambda shape: shape[0] * shape[2])
+    block = b * memory.audit_block_rows(b, n_big, d) * d
     last = max(horizons)
     k = memory.audit_steps(shapes, last + 1)
     groups = []
     spans = _spans([bg * dg for bg, _, dg in shapes])
     for idx, cols in zip(by_d.values(), spans):
         c0 = tables[idx[0]][None] if len(idx) == 1 else np.stack([tables[i] for i in idx])
-        read = _reader(c0, np.stack([masks[i] for i in idx]), [ms[i] for i in idx])
-        groups.append((idx, cols, c0, max(horizons[i] for i in idx), read))
+        rows = np.stack([j * n_big + counting._sector_order(masks[i]) for j, i in enumerate(idx)])
+        bg, _, dg = c0.shape
+        read = _reader(c0, rows, [ms[i] for i in idx], max(1, min(n_big, block // (bg * dg))))
+        groups.append((idx, cols, c0, rows, max(horizons[i] for i in idx), read))
     lone = len(tables) == 1
-    chunks = [(k, n_big, width), (k, b, n_big, d)]
-    steps, work, *wide = _arena(chunks if lone else chunks + [chunks[1], (n_big, width)])
+    chunks = [(k, n_big, width), (k, b, n_big // 2, d), (k + 1, block)]
+    steps, squares, blocks, *wide = _arena(
+        chunks if lone else chunks + [(k, b, n_big, d), (n_big // 2, width)])
     order = [i for idx in by_d.values() for i in idx]
-    if lone:
-        flip, scratch = masks[0][:, None], _carve(work, (n_big, width))
+    ts = [ms[i].t for i in order]
+    if len(set(ts)) == 1:
+        flip = int(ts[0])
     else:
-        copy, scratch = wide
-        flip = np.repeat(np.stack([masks[i] for i in order], axis=1),
-                         [2 * tables[i].shape[1] for i in order], axis=1)
-    for _, cols, c0, _, _ in groups:
-        np.copyto(steps[0][:, cols].reshape(n_big, *c0.shape[::2]), c0.transpose(1, 0, 2))
+        flip = np.arange(max(ts))[:, None] < np.repeat(ts, [2 * tables[i].shape[1] for i in order])
+    copy, scratch = wide if wide else (None, _carve(squares, (n_big // 2, width)))
+    for _, cols, c0, rows, _, _ in groups:
+        dest = steps[0][:, cols].reshape(n_big, len(rows), c0.shape[2])
+        fill = dest if lone else _carve(copy, dest.shape)
+        np.take(c0.reshape(-1, c0.shape[2]), rows.T, axis=0, out=fill, mode="clip")
+        if fill is not dest:
+            np.copyto(dest, fill)
 
     readings = [([], [], [], []) for _ in tables]
     wides = list(steps)  # one view each, so a chunk of one steps in place
@@ -239,16 +262,17 @@ def _audit_n(
         size = min(k, last + 1 - n0)
         for j in range(1, size):
             grover._step_rows(wides[j - 1], flip, wides[j], scratch)
-        for idx, cols, c0, group_last, read in groups:
+        for idx, cols, c0, _, group_last, read in groups:
             if n0 > group_last:
                 continue
+            shape = (size,) + c0.shape
             if lone:
                 c = steps[:size, None]
             else:
-                c = _carve(copy, (size,) + c0.shape)
+                c = _carve(copy, shape)
                 np.copyto(c, steps[:size, :, cols].reshape(size, n_big, *c0.shape[::2])
                           .transpose(0, 2, 1, 3))
-            for i, reading in zip(idx, read(n0, c, _carve(work, (size,) + c0.shape))):
+            for i, reading in zip(idx, read(n0, c, _carve(squares, shape, np.float64), blocks)):
                 count = max(0, min(size, horizons[i] + 1 - n0))
                 for series, values in zip(readings[i], reading):
                     if values is not None:
@@ -286,8 +310,9 @@ def audit_trajectory(
 
     ``m`` is moments(state, good) when the caller already has it.  The mass
     and the variances are those ``qstate.good_mass`` and ``qstate.moments``
-    compute, bit for bit; the norm uses numpy's pairwise sum, and agrees
-    with the exactly-rounded ``physical_norm`` to about 1e-16.
+    compute on the state with its rows in sector order, bit for bit; the
+    norm, from the sector sums, agrees with the exactly-rounded
+    ``physical_norm`` to about 1e-16.
     """
     if m is None:
         m = qstate.moments(state, good)

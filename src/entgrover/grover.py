@@ -14,19 +14,23 @@ unmarked rows, against closed-form predictions.
 A step is four elementwise passes inside one ``small_buffer``: the phase
 flip, which negates the marked rows of the table's float64 view (numpy's
 complex negative is an unvectorized loop, and both negate both parts bit
-for bit); the column sums, by halving the rows log2(N) times into the
-scratch table, each half added onto the other; the sums times 2/N, exact
-for N a power of two; and 2*mu minus the table, in place.  The column sums
-halve the rows rather than call ``np.add.reduce``: numpy sums an (N, 1)
-column pairwise but a wide (N, W) table row by row, while the halving makes
-the same adds in the same order whatever the layout, so every column gets
-the bits it gets alone.
+for bit) in one of two forms: on a table in sector order, marked rows
+first, the leading t rows, a plain slice; on a table in row order, every
+row through a ``where=`` mask.  Then the column sums, by halving the rows
+log2(N) times into the scratch, each half added onto the other; the sums
+times 2/N, exact for N a power of two; and 2*mu minus the table, in place.
+The column sums halve the rows rather than call ``np.add.reduce``: numpy
+sums an (N, 1) column pairwise but a wide (N, W) table row by row, while the
+halving makes the same adds in the same order whatever the layout, so every
+column gets the bits it gets alone.
 
 The row operators act on the rows axis (-2) of any leading batch shape,
 and on each column alike.  ``trajectory_tables`` steps a stack of
-same-shape tables (B, N, D), with marked-row masks (B, N), in lock step;
-the trajectory audit steps every state of one N as a column block of one
-wide (N, W) table, each block flipped by its own marked rows.  Every
+same-shape tables (B, N, D) in row order, with marked-row masks (B, N),
+in lock step; the trajectory audit steps every state of one N as a column
+block of one wide (N, W) table, each block in sector order, so the flip
+negates the leading t rows of every block: a slice when the blocks share
+t, else a mask over the leading max(t) rows only.  Every
 operation is elementwise per column, so each table gets the bits it gets
 alone.  ``grover_trajectory`` wraps the same generator for one state,
 without stacking it, and ``grover_iterate`` keeps its last table.
@@ -83,13 +87,18 @@ def _step_rows(
 ) -> np.ndarray:
     """(2|u><u| - I) S_H on the rows, the step -W S0 W S_H, written into ``out``.
 
-    ``src`` is (..., N, D) and ``flip`` the marked-row mask as it broadcasts to
-    the float64 view (..., N, 2D): (..., N, 1) when every column of a table
-    shares its marked rows, or (N, 2D) when the columns are blocks of states
-    with marked rows of their own (the audit's wide tables).
+    ``src`` is (..., N, D).  ``flip`` is the phase flip S_H, over the leading
+    rows of the float64 view (..., N, 2D): an int t negates the first t rows,
+    the marked rows of a sector-sorted table (the audit's tables, whose
+    column blocks all share t); a boolean mask negates where it is set among
+    the first R rows it spans, as it broadcasts to their view: (..., N, 1) on
+    a table in row order whose columns share their marked rows
+    (``trajectory_tables``), or (R, 2W) on a wide table of sector-sorted
+    column blocks with t of their own, R the largest.
     The phase flip writes into ``out`` (``src`` itself flips in place), and
-    the column sums halve its rows into the first half of ``scratch``; both
-    are C-contiguous tables of ``src``'s shape.  Each column becomes twice its
+    the column sums halve its rows into the first half of ``scratch``, a
+    C-contiguous array of at least N/2 of ``src``'s rows; ``out`` is a
+    C-contiguous table of ``src``'s shape.  Each column becomes twice its
     mean minus itself in ``out``, which is returned; ``scratch`` is left
     overwritten.  Nothing the size of a table is allocated.
     """
@@ -98,8 +107,10 @@ def _step_rows(
     n = out.shape[-2]
     half = n // 2
     parts, sums = out.view(np.float64), scratch.view(np.float64)
+    rows, where = (flip, True) if isinstance(flip, int) else (flip.shape[-2], flip)
+    head = parts[..., :rows, :]
     with small_buffer():
-        np.negative(parts, out=parts, where=flip)
+        np.negative(head, out=head, where=where)
         np.add(parts[..., :half, :], parts[..., half:, :], out=sums[..., :half, :])
         while half > 1:
             half //= 2

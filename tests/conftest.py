@@ -22,6 +22,7 @@ import os
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
 
@@ -32,6 +33,13 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from entgrover import EntangledState, GoodSet, cli, from_amplitudes, memory  # noqa: E402
+from entgrover.analytic import (  # noqa: E402
+    DegenerateCaseError,
+    closed_form_rows,
+    optimal_times,
+    oscillation_params,
+)
+from entgrover.qstate import _norm_sq, moments  # noqa: E402
 from entgrover.checks import VerifyConfig  # noqa: E402
 from entgrover.harness import parse_scenario, run_scenario  # noqa: E402
 
@@ -63,6 +71,36 @@ def butterfly_hadamard(table: np.ndarray) -> np.ndarray:
         src, dst = dst, src
         h *= 2
     return src
+
+
+@dataclass(frozen=True)
+class OptimalState:
+    """Closed-form state at an optimal measurement time, with its leftover bad mass."""
+
+    n: int
+    state: EntangledState
+    bad_sector_mass: float
+
+
+def state_at_optimal(state0: EntangledState, good: GoodSet, j: int = 0) -> OptimalState:
+    """Closed-form state at the exact optimal time n_j, which must be an integer.
+
+    Also reports the residual probability mass left on the unmarked sector;
+    it vanishes when the bad-sector variance is zero and the oscillation is
+    undamped (phi_i = 0).
+    """
+    m = moments(state0, good)
+    p = oscillation_params(m)
+    n_j = optimal_times(p, j)
+    n_int = round(n_j)
+    if abs(n_j - n_int) > 1e-9 or n_int < 0:
+        raise DegenerateCaseError(
+            f"optimal time n_{j} = {n_j!r} is not a non-negative integer"
+        )
+    predicted = closed_form_rows(state0, good, n_int)
+    bad = predicted.coeffs[~good.mask(state0.n_states)]
+    bad_mass = _norm_sq(bad) / state0.n_states
+    return OptimalState(n=n_int, state=predicted, bad_sector_mass=bad_mass)
 
 
 def masked_closed_form_table(c0: np.ndarray, gmask: np.ndarray, ms, n: int) -> np.ndarray:

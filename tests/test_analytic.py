@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_marked, random_state
+from conftest import random_marked, random_state, state_at_optimal
 from entgrover import (
     DegenerateCaseError,
     GoodSet,
@@ -24,7 +24,6 @@ from entgrover import (
     p_max,
     recurrence_sequence,
     recurrence_vectors,
-    state_at_optimal,
     success_probability,
 )
 

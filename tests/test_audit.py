@@ -17,11 +17,13 @@ from entgrover import (
     checks,
     cli,
     closed_form_rows,
+    counting,
     from_amplitudes,
     good_mass,
     grover,
     grover_iterate,
     grover_trajectory,
+    harness,
     memory,
     moments,
     new_flat,
@@ -65,12 +67,38 @@ def cases():
     yield new_flat(3, 2), GoodSet(tuple(range(8)))
 
 
+def in_sector_order(state, good):
+    """``state`` with its rows in sector order (``counting._sector_order``), and
+    its marked set there, the first t rows: the state the audit steps."""
+    order = counting._sector_order(good.mask(state.n_states))
+    return from_amplitudes(state.coeffs[order]), GoodSet(tuple(range(good.t)))
+
+
+def stack_in_sector_order(c0, gmask):
+    """A (B, N, D) stack and its (B, N) masks with each state's rows in sector order."""
+    order = [counting._sector_order(mask) for mask in gmask]
+    rows = np.arange(c0.shape[1])
+    return (np.stack([table[o] for table, o in zip(c0, order)]),
+            np.stack([rows < np.count_nonzero(mask) for mask in gmask]))
+
+
+def assert_same_readings(got, want):
+    """``p_sim``, ``amp_dev`` and ``var_drift`` bit for bit, and ``norm_dev``
+    within 1e-15: the audit sums the norm from its sector sums, the referees
+    over the whole table."""
+    assert [readings(a)[:3] for a in got] == [readings(a)[:3] for a in want]
+    for a, b in zip(got, want):
+        assert len(a.norm_dev) == len(b.norm_dev)
+        assert max(abs(x - y) for x, y in zip(a.norm_dev, b.norm_dev)) <= 1e-15
+
+
 @pytest.mark.parametrize("case", range(SMALL.corpus_count + 2))
 def test_audit_equals_the_per_step_loop(case):
+    """The audit equals the per-step loop on the state in sector order."""
     state, good = list(cases())[case]
     n_max = 2 * SMALL.max_steps
     audit = audit_trajectory(state, good, n_max)
-    p_sim, amp_dev, var_drift, norm_dev = per_step_loop(state, good, n_max)
+    p_sim, amp_dev, var_drift, norm_dev = per_step_loop(*in_sector_order(state, good), n_max)
     assert audit.p_sim == tuple(p_sim)
     assert audit.amp_dev == tuple(amp_dev)
     assert audit.var_drift == tuple(var_drift)
@@ -153,16 +181,17 @@ def wide_cases():
 
 def assert_wide_equals_lone(cases):
     """The audits of ``cases`` in one call equal each state's lone
-    ``audit_trajectory`` and the per-step referee, bit for bit.  The referee
-    reads a C-ordered copy: it sums the norm of step 0 over the table as given."""
-    got = [readings(a) for a in audit.audit_trajectories(cases)]
-    lone = [readings(audit_trajectory(state, good, horizon, m))
-            for state, good, m, horizon in cases]
-    referee = [readings(masked_audit_stack(np.ascontiguousarray(state.coeffs)[None],
-                                           good.mask(state.n_states)[None], [m], [horizon])[0])
+    ``audit_trajectory`` bit for bit, and the per-step referee on each state
+    in sector order (``assert_same_readings``)."""
+    got = audit.audit_trajectories(cases)
+    lone = [audit_trajectory(state, good, horizon, m) for state, good, m, horizon in cases]
+    referee = [masked_audit_stack(*stack_in_sector_order(state.coeffs[None],
+                                                         good.mask(state.n_states)[None]),
+                                  [m], [horizon])[0]
                for state, good, m, horizon in cases]
-    assert [len(p_sim) for p_sim, *_ in got] == [horizon + 1 for *_, horizon in cases]
-    assert got == lone == referee
+    assert [len(a.p_sim) for a in got] == [horizon + 1 for *_, horizon in cases]
+    assert [readings(a) for a in got] == [readings(a) for a in lone]
+    assert_same_readings(got, referee)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 2048], ids=["default", "one-step", "two-steps"])
@@ -176,11 +205,57 @@ def test_wide_tables_give_every_state_its_lone_audit(monkeypatch, chunk):
 
 
 def test_a_column_block_flipped_with_its_neighbours_mask_fails(monkeypatch):
-    planted_audit = planted(audit._audit_n, "np.stack([masks[i] for i in order], axis=1)",
-                            "np.stack([masks[order[1]]] + [masks[i] for i in order[1:]], axis=1)")
+    planted_audit = planted(audit._audit_n, "ts = [ms[i].t for i in order]",
+                            "ts = [ms[i].t for i in (order[1:2] or order) + order[1:]]")
     monkeypatch.setattr(audit, "_audit_n", planted_audit)
     with pytest.raises(AssertionError):
         assert_wide_equals_lone(wide_cases())
+
+
+def maximally_entangled(n, seed):
+    """A state with D = N and orthonormal rows, from the QR factorization of a
+    complex Gaussian: the search register's reduced state is I/N."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return from_amplitudes(q)
+
+
+def assert_stays_at_t_over_n(n, t):
+    """The audit of a maximally entangled state to the default horizon: P(n) =
+    t/N at every step, by simulation and by the law, whose peak is t/N, and the
+    amplitudes follow the closed form.  No operator on the search register
+    moves P from t/N here, so the amplitudes are what a wrong step fails."""
+    state, good = maximally_entangled(n, seed=n + t), random_good_set(n, t, seed=t)
+    m = moments(state, good)
+    params = analytic.oscillation_params(m)
+    horizon = memory.default_horizon(t, n)
+    trajectory = audit_trajectory(state, good, horizon, m)
+    tol = harness.Tolerances()
+    assert len(trajectory.p_sim) == horizon + 1
+    assert max(abs(p - t / n) for p in trajectory.p_sim) < tol.probability
+    assert max(abs(analytic.success_probability(params, k) - p)
+               for k, p in enumerate(trajectory.p_sim)) < tol.probability
+    assert abs(analytic.p_max(params) - t / n) < tol.probability
+    assert max(trajectory.amp_dev) < tol.amplitude
+
+
+MAXIMAL = [(16, 1), (16, 3), (16, 4), (64, 1), (64, 3), (64, 16)]
+
+
+@pytest.mark.parametrize("n,t", MAXIMAL)
+def test_a_maximally_entangled_state_stays_at_t_over_n(n, t):
+    """The paper's maximally entangled limit, t in {1, 3, N/4}: P(n) read within
+    5.6e-17 of t/N and 1.4e-16 of the law, p_max within 1.2e-16 of t/N, and
+    the amplitudes within 7.5e-16 of the closed form (numpy 2.4.6)."""
+    assert_stays_at_t_over_n(n, t)
+
+
+@pytest.mark.parametrize("n,t", MAXIMAL)
+def test_a_flip_of_one_row_too_many_fails_the_maximal_limit(monkeypatch, n, t):
+    monkeypatch.setattr(audit, "_audit_n",
+                        planted(audit._audit_n, "flip = int(ts[0])", "flip = int(ts[0]) + 1"))
+    with pytest.raises(AssertionError):
+        assert_stays_at_t_over_n(n, t)
 
 
 def abs2(z):
@@ -188,17 +263,16 @@ def abs2(z):
 
 
 def masked_audit_stack(c0, gmask, ms, horizons):
-    """The stack audit as it read each step before the sector gathers.
+    """The stack audit as it read each step over whole tables in row order.
 
     The steps are the fresh tables of ``grover.trajectory_tables``.  The
-    closed form and the variance deviations are formed over the whole
-    (B, N, D) stack through ``where=`` masks, and the marked mass from the
-    whole-table squares; the audit on gathered sectors must give its bits.
+    closed form and the centring are formed over the whole (B, N, D) stack
+    through ``where=`` masks, the marked mass and the norm from the
+    whole-table squares, and every sum over a state's rows on its own copied
+    rows, as ``qstate.good_mass`` and ``qstate.moments`` make them.
     """
     n_big = c0.shape[1]
     ts = [m.t for m in ms]
-    g_spans = audit._spans(ts)
-    b_spans = audit._spans([n_big - t for t in ts])
     interior = [i for i, t in enumerate(ts) if 0 < t < n_big]
     pick = slice(None) if len(interior) == len(ms) else interior
     ms_in = [ms[i] for i in interior]
@@ -208,32 +282,38 @@ def masked_audit_stack(c0, gmask, ms, horizons):
     for n, c in grover.trajectory_tables(c0, gmask, max(horizons)):
         sq = abs2(c)
         norms = np.add.reduce(sq, axis=(1, 2)).tolist()
-        masses = audit._span_sums(sq[gmask], g_spans)
         amp_dev = [None] * len(ms)
         if interior:
             pred = masked_closed_form_table(c0[pick], gmask[pick], ms_in, n)
             devs = np.max(np.abs(pred - c[pick]), axis=(1, 2)).tolist()
             for i, dev in zip(interior, devs):
                 amp_dev[i] = dev
-        audit._span_means(c[gmask], g_spans, avg[0])
-        audit._span_means(c[~gmask], b_spans, avg[1])
+        for i, (t, mask) in enumerate(zip(ts, gmask)):
+            for j, rows, count in ((0, c[i][mask], t), (1, c[i][~mask], n_big - t)):
+                if count:
+                    avg[j, i] = np.add.reduce(rows, -2) / count
         diff = np.empty_like(c)
         np.subtract(c, avg[0][:, None], out=diff, where=good)
         np.subtract(c, avg[1][:, None], out=diff, where=~good)
         spread = abs2(diff)
-        var_g = audit._span_sums(spread[gmask], g_spans)
-        var_b = audit._span_sums(spread[~gmask], b_spans)
         for i, m in enumerate(ms):
             if n > horizons[i]:
                 continue
-            drift_g = abs(var_g[i] / ts[i] - m.var_g) if ts[i] else 0.0
-            drift_b = abs(var_b[i] / (n_big - ts[i]) - m.var_b) if ts[i] < n_big else 0.0
-            reading = (masses[i] / n_big, amp_dev[i], max(drift_g, drift_b),
-                       abs(math.sqrt(norms[i] / n_big) - 1.0))
+            mask = gmask[i]
+            var_g, var_b = (np.add.reduce(spread[i][rows], axis=(-2, -1)) for rows in (mask, ~mask))
+            drift_g = abs(var_g / ts[i] - m.var_g) if ts[i] else 0.0
+            drift_b = abs(var_b / (n_big - ts[i]) - m.var_b) if ts[i] < n_big else 0.0
+            reading = (np.add.reduce(sq[i][mask], axis=(-2, -1)) / n_big, amp_dev[i],
+                       max(drift_g, drift_b), abs(math.sqrt(norms[i] / n_big) - 1.0))
             for series, value in zip(readings[i], reading):
                 if value is not None:
-                    series.append(value)
+                    series.append(float(value))
     return [audit.TrajectoryAudit(m, *map(tuple, r)) for m, r in zip(ms, readings)]
+
+
+def sorted_masked_audit_stack(c0, gmask, ms, horizons):
+    """``masked_audit_stack`` of the stack with each state's rows in sector order."""
+    return masked_audit_stack(*stack_in_sector_order(c0, gmask), ms, horizons)
 
 
 def _stack_audits(states, goods, horizons, audit):
@@ -260,9 +340,9 @@ def test_gathered_read_equals_the_masked_read(n, d, ts, horizons):
               for _ in ts]
     goods = [random_good_set(n, t, seed=i) for i, t in enumerate(ts)]
     new = _stack_audits(states, goods, horizons, stack_audit)
-    old = _stack_audits(states, goods, horizons, masked_audit_stack)
+    old = _stack_audits(states, goods, horizons, sorted_masked_audit_stack)
     assert [len(a.p_sim) for a in new] == [h + 1 for h in horizons]
-    assert [readings(a) for a in new] == [readings(a) for a in old]
+    assert_same_readings(new, old)
 
 
 def _chunk_stacks(case):
@@ -292,12 +372,11 @@ def test_every_chunk_size_keeps_the_per_step_bits(case, monkeypatch):
     """Chunks of 1, 2 and 3 steps and of the whole horizon give the per-step
     referee's bits; with 2 and 3 steps a chunk, some chunks start on odd n."""
     for c0, gmask, ms, horizons in _chunk_stacks(case):
-        want = [readings(a) for a in masked_audit_stack(c0, gmask, ms, horizons)]
+        want = sorted_masked_audit_stack(c0, gmask, ms, horizons)
         for steps in (1, 2, 3, max(horizons) + 1):
             monkeypatch.setattr(memory, "_CHUNK_BYTES", steps * c0.nbytes)
             assert memory.audit_steps([c0.shape], max(horizons) + 1) == steps
-            got = stack_audit(c0, gmask, ms, horizons)
-            assert [readings(a) for a in got] == want
+            assert_same_readings(stack_audit(c0, gmask, ms, horizons), want)
 
 
 def test_closed_form_table_keeps_the_masked_bits():
@@ -315,11 +394,13 @@ def test_closed_form_table_keeps_the_masked_bits():
 
 
 def test_find_sized_audit_allocates_no_more_than_before():
-    """The audit owns a fixed arena of two tables, so its peak does not grow with
-    the step count.  Besides the arena, numpy's fixed ufunc buffering and the
-    row indices (8 bytes a row) stay under 256 KiB.  Reading each step over the
-    whole table, this audit peaked at 4.005 tables, on fresh step tables at
-    3.467 and with a third chunk at 3.058; it peaks at 2.013 (numpy 2.4.6)."""
+    """The audit owns a fixed arena of a table, half a table of floats and two
+    read blocks, so its peak does not grow with the step count.  Besides the
+    arena, numpy's fixed ufunc buffering and the row indices (8 bytes a row)
+    stay under 256 KiB.  Reading each step over the whole table, this audit
+    peaked at 4.005 tables, on fresh step tables at 3.467, with a third chunk
+    at 3.058 and on gathered sectors at 2.013; it peaks at 1.547 (numpy
+    2.4.6)."""
     rng = np.random.default_rng(3)
     n, d = 1 << 12, 64
     state = from_amplitudes(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)), True)
@@ -337,7 +418,8 @@ def test_find_sized_audit_allocates_no_more_than_before():
     table = n * d * 16
     # The readings add four floats a step; nothing else may grow with the steps.
     assert peaks[1] - peaks[0] <= 4096
-    assert max(peaks) <= 2 * table + 256 * 1024
+    arena = 1.5 * table + 2 * 16 * memory.audit_block_rows(1, n, d) * d
+    assert max(peaks) <= arena + 256 * 1024
 
 
 @pytest.mark.parametrize("shape", [(1, 1 << 12, 64), (16, 2, 4, 3)])
@@ -375,14 +457,18 @@ UNCHARGED = 3 * np.getbufsize() * 16 + (128 << 10)
 
 
 @pytest.mark.parametrize("nq,d,t,iterations", [(12, 64, 300, 4), (6, 4, 3, None)])
-def test_audit_charge_covers_a_finds_traced_peak(nq, d, t, iterations):
+def test_audit_charge_covers_a_finds_traced_peak(monkeypatch, nq, d, t, iterations):
     """A find holds its state and its audit at once, and the audit's charge
-    counts both, with the chunk of steps it reads at a time.  At 4096 x 64
-    the chunk is one table; at a verify-sized 64 x 4 it holds every step."""
+    counts both, with the chunk of steps it reads at a time: the peak is
+    traced from the audit's call on, as building the state peaks higher.  At
+    4096 x 64 the chunk is one table; at a verify-sized 64 x 4 it holds every
+    step."""
     s = parse_scenario({"kind": "find", "n_qubits": nq, "data_dim": d, "iterations": iterations,
                         "state": {"type": "random", "seed": 1, "var_b": 0.05},
                         "good": {"t": t, "seed": 2}})
     run_find(s)
+    monkeypatch.setattr(harness, "audit_trajectory",
+                        lambda *a: tracemalloc.reset_peak() or audit_trajectory(*a))
     tracemalloc.start()
     try:
         steps = len(run_find(s).payload["table"])
@@ -400,12 +486,16 @@ def test_a_find_at_a_cap_equal_to_its_charge_peaks_within_it(tmp_path, monkeypat
     peaks over it by the plan's slack only (``holds_at_its_plan``): its
     broadcast and strided elementwise ops run in a 256-element ufunc buffer
     (``grover.small_buffer``).  It peaked 223 KB over when they ran in numpy's
-    8192-element buffer."""
+    8192-element buffer.  The plan's peak is the state's build, three tables:
+    the audit holds 2.5, with its state, and held 3 when it read unsorted
+    tables."""
     scenario = {"kind": "find", "n_qubits": 12, "data_dim": 64, "iterations": 4,
                 "state": {"type": "random", "seed": 1, "var_b": 0.05},
                 "good": {"t": 300, "seed": 2}}
     caller = np.getbufsize()
-    assert "5 readings" in holds_at_its_plan(scenario, tmp_path)
+    assert "building a state of 262144 amplitudes" in holds_at_its_plan(scenario, tmp_path)
+    build, *_, audit_term = memory.plan(parse_scenario(scenario))
+    assert "5 readings" in audit_term.what and audit_term.bytes < build.bytes
     monkeypatch.setenv("ENTGROVER_MEMORY_CAP", str(run_find(parse_scenario(scenario)).planned))
     assert memory.audit_steps([(1, 1 << 12, 64)], 5) == 1
     assert np.getbufsize() == caller

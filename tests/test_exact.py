@@ -153,6 +153,36 @@ def test_step_error_is_within_the_rounding_model(case):
     assert _step_error(case) <= 2.0
 
 
+def _sorted_step_errors(case) -> tuple[float, float]:
+    """Largest error of the audit's step, on the table in sector order with the
+    flip a leading slice, at n = 1 .. N_MAX against the exact trajectory, and
+    largest difference from the step in row order, both over eps * max|x_n| *
+    sqrt(n)."""
+    state, good, gmask, exact = case
+    order = counting._sector_order(gmask)
+    c = state.coeffs[order]
+    scratch = np.empty_like(c)
+    worst = [0.0, 0.0]
+    for n, natural in grover.trajectory_tables(state.coeffs, gmask, N_MAX):
+        if n:
+            c = grover._step_rows(c, good.t, np.empty_like(c), scratch)
+            scale = EPS * float(np.max(np.abs(exact[n]))) * math.sqrt(n)
+            worst[0] = max(worst[0], exact_error(c, exact[n][:, order]) / scale)
+            worst[1] = max(worst[1], float(np.max(np.abs(c - natural[order]))) / scale)
+    return worst[0], worst[1]
+
+
+def test_sorted_and_row_order_trajectories_agree_within_the_rounding_model(case):
+    """The trajectory the audit steps, in sector order, is within the rounding
+    model of the step (``test_step_error_is_within_the_rounding_model``) of the
+    exact one, and so within twice it of the trajectory in row order, which is
+    within the model too: the sort reorders the halving sums only.  Measured
+    at most 1.29 and 1.99 of the model (40 states, ten seeds of these four
+    shapes)."""
+    to_exact, to_natural = _sorted_step_errors(case)
+    assert to_exact <= 2.0 and to_natural <= 4.0
+
+
 @pytest.mark.parametrize("factor", ["1.0 + 1e-15", "1.0 - 1e-15"], ids=["up", "down"])
 def test_step_bound_catches_a_planted_scale(case, monkeypatch, factor):
     step = planted(grover._step_rows, "    return out", f"    out *= {factor}\n    return out")

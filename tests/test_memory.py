@@ -104,8 +104,8 @@ def test_a_run_fits_its_plan(tmp_path_factory, scenario):
          "audit(n, d, 0, size)", {"kind": "find", "n_qubits": 1, "good": {"t": 1, "seed": 0},
                                   "iterations": 500}),
         # one more table a step of the audit's chunks
-        (audit._audit_n, "chunks = [(k, n_big, width), (k, b, n_big, d)]",
-         "chunks = [(k, n_big, width), (k, b, n_big, d), (k, n_big, width)]", WIDE),
+        (audit._audit_n, "steps, squares, blocks, *wide = _arena(",
+         "extra = _arena([(k, n_big, width)])\n    steps, squares, blocks, *wide = _arena(", WIDE),
     ],
     ids=["dropped-term", "extra-table"],
 )
@@ -154,58 +154,15 @@ def test_the_densest_state_file_reads_within_its_charge(tmp_path):
     assert peak <= charge <= 1.3 * peak
 
 
-@pytest.fixture(scope="module")
-def written(tmp_path_factory):
-    """A random 2^16 x 4 state and the file it is written to."""
-    rng = np.random.default_rng(5)
-    shape = (1 << 16, 4)
-    state = from_amplitudes(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                            renormalize=True)
-    path = tmp_path_factory.mktemp("written") / "state.json"
-    path.write_text(json.dumps(state.to_json_obj()))
-    return state, path
+def count_at_2_16_by_4(state):
+    """A count at 2^16 x 4 of the ``state`` spec."""
+    return parse_scenario({"kind": "count", "n_qubits": 16, "data_dim": 4, "P": 4, "seed": 1,
+                           "state": state, "good": {"t": 1, "seed": 0}})
 
 
-def test_a_written_2_16_by_4_state_reads_under_the_default_cap(written):
-    state, path = written
-    s = parse_scenario({"kind": "find", "n_qubits": 16, "data_dim": 4, "iterations": 0,
-                        "good": {"t": 1, "seed": 0}, "state": {"type": "file", "path": str(path)}})
-    _, back, _ = harness._setup(s)
-    assert np.array_equal(back.coeffs, state.coeffs)
-
-
-def test_a_state_file_is_read_into_the_states_own_table(written):
-    """The read holds the parsed file and one table, filled row by row and handed
-    to the norm gate: at 2^16 x 4 tracemalloc read 12.80 tables.  Read into a
-    list of rows, then an array and the constructor's copy of it, the read peaked
-    at 16.52 tables (CPython 3.11, numpy 2.4.6)."""
-    state, path = written
-    tracemalloc.start()
-    try:
-        back = harness._read_state_file(str(path), 16, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back.coeffs, state.coeffs)
-    assert peak <= 14 * state.coeffs.nbytes
-
-
-@pytest.mark.parametrize("kind", ["flat", "random", "file"])
-def test_building_a_state_and_its_moments_fits_the_build_term(written, kind):
-    """At 2^16 x 4, ``_setup`` and ``moments`` peak within the plan's build term;
-    a file state's parse within its own term (``memory.state_file``).  Before the
-    construction was charged, a flat state read 3.0 tables to build and a random
-    one 3.1-4.1, with 3.0-3.5 more for its moments, against one table."""
-    state = {"type": kind}
-    if kind == "random":
-        state.update(seed=1, var_b=0.05)
-    if kind == "file":
-        state = {"type": "file", "path": str(written[1])}
-    s = parse_scenario({"kind": "count", "n_qubits": 16, "data_dim": 4, "P": 4, "seed": 1,
-                        "state": state, "good": {"t": 1, "seed": 0}})
-    build, *terms = memory.plan(s)
-    if kind != "file":  # a parse dwarfs the first call's caches
-        harness._setup(s)
+def traced_setup(s):
+    """The marked set and state ``harness._setup`` builds for ``s``, the traced
+    peak of the setup, and that of the state's moments."""
     tracemalloc.start()
     try:
         good, built, _ = harness._setup(s)
@@ -215,6 +172,59 @@ def test_building_a_state_and_its_moments_fits_the_build_term(written, kind):
         read = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return built, setup, read
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A random 2^16 x 4 state, the file it is written to, and one traced setup
+    of a count that reads the file (``traced_setup``), which the three tests
+    below share: a parse of the 11.7 MB file takes seconds under tracemalloc."""
+    rng = np.random.default_rng(5)
+    shape = (1 << 16, 4)
+    state = from_amplitudes(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                            renormalize=True)
+    path = tmp_path_factory.mktemp("written") / "state.json"
+    path.write_text(json.dumps(state.to_json_obj()))
+    s = count_at_2_16_by_4({"type": "file", "path": str(path)})
+    return state, path, s, traced_setup(s)
+
+
+def test_a_written_2_16_by_4_state_reads_under_the_default_cap(written):
+    """A find of the file fits the default cap, and the count's setup (under it
+    too) reads the state back bit for bit."""
+    state, path, _, (back, _, _) = written
+    s = parse_scenario({"kind": "find", "n_qubits": 16, "data_dim": 4, "iterations": 0,
+                        "good": {"t": 1, "seed": 0}, "state": {"type": "file", "path": str(path)}})
+    memory.check(memory.plan(s))
+    assert np.array_equal(back.coeffs, state.coeffs)
+
+
+def test_a_state_file_is_read_into_the_states_own_table(written):
+    """The read holds the parsed file and one table, filled row by row and handed
+    to the norm gate: at 2^16 x 4 tracemalloc read 12.80 tables for the read
+    alone and 12.80 for the setup around it.  Read into a list of rows, then an
+    array and the constructor's copy of it, the read peaked at 16.52 tables
+    (CPython 3.11, numpy 2.4.6)."""
+    state, _, _, (back, setup, _) = written
+    assert np.array_equal(back.coeffs, state.coeffs)
+    assert setup <= 14 * state.coeffs.nbytes
+
+
+@pytest.mark.parametrize("kind", ["flat", "random", "file"])
+def test_building_a_state_and_its_moments_fits_the_build_term(written, kind):
+    """At 2^16 x 4, ``_setup`` and ``moments`` peak within the plan's build term;
+    a file state's parse within its own term (``memory.state_file``).  Before the
+    construction was charged, a flat state read 3.0 tables to build and a random
+    one 3.1-4.1, with 3.0-3.5 more for its moments, against one table."""
+    if kind == "file":
+        s, (_, setup, read) = written[2:]
+    else:
+        s = count_at_2_16_by_4({"type": kind, **({"seed": 1, "var_b": 0.05}
+                                                 if kind == "random" else {})})
+        harness._setup(s)  # the first call's caches, which a file's parse dwarfs
+        _, setup, read = traced_setup(s)
+    build, *terms = memory.plan(s)
     assert build.what.startswith("building a state of 262144 amplitudes")
     assert setup <= (terms[-1].bytes if kind == "file" else build.bytes)
     assert read <= build.bytes
@@ -222,8 +232,9 @@ def test_building_a_state_and_its_moments_fits_the_build_term(written, kind):
 
 def test_a_flat_2_24_find_fits_the_default_cap(monkeypatch):
     """The plan alone (nothing is run): a flat find at N = 2^24, D = 1, t = 1, its
-    default horizon the longest, holds its state and two tables of the audit
-    (943 MiB).  Charged three, the audit asked for 1,224,736,864 bytes."""
+    default horizon the longest, builds its state in 832 MiB, and then holds
+    it with 1.5 tables of the audit and its readings (816 MiB; 943 MiB with two
+    tables).  Charged three, the audit asked for 1,224,736,864 bytes."""
     monkeypatch.delenv("ENTGROVER_MEMORY_CAP", raising=False)
     s = parse_scenario({"kind": "find", "n_qubits": 24, "good": {"t": 1, "seed": 0}})
     assert memory.check(memory.plan(s)) <= memory.qstate.memory_cap_bytes()
