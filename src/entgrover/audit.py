@@ -10,11 +10,11 @@ split, so each state is held with its rows in sector order, marked rows
 first (``counting._sector_order``), and every state of one N steps as a
 column block of one wide (N, W) table (``_audit_n``), one step for all.  The
 wide table is stepped and read a chunk of k steps at a time
-(``memory.audit_steps``): each (N, D) group of states copies its columns out
-of the chunk into a (k, B, N, D) stack and is read there (``_reader``); a
-lone state is read in place.  A state's sectors are the row spans [0, t) and
-[t, N) of its block, so a read sums spans, masks and gathers no whole table,
-and takes the norm from the sector sums.  ``memory.audit`` and
+(``memory.audit_steps``): each (N, D) group of states reads its columns of
+the chunk in place, as a (k, B, N, D) view (``_reader``).  A state's sectors
+are the row spans [0, t) and [t, N) of its block, so a read sums spans,
+copies, masks and gathers no whole table, and takes the norm from the sector
+sums.  ``memory.audit`` and
 ``memory.corpus`` charge the chunks.
 """
 from __future__ import annotations
@@ -84,8 +84,8 @@ def _spans(sizes: list[int]) -> list[slice]:
 
 
 def _blocks(ts: list[int], n_big: int, rows: int) -> list[tuple[slice, object]]:
-    """(rows, marked) of the read blocks of tables in sector order with ``ts``
-    marked rows: slices of at most ``rows`` rows over [0, N), none across
+    """(span, marked) of the read blocks of tables in sector order with ``ts``
+    marked rows: row slices of at most ``rows`` rows over [0, N), none across
     min(ts) or max(ts).  ``marked`` is True below min(ts), False from max(ts),
     and between them a (B, rows) mask of each state's marked rows."""
     lo, hi = min(ts), max(ts)
@@ -107,9 +107,9 @@ def _reader(c0: np.ndarray, rows: np.ndarray, ms: list[qstate.MomentSummary], bl
     ``block_rows`` the rows of a read block (``_blocks``).
 
     The returned ``read(n0, c, sq, buf)`` takes the group's (size, B, N, D)
-    tables at the steps from n0, each state's rows in sector order, a free
-    float buffer ``sq`` of their shape and a free complex ``buf`` of size + 1
-    blocks of B x block_rows x D:
+    tables at the steps from n0 (a view of any strides), each state's rows in
+    sector order, a free float buffer ``sq`` of their shape and a free
+    complex ``buf`` of size + 1 blocks of B x block_rows x D:
     - the squares of the marked rows go into ``sq``, whose sums over each
       state's span [0, t) are the masses, and the spans' means are taken;
     - block by block, the closed form (``analytic._closed_form_into``) of
@@ -213,12 +213,12 @@ def _audit_n(
     k wide tables, ``squares``, k of that group's (B, N, D) stacks of floats,
     and ``blocks``, k + 1 of its read blocks (``memory.audit_block_rows``).
     Each step of a chunk is one step of the whole wide table into ``steps``;
-    then each group still within its horizons copies its columns out of the
-    chunk into ``copy``, a (size, B, N, D) stack, and reads them there
-    (``_reader``); the last step is stepped into the first table for the next
-    chunk.  A lone state is its own wide table, read in ``steps`` without a
-    copy, and its steps' half-table scratch is carved from ``squares``.  Each
-    column gets the operations it gets alone, so every reading keeps its bits.
+    then each group still within its horizons reads its columns of the chunk
+    in place, as a (size, B, N, D) view (``_reader``); the last step is
+    stepped into the first table for the next chunk.  A wide table has a
+    half-table ``scratch`` for its steps, and a lone state, its own wide
+    table, carves it from ``squares``.  Each column gets the operations it
+    gets alone, so every reading keeps its bits.
     """
     n_big = len(masks[0])
     by_d: dict[int, list[int]] = {}
@@ -240,21 +240,24 @@ def _audit_n(
         groups.append((idx, cols, c0, rows, max(horizons[i] for i in idx), read))
     lone = len(tables) == 1
     chunks = [(k, n_big, width), (k, b, n_big // 2, d), (k + 1, block)]
-    steps, squares, blocks, *wide = _arena(
-        chunks if lone else chunks + [(k, b, n_big, d), (n_big // 2, width)])
+    steps, squares, blocks, *wide = _arena(chunks if lone else chunks + [(n_big // 2, width)])
     order = [i for idx in by_d.values() for i in idx]
     ts = [ms[i].t for i in order]
     if len(set(ts)) == 1:
         flip = int(ts[0])
     else:
         flip = np.arange(max(ts))[:, None] < np.repeat(ts, [2 * tables[i].shape[1] for i in order])
-    copy, scratch = wide if wide else (None, _carve(squares, (n_big // 2, width)))
+    scratch = wide[0] if wide else _carve(squares, (n_big // 2, width))
     for _, cols, c0, rows, _, _ in groups:
-        dest = steps[0][:, cols].reshape(n_big, len(rows), c0.shape[2])
-        fill = dest if lone else _carve(copy, dest.shape)
-        np.take(c0.reshape(-1, c0.shape[2]), rows.T, axis=0, out=fill, mode="clip")
-        if fill is not dest:
-            np.copyto(dest, fill)
+        dest = steps[0][:, cols].reshape(n_big, *c0.shape[::2])
+        part_rows = max(1, block // (len(rows) * c0.shape[2]))
+        for r0 in range(0, n_big, part_rows):
+            part = dest[r0 : r0 + part_rows]
+            fill = part if lone else _carve(blocks, part.shape)
+            np.take(c0.reshape(-1, c0.shape[2]), rows.T[r0 : r0 + part_rows], axis=0, out=fill,
+                    mode="clip")
+            if fill is not part:
+                np.copyto(part, fill)
 
     readings = [([], [], [], []) for _ in tables]
     wides = list(steps)  # one view each, so a chunk of one steps in place
@@ -265,14 +268,9 @@ def _audit_n(
         for idx, cols, c0, _, group_last, read in groups:
             if n0 > group_last:
                 continue
-            shape = (size,) + c0.shape
-            if lone:
-                c = steps[:size, None]
-            else:
-                c = _carve(copy, shape)
-                np.copyto(c, steps[:size, :, cols].reshape(size, n_big, *c0.shape[::2])
-                          .transpose(0, 2, 1, 3))
-            for i, reading in zip(idx, read(n0, c, _carve(squares, shape, np.float64), blocks)):
+            c = steps[:size, :, cols].reshape(size, n_big, *c0.shape[::2]).transpose(0, 2, 1, 3)
+            sq = _carve(squares, (size,) + c0.shape, np.float64)
+            for i, reading in zip(idx, read(n0, c, sq, blocks)):
                 count = max(0, min(size, horizons[i] + 1 - n0))
                 for series, values in zip(readings[i], reading):
                     if values is not None:

@@ -163,9 +163,9 @@ def _audit_bytes(groups: list[tuple[int, int, int]], k: int) -> int:
     k stacks of floats (the squares) and its read blocks, k + 1 blocks of
     ``audit_block_rows`` rows, with ``_OFFSET_BYTES`` a step and column; and
     each state's sector row index (8 bytes a row) and marked-row mask (1 byte a
-    row).  More than one state also holds a copy chunk of that group's stacks,
-    the wide table's half-table scratch (a lone state's is its squares) and its
-    flip mask (at most 2 bytes a row and column)."""
+    row).  More than one state also holds the wide table's half-table scratch
+    (a lone state's is its squares) and its flip mask (at most 2 bytes a row
+    and column)."""
     b, n, d = _widest(groups)
     width = sum(group[0] * group[2] for group in groups)
     states = sum(group[0] for group in groups)
@@ -173,7 +173,7 @@ def _audit_bytes(groups: list[tuple[int, int, int]], k: int) -> int:
     fixed = 16 * n * width + 9 * states * n + block
     step = 16 * n * width + 8 * b * n * d + block + _OFFSET_BYTES * b * d
     if states > 1:
-        fixed, step = fixed + 10 * n * width, step + 16 * b * n * d
+        fixed += 10 * n * width
     return fixed + k * step
 
 
